@@ -125,9 +125,6 @@ def build_sat(model: ModelSpec, grid: Grid, ops, U: np.ndarray,
         if closure.kind in ("none", "periodic"):
             continue
         ax, side = _face_from_label(grid, label)
-        if grid.periodic[ax]:
-            raise ValueError(f"axis {grid.axis_names[ax]} is periodic; face '{label}'"
-                             " cannot take a penalty closure")
         if closure.kind == "characteristic":
             _sat_characteristic(model, grid, ops, U, field, ax, side, closure)
         else:
@@ -316,29 +313,16 @@ def analyze_boundary(
     if len(normal) != model.dim:
         raise ValueError(f"normal has {len(normal)} components, model is {model.dim}D")
     check_admissible(model, state)
-    if alpha is not None or beta is not None:
-        if model.kind != "swe2d":
-            raise ValueError("alpha and beta apply to swe2d only")
-        over = {}
-        if alpha is not None:
-            over["alpha"] = alpha
-        if beta is not None:
-            over["beta"] = beta
-        model = with_params(model, **over)
+    model = with_params(model, alpha=alpha, beta=beta)
     a_out = model.alpha if model.kind == "swe2d" else None
     b_out = model.beta if model.kind == "swe2d" else None
 
     if formulation == "nonlinear_rewritten":
         if model.kind != "swe2d":
             raise ValueError("the rewritten formulation applies to swe2d only")
-        un, _ = swe_normal_tangential(state, normal)
-        un = float(un)
-        root = float(np.sqrt(state[0]))
-        if abs(un) < DELTA_N:
-            raise ValueError(f"glancing face state: |U_n| = {abs(un)} < {DELTA_N}")
-        if root < DELTA_1:
-            raise ValueError("degenerate depth at the face")
-        c = 1.0 / (2.0 * un * root)
+        contraction = swe_rewritten_contraction(state, normal)
+        un = float(swe_normal_tangential(state, normal)[0])
+        c = 1.0 / (2.0 * un * float(np.sqrt(state[0])))
         S = np.diag([-c, c, c])
         eigs = np.sort(np.array([-c, c, c]))
         neg, zero, pos_n = _signature_counts(eigs)
@@ -346,7 +330,6 @@ def analyze_boundary(
         # direction is dominated by (U_n^2 + U1^2)^2 >= U1^4 and no data
         # is required.
         count = 2 if un < 0.0 else 0
-        contraction = swe_rewritten_contraction(state, normal)
         return BoundaryAnalysis(
             formulation=formulation, face=face, normal=normal,
             alpha=a_out, beta=b_out, S=S, eigenvalues=eigs,

@@ -424,6 +424,51 @@ def _identity_mode(kind, model, grid, rng):
                       f" got '{kind}'")
 
 
+def build_scenarios(cfg, path, mode, prefix, model, grid, ops, **scheme):
+    """The named scenarios a marching config describes on one grid.
+
+    scheme holds the remaining Scenario fields (dt, t_final, sat, stride,
+    cfl).  Every scenario is validated here: malformed or unsupported
+    scenarios are config errors (exit 2), while failures during the march
+    itself (CFL, blow-up, admissibility) are run failures (exit 1).
+    """
+
+    def scenario(run_mode, initial, mean):
+        return Scenario(model=model, grid=grid, ops=ops, mode=run_mode,
+                        initial=initial, mean=mean, **scheme)
+
+    runs = []
+    if mode == "standard_vs_new":
+        mean = build_field(cfg, "coefficient", model, grid, path)
+        pert = build_field(cfg, "perturbation", model, grid, path)
+        runs.append((f"{prefix}_standard",
+                     scenario("standard_linearised", pert, mean)))
+        runs.append((f"{prefix}_new",
+                     scenario("new_linearised_coupled", pert, mean)))
+    elif mode in ("new_linearised_coupled", "standard_linearised"):
+        mean_section = "initial" if mode == "new_linearised_coupled" \
+            else "coefficient"
+        mean = build_field(cfg, mean_section, model, grid, path)
+        pert = build_field(cfg, "perturbation", model, grid, path)
+        runs.append((prefix, scenario(mode, pert, mean)))
+    else:
+        initial = build_field(cfg, "initial", model, grid, path)
+        mean = None
+        if mode in ("frozen", "dual") and "coefficient" in cfg:
+            mean = build_field(cfg, "coefficient", model, grid, path)
+        if mode == "frozen" and mean is None:
+            raise ConfigError(f"{path}: frozen mode needs a [coefficient]"
+                              " section")
+        runs.append((prefix, scenario(mode, initial, mean)))
+
+    for _, sc in runs:
+        try:
+            validate_scenario(sc)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}")
+    return runs
+
+
 def run_identity(cfg, model, grid, ops, path):
     trials_raw = _get(cfg, "identity", "trials", "50")
     seed_raw = _get(cfg, "identity", "seed", "0")
@@ -462,50 +507,14 @@ def cmd_run(args) -> int:
               f" max |volume_residual| {worst:.3e})")
         return 0
 
-    dt = _scheme_float(cfg, "dt", None, display)
-    t_final = _scheme_float(cfg, "t_final", None, display)
-    stride = int(_get(cfg, "scheme", "stride", "1"))
-    cfl = _scheme_float(cfg, "cfl", 0.2, display)
-    sat = build_sat_from_config(cfg, grid, display)
-
-    def scenario(run_mode, initial, mean):
-        return Scenario(model=model, grid=grid, ops=ops, mode=run_mode,
-                        initial=initial, dt=dt, t_final=t_final, mean=mean,
-                        sat=sat, stride=stride, cfl=cfl)
-
-    runs = []
-    if mode == "standard_vs_new":
-        mean = build_field(cfg, "coefficient", model, grid, display)
-        pert = build_field(cfg, "perturbation", model, grid, display)
-        runs.append((f"{prefix}_standard",
-                     scenario("standard_linearised", pert, mean)))
-        runs.append((f"{prefix}_new",
-                     scenario("new_linearised_coupled", pert, mean)))
-    elif mode in ("new_linearised_coupled", "standard_linearised"):
-        mean_section = "initial" if mode == "new_linearised_coupled" \
-            else "coefficient"
-        mean = build_field(cfg, mean_section, model, grid, display)
-        pert = build_field(cfg, "perturbation", model, grid, display)
-        runs.append((prefix, scenario(mode, pert, mean)))
-    else:
-        initial = build_field(cfg, "initial", model, grid, display)
-        mean = None
-        if mode in ("frozen", "dual") and "coefficient" in cfg:
-            mean = build_field(cfg, "coefficient", model, grid, display)
-        if mode == "frozen" and mean is None:
-            raise ConfigError(f"{display}: frozen mode needs a [coefficient]"
-                              " section")
-        runs.append((prefix, scenario(mode, initial, mean)))
-
-    # Malformed or unsupported scenarios are config errors (exit 2);
-    # failures during the march itself (CFL, blow-up, admissibility) are
-    # run failures (exit 1).
-    for _, sc in runs:
-        try:
-            validate_scenario(sc)
-        except ValueError as exc:
-            raise ConfigError(f"{display}: {exc}")
-
+    runs = build_scenarios(
+        cfg, display, mode, prefix, model, grid, ops,
+        dt=_scheme_float(cfg, "dt", None, display),
+        t_final=_scheme_float(cfg, "t_final", None, display),
+        stride=int(_get(cfg, "scheme", "stride", "1")),
+        cfl=_scheme_float(cfg, "cfl", 0.2, display),
+        sat=build_sat_from_config(cfg, grid, display),
+    )
     results = []
     try:
         for name, sc in runs:
@@ -627,34 +636,25 @@ def cmd_convergence(args) -> int:
     cfl = _scheme_float(cfg, "cfl", 0.2, display)
     sat = build_sat_from_config(cfg, base_grid, display)
 
-    finals = []
-    grids = []
-    opses = []
-    inits = []
-    vr_initial = []
+    # Every level is built and validated before any is marched.
+    scenarios = []
     for n in levels:
         shape = tuple(n for _ in range(model.dim))
         grid = make_grid(base_grid.extents, shape, periodic=base_grid.periodic,
                          axis_names=model.axis_names)
-        ops = build_operators(grid, order)
         # dt shrinks quadratically with refinement so the RK4 error stays
         # below the spatial error at both operator orders.
-        dt = dt0 * (levels[0] / n) ** 2
-        if mode in ("new_linearised_coupled", "standard_linearised"):
-            mean_section = "initial" if mode == "new_linearised_coupled" \
-                else "coefficient"
-            mean = build_field(cfg, mean_section, model, grid, display)
-            initial = build_field(cfg, "perturbation", model, grid, display)
-        else:
-            initial = build_field(cfg, "initial", model, grid, display)
-            mean = None
-            if mode in ("frozen", "dual") and "coefficient" in cfg:
-                mean = build_field(cfg, "coefficient", model, grid, display)
-        sc = Scenario(model=model, grid=grid, ops=ops, mode=mode,
-                      initial=initial, dt=dt, t_final=t_final, mean=mean,
-                      sat=sat, stride=10 ** 9, cfl=cfl)
+        [(_, sc)] = build_scenarios(
+            cfg, display, mode, "", model, grid, build_operators(grid, order),
+            dt=dt0 * (levels[0] / n) ** 2, t_final=t_final, sat=sat,
+            stride=10 ** 9, cfl=cfl,
+        )
+        scenarios.append(sc)
+
+    finals = []
+    vr_initial = []
+    for n, sc in zip(levels, scenarios):
         try:
-            validate_scenario(sc)
             reports, final = march(sc)
         except (RuntimeError, ValueError) as exc:
             print(f"run failed at level {n}: {exc}", file=sys.stderr)
@@ -662,9 +662,6 @@ def cmd_convergence(args) -> int:
         if mode == "new_linearised_coupled":
             final = final[1]
         finals.append(final)
-        grids.append(grid)
-        opses.append(ops)
-        inits.append(initial if mean is None else mean)
         vr_initial.append(reports[0].volume_residual)
 
     print(f"solution self-convergence ({order[0]},{order[1]}), final time"
@@ -673,7 +670,7 @@ def cmd_convergence(args) -> int:
     errors = []
     for k in range(len(levels) - 1):
         err = _shared_nodes_error(finals[k], finals[k + 1],
-                                  grids[k], grids[k + 1])
+                                  scenarios[k].grid, scenarios[k + 1].grid)
         errors.append(err)
     scale = 1.0 + float(np.max(np.abs(finals[-1])))
     for k, err in enumerate(errors):
@@ -689,8 +686,9 @@ def cmd_convergence(args) -> int:
 
     if model.kind == "swe2d":
         print("quasilinear ansatz defect on the initial/mean field:")
-        defects = [ansatz_defect(model, grids[k], opses[k], inits[k])
-                   for k in range(len(levels))]
+        defects = [ansatz_defect(model, sc.grid, sc.ops,
+                                 sc.initial if sc.mean is None else sc.mean)
+                   for sc in scenarios]
         for k, d in enumerate(defects):
             line = f"  n={levels[k]:<5d} defect {d:.6e}"
             if k > 0 and d > 0.0:

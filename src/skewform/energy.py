@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelSpec, check_admissible, coeff_matrices, norm_weight, with_params
+from .models import ModelSpec, coeff_matrices, norm_weight, with_params
 from .sbp_core import Grid, inner_product
 from .spatial_op import CoeffMode, eval_dual_residual, eval_primal_residual
 
@@ -110,17 +110,8 @@ def boundary_contraction(
     normal = tuple(float(c) for c in normal)
     if len(normal) != model.dim:
         raise ValueError(f"normal has {len(normal)} components, model is {model.dim}D")
-    if alpha is not None or beta is not None:
-        if model.kind != "swe2d":
-            raise ValueError("alpha and beta apply to swe2d only")
-        over = {}
-        if alpha is not None:
-            over["alpha"] = alpha
-        if beta is not None:
-            over["beta"] = beta
-        model = with_params(model, **over)
+    model = with_params(model, alpha=alpha, beta=beta)
     V = state if mean is None else np.asarray(mean, dtype=np.float64)
-    check_admissible(model, V)
     A, _ = coeff_matrices(model, V, pos)
     total = 0.0
     for ax in range(model.dim):

@@ -92,9 +92,12 @@ def make_model(kind: str, **params) -> ModelSpec:
 
 
 def with_params(model: ModelSpec, **params) -> ModelSpec:
+    """A copy of model with the given parameters replaced; None values
+    leave the parameter as it is."""
+    params = {k: float(v) for k, v in params.items() if v is not None}
     if model.kind != "swe2d" and params:
-        raise ValueError(f"model '{model.kind}' does not accept parameters")
-    return replace(model, **{k: float(v) for k, v in params.items()})
+        raise ValueError(f"model '{model.kind}' does not accept parameters {sorted(params)}")
+    return replace(model, **params)
 
 
 def validate_grid(model: ModelSpec, grid: Grid) -> None:
@@ -130,7 +133,7 @@ def check_admissible(model: ModelSpec, V) -> None:
 
 
 def coeff_matrices(model: ModelSpec, V, pos=None):
-    """Coefficient matrices at the state V.
+    """Coefficient matrices at the state V, which must be admissible.
 
     Args:
         V: coefficient state, shape (n_comp, *s) where s may be empty for a
@@ -143,6 +146,7 @@ def coeff_matrices(model: ModelSpec, V, pos=None):
         (n_comp, n_comp, *s); C is skew per node.
     """
     V = _as_state(model, V)
+    check_admissible(model, V)
     s = V.shape[1:]
     nc = model.n_comp
     A = np.zeros((model.dim, nc, nc) + s)
@@ -192,7 +196,6 @@ def coeff_matrices(model: ModelSpec, V, pos=None):
         return A, C
 
     # swe2d
-    check_admissible(model, V)
     root = np.sqrt(V[0])
     a, b = model.alpha, model.beta
     A[0, 0, 0] = a * V[1] / root
@@ -215,7 +218,7 @@ def coeff_matrices(model: ModelSpec, V, pos=None):
     return A, C
 
 
-def norm_weight(model: ModelSpec, grid: Grid, pos=None) -> np.ndarray:
+def norm_weight(model: ModelSpec, grid: Grid) -> np.ndarray:
     """Per-node norm matrix field P, shape (n_comp, n_comp, *grid.shape).
 
     Singular for the euler models (pressure carries no norm weight); the
@@ -230,11 +233,7 @@ def norm_weight(model: ModelSpec, grid: Grid, pos=None) -> np.ndarray:
         W[0, 0] = 1.0
         W[1, 1] = 1.0
     elif model.kind == "euler3d_cyl":
-        if pos is None:
-            reshape = (grid.shape[0], 1, 1)
-            r = grid.coords[0].reshape(reshape)
-        else:
-            r = np.asarray(pos[0], dtype=np.float64)
+        r = grid.coords[0].reshape((grid.shape[0], 1, 1))
         for c in range(3):
             W[c, c] = np.broadcast_to(r, grid.shape)
     else:

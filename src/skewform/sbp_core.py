@@ -19,6 +19,7 @@ bit-for-bit for a given build.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -232,6 +233,15 @@ class Grid:
     def dim(self) -> int:
         return len(self.shape)
 
+    @cached_property
+    def positions(self) -> tuple[np.ndarray, ...]:
+        """Per-axis coordinate arrays broadcast to the full grid shape,
+        built once per grid and read-only."""
+        pos = tuple(np.meshgrid(*self.coords, indexing="ij"))
+        for arr in pos:
+            arr.flags.writeable = False
+        return pos
+
 
 _DEFAULT_AXES = {1: ("x",), 2: ("x", "y"), 3: ("x", "y", "z")}
 
@@ -291,7 +301,7 @@ def make_grid(
 
 def position_arrays(grid: Grid) -> tuple[np.ndarray, ...]:
     """Per-axis coordinate arrays broadcast to the full grid shape."""
-    return tuple(np.meshgrid(*grid.coords, indexing="ij"))
+    return grid.positions
 
 
 def build_operators(grid: Grid, order: tuple[int, int]) -> tuple[SbpOperator1D, ...]:

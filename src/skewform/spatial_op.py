@@ -21,19 +21,17 @@ zero perturbation reproduces the nonlinear evaluation bit for bit.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import boundary as _boundary
-from .models import ModelSpec, check_admissible, coeff_matrices, coeff_split
+from .models import ModelSpec, coeff_matrices, coeff_split
 from .sbp_core import (
     Grid,
     apply_derivative,
     boundary_quadrature,
     face_label,
-    faces,
     position_arrays,
 )
 
@@ -90,12 +88,7 @@ class Residual:
     face_terms: dict
 
 
-@functools.lru_cache(maxsize=64)
-def _cached_positions(grid: Grid):
-    return position_arrays(grid)
-
-
-def _matfield_apply(M: np.ndarray, W: np.ndarray, transpose: bool = False) -> np.ndarray:
+def matfield_apply(M: np.ndarray, W: np.ndarray, transpose: bool = False) -> np.ndarray:
     """Pointwise matrix-vector product over the grid, fixed loop order."""
     nc = W.shape[0]
     out = np.zeros_like(W)
@@ -110,9 +103,9 @@ def _assemble(grid: Grid, ops, A: np.ndarray, C: np.ndarray, W: np.ndarray) -> n
     """sum_ax [ D_ax(A_ax W) + A_ax^T D_ax W ] + C W."""
     out = np.zeros_like(W)
     for ax in range(grid.dim):
-        out += apply_derivative(ops[ax], _matfield_apply(A[ax], W), ax)
-        out += _matfield_apply(A[ax], apply_derivative(ops[ax], W, ax), transpose=True)
-    out += _matfield_apply(C, W)
+        out += apply_derivative(ops[ax], matfield_apply(A[ax], W), ax)
+        out += matfield_apply(A[ax], apply_derivative(ops[ax], W, ax), transpose=True)
+    out += matfield_apply(C, W)
     return out
 
 
@@ -121,20 +114,26 @@ def _face_terms(grid: Grid, ops, A: np.ndarray, S: np.ndarray) -> dict:
     for ax in range(grid.dim):
         if grid.periodic[ax]:
             continue
-        AS = _matfield_apply(A[ax], S)
+        AS = matfield_apply(A[ax], S)
         for side in ("low", "high"):
             face = (ax, side)
             terms[face_label(grid, face)] = boundary_quadrature(grid, ops, S, AS, face)
     return terms
 
 
-def _total(spatial, sat, forcing):
+def _residual(model: ModelSpec, grid: Grid, ops, spatial: np.ndarray,
+              A: np.ndarray, S: np.ndarray, sat=None, forcing=None) -> Residual:
+    """Completes the spatial part acting on S: the SAT on S, the forcing,
+    R = spatial - SAT - forcing, and the face terms of A on S."""
+    sat_field = _boundary.build_sat(model, grid, ops, S, sat) if sat is not None else None
     R = spatial
-    if sat is not None:
-        R = R - sat
+    if sat_field is not None:
+        R = R - sat_field
     if forcing is not None:
-        R = R - np.asarray(forcing, dtype=np.float64)
-    return R
+        forcing = np.asarray(forcing, dtype=np.float64)
+        R = R - forcing
+    return Residual(R=R, spatial=spatial, sat=sat_field, forcing=forcing,
+                    face_terms=_face_terms(grid, ops, A, S))
 
 
 def eval_primal_residual(
@@ -168,18 +167,9 @@ def eval_primal_residual(
         V = mode.field
     else:
         raise ValueError(f"unknown coefficient mode '{mode.kind}'")
-    check_admissible(model, V)
-    pos = _cached_positions(grid)
-    A, C = coeff_matrices(model, V, pos)
-    spatial = _assemble(grid, ops, A, C, U)
-    sat_field = _boundary.build_sat(model, grid, ops, U, sat) if sat is not None else None
-    return Residual(
-        R=_total(spatial, sat_field, forcing),
-        spatial=spatial,
-        sat=sat_field,
-        forcing=None if forcing is None else np.asarray(forcing, dtype=np.float64),
-        face_terms=_face_terms(grid, ops, A, U),
-    )
+    A, C = coeff_matrices(model, V, position_arrays(grid))
+    return _residual(model, grid, ops, _assemble(grid, ops, A, C, U), A, U,
+                     sat, forcing)
 
 
 def eval_dual_residual(
@@ -203,18 +193,9 @@ def eval_dual_residual(
     if mode.kind not in ("dual", "frozen"):
         raise ValueError("dual residuals take a dual (or frozen) coefficient mode")
     V = Phi if mode.field is None else mode.field
-    check_admissible(model, V)
-    pos = _cached_positions(grid)
-    A, C = coeff_matrices(model, V, pos)
-    spatial = -_assemble(grid, ops, A, C, Phi)
-    sat_field = _boundary.build_sat(model, grid, ops, Phi, sat) if sat is not None else None
-    return Residual(
-        R=_total(spatial, sat_field, forcing),
-        spatial=spatial,
-        sat=sat_field,
-        forcing=None if forcing is None else np.asarray(forcing, dtype=np.float64),
-        face_terms=_face_terms(grid, ops, A, Phi),
-    )
+    A, C = coeff_matrices(model, V, position_arrays(grid))
+    return _residual(model, grid, ops, -_assemble(grid, ops, A, C, Phi), A, Phi,
+                     sat, forcing)
 
 
 def eval_new_linearised_pair(
@@ -236,28 +217,13 @@ def eval_new_linearised_pair(
     """
     U_bar = np.asarray(U_bar, dtype=np.float64)
     U_prime = np.asarray(U_prime, dtype=np.float64)
-    total = U_bar + U_prime
-    check_admissible(model, total)
-    check_admissible(model, U_bar)
-    pos = _cached_positions(grid)
-
-    A_tot, C_tot = coeff_matrices(model, total, pos)
-    spatial_mean = _assemble(grid, ops, A_tot, C_tot, U_bar)
-    sat_m = _boundary.build_sat(model, grid, ops, U_bar, sat_mean) if sat_mean is not None else None
-    res_mean = Residual(
-        R=_total(spatial_mean, sat_m, None),
-        spatial=spatial_mean, sat=sat_m, forcing=None,
-        face_terms=_face_terms(grid, ops, A_tot, U_bar),
-    )
-
+    pos = position_arrays(grid)
+    A_tot, C_tot = coeff_matrices(model, U_bar + U_prime, pos)
+    res_mean = _residual(model, grid, ops, _assemble(grid, ops, A_tot, C_tot, U_bar),
+                         A_tot, U_bar, sat_mean)
     A_bar, C_bar = coeff_matrices(model, U_bar, pos)
-    spatial_pert = _assemble(grid, ops, A_bar, C_bar, U_prime)
-    sat_p = _boundary.build_sat(model, grid, ops, U_prime, sat_pert) if sat_pert is not None else None
-    res_pert = Residual(
-        R=_total(spatial_pert, sat_p, None),
-        spatial=spatial_pert, sat=sat_p, forcing=None,
-        face_terms=_face_terms(grid, ops, A_bar, U_prime),
-    )
+    res_pert = _residual(model, grid, ops, _assemble(grid, ops, A_bar, C_bar, U_prime),
+                         A_bar, U_prime, sat_pert)
     return res_mean, res_pert
 
 
@@ -277,8 +243,7 @@ def eval_remainder_H(
     """
     U_bar = np.asarray(U_bar, dtype=np.float64)
     U_prime = np.asarray(U_prime, dtype=np.float64)
-    pos = _cached_positions(grid)
-    split = coeff_split(model, U_bar, U_prime, pos)
+    split = coeff_split(model, U_bar, U_prime, position_arrays(grid))
     return _assemble(grid, ops, split.A_prime, split.C_prime, U_prime)
 
 
@@ -308,27 +273,18 @@ def eval_standard_linearised_residual(
         du = apply_derivative(ops[0], U_prime, 0)
         dm = apply_derivative(ops[0], mean, 0)
         spatial = mean * du + dm * U_prime
-        M = mean[None]  # (1, 1, n) transport matrix field
+        M = mean[None, None]  # (dim, 1, 1, n) transport matrix field
     elif model.kind == "swe2d":
         M, N = _swe_standard_matrices(model, grid, ops, mean)
         spatial = np.zeros_like(U_prime)
         for ax in range(2):
-            spatial += _matfield_apply(M[ax], apply_derivative(ops[ax], U_prime, ax))
-        spatial += _matfield_apply(N, U_prime)
+            spatial += matfield_apply(M[ax], apply_derivative(ops[ax], U_prime, ax))
+        spatial += matfield_apply(N, U_prime)
     else:
         raise ValueError(
             f"standard linearisation covers burgers1d and swe2d, not '{model.kind}'"
         )
-    half_M = 0.5 * M
-    sat_field = _boundary.build_sat(model, grid, ops, U_prime, sat) if sat is not None else None
-    return Residual(
-        R=_total(spatial, sat_field, forcing),
-        spatial=spatial,
-        sat=sat_field,
-        forcing=None if forcing is None else np.asarray(forcing, dtype=np.float64),
-        face_terms=_face_terms(grid, ops, half_M if model.kind == "swe2d" else half_M[None],
-                               U_prime),
-    )
+    return _residual(model, grid, ops, spatial, 0.5 * M, U_prime, sat, forcing)
 
 
 def _swe_standard_matrices(model: ModelSpec, grid: Grid, ops, qbar: np.ndarray):
@@ -350,8 +306,7 @@ def _swe_standard_matrices(model: ModelSpec, grid: Grid, ops, qbar: np.ndarray):
     dqy = apply_derivative(ops[1], qbar, 1)
     f = model.f0
     if model.f1 != 0.0:
-        pos = _cached_positions(grid)
-        f = model.f0 + model.f1 * pos[1]
+        f = model.f0 + model.f1 * position_arrays(grid)[1]
     N = np.zeros((3, 3) + grid.shape)
     N[0, 0] = dqx[1] + dqy[2]
     N[0, 1] = dqx[0]
@@ -378,14 +333,13 @@ def bilinear_face_functional(
     ip(Phi, R_primal(U; V)) - ip(U, R_dual_spatial(Phi; V)) up to roundoff
     and collapses to twice the energy-identity flux at Phi = U.
     """
-    pos = _cached_positions(grid)
-    A, _ = coeff_matrices(model, V, pos)
+    A, _ = coeff_matrices(model, V, position_arrays(grid))
     total = 0.0
     for ax in range(grid.dim):
         if grid.periodic[ax]:
             continue
-        AU = _matfield_apply(A[ax], U)
-        APhi = _matfield_apply(A[ax], Phi)
+        AU = matfield_apply(A[ax], U)
+        APhi = matfield_apply(A[ax], Phi)
         for side in ("low", "high"):
             face = (ax, side)
             total += boundary_quadrature(grid, ops, Phi, AU, face)

@@ -18,10 +18,9 @@ import numpy as np
 
 from .energy import EnergyReport, energy_report
 from .models import ModelSpec, check_admissible, has_invertible_norm, wavespeeds
-from .sbp_core import Grid
+from .sbp_core import Grid, position_arrays
 from .spatial_op import (
     CoeffMode,
-    _cached_positions,
     dual,
     eval_dual_residual,
     eval_new_linearised_pair,
@@ -116,7 +115,7 @@ def _forcing_at(forcing, t: float):
 
 
 def _check_cfl(sc: Scenario, V: np.ndarray, t: float) -> None:
-    speeds = wavespeeds(sc.model, V, _cached_positions(sc.grid))
+    speeds = wavespeeds(sc.model, V, position_arrays(sc.grid))
     bound = np.inf
     for ax in range(sc.grid.dim):
         if speeds[ax] > 1e-14:

@@ -9,23 +9,18 @@ scale of the form 1 + (magnitudes of the computed terms) so a residual of
 
 Order-of-accuracy checks encode "observed order >= required" as the
 residual (required - observed), with tolerance zero.
-
-Trials are independent; SKEWFORM_THREADS > 1 runs them in a thread pool
-and the aggregation is ordered by trial index either way, so reports are
-bitwise reproducible per build configuration.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import boundary_contraction, energy_report
 from .models import (
+    MODEL_KINDS,
     coeff_matrices,
     make_model,
     sample_state,
@@ -40,7 +35,6 @@ from .sbp_core import (
     position_arrays,
 )
 from .spatial_op import (
-    _matfield_apply,
     bilinear_face_functional,
     dual,
     eval_dual_residual,
@@ -48,11 +42,11 @@ from .spatial_op import (
     eval_primal_residual,
     eval_remainder_H,
     frozen,
+    matfield_apply,
     nonlinear,
 )
 
 ORDERS = ((2, 1), (4, 2))
-ALL_MODEL_KINDS = ("burgers1d", "euler2d", "euler3d_cyl", "swe2d")
 
 # Desk-scale default grids per model kind: (extents, shape).
 _DESK_GRIDS = {
@@ -73,7 +67,7 @@ def default_model(kind: str):
 
 def default_setup(kind: str, order):
     if kind not in _DESK_GRIDS:
-        raise ValueError(f"unknown model '{kind}'; try one of {ALL_MODEL_KINDS}")
+        raise ValueError(f"unknown model '{kind}'; try one of {MODEL_KINDS}")
     extents, shape = _DESK_GRIDS[kind]
     model = default_model(kind)
     grid = make_grid(extents, shape, axis_names=model.axis_names)
@@ -97,23 +91,23 @@ def _state_hash(U: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(U).tobytes()).hexdigest()[:16]
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SKEWFORM_THREADS", "").strip()
-    if not raw:
-        return 1
-    count = int(raw)
-    if count < 1:
-        raise ValueError(f"SKEWFORM_THREADS must be a positive integer, got {raw!r}")
-    return count
+def _sweep(kinds, orders, trials: int, seed: int, salt: int, one) -> list:
+    """Concatenated (residual, meta) samples of one(model, grid, ops, rng,
+    meta) over every kind, order and trial, in that nesting order.
 
-
-def _run_trials(n_trials: int, fn):
-    """fn(trial) for trial in range, results in trial order."""
-    workers = _worker_count()
-    if workers > 1 and n_trials > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, range(n_trials)))
-    return [fn(k) for k in range(n_trials)]
+    Each trial draws from its own generator keyed by
+    (seed, salt + kind index, order index, trial); meta starts with the
+    model and order entries.
+    """
+    samples = []
+    for mi, kind in enumerate(kinds):
+        for oi, order in enumerate(orders):
+            model, grid, ops = default_setup(kind, order)
+            meta = {"model": kind, "order": f"{order[0]},{order[1]}"}
+            for trial in range(trials):
+                rng = np.random.default_rng((seed, salt + mi, oi, trial))
+                samples.extend(one(model, grid, ops, rng, meta))
+    return samples
 
 
 def _finish(name, trials, seed, tolerance, samples) -> CheckReport:
@@ -136,97 +130,81 @@ def _finish(name, trials, seed, tolerance, samples) -> CheckReport:
     )
 
 
-def check_energy_identity(kinds=ALL_MODEL_KINDS, trials: int = 100,
+def check_energy_identity(kinds=MODEL_KINDS, trials: int = 100,
                           seed: int = 0, orders=ORDERS) -> CheckReport:
     """volume_residual <= 1e-12*scale for random admissible states, all
     models, both operator orders, nonlinear/frozen/dual coefficients."""
-    samples = []
-    for mi, kind in enumerate(kinds):
-        for oi, order in enumerate(orders):
-            model, grid, ops = default_setup(kind, order)
 
-            def one(trial, _ctx=(model, grid, ops, mi, oi, kind, order)):
-                model, grid, ops, mi, oi, kind, order = _ctx
-                rng = np.random.default_rng((seed, mi, oi, trial))
-                U = sample_state(model, grid.shape, rng)
-                out = []
-                for mode_kind in ("nonlinear", "frozen", "dual"):
-                    if mode_kind == "nonlinear":
-                        mode = nonlinear()
-                    elif mode_kind == "frozen":
-                        mode = frozen(sample_state(model, grid.shape, rng))
-                    else:
-                        mode = dual()
-                    rep = energy_report(model, grid, ops, U, mode)
-                    scale = 1.0 + abs(rep.rate) + abs(rep.boundary_flux) \
-                        + abs(rep.sat_contribution)
-                    out.append((
-                        abs(rep.volume_residual) / scale,
-                        {"model": kind, "order": f"{order[0]},{order[1]}",
-                         "mode": mode_kind, "grid": "x".join(map(str, grid.shape)),
-                         "state_hash": _state_hash(U)},
-                    ))
-                return out
+    def one(model, grid, ops, rng, meta):
+        U = sample_state(model, grid.shape, rng)
+        out = []
+        for mode_kind in ("nonlinear", "frozen", "dual"):
+            if mode_kind == "nonlinear":
+                mode = nonlinear()
+            elif mode_kind == "frozen":
+                mode = frozen(sample_state(model, grid.shape, rng))
+            else:
+                mode = dual()
+            rep = energy_report(model, grid, ops, U, mode)
+            scale = 1.0 + abs(rep.rate) + abs(rep.boundary_flux) \
+                + abs(rep.sat_contribution)
+            out.append((
+                abs(rep.volume_residual) / scale,
+                dict(meta, mode=mode_kind, grid="x".join(map(str, grid.shape)),
+                     state_hash=_state_hash(U)),
+            ))
+        return out
 
-            for chunk in _run_trials(trials, one):
-                samples.extend(chunk)
+    samples = _sweep(kinds, orders, trials, seed, 0, one)
     return _finish("energy_identity", trials, seed, 1e-12, samples)
 
 
-def check_duality(kinds=ALL_MODEL_KINDS, trials: int = 50,
+def check_duality(kinds=MODEL_KINDS, trials: int = 50,
                   seed: int = 0, orders=ORDERS) -> CheckReport:
     """The discrete bilinear boundary identity, exact spatial
     self-adjointness, and the dual energy identity."""
-    samples = []
-    for mi, kind in enumerate(kinds):
-        for oi, order in enumerate(orders):
-            model, grid, ops = default_setup(kind, order)
 
-            def one(trial, _ctx=(model, grid, ops, mi, oi, kind, order)):
-                model, grid, ops, mi, oi, kind, order = _ctx
-                rng = np.random.default_rng((seed, 17 + mi, oi, trial))
-                U = sample_state(model, grid.shape, rng)
-                Phi = sample_state(model, grid.shape, rng)
-                V = sample_state(model, grid.shape, rng)
-                meta = {"model": kind, "order": f"{order[0]},{order[1]}",
-                        "grid": "x".join(map(str, grid.shape)),
-                        "state_hash": _state_hash(U)}
-                out = []
+    def one(model, grid, ops, rng, meta):
+        U = sample_state(model, grid.shape, rng)
+        Phi = sample_state(model, grid.shape, rng)
+        V = sample_state(model, grid.shape, rng)
+        meta = dict(meta, grid="x".join(map(str, grid.shape)),
+                    state_hash=_state_hash(U))
+        out = []
 
-                # Bilinear identity at frozen coefficients V (C terms
-                # cancel pairwise; Coriolis included for swe2d).
-                res_p = eval_primal_residual(model, grid, ops, U, frozen(V))
-                res_d = eval_dual_residual(model, grid, ops, Phi, mode=dual(V))
-                lhs = inner_product(grid, ops, Phi, res_p.spatial) \
-                    - inner_product(grid, ops, U, res_d.spatial)
-                rhs = bilinear_face_functional(model, grid, ops, U, Phi, V)
-                scale = 1.0 + abs(lhs) + abs(rhs)
-                out.append((abs(lhs - rhs) / scale,
-                            dict(meta, case="bilinear_frozen")))
+        # Bilinear identity at frozen coefficients V (C terms cancel
+        # pairwise; Coriolis included for swe2d).
+        res_p = eval_primal_residual(model, grid, ops, U, frozen(V))
+        res_d = eval_dual_residual(model, grid, ops, Phi, mode=dual(V))
+        lhs = inner_product(grid, ops, Phi, res_p.spatial) \
+            - inner_product(grid, ops, U, res_d.spatial)
+        rhs = bilinear_face_functional(model, grid, ops, U, Phi, V)
+        scale = 1.0 + abs(lhs) + abs(rhs)
+        out.append((abs(lhs - rhs) / scale,
+                    dict(meta, case="bilinear_frozen")))
 
-                # Specialisation Phi = U halves to the energy identity.
-                lhs_e = 2.0 * inner_product(grid, ops, U, res_p.spatial)
-                rhs_e = bilinear_face_functional(model, grid, ops, U, U, V)
-                scale_e = 1.0 + abs(lhs_e) + abs(rhs_e)
-                out.append((abs(lhs_e - rhs_e) / scale_e,
-                            dict(meta, case="bilinear_diagonal")))
+        # Specialisation Phi = U halves to the energy identity.
+        lhs_e = 2.0 * inner_product(grid, ops, U, res_p.spatial)
+        rhs_e = bilinear_face_functional(model, grid, ops, U, U, V)
+        scale_e = 1.0 + abs(lhs_e) + abs(rhs_e)
+        out.append((abs(lhs_e - rhs_e) / scale_e,
+                    dict(meta, case="bilinear_diagonal")))
 
-                # Strict self-adjointness: the dual spatial residual at
-                # coefficients Phi is exactly the negated primal one.
-                res_sp = eval_primal_residual(model, grid, ops, Phi, nonlinear())
-                res_sd = eval_dual_residual(model, grid, ops, Phi)
-                exact = float(np.max(np.abs(res_sd.spatial + res_sp.spatial)))
-                out.append((exact, dict(meta, case="self_adjoint_exact")))
+        # Strict self-adjointness: the dual spatial residual at coefficients
+        # Phi is exactly the negated primal one.
+        res_sp = eval_primal_residual(model, grid, ops, Phi, nonlinear())
+        res_sd = eval_dual_residual(model, grid, ops, Phi)
+        exact = float(np.max(np.abs(res_sd.spatial + res_sp.spatial)))
+        out.append((exact, dict(meta, case="self_adjoint_exact")))
 
-                # Dual energy identity: the dual volume residual vanishes.
-                rep = energy_report(model, grid, ops, Phi, dual())
-                scale_d = 1.0 + abs(rep.rate) + abs(rep.boundary_flux)
-                out.append((abs(rep.volume_residual) / scale_d,
-                            dict(meta, case="dual_energy")))
-                return out
+        # Dual energy identity: the dual volume residual vanishes.
+        rep = energy_report(model, grid, ops, Phi, dual())
+        scale_d = 1.0 + abs(rep.rate) + abs(rep.boundary_flux)
+        out.append((abs(rep.volume_residual) / scale_d,
+                    dict(meta, case="dual_energy")))
+        return out
 
-            for chunk in _run_trials(trials, one):
-                samples.extend(chunk)
+    samples = _sweep(kinds, orders, trials, seed, 17, one)
     return _finish("duality", trials, seed, 1e-12, samples)
 
 
@@ -237,9 +215,9 @@ def ansatz_defect(model, grid, ops, U) -> float:
     worst = 0.0
     for ax in range(2):
         DU = apply_derivative(ops[ax], U, axis=ax)
-        flux = apply_derivative(ops[ax], _matfield_apply(A[ax], U), axis=ax)
-        skew = _matfield_apply(A[ax], DU, transpose=True)
-        quasi = _matfield_apply(cal[ax], DU)
+        flux = apply_derivative(ops[ax], matfield_apply(A[ax], U), axis=ax)
+        skew = matfield_apply(A[ax], DU, transpose=True)
+        quasi = matfield_apply(cal[ax], DU)
         worst = max(worst, float(np.max(np.abs(flux + skew - quasi))))
     return worst
 
@@ -311,7 +289,7 @@ def check_alpha_independence(trials: int = 100, seed: int = 0) -> CheckReport:
                         "normal": f"{normal[0]:.4f},{normal[1]:.4f}",
                         "case": "nonlinear_spread"}
 
-    samples = _run_trials(trials, one)
+    samples = [one(trial) for trial in range(trials)]
 
     # Linearised witness: mean (1,0,0), perturbation (1,1,0), x normal.
     # The contraction is (1-3a) + 2a = 1 - a, so alpha 0 and 1 differ by 1.
@@ -326,61 +304,50 @@ def check_alpha_independence(trials: int = 100, seed: int = 0) -> CheckReport:
     return _finish("alpha_independence", trials, seed, 1e-13, samples)
 
 
-def check_decomposition(kinds=ALL_MODEL_KINDS, trials: int = 50,
+def check_decomposition(kinds=MODEL_KINDS, trials: int = 50,
                         seed: int = 0, orders=ORDERS) -> CheckReport:
     """full = mean-eq + pert-eq + remainder to 1e-12*scale; the remainder
     is exactly quadratic for burgers1d (linear coefficients, power-of-two
     scaling) and near-quadratic in an epsilon sweep for swe2d."""
-    samples = []
-    for mi, kind in enumerate(kinds):
-        for oi, order in enumerate(orders):
-            model, grid, ops = default_setup(kind, order)
 
-            def one(trial, _ctx=(model, grid, ops, mi, oi, kind, order)):
-                model, grid, ops, mi, oi, kind, order = _ctx
-                rng = np.random.default_rng((seed, 31 + mi, oi, trial))
-                U_bar = sample_state(model, grid.shape, rng)
-                U_prime = 0.1 * sample_state(model, grid.shape, rng)
-                meta = {"model": kind, "order": f"{order[0]},{order[1]}",
-                        "state_hash": _state_hash(U_bar)}
-                out = []
+    def one(model, grid, ops, rng, meta):
+        U_bar = sample_state(model, grid.shape, rng)
+        U_prime = 0.1 * sample_state(model, grid.shape, rng)
+        meta = dict(meta, state_hash=_state_hash(U_bar))
+        out = []
 
-                full = eval_primal_residual(model, grid, ops, U_bar + U_prime,
-                                            nonlinear()).spatial
-                res_m, res_p = eval_new_linearised_pair(model, grid, ops,
-                                                        U_bar, U_prime)
-                H = eval_remainder_H(model, grid, ops, U_bar, U_prime)
-                defect = float(np.max(np.abs(
-                    full - res_m.spatial - res_p.spatial - H)))
-                scale = 1.0 + float(np.max(np.abs(full))) \
-                    + float(np.max(np.abs(res_m.spatial))) \
-                    + float(np.max(np.abs(res_p.spatial))) \
-                    + float(np.max(np.abs(H)))
-                out.append((defect / scale, dict(meta, case="decomposition")))
+        full = eval_primal_residual(model, grid, ops, U_bar + U_prime,
+                                    nonlinear()).spatial
+        res_m, res_p = eval_new_linearised_pair(model, grid, ops, U_bar, U_prime)
+        H = eval_remainder_H(model, grid, ops, U_bar, U_prime)
+        defect = float(np.max(np.abs(full - res_m.spatial - res_p.spatial - H)))
+        scale = 1.0 + float(np.max(np.abs(full))) \
+            + float(np.max(np.abs(res_m.spatial))) \
+            + float(np.max(np.abs(res_p.spatial))) \
+            + float(np.max(np.abs(H)))
+        out.append((defect / scale, dict(meta, case="decomposition")))
 
-                if kind == "burgers1d":
-                    eps = 2.0 ** -3
-                    h1 = float(np.max(np.abs(H)))
-                    h2 = float(np.max(np.abs(eval_remainder_H(
-                        model, grid, ops, U_bar, eps * U_prime))))
-                    ratio = h2 / (eps * eps * h1)
-                    out.append((abs(ratio - 1.0),
-                                dict(meta, case="quadratic_exact",
-                                     ratio=repr(ratio))))
-                if kind == "swe2d" and order == (4, 2):
-                    exps = (-2, -6)
-                    hs = [float(np.max(np.abs(eval_remainder_H(
-                        model, grid, ops, U_bar, (2.0 ** e) * U_prime))))
-                        for e in exps]
-                    slope = np.log2(hs[0] / hs[1]) / (exps[0] - exps[1])
-                    inside = 1.9 <= slope <= 2.1
-                    out.append((0.0 if inside else np.inf,
-                                dict(meta, case="quadratic_slope",
-                                     slope=round(float(slope), 4))))
-                return out
+        if model.kind == "burgers1d":
+            eps = 2.0 ** -3
+            h1 = float(np.max(np.abs(H)))
+            h2 = float(np.max(np.abs(eval_remainder_H(
+                model, grid, ops, U_bar, eps * U_prime))))
+            ratio = h2 / (eps * eps * h1)
+            out.append((abs(ratio - 1.0),
+                        dict(meta, case="quadratic_exact", ratio=repr(ratio))))
+        if model.kind == "swe2d" and ops[0].order == (4, 2):
+            exps = (-2, -6)
+            hs = [float(np.max(np.abs(eval_remainder_H(
+                model, grid, ops, U_bar, (2.0 ** e) * U_prime))))
+                for e in exps]
+            slope = np.log2(hs[0] / hs[1]) / (exps[0] - exps[1])
+            inside = 1.9 <= slope <= 2.1
+            out.append((0.0 if inside else np.inf,
+                        dict(meta, case="quadratic_slope",
+                             slope=round(float(slope), 4))))
+        return out
 
-            for chunk in _run_trials(trials, one):
-                samples.extend(chunk)
+    samples = _sweep(kinds, orders, trials, seed, 31, one)
     return _finish("decomposition", trials, seed, 1e-12, samples)
 
 

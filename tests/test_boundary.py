@@ -240,3 +240,19 @@ def test_two_condition_penalty_skips_outflow_nodes():
     sat = make_sat_config({"x_low": FaceClosure(kind="swe_two_condition", g2=1.0)})
     field = build_sat(m, g, ops, U, sat)
     assert field is None or not field.any()
+
+
+def test_splitting_overrides_refuse_other_models():
+    burgers = make_model("burgers1d")
+    euler = make_model("euler2d")
+    state = np.array([1.0, 0.5, 0.2])
+    with pytest.raises(ValueError, match="does not accept parameters"):
+        boundary_contraction(burgers, [0.5], (1.0,), alpha=0.3)
+    with pytest.raises(ValueError, match="does not accept parameters"):
+        boundary_contraction(euler, state, (1.0, 0.0), beta=0.3)
+    with pytest.raises(ValueError, match="does not accept parameters"):
+        analyze_boundary(euler, state, (1.0, 0.0), alpha=0.3)
+    with pytest.raises(ValueError, match="does not accept parameters"):
+        analyze_boundary(burgers, [0.5], (1.0,), beta=0.3)
+    # no override at all is fine for every model
+    assert analyze_boundary(euler, state, (1.0, 0.0)).alpha is None

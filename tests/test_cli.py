@@ -245,3 +245,26 @@ def test_convergence_reports_the_design_order(tmp_path):
     assert lines
     last = float(lines[-1].rsplit("order", 1)[1].strip())
     assert 3.0 <= last <= 4.6
+
+
+@pytest.mark.parametrize("edit", [
+    # frozen mode without a [coefficient] section
+    lambda text: text.replace("mode = nonlinear", "mode = frozen"),
+    # t_final shorter than one step
+    lambda text: text.replace("t_final = 0.1", "t_final = 0.001"),
+], ids=["frozen_without_coefficient", "t_final_below_dt"])
+def test_malformed_scenarios_exit_2_in_run_and_convergence(tmp_path, edit):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(edit(BURGERS_CFG))
+    out_dir = tmp_path / "o"
+    code, out, err = run_main(["run", "--config", str(cfg), "--out", str(out_dir)])
+    assert code == 2
+    assert "config error" in err
+    assert not out_dir.exists()
+    # convergence builds and validates every level before it marches any
+    code, out, err = run_main(["convergence", "--config", str(cfg),
+                               "--levels", "24,48,96", "--out", str(out_dir)])
+    assert code == 2
+    assert "config error" in err and "run failed" not in err
+    assert out == ""
+    assert not out_dir.exists()

@@ -43,6 +43,12 @@ def test_with_params_swaps_splitting_parameters():
     assert m2.alpha == 0.5 and m2.f0 == 2.0 and m2.beta == m.beta
     with pytest.raises(ValueError):
         with_params(make_model("burgers1d"), alpha=0.5)
+    # None leaves a parameter as it is, on every model
+    assert with_params(m, alpha=None, beta=None) == m
+    m3 = with_params(m, alpha=None, beta=0.75)
+    assert (m3.alpha, m3.beta) == (0.25, 0.75)
+    burgers = make_model("burgers1d")
+    assert with_params(burgers, alpha=None, beta=None) == burgers
 
 
 def test_burgers_coefficient_is_a_third_of_the_state():

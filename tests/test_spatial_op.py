@@ -183,3 +183,22 @@ def test_shape_mismatch_is_rejected():
     m, g, ops, rng = small_setup("swe2d", (2, 1), 39)
     with pytest.raises(ValueError):
         eval_primal_residual(m, g, ops, np.ones((2,) + g.shape), nonlinear())
+
+
+@pytest.mark.parametrize("kind", ["burgers1d", "euler2d"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_residuals_refuse_non_finite_states(kind, bad):
+    m, g, ops, rng = small_setup(kind, (4, 2), 23)
+    good = sample_state(m, g.shape, rng)
+    broken = good.copy()
+    broken.flat[3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        eval_primal_residual(m, g, ops, broken, nonlinear())
+    with pytest.raises(ValueError, match="non-finite"):
+        eval_primal_residual(m, g, ops, good, frozen(broken))
+    with pytest.raises(ValueError, match="non-finite"):
+        eval_dual_residual(m, g, ops, broken)
+    with pytest.raises(ValueError, match="non-finite"):
+        eval_new_linearised_pair(m, g, ops, broken, 0.1 * good)
+    with pytest.raises(ValueError, match="non-finite"):
+        eval_new_linearised_pair(m, g, ops, good, broken)

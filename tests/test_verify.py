@@ -57,17 +57,6 @@ def test_checks_are_bitwise_deterministic():
     assert c.max_residual != a.max_residual or c.worst != a.worst
 
 
-def test_thread_pool_does_not_change_the_result(monkeypatch):
-    serial = check_duality(kinds=("swe2d",), trials=6, seed=13)
-    monkeypatch.setenv("SKEWFORM_THREADS", "3")
-    threaded = check_duality(kinds=("swe2d",), trials=6, seed=13)
-    assert serial.max_residual == threaded.max_residual
-    assert serial.worst == threaded.worst
-    monkeypatch.setenv("SKEWFORM_THREADS", "zero")
-    with pytest.raises(ValueError):
-        check_duality(kinds=("swe2d",), trials=2, seed=13)
-
-
 def test_ansatz_defect_shrinks_under_refinement():
     from skewform.models import swe_transform
     from skewform.sbp_core import build_operators, make_grid
