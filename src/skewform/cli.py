@@ -601,22 +601,10 @@ def cmd_analyze_boundary(args) -> int:
     return 0
 
 
-def _shared_nodes_error(coarse, fine, grid_c, grid_f) -> float:
+def _shared_nodes_error(coarse, fine) -> float:
     """Sup-norm difference on the coarse nodes of a nested refinement."""
-    take = [slice(None)]
-    for ax in range(grid_c.dim):
-        nc, nf = grid_c.shape[ax], grid_f.shape[ax]
-        if grid_c.periodic[ax]:
-            ok = nf == 2 * nc
-        else:
-            ok = nf == 2 * nc - 1
-        if not ok:
-            raise ValueError(
-                f"levels are not nested on axis {grid_c.axis_names[ax]}:"
-                f" {nc} then {nf} (need doubling: 2n periodic, 2n-1 bounded)"
-            )
-        take.append(slice(0, None, 2))
-    return float(np.max(np.abs(coarse - fine[tuple(take)])))
+    take = (slice(None),) + (slice(0, None, 2),) * (coarse.ndim - 1)
+    return float(np.max(np.abs(coarse - fine[take])))
 
 
 def cmd_convergence(args) -> int:
@@ -638,7 +626,14 @@ def cmd_convergence(args) -> int:
 
     # Every level is built and validated before any is marched.
     scenarios = []
-    for n in levels:
+    for k, n in enumerate(levels):
+        nc = levels[k - 1]
+        for name, periodic in zip(base_grid.axis_names, base_grid.periodic):
+            if k and n != (2 * nc if periodic else 2 * nc - 1):
+                raise ValueError(
+                    f"levels are not nested on axis {name}: {nc} then {n}"
+                    " (need doubling: 2n periodic, 2n-1 bounded)"
+                )
         shape = tuple(n for _ in range(model.dim))
         grid = make_grid(base_grid.extents, shape, periodic=base_grid.periodic,
                          axis_names=model.axis_names)
@@ -669,9 +664,7 @@ def cmd_convergence(args) -> int:
     rows = []
     errors = []
     for k in range(len(levels) - 1):
-        err = _shared_nodes_error(finals[k], finals[k + 1],
-                                  scenarios[k].grid, scenarios[k + 1].grid)
-        errors.append(err)
+        errors.append(_shared_nodes_error(finals[k], finals[k + 1]))
     scale = 1.0 + float(np.max(np.abs(finals[-1])))
     for k, err in enumerate(errors):
         pair = f"{levels[k]} -> {levels[k + 1]}"

@@ -11,9 +11,11 @@ component-major vector layout in which the last spatial axis varies fastest,
 matching the Kronecker ordering I_comp (x) D_x (x) I_y used throughout.
 
 All reductions (inner products, boundary quadratures) accumulate
-left-to-right over lexicographic node order, and operator application walks
-matrix columns in increasing order, so every result is reproducible
-bit-for-bit for a given build.
+left-to-right over lexicographic node order.  Operator application adds the
+nonzero diagonals of D in increasing offset order; row i of diagonal k holds
+the entry in column i + k, so every row adds its products in increasing
+column order, exactly as a walk over the matrix columns would.  Every result
+is therefore reproducible bit-for-bit for a given build.
 """
 
 from __future__ import annotations
@@ -22,13 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-# Largest per-axis node count for which operator columns are kept dense.
-# Above this the apply table stores only the nonzero column segments
-# (interior stencil band plus boundary blocks).  Both forms perform the
-# same additions in the same order on the nonzero entries, so they agree
-# exactly on finite data.
-_DENSE_LIMIT = 64
 
 _MIN_NODES = {(2, 1): 4, (4, 2): 8}
 _HALF_WIDTH = {(2, 1): 1, (4, 2): 2}
@@ -68,6 +63,9 @@ class SbpOperator1D:
         Q: almost-skew matrix, shape (n, n).
         D: derivative matrix P^{-1} Q, shape (n, n).
         B: diagonal of Q + Q^T, shape (n,); zero for periodic operators.
+        diagonals: the nonzero diagonals of D as (offset, values) pairs in
+            increasing offset, values[i] = D[i, i + offset]; the periodic
+            wrap-around entries form short diagonals of their own.
     """
 
     n: int
@@ -78,39 +76,7 @@ class SbpOperator1D:
     Q: np.ndarray
     D: np.ndarray
     B: np.ndarray
-    columns: tuple
-
-
-def _column_table(matrix: np.ndarray, trim: bool) -> tuple:
-    """Per-column apply table: tuples of (row_start, values) segments.
-
-    With trim=False every column is a single full segment (dense storage).
-    With trim=True only maximal runs of nonzero entries are kept.  Skipping
-    exact zeros cannot change any nonzero partial sum, so both tables yield
-    equal applications.
-    """
-    n = matrix.shape[0]
-    cols = []
-    for j in range(n):
-        col = matrix[:, j]
-        if not trim:
-            cols.append(((0, col.copy()),))
-            continue
-        nz = np.flatnonzero(col != 0.0)
-        if nz.size == 0:
-            cols.append(())
-            continue
-        segs = []
-        start = prev = int(nz[0])
-        for r in nz[1:]:
-            r = int(r)
-            if r != prev + 1:
-                segs.append((start, col[start:prev + 1].copy()))
-                start = r
-            prev = r
-        segs.append((start, col[start:prev + 1].copy()))
-        cols.append(tuple(segs))
-    return tuple(cols)
+    diagonals: tuple
 
 
 def build_sbp_operator(
@@ -176,10 +142,13 @@ def build_sbp_operator(
         B[-1] = 1.0
 
     D = Q / P[:, None]
-    columns = _column_table(D, trim=n > _DENSE_LIMIT)
+    rows, cols = np.nonzero(D)
+    # Not np.unique: it imports numpy.ma, which costs resident memory.
+    offsets = sorted(set((cols - rows).tolist()))
+    diagonals = tuple((k, D.diagonal(k).copy()) for k in offsets)
     return SbpOperator1D(
         n=n, h=float(h), order=order, periodic=periodic,
-        P=P, Q=Q, D=D, B=B, columns=columns,
+        P=P, Q=Q, D=D, B=B, diagonals=diagonals,
     )
 
 
@@ -206,10 +175,9 @@ def apply_derivative(op: SbpOperator1D, field: np.ndarray, axis: int = 0) -> np.
         )
     v = np.moveaxis(field, ax, -1)
     out = np.zeros(v.shape)
-    for j, segs in enumerate(op.columns):
-        vj = v[..., j][..., None]
-        for r0, vals in segs:
-            out[..., r0:r0 + vals.size] += vj * vals
+    for k, d in op.diagonals:
+        lo, hi = max(0, -k), op.n - max(0, k)
+        out[..., lo:hi] += d * v[..., lo + k:hi + k]
     return np.moveaxis(out, -1, ax)
 
 

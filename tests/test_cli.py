@@ -8,6 +8,7 @@ from contextlib import redirect_stdout, redirect_stderr
 import numpy as np
 import pytest
 
+from skewform import cli
 from skewform.cli import ConfigError, bundled_scenarios, main, parse_config_text
 
 BURGERS_CFG = """
@@ -245,6 +246,18 @@ def test_convergence_reports_the_design_order(tmp_path):
     assert lines
     last = float(lines[-1].rsplit("order", 1)[1].strip())
     assert 3.0 <= last <= 4.6
+
+
+def test_convergence_refuses_unnested_levels_before_marching(monkeypatch):
+    def no_march(sc):
+        raise AssertionError("convergence marched before checking the levels")
+
+    monkeypatch.setattr(cli, "march", no_march)
+    code, out, err = run_main(["convergence", "--config", "burgers_periodic",
+                               "--levels", "24,40,96"])
+    assert code == 2
+    assert out == ""
+    assert "not nested" in err
 
 
 @pytest.mark.parametrize("edit", [
