@@ -1,0 +1,122 @@
+"""Byte-compare the skewform CLI of two source trees.
+
+    python3 scripts/compare_cli_outputs.py PARENT_SRC CHANGE_SRC [--work DIR]
+
+PARENT_SRC and CHANGE_SRC are checkouts (or their src/ directories).  Each
+case of the matrix below runs once per tree, as `python -m skewform.cli`
+with that tree on PYTHONPATH, from a fresh working directory at the same
+relative path under DIR (a temporary directory by default), so printed
+paths agree.  Every case writes its files into `out/` of that directory.
+
+A case differs when its exit code, stdout, stderr, the set of files it
+wrote or the bytes of any of them differ.  Each difference is printed; the
+exit code is 0 when every case matched and 1 otherwise.
+
+The matrix: `run` on every bundled scenario; `verify all --seed 3
+--trials 7`; `convergence` on burgers_periodic (24,48,96) and
+swe_coriolis_periodic (16,32,64); `analyze-boundary` for swe2d
+nonlinear_rewritten, swe2d linearised with --alpha 0.3, euler2d and
+euler3d_cyl at radius 0.8.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+FIXED_CASES = {
+    "verify_all": ["verify", "all", "--seed", "3", "--trials", "7"],
+    "convergence_burgers_periodic": ["convergence", "--config", "burgers_periodic",
+                                     "--levels", "24,48,96"],
+    "convergence_swe_coriolis_periodic": ["convergence", "--config",
+                                          "swe_coriolis_periodic",
+                                          "--levels", "16,32,64"],
+    "boundary_swe2d_rewritten": ["analyze-boundary", "--model", "swe2d",
+                                 "--state", "4,2,0", "--normal=-1,0",
+                                 "--formulation", "nonlinear_rewritten"],
+    "boundary_swe2d_linearised": ["analyze-boundary", "--model", "swe2d",
+                                  "--state", "1,-1,0", "--normal", "1,0",
+                                  "--formulation", "linearised", "--alpha", "0.3"],
+    "boundary_euler2d": ["analyze-boundary", "--model", "euler2d",
+                         "--state", "1,0.5,1", "--normal", "1,0"],
+    "boundary_euler3d_cyl": ["analyze-boundary", "--model", "euler3d_cyl",
+                             "--state", "1,0,0,1", "--normal", "1,0,0",
+                             "--radius", "0.8"],
+}
+
+
+def package_root(path: str) -> Path:
+    """The directory that holds the skewform package."""
+    root = Path(path).resolve()
+    if (root / "src" / "skewform").is_dir():
+        root = root / "src"
+    if not (root / "skewform").is_dir():
+        raise SystemExit(f"no skewform package under {path}")
+    return root
+
+
+def cases(roots) -> dict:
+    """Every case of the matrix, with the bundled scenarios of both trees."""
+    names = set()
+    for root in roots:
+        names.update(p.stem for p in (root / "skewform" / "scenarios").glob("*.cfg"))
+    out = {f"run_{name}": ["run", "--config", name] for name in sorted(names)}
+    out.update(FIXED_CASES)
+    return out
+
+
+def run_case(root: Path, argv, cwd: Path) -> dict:
+    cwd.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(root))
+    proc = subprocess.run([sys.executable, "-m", "skewform.cli", *argv,
+                           "--out-dir", "out"],
+                          cwd=cwd, env=env, capture_output=True)
+    files = {str(p.relative_to(cwd)): p.read_bytes()
+             for p in sorted(cwd.rglob("*")) if p.is_file()}
+    return {"exit code": proc.returncode, "stdout": proc.stdout,
+            "stderr": proc.stderr, "files": files}
+
+
+def differences(a: dict, b: dict) -> list[str]:
+    found = [f"{key} differs" for key in ("exit code", "stdout", "stderr")
+             if a[key] != b[key]]
+    for name in sorted(set(a["files"]) | set(b["files"])):
+        if name not in a["files"] or name not in b["files"]:
+            found.append(f"{name} written by one tree only")
+        elif a["files"][name] != b["files"][name]:
+            found.append(f"{name} differs")
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--work", default=None,
+                        help="directory for the working directories (default:"
+                             " a temporary one, removed afterwards)")
+    args = parser.parse_args(argv)
+    roots = {"parent": package_root(args.parent), "change": package_root(args.change)}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(args.work or tmp)
+        matrix = cases(roots.values())
+        bad = 0
+        for case, cli_args in matrix.items():
+            got = {tree: run_case(root, cli_args, work / tree / case)
+                   for tree, root in roots.items()}
+            found = differences(got["parent"], got["change"])
+            print(f"{case}: {'differs' if found else 'identical'}"
+                  f" (exit {got['change']['exit code']})")
+            for line in found:
+                print(f"    {line}")
+            bad += bool(found)
+    print(f"{bad} of {len(matrix)} cases differ")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

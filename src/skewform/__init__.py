@@ -15,11 +15,16 @@ from .boundary import (
     SatConfig,
     analyze_boundary,
     build_sat,
-    jacobi_eigenvalues,
     make_sat_config,
     swe_rewritten_contraction,
 )
-from .energy import EnergyReport, boundary_contraction, energy_report, total_energy
+from .energy import (
+    EnergyReport,
+    boundary_contraction,
+    energy_report,
+    report_from_residual,
+    total_energy,
+)
 from .models import (
     MODEL_KINDS,
     ModelSpec,
@@ -107,7 +112,6 @@ __all__ = [
     "faces",
     "frozen",
     "inner_product",
-    "jacobi_eigenvalues",
     "make_grid",
     "make_model",
     "make_sat_config",
@@ -115,6 +119,7 @@ __all__ = [
     "new_linearised",
     "nonlinear",
     "position_arrays",
+    "report_from_residual",
     "rk4_step",
     "sample_state",
     "standard_linearised",

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ModelSpec, check_admissible, coeff_matrices, with_params
-from .sbp_core import Grid
+from .sbp_core import Grid, parse_face
 
 # Non-glancing thresholds for the rewritten formulation and the
 # two-condition SAT.
@@ -77,18 +77,12 @@ def make_sat_config(entries: dict) -> SatConfig:
     return SatConfig(faces=faces)
 
 
-def _face_from_label(grid: Grid, label: str):
-    name, _, side = label.rpartition("_")
-    if name not in grid.axis_names or side not in ("low", "high"):
-        known = [f"{n}_{s}" for n in grid.axis_names for s in ("low", "high")]
-        raise ValueError(f"bad face label '{label}'; expected one of {known}")
-    return grid.axis_names.index(name), side
-
-
 def validate_sat(grid: Grid, sat: SatConfig) -> None:
     """Checks closure/axis consistency; periodic closures come in pairs."""
+    known = [f"{n}_{s}" for n in grid.axis_names for s in ("low", "high")]
     for label in sat.faces:
-        _face_from_label(grid, label)
+        if label not in known:
+            raise ValueError(f"bad face label '{label}'; expected one of {known}")
     for ax in range(grid.dim):
         name = grid.axis_names[ax]
         kinds = {}
@@ -124,7 +118,7 @@ def build_sat(model: ModelSpec, grid: Grid, ops, U: np.ndarray,
     for label, closure in sat.faces.items():
         if closure.kind in ("none", "periodic"):
             continue
-        ax, side = _face_from_label(grid, label)
+        ax, side = parse_face(grid, label)
         if closure.kind == "characteristic":
             _sat_characteristic(model, grid, ops, U, field, ax, side, closure)
         else:
@@ -187,55 +181,6 @@ def _sat_swe_two_condition(model, grid, ops, U, field, ax, side, closure):
     sigma = np.where(active, sigma, 0.0) / ops[ax].P[idx]
     for c in range(3):
         field[(c,) + tuple(take[1:])] += sigma * Uf[c]
-
-
-def jacobi_eigenvalues(S: np.ndarray, off_tol: float = 1e-14,
-                       max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a small symmetric matrix by cyclic Jacobi sweeps.
-
-    Sweeps until the largest off-diagonal entry falls below off_tol times
-    the Frobenius norm.  Deterministic: fixed (p, q) sweep order.
-    """
-    A = np.array(S, dtype=np.float64, copy=True)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("expected a square matrix")
-    gap = np.abs(A - A.T).max()
-    if gap > 1e-12 * max(1.0, np.abs(A).max()):
-        raise ValueError("expected a symmetric matrix")
-    A = 0.5 * (A + A.T)
-    norm = float(np.sqrt(np.sum(A * A)))
-    thresh = off_tol * max(norm, 1e-300)
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off = max(off, abs(A[p, q]))
-        if off <= thresh:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-                else:
-                    t = -1.0 / (-theta + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                for k in range(n):
-                    akp = A[k, p]
-                    akq = A[k, q]
-                    A[k, p] = c * akp - s * akq
-                    A[k, q] = s * akp + c * akq
-                for k in range(n):
-                    apk = A[p, k]
-                    aqk = A[q, k]
-                    A[p, k] = c * apk - s * aqk
-                    A[q, k] = s * apk + c * aqk
-    return np.sort(np.diagonal(A).copy())
 
 
 def _signature_counts(eigs: np.ndarray) -> tuple[int, int, int]:
@@ -357,7 +302,7 @@ def analyze_boundary(
             "formulation must be 'nonlinear', 'linearised', or 'nonlinear_rewritten'"
         )
 
-    eigs = jacobi_eigenvalues(S)
+    eigs = np.linalg.eigvalsh(S)
     neg, zero, pos_n = _signature_counts(eigs)
     return BoundaryAnalysis(
         formulation=formulation, face=face, normal=normal,

@@ -741,9 +741,11 @@ def main(argv=None) -> int:
     p.add_argument("--model", required=True, choices=MODEL_KINDS)
     p.add_argument("--state", required=True,
                    help="comma-separated face state components (the mean"
-                        " state for the linearised formulation)")
+                        " state for the linearised formulation); use the"
+                        " --state=-1,... form when the first is negative")
     p.add_argument("--normal", required=True,
-                   help="comma-separated outward normal")
+                   help="comma-separated outward normal; use the"
+                        " --normal=-1,0 form when the first is negative")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--formulation", default="nonlinear",

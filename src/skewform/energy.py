@@ -9,7 +9,10 @@ decomposes as
 
 and the skew structure makes volume_residual vanish to rounding, which is
 the quantity the verification checks pin down.  The rate is evaluated
-algebraically from the residual, not by differencing E in time.
+algebraically from the residual, not by differencing E in time:
+energy_report evaluates the residual itself, while a march builds its
+reports with report_from_residual from the stage-1 residual that each RK4
+step evaluates anyway.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .models import ModelSpec, coeff_matrices, norm_weight, with_params
 from .sbp_core import Grid, inner_product
-from .spatial_op import CoeffMode, eval_dual_residual, eval_primal_residual
+from .spatial_op import CoeffMode, Residual, eval_dual_residual, eval_primal_residual
 
 
 def total_energy(model: ModelSpec, grid: Grid, ops, U: np.ndarray) -> float:
@@ -66,10 +69,21 @@ def energy_report(
     U = np.asarray(U, dtype=np.float64)
     if mode.kind == "dual":
         res = eval_dual_residual(model, grid, ops, U, mode=mode, sat=sat)
-        flux_sign = 2.0
     else:
         res = eval_primal_residual(model, grid, ops, U, mode, sat=sat)
-        flux_sign = -2.0
+    return report_from_residual(model, grid, ops, U, res, mode.kind == "dual", t)
+
+
+def report_from_residual(model: ModelSpec, grid: Grid, ops, U: np.ndarray,
+                         res: Residual, dual: bool, t: float) -> EnergyReport:
+    """The energy balance of an evaluated residual res at the state U.
+
+    Reads only res.spatial, res.sat and res.face_terms, none of which
+    depends on forcing, so a residual evaluated with forcing gives the same
+    report as one evaluated without.  dual flips the sign of the face
+    fluxes.
+    """
+    flux_sign = 2.0 if dual else -2.0
     rate = -2.0 * inner_product(grid, ops, U, res.spatial)
     sat_contribution = 0.0
     if res.sat is not None:

@@ -7,7 +7,9 @@ norm matrices and are verified statically instead.
 
 Conservation claims are always asserted through the per-step
 volume_residual of the energy reports, never through E(T) - E(0): the
-semi-discrete identity is exact while RK4 adds an O(dt^4) drift.
+semi-discrete identity is exact while RK4 adds an O(dt^4) drift.  A report
+at a state is built from the stage-1 residual of the step that starts
+there, so only the final report costs an evaluation of its own.
 """
 
 from __future__ import annotations
@@ -16,19 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyReport, energy_report
+from .energy import EnergyReport, report_from_residual
 from .models import ModelSpec, check_admissible, has_invertible_norm, wavespeeds
 from .sbp_core import Grid, position_arrays
 from .spatial_op import (
     CoeffMode,
-    dual,
     eval_dual_residual,
     eval_new_linearised_pair,
     eval_primal_residual,
-    frozen,
-    new_linearised,
-    nonlinear,
-    standard_linearised,
 )
 
 MODES = (
@@ -89,6 +86,9 @@ def validate_scenario(sc: Scenario) -> None:
             f"model '{sc.model.kind}' has a singular norm matrix; time marching"
             " covers burgers1d and swe2d (verify the euler models statically)"
         )
+    for name in ("dt", "t_final", "cfl"):
+        if not np.isfinite(getattr(sc, name)):
+            raise ValueError(f"{name} must be finite")
     if not sc.dt > 0.0:
         raise ValueError("dt must be positive")
     if sc.t_final < sc.dt:
@@ -127,18 +127,6 @@ def _check_cfl(sc: Scenario, V: np.ndarray, t: float) -> None:
         )
 
 
-def _report_mode(sc: Scenario, mean_now: np.ndarray | None) -> CoeffMode:
-    if sc.mode == "nonlinear":
-        return nonlinear()
-    if sc.mode == "frozen":
-        return frozen(sc.mean)
-    if sc.mode == "new_linearised_coupled":
-        return new_linearised(mean_now)
-    if sc.mode == "standard_linearised":
-        return standard_linearised(sc.mean)
-    return dual(sc.mean)
-
-
 def march(sc: Scenario) -> tuple[list[EnergyReport], np.ndarray | tuple]:
     """Marches the scenario and reports the energy balance every stride.
 
@@ -150,71 +138,64 @@ def march(sc: Scenario) -> tuple[list[EnergyReport], np.ndarray | tuple]:
     validate_scenario(sc)
     model, grid, ops = sc.model, sc.grid, sc.ops
     coupled = sc.mode == "new_linearised_coupled"
+    dual = sc.mode == "dual"
     U = np.array(sc.initial, dtype=np.float64)
 
+    # evaluate(y, t) -> (tendency, the residual a report reads, its state)
     if coupled:
         state = np.stack([np.array(sc.mean, dtype=np.float64), U])
 
-        def rhs(y, t):
-            u_bar, u_prime = y[0], y[1]
+        def evaluate(y, t):
             res_mean, res_pert = eval_new_linearised_pair(
-                model, grid, ops, u_bar, u_prime, sat_mean=sc.sat
+                model, grid, ops, y[0], y[1], sat_mean=sc.sat
             )
             f_t = _forcing_at(sc.forcing, t)
             rm = res_mean.R if f_t is None else res_mean.R - f_t
-            return np.stack([-rm, -res_pert.R])
-
-    elif sc.mode == "dual":
-        state = U
-
-        def rhs(y, t):
-            res = eval_dual_residual(model, grid, ops, y, mode=dual(sc.mean),
-                                     sat=sc.sat, forcing=_forcing_at(sc.forcing, t))
-            return -res.R
+            return np.stack([-rm, -res_pert.R]), res_pert, y[1]
 
     else:
         state = U
-        fixed_mode = _report_mode(sc, None)
+        # the other march modes are coefficient-mode kinds of the same name
+        mode = CoeffMode(sc.mode, None if sc.mean is None
+                         else np.asarray(sc.mean, dtype=np.float64))
+        evaluator = eval_dual_residual if dual else eval_primal_residual
 
-        def rhs(y, t):
-            res = eval_primal_residual(model, grid, ops, y, fixed_mode,
-                                       sat=sc.sat, forcing=_forcing_at(sc.forcing, t))
-            return -res.R
+        def evaluate(y, t):
+            res = evaluator(model, grid, ops, y, mode, sat=sc.sat,
+                            forcing=_forcing_at(sc.forcing, t))
+            return -res.R, res, y
 
-    def emit(t, y):
-        if coupled:
-            reports.append(
-                energy_report(model, grid, ops, y[1],
-                              _report_mode(sc, y[0]), sat=None, t=t)
-            )
-        else:
-            reports.append(
-                energy_report(model, grid, ops, y, _report_mode(sc, None),
-                              sat=sc.sat, t=t)
-            )
+    def rhs(u, s):
+        # rk4_step evaluates stage 1 at the state it was handed: k1 holds it
+        return k1 if u is state else evaluate(u, s)[0]
 
     def speed_state(y):
         if coupled:
             return y[0] + y[1]
         if sc.mode in ("frozen", "standard_linearised"):
             return sc.mean
-        if sc.mode == "dual" and sc.mean is not None:
+        if dual and sc.mean is not None:
             return sc.mean
         return y
 
     sup0 = max(float(np.max(np.abs(state))), 1e-12)
     nsteps = max(1, int(round(sc.t_final / sc.dt)))
     refresh = sc.mode in ("nonlinear", "new_linearised_coupled") or (
-        sc.mode == "dual" and sc.mean is None
+        dual and sc.mean is None
     )
     reports: list[EnergyReport] = []
 
     _check_cfl(sc, speed_state(state), 0.0)
-    emit(0.0, state)
     t = 0.0
     for k in range(1, nsteps + 1):
         if refresh and k > 1:
             _check_cfl(sc, speed_state(state), t)
+        # Stage 1 feeds the report at t and then rk4_step; the residual is
+        # released first, so its fields do not live through the later stages.
+        k1, res, y = evaluate(state, t)
+        if (k - 1) % sc.stride == 0:
+            reports.append(report_from_residual(model, grid, ops, y, res, dual, t))
+        del res, y
         state = rk4_step(rhs, state, t, sc.dt)
         t = k * sc.dt
         sup = float(np.max(np.abs(state)))
@@ -227,8 +208,8 @@ def march(sc: Scenario) -> tuple[list[EnergyReport], np.ndarray | tuple]:
             check_admissible(model, state)
         if coupled:
             check_admissible(model, state[0] + state[1])
-        if k % sc.stride == 0 or k == nsteps:
-            emit(t, state)
+    _, res, y = evaluate(state, t)
+    reports.append(report_from_residual(model, grid, ops, y, res, dual, t))
 
     final = (state[0], state[1]) if coupled else state
     return reports, final

@@ -10,7 +10,6 @@ from skewform.boundary import (
     analysis_table,
     analyze_boundary,
     build_sat,
-    jacobi_eigenvalues,
     make_sat_config,
     swe_normal_tangential,
     swe_rewritten_contraction,
@@ -33,23 +32,6 @@ def nonglancing_state(rng, sign):
     U2 = un * normal[0] - ut * normal[1]
     U3 = un * normal[1] + ut * normal[0]
     return np.array([phi, U2, U3]), normal
-
-
-def test_jacobi_matches_the_library_eigensolver():
-    rng = np.random.default_rng(51)
-    for trial in range(200):
-        n = int(rng.integers(2, 6))
-        M = rng.normal(size=(n, n))
-        S = 0.5 * (M + M.T)
-        got = jacobi_eigenvalues(S)
-        want = np.linalg.eigvalsh(S)
-        assert np.max(np.abs(got - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
-        assert np.all(np.diff(got) >= 0)
-
-
-def test_jacobi_rejects_unsymmetric_input():
-    with pytest.raises(ValueError):
-        jacobi_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_linearised_inflow_pins_three_conditions():

@@ -212,6 +212,16 @@ def test_analyze_boundary_table_and_csv(tmp_path):
     assert rows[0][-1] == "3"
 
 
+def test_analyze_boundary_takes_a_negative_normal_in_the_equals_form():
+    # the README example: a leading minus needs --normal=..., or argparse
+    # reads the value as an option
+    code, out, _ = run_main([
+        "analyze-boundary", "--model", "swe2d", "--state", "4,2,0",
+        "--normal=-1,0", "--formulation", "nonlinear_rewritten"])
+    assert code == 0
+    assert "bc count       2" in out
+
+
 def test_analyze_boundary_glancing_exits_2():
     code, out, err = run_main([
         "analyze-boundary", "--model", "swe2d", "--state", "1,0,0.5",
@@ -265,7 +275,12 @@ def test_convergence_refuses_unnested_levels_before_marching(monkeypatch):
     lambda text: text.replace("mode = nonlinear", "mode = frozen"),
     # t_final shorter than one step
     lambda text: text.replace("t_final = 0.1", "t_final = 0.001"),
-], ids=["frozen_without_coefficient", "t_final_below_dt"])
+    # non-finite scheme values
+    lambda text: text.replace("t_final = 0.1", "t_final = nan"),
+    lambda text: text.replace("t_final = 0.1", "t_final = inf"),
+    lambda text: text.replace("stride = 5", "stride = 5\ncfl = inf"),
+], ids=["frozen_without_coefficient", "t_final_below_dt", "t_final_nan",
+        "t_final_inf", "cfl_inf"])
 def test_malformed_scenarios_exit_2_in_run_and_convergence(tmp_path, edit):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(edit(BURGERS_CFG))

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 import skewform as sk
+from skewform import energy, timeint
+from skewform.boundary import FaceClosure, make_sat_config
+from skewform.energy import energy_report
 from skewform.models import make_model, sample_state, swe_transform
 from skewform.sbp_core import build_operators, make_grid
+from skewform.spatial_op import CoeffMode, new_linearised
 from skewform.timeint import MODES, Scenario, march, rk4_step, validate_scenario
 
 
@@ -167,6 +171,66 @@ def test_frozen_march_integrates_pure_forcing_exactly_enough():
                   dt=0.05, t_final=1.0, stride=10 ** 9)
     _, final = march(sc)
     assert np.max(np.abs(final - (u0 + np.sin(1.0)))) <= 1e-7
+
+
+def sat_forced_scenario(mode, stride, t_final):
+    # bounded burgers grid, an inflow SAT on the left face and a forcing
+    # that changes with t
+    m, g, ops = burgers_setup(n=33, periodic=False)
+    x = g.coords[0]
+    u0 = (0.5 + 0.1 * np.sin(2 * np.pi * x))[None]
+    mean = (0.6 + 0.05 * np.cos(2 * np.pi * x))[None]
+    if mode in ("new_linearised_coupled", "standard_linearised"):
+        u0 = 0.01 * u0  # the marched state is a perturbation of the mean
+    sat = make_sat_config({"x_low": FaceClosure(kind="characteristic", g=0.4)})
+    return Scenario(model=m, grid=g, ops=ops, mode=mode, initial=u0,
+                    mean=None if mode == "nonlinear" else mean,
+                    forcing=lambda t: 0.1 * np.cos(3.0 * t) * np.ones_like(u0),
+                    sat=sat, dt=0.002, t_final=t_final, stride=stride)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_march_reports_equal_energy_report_at_the_same_state(monkeypatch, mode):
+    sc = sat_forced_scenario(mode, stride=3, t_final=0.014)
+    starts = {}
+    step = timeint.rk4_step
+
+    def recording_step(rhs, u, t, dt):
+        starts[t] = np.array(u, copy=True)
+        return step(rhs, u, t, dt)
+
+    monkeypatch.setattr(timeint, "rk4_step", recording_step)
+    reps, final = march(sc)
+    assert [round(r.t, 6) for r in reps] == [0.0, 0.006, 0.012, 0.014]
+    for r in reps:
+        y = starts.get(r.t)
+        if y is None:
+            y = np.stack(final) if isinstance(final, tuple) else final
+        if mode == "new_linearised_coupled":
+            want = energy_report(sc.model, sc.grid, sc.ops, y[1],
+                                 new_linearised(y[0]), sat=None, t=r.t)
+        else:
+            want = energy_report(sc.model, sc.grid, sc.ops, y,
+                                 CoeffMode(mode, sc.mean), sat=sc.sat, t=r.t)
+        assert vars(r) == vars(want), r.t
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_march_evaluates_four_residuals_per_step_plus_the_last_report(
+        monkeypatch, mode):
+    calls = []
+    for module in (timeint, energy):
+        for name in ("eval_primal_residual", "eval_dual_residual",
+                     "eval_new_linearised_pair"):
+            if hasattr(module, name):
+                def counted(*args, _fn=getattr(module, name), **kwargs):
+                    calls.append(1)
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+    sc = sat_forced_scenario(mode, stride=1, t_final=0.014)
+    reps, _ = march(sc)
+    assert len(reps) == 8
+    assert len(calls) == 4 * 7 + 1
 
 
 def test_cfl_violation_raises():
