@@ -15,8 +15,9 @@ exit code is 0 when every case matched and 1 otherwise.
 The matrix: `run` on every bundled scenario; `verify all --seed 3
 --trials 7`; `convergence` on burgers_periodic (24,48,96) and
 swe_coriolis_periodic (16,32,64); `analyze-boundary` for swe2d
-nonlinear_rewritten, swe2d linearised with --alpha 0.3, euler2d and
-euler3d_cyl at radius 0.8.
+nonlinear_rewritten, swe2d linearised with --alpha 0.3, euler2d, euler2d
+linearised at a state with a zero eigenvalue (whose printed digits would
+otherwise show the eigensolver's rounding) and euler3d_cyl at radius 0.8.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ FIXED_CASES = {
                                   "--formulation", "linearised", "--alpha", "0.3"],
     "boundary_euler2d": ["analyze-boundary", "--model", "euler2d",
                          "--state", "1,0.5,1", "--normal", "1,0"],
+    "boundary_euler2d_zero_eigenvalue": ["analyze-boundary", "--model", "euler2d",
+                                         "--state", "0,0,1", "--normal", "0.6,0.8",
+                                         "--formulation", "linearised"],
     "boundary_euler3d_cyl": ["analyze-boundary", "--model", "euler3d_cyl",
                              "--state", "1,0,0,1", "--normal", "1,0,0",
                              "--radius", "0.8"],

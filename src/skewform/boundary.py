@@ -183,8 +183,13 @@ def _sat_swe_two_condition(model, grid, ops, U, field, ax, side, closure):
         field[(c,) + tuple(take[1:])] += sigma * Uf[c]
 
 
+def _zero_tolerance(eigs: np.ndarray) -> float:
+    """Eigenvalues no larger than this in magnitude count as zero."""
+    return 1e-12 * max(float(np.max(np.abs(eigs))), 1e-300)
+
+
 def _signature_counts(eigs: np.ndarray) -> tuple[int, int, int]:
-    tol = 1e-12 * max(float(np.max(np.abs(eigs))), 1e-300)
+    tol = _zero_tolerance(eigs)
     neg = int(np.sum(eigs < -tol))
     pos = int(np.sum(eigs > tol))
     return neg, eigs.size - neg - pos, pos
@@ -321,7 +326,9 @@ def analysis_table(analysis: BoundaryAnalysis) -> str:
     lines.append(f"formulation    {analysis.formulation}")
     if analysis.alpha is not None:
         lines.append(f"alpha, beta    {analysis.alpha}, {analysis.beta}")
-    eig = ", ".join(f"{v:.6g}" for v in analysis.eigenvalues)
+    tol = _zero_tolerance(analysis.eigenvalues)
+    eig = ", ".join("0" if abs(v) <= tol else f"{v:.6g}"
+                    for v in analysis.eigenvalues)
     lines.append(f"eigenvalues    {eig}")
     lines.append(
         "signature      "

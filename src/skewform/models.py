@@ -316,20 +316,18 @@ def coeff_split(model: ModelSpec, U_bar, U_prime, pos=None) -> CoefficientSplit:
     return CoefficientSplit(A_bar=A_bar, C_bar=C_bar, A_prime=A_prime, C_prime=C_prime)
 
 
-def wavespeeds(model: ModelSpec, V, pos=None) -> tuple[float, ...]:
-    """Per-axis max spectral radius of A_i(V) over all nodes (CFL estimate)."""
+def wavespeeds(model: ModelSpec, V) -> tuple[float, ...]:
+    """Per-axis largest characteristic speed over all nodes (CFL estimate):
+    |u| for burgers1d, |u_i| + sqrt(phi) for swe2d (the eigenvalue radius of
+    swe_quasilinear, free of alpha, beta).  Only these two models march."""
     V = _as_state(model, V)
-    A, _ = coeff_matrices(model, V, pos)
-    out = []
-    for ax in range(model.dim):
-        M = A[ax]
-        if model.n_comp == 1:
-            out.append(float(np.max(np.abs(M[0, 0]))))
-            continue
-        stacked = np.moveaxis(M.reshape(model.n_comp, model.n_comp, -1), -1, 0)
-        eig = np.linalg.eigvals(stacked)
-        out.append(float(np.max(np.abs(eig))))
-    return tuple(out)
+    check_admissible(model, V)
+    if model.kind == "burgers1d":
+        return (float(np.max(np.abs(V[0]))),)
+    if model.kind != "swe2d":
+        raise ValueError(f"model '{model.kind}' is not marched and has no wave speeds")
+    root = np.sqrt(V[0])
+    return tuple(float(np.max(np.abs(V[ax + 1]) / root + root)) for ax in range(2))
 
 
 def sample_state(model: ModelSpec, shape, rng) -> np.ndarray:

@@ -222,6 +222,17 @@ def test_analyze_boundary_takes_a_negative_normal_in_the_equals_form():
     assert "bc count       2" in out
 
 
+def test_analyze_boundary_prints_a_zero_eigenvalue_as_zero():
+    # the middle eigenvalue is zero up to rounding; the table prints what
+    # the signature counts
+    code, out, _ = run_main([
+        "analyze-boundary", "--model", "euler2d", "--state", "0,0,1",
+        "--normal", "0.6,0.8", "--formulation", "linearised"])
+    assert code == 0
+    assert "eigenvalues    -0.5, 0, 0.5\n" in out
+    assert "1 zero" in out
+
+
 def test_analyze_boundary_glancing_exits_2():
     code, out, err = run_main([
         "analyze-boundary", "--model", "swe2d", "--state", "1,0,0.5",
@@ -270,6 +281,28 @@ def test_convergence_refuses_unnested_levels_before_marching(monkeypatch):
     assert "not nested" in err
 
 
+def test_bounded_convergence_levels_end_at_t_final(tmp_path, monkeypatch):
+    steps = []
+    real_march = cli.march
+
+    def recording_march(sc):
+        steps.append(sc.t_final / sc.dt)
+        return real_march(sc)
+
+    monkeypatch.setattr(cli, "march", recording_march)
+    cfg = tmp_path / "bounded.cfg"
+    cfg.write_text(BURGERS_CFG.replace("periodic = true", "periodic = false")
+                   .replace("t_final = 0.1", "t_final = 0.02")
+                   + "\n[sat]\nx_low = characteristic\n"
+                   "x_high = characteristic\n")
+    code, out, err = run_main(["convergence", "--config", str(cfg),
+                               "--levels", "17,33,65"])
+    assert code == 0, err
+    assert len(steps) == 3
+    for s in steps:
+        assert abs(s - round(s)) <= 1e-9 * s
+
+
 @pytest.mark.parametrize("edit", [
     # frozen mode without a [coefficient] section
     lambda text: text.replace("mode = nonlinear", "mode = frozen"),
@@ -279,8 +312,12 @@ def test_convergence_refuses_unnested_levels_before_marching(monkeypatch):
     lambda text: text.replace("t_final = 0.1", "t_final = nan"),
     lambda text: text.replace("t_final = 0.1", "t_final = inf"),
     lambda text: text.replace("stride = 5", "stride = 5\ncfl = inf"),
+    # 25.5 steps: the march would stop half a step short of t_final
+    lambda text: text.replace("t_final = 0.1", "t_final = 0.102"),
+    # t_final / dt overflows to inf
+    lambda text: text.replace("dt = 0.004", "dt = 1e-310"),
 ], ids=["frozen_without_coefficient", "t_final_below_dt", "t_final_nan",
-        "t_final_inf", "cfl_inf"])
+        "t_final_inf", "cfl_inf", "t_final_not_whole_steps", "steps_overflow"])
 def test_malformed_scenarios_exit_2_in_run_and_convergence(tmp_path, edit):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(edit(BURGERS_CFG))

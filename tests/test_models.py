@@ -213,7 +213,30 @@ def test_wavespeeds_burgers():
     m = make_model("burgers1d")
     s = wavespeeds(m, np.array([[0.9, -0.5]]))
     assert len(s) == 1
-    assert abs(s[0] - 0.3) <= 1e-15
+    assert abs(s[0] - 0.9) <= 1e-15
+    with pytest.raises(ValueError, match="wave speeds"):
+        wavespeeds(make_model("euler2d"), np.zeros((3, 4)))
+
+
+def test_swe_wavespeeds_are_the_quasilinear_eigenvalue_radii():
+    rng = np.random.default_rng(13)
+    m = make_model("swe2d")
+    for trial in range(20):
+        U = sample_state(m, (5, 4), rng)
+        calA, calB = swe_quasilinear(U)
+        speeds = wavespeeds(m, U)
+        for ax, M in enumerate((calA, calB)):
+            eig = np.linalg.eigvals(np.moveaxis(M.reshape(3, 3, -1), -1, 0))
+            radius = float(np.max(np.abs(eig)))
+            assert abs(speeds[ax] - radius) <= 1e-12 * radius
+
+
+def test_swe_wavespeeds_do_not_depend_on_the_splitting():
+    U = sample_state(make_model("swe2d"), (6, 5), np.random.default_rng(14))
+    ref = wavespeeds(make_model("swe2d"), U)
+    for a in (-2.0, -1.0, 0.0, 1.0, 2.0):
+        for b in (-2.0, -1.0, 0.0, 1.0, 2.0):
+            assert wavespeeds(make_model("swe2d", alpha=a, beta=b), U) == ref
 
 
 def test_admissibility_and_sampling():

@@ -242,6 +242,17 @@ def test_cfl_violation_raises():
         march(sc)
 
 
+def test_cfl_guard_uses_the_burgers_speed_u():
+    # limit 0.2 * (1/64) / max|u| = 0.003125 < dt; the spectral radius of
+    # A = u/3 would allow dt up to three times that
+    m, g, ops = burgers_setup(n=64)
+    u0 = np.sin(2 * np.pi * g.coords[0])[None]
+    sc = Scenario(model=m, grid=g, ops=ops, mode="nonlinear", initial=u0,
+                  dt=0.005, t_final=0.05, cfl=0.2)
+    with pytest.raises(RuntimeError, match="CFL"):
+        march(sc)
+
+
 def test_blow_up_guard_raises():
     m, g, ops = burgers_setup()
     u0 = (0.4 * np.sin(2 * np.pi * g.coords[0]))[None]
