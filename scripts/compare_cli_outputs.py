@@ -17,7 +17,10 @@ The matrix: `run` on every bundled scenario; `verify all --seed 3
 swe_coriolis_periodic (16,32,64); `analyze-boundary` for swe2d
 nonlinear_rewritten, swe2d linearised with --alpha 0.3, euler2d, euler2d
 linearised at a state with a zero eigenvalue (whose printed digits would
-otherwise show the eigensolver's rounding) and euler3d_cyl at radius 0.8.
+otherwise show the eigensolver's rounding) and euler3d_cyl at radius 0.8;
+and two refusals, so the bytes of the refusal path are checked too: `run`
+on a config with `stride = ten` (written into the case's directory first)
+and `analyze-boundary --alpha nan`.
 """
 
 from __future__ import annotations
@@ -28,6 +31,27 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+STRIDE_TYPO_CFG = """\
+[model]
+kind = burgers1d
+
+[grid]
+extents = 0,1
+shape = 64
+periodic = true
+
+[scheme]
+order = 4,2
+mode = nonlinear
+dt = 0.005
+t_final = 0.5
+stride = ten
+
+[initial]
+family = trig
+comp0 = 0.0 0.1 sin:1
+"""
 
 FIXED_CASES = {
     "verify_all": ["verify", "all", "--seed", "3", "--trials", "7"],
@@ -50,7 +74,14 @@ FIXED_CASES = {
     "boundary_euler3d_cyl": ["analyze-boundary", "--model", "euler3d_cyl",
                              "--state", "1,0,0,1", "--normal", "1,0,0",
                              "--radius", "0.8"],
+    "refuse_stride_typo": ["run", "--config", "stride_typo.cfg"],
+    "refuse_alpha_nan": ["analyze-boundary", "--model", "swe2d",
+                         "--state", "1,0.5,0", "--normal", "1,0",
+                         "--alpha", "nan", "--formulation", "linearised"],
 }
+
+# Files written into a case's working directory before it runs.
+CASE_FILES = {"refuse_stride_typo": {"stride_typo.cfg": STRIDE_TYPO_CFG}}
 
 
 def package_root(path: str) -> Path:
@@ -73,8 +104,10 @@ def cases(roots) -> dict:
     return out
 
 
-def run_case(root: Path, argv, cwd: Path) -> dict:
+def run_case(root: Path, argv, cwd: Path, written: dict) -> dict:
     cwd.mkdir(parents=True)
+    for name, text in written.items():
+        (cwd / name).write_text(text)
     env = dict(os.environ, PYTHONPATH=str(root))
     proc = subprocess.run([sys.executable, "-m", "skewform.cli", *argv,
                            "--out-dir", "out"],
@@ -110,7 +143,8 @@ def main(argv=None) -> int:
         matrix = cases(roots.values())
         bad = 0
         for case, cli_args in matrix.items():
-            got = {tree: run_case(root, cli_args, work / tree / case)
+            got = {tree: run_case(root, cli_args, work / tree / case,
+                                  CASE_FILES.get(case, {}))
                    for tree, root in roots.items()}
             found = differences(got["parent"], got["change"])
             print(f"{case}: {'differs' if found else 'identical'}"

@@ -46,7 +46,6 @@ from .sbp_core import (
     faces,
     inner_product,
     make_grid,
-    position_arrays,
 )
 from .spatial_op import (
     CoeffMode,
@@ -118,7 +117,6 @@ __all__ = [
     "march",
     "new_linearised",
     "nonlinear",
-    "position_arrays",
     "report_from_residual",
     "rk4_step",
     "sample_state",

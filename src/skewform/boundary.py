@@ -68,8 +68,8 @@ def make_sat_config(entries: dict) -> SatConfig:
             raise ValueError(
                 f"unknown closure '{closure.kind}'; try one of {_CLOSURE_KINDS}"
             )
-        if not closure.scale > 0.0:
-            raise ValueError(f"penalty scale must be positive, got {closure.scale}")
+        if not 0.0 < closure.scale < np.inf:
+            raise ValueError(f"penalty scale must be positive and finite, got {closure.scale}")
         for value in (closure.g, closure.g2, closure.g3):
             if not np.isfinite(value):
                 raise ValueError("boundary data must be finite")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -37,7 +38,7 @@ from .boundary import (
 )
 from .energy import energy_report
 from .models import MODEL_KINDS, make_model, sample_state, swe_transform
-from .sbp_core import build_operators, face_label, faces, make_grid, position_arrays
+from .sbp_core import build_operators, face_label, faces, make_grid
 from .spatial_op import dual, frozen, nonlinear
 from .timeint import MODES, Scenario, march, validate_scenario
 from .verify import (
@@ -65,14 +66,6 @@ _SCHEMA = {
     "sat": None,
     "identity": frozenset({"trials", "seed", "mode"}),
     "output": frozenset({"prefix"}),
-}
-
-# State component names per model, for final-state file headers.
-_COMPONENTS = {
-    "burgers1d": ("u",),
-    "euler2d": ("u", "v", "p"),
-    "euler3d_cyl": ("u", "v", "w", "p"),
-    "swe2d": ("U1", "U2", "U3"),
 }
 
 
@@ -146,14 +139,22 @@ def _line(cfg, section, key):
     return cfg.get(section, {}).get(key, ("", 0))[1]
 
 
-def _parse_float(cfg, section, key, value, path):
+def _at(cfg, section, key, path):
+    """Where a config key is, for messages: <cfg>:<line>: 'key'."""
+    return f"{path}:{_line(cfg, section, key)}: '{key}'"
+
+
+def _number(text, where, kind=float, error=ConfigError):
+    """text as a finite float, or an int for kind=int.  Anything else
+    raises error, naming where (see _at, or a command line option)."""
     try:
-        return float(value)
+        value = kind(text)
+        if kind is int or math.isfinite(value):
+            return value
     except ValueError:
-        raise ConfigError(
-            f"{path}:{_line(cfg, section, key)}: '{key}' must be a number,"
-            f" got {value!r}"
-        )
+        pass
+    noun = "an integer" if kind is int else "a finite number"
+    raise error(f"{where} must be {noun}, got {text!r}")
 
 
 def _parse_axes(value: str):
@@ -166,7 +167,7 @@ def build_model(cfg, path):
     for key in ("alpha", "beta", "f0", "f1"):
         value = _get(cfg, "model", key)
         if value is not None:
-            params[key] = _parse_float(cfg, "model", key, value, path)
+            params[key] = _number(value, _at(cfg, "model", key, path))
     try:
         return make_model(kind, **params)
     except ValueError as exc:
@@ -190,14 +191,10 @@ def build_grid(cfg, model, path):
                 f"{path}:{_line(cfg, 'grid', 'extents')}: each axis extent is"
                 f" 'lo,hi', got {part!r}"
             )
-        extents.append((float(pieces[0]), float(pieces[1])))
-    try:
-        shape = tuple(int(part) for part in raw_shape)
-    except ValueError:
-        raise ConfigError(
-            f"{path}:{_line(cfg, 'grid', 'shape')}: shape entries must be"
-            f" integers, got {raw_shape}"
-        )
+        extents.append(tuple(_number(piece, _at(cfg, "grid", "extents", path))
+                             for piece in pieces))
+    shape = tuple(_number(part, _at(cfg, "grid", "shape", path), int)
+                  for part in raw_shape)
     periodic = None
     if raw_periodic is not None:
         flags = []
@@ -244,18 +241,17 @@ def build_field(cfg, section, model, grid, path):
             f"{path}: primitive variables apply to swe2d only"
         )
     comps = []
-    pos = position_arrays(grid)
     for c in range(model.n_comp):
         key = f"comp{c}"
         value = _get(cfg, section, key)
+        where = _at(cfg, section, key, path)
         if value is None:
             raise ConfigError(
                 f"{path}: [{section}] is missing '{key}' for model"
                 f" '{model.kind}' ({model.n_comp} components)"
             )
         if family == "constant":
-            comps.append(np.full(grid.shape,
-                                 _parse_float(cfg, section, key, value, path)))
+            comps.append(np.full(grid.shape, _number(value, where)))
         elif family == "trig":
             tokens = value.split()
             if len(tokens) != 2 + grid.dim:
@@ -264,8 +260,8 @@ def build_field(cfg, section, model, grid, path):
                     f" 'offset amp' plus {grid.dim} axis factors,"
                     f" got {value!r}"
                 )
-            offset = _parse_float(cfg, section, key, tokens[0], path)
-            amp = _parse_float(cfg, section, key, tokens[1], path)
+            offset = _number(tokens[0], where)
+            amp = _number(tokens[1], where)
             wave = np.ones(grid.shape)
             for ax, token in enumerate(tokens[2:]):
                 if token == "one":
@@ -277,7 +273,8 @@ def build_field(cfg, section, model, grid, path):
                         f" 'one', 'sin:k', or 'cos:k', got {token!r}"
                     )
                 fn = np.sin if name == "sin" else np.cos
-                wave = wave * fn(2.0 * np.pi * int(k) * pos[ax])
+                wave = wave * fn(2.0 * np.pi * _number(k, where, int)
+                                 * grid.positions[ax])
             comps.append(offset + amp * wave)
         else:
             raise ConfigError(
@@ -312,7 +309,7 @@ def build_sat_from_config(cfg, grid, path):
                     f"{path}:{lineno}: closure options are g=, g2=, g3=,"
                     f" scale=, got {token!r}"
                 )
-            kwargs[name] = float(val)
+            kwargs[name] = _number(val, f"{path}:{lineno}: '{name}'")
         entries[key] = FaceClosure(kind=tokens[0], **kwargs)
     try:
         sat = make_sat_config(entries)
@@ -330,7 +327,8 @@ def build_scheme(cfg, path):
             f"{path}:{_line(cfg, 'scheme', 'order')}: order is two integers"
             f" like '4,2', got {order_raw!r}"
         )
-    order = (int(pieces[0]), int(pieces[1]))
+    order = tuple(_number(piece, _at(cfg, "scheme", "order", path), int)
+                  for piece in pieces)
     mode = _need(cfg, "scheme", "mode", path)
     if mode not in RUN_MODES:
         raise ConfigError(
@@ -340,15 +338,21 @@ def build_scheme(cfg, path):
     return order, mode
 
 
-def _scheme_float(cfg, key, default, path):
-    value = _get(cfg, "scheme", key)
-    if value is None:
-        if default is None:
+def _march_fields(cfg, grid, path) -> dict:
+    """The Scenario fields a marching config sets: dt, t_final, cfl,
+    stride and sat."""
+
+    def scheme(key, default=None, kind=float):
+        text = _get(cfg, "scheme", key, default)
+        if text is None:
             raise ConfigError(
                 f"{path}: [scheme] requires '{key}' for marching modes"
             )
-        return default
-    return _parse_float(cfg, "scheme", key, value, path)
+        return _number(text, _at(cfg, "scheme", key, path), kind)
+
+    return dict(dt=scheme("dt"), t_final=scheme("t_final"),
+                cfl=scheme("cfl", "0.2"), stride=scheme("stride", "1", int),
+                sat=build_sat_from_config(cfg, grid, path))
 
 
 def _load_config(spec: str) -> tuple[str, str]:
@@ -388,7 +392,6 @@ def write_reports_csv(target, grid, reports) -> None:
 
 
 def write_final_state(target, model, grid, state) -> None:
-    comps = _COMPONENTS[model.kind]
     idx_cols = " ".join(f"i_{name}" for name in grid.axis_names)
     with open(target, "w") as fh:
         fh.write("# skewform final state\n")
@@ -400,7 +403,7 @@ def write_final_state(target, model, grid, state) -> None:
                 f" n={grid.shape[ax]} periodic={str(grid.periodic[ax]).lower()}\n"
             )
         fh.write(f"# layout: one node per line, C order; columns: {idx_cols} "
-                 + " ".join(comps) + "\n")
+                 + " ".join(model.components) + "\n")
         for index in np.ndindex(*grid.shape):
             values = " ".join(repr(float(state[(c,) + index]))
                               for c in range(model.n_comp))
@@ -408,14 +411,9 @@ def write_final_state(target, model, grid, state) -> None:
 
 
 def _identity_mode(kind, model, grid, rng):
-    if kind == "nonlinear":
-        return nonlinear()
     if kind == "frozen":
         return frozen(sample_state(model, grid.shape, rng))
-    if kind == "dual":
-        return dual()
-    raise ConfigError(f"[identity] mode must be nonlinear, frozen, or dual,"
-                      f" got '{kind}'")
+    return nonlinear() if kind == "nonlinear" else dual()
 
 
 def build_scenarios(cfg, path, mode, prefix, model, grid, ops, **scheme):
@@ -464,14 +462,18 @@ def build_scenarios(cfg, path, mode, prefix, model, grid, ops, **scheme):
 
 
 def run_identity(cfg, model, grid, ops, path):
-    trials_raw = _get(cfg, "identity", "trials", "50")
-    seed_raw = _get(cfg, "identity", "seed", "0")
+    where = {key: _at(cfg, "identity", key, path)
+             for key in ("trials", "seed", "mode")}
+    trials = _number(_get(cfg, "identity", "trials", "50"), where["trials"], int)
+    seed = _number(_get(cfg, "identity", "seed", "0"), where["seed"], int)
     mode_kind = _get(cfg, "identity", "mode", "nonlinear")
-    try:
-        trials = int(trials_raw)
-        seed = int(seed_raw)
-    except ValueError:
-        raise ConfigError(f"{path}: [identity] trials and seed are integers")
+    if trials < 1:
+        raise ConfigError(f"{where['trials']} must be at least 1, got {trials}")
+    if seed < 0:
+        raise ConfigError(f"{where['seed']} must be at least 0, got {seed}")
+    if mode_kind not in ("nonlinear", "frozen", "dual"):
+        raise ConfigError(f"{where['mode']} must be nonlinear, frozen or dual,"
+                          f" got {mode_kind!r}")
     reports = []
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
@@ -501,14 +503,8 @@ def cmd_run(args) -> int:
               f" max |volume_residual| {worst:.3e})")
         return 0
 
-    runs = build_scenarios(
-        cfg, display, mode, prefix, model, grid, ops,
-        dt=_scheme_float(cfg, "dt", None, display),
-        t_final=_scheme_float(cfg, "t_final", None, display),
-        stride=int(_get(cfg, "scheme", "stride", "1")),
-        cfl=_scheme_float(cfg, "cfl", 0.2, display),
-        sat=build_sat_from_config(cfg, grid, display),
-    )
+    runs = build_scenarios(cfg, display, mode, prefix, model, grid, ops,
+                           **_march_fields(cfg, grid, display))
     results = []
     try:
         for name, sc in runs:
@@ -565,12 +561,15 @@ def cmd_verify(args) -> int:
 
 def cmd_analyze_boundary(args) -> int:
     model = make_model(args.model)
-    state = np.array([float(v) for v in args.state.split(",")])
-    normal = tuple(float(v) for v in args.normal.split(","))
+    state = np.array([_number(v, "--state", error=ValueError)
+                      for v in args.state.split(",")])
+    normal = tuple(_number(v, "--normal", error=ValueError)
+                   for v in args.normal.split(","))
     pos = None
     if args.model == "euler3d_cyl":
-        if args.radius is None:
-            raise ValueError("euler3d_cyl face states need --radius")
+        if args.radius is None or not 0.0 < args.radius < math.inf:
+            raise ValueError("euler3d_cyl face states need a finite --radius > 0,"
+                             f" got {args.radius}")
         pos = (np.float64(args.radius),) + (np.float64(0.0),) * 2
     analysis = analyze_boundary(
         model,
@@ -602,7 +601,8 @@ def _shared_nodes_error(coarse, fine) -> float:
 
 
 def cmd_convergence(args) -> int:
-    levels = [int(v) for v in args.levels.split(",")]
+    levels = [_number(v, "--levels", int, ValueError)
+              for v in args.levels.split(",")]
     if len(levels) < 3:
         raise ValueError("need at least 3 refinement levels")
     text, display = _load_config(args.config)
@@ -613,10 +613,9 @@ def cmd_convergence(args) -> int:
     if mode in ("identity", "standard_vs_new"):
         raise ConfigError(f"{display}: convergence studies need a single"
                           " marching mode")
-    dt0 = _scheme_float(cfg, "dt", None, display)
-    t_final = _scheme_float(cfg, "t_final", None, display)
-    cfl = _scheme_float(cfg, "cfl", 0.2, display)
-    sat = build_sat_from_config(cfg, base_grid, display)
+    # The config's stride is checked but unused: only the final states count.
+    fields = _march_fields(cfg, base_grid, display) | {"stride": 10 ** 9}
+    dt0 = fields.pop("dt")
 
     # Every level is built and validated before any is marched.
     scenarios = []
@@ -635,9 +634,7 @@ def cmd_convergence(args) -> int:
         # stays below the spatial error and t_final a whole number of steps.
         [(_, sc)] = build_scenarios(
             cfg, display, mode, "", model, grid, build_operators(grid, order),
-            dt=dt0 * 0.25 ** k, t_final=t_final, sat=sat,
-            stride=10 ** 9, cfl=cfl,
-        )
+            dt=dt0 * 0.25 ** k, **fields)
         scenarios.append(sc)
 
     finals = []
@@ -654,7 +651,7 @@ def cmd_convergence(args) -> int:
         vr_initial.append(reports[0].volume_residual)
 
     print(f"solution self-convergence ({order[0]},{order[1]}), final time"
-          f" {t_final}:")
+          f" {fields['t_final']}:")
     rows = []
     errors = []
     for k in range(len(levels) - 1):

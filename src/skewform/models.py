@@ -28,17 +28,15 @@ import numpy as np
 
 from .sbp_core import Grid
 
-MODEL_KINDS = ("burgers1d", "euler2d", "euler3d_cyl", "swe2d")
-
-_AXIS_NAMES = {
-    "burgers1d": ("x",),
-    "euler2d": ("x", "y"),
-    "euler3d_cyl": ("r", "theta", "z"),
-    "swe2d": ("x", "y"),
+# Per kind: the state component names (final-state file headers) and the
+# axis names; n_comp and dim are their lengths.
+_CATALOGUE = {
+    "burgers1d": (("u",), ("x",)),
+    "euler2d": (("u", "v", "p"), ("x", "y")),
+    "euler3d_cyl": (("u", "v", "w", "p"), ("r", "theta", "z")),
+    "swe2d": (("U1", "U2", "U3"), ("x", "y")),
 }
-
-_N_COMP = {"burgers1d": 1, "euler2d": 3, "euler3d_cyl": 4, "swe2d": 3}
-_DIM = {"burgers1d": 1, "euler2d": 2, "euler3d_cyl": 3, "swe2d": 2}
+MODEL_KINDS = tuple(_CATALOGUE)
 
 # Depth floor for the shallow water transform; sqrt and 1/sqrt must stay
 # well conditioned.
@@ -48,13 +46,20 @@ _DEPTH_FLOOR = 1e-10
 @dataclass(frozen=True)
 class ModelSpec:
     kind: str
-    n_comp: int
-    dim: int
+    components: tuple[str, ...]
     axis_names: tuple[str, ...]
     alpha: float = 1.0
     beta: float = 1.0
     f0: float = 0.0
     f1: float = 0.0
+
+    @property
+    def n_comp(self) -> int:
+        return len(self.components)
+
+    @property
+    def dim(self) -> int:
+        return len(self.axis_names)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,21 +87,19 @@ def make_model(kind: str, **params) -> ModelSpec:
     unknown = set(params) - allowed
     if unknown:
         raise ValueError(f"model '{kind}' does not accept parameters {sorted(unknown)}")
-    return ModelSpec(
-        kind=kind,
-        n_comp=_N_COMP[kind],
-        dim=_DIM[kind],
-        axis_names=_AXIS_NAMES[kind],
-        **{k: float(v) for k, v in params.items()},
-    )
+    components, axis_names = _CATALOGUE[kind]
+    return with_params(ModelSpec(kind, components, axis_names), **params)
 
 
 def with_params(model: ModelSpec, **params) -> ModelSpec:
     """A copy of model with the given parameters replaced; None values
-    leave the parameter as it is."""
+    leave the parameter as it is.  Parameters must be finite."""
     params = {k: float(v) for k, v in params.items() if v is not None}
     if model.kind != "swe2d" and params:
         raise ValueError(f"model '{model.kind}' does not accept parameters {sorted(params)}")
+    bad = sorted(k for k, v in params.items() if not np.isfinite(v))
+    if bad:
+        raise ValueError(f"model parameters {bad} must be finite")
     return replace(model, **params)
 
 

@@ -267,11 +267,6 @@ def make_grid(
     )
 
 
-def position_arrays(grid: Grid) -> tuple[np.ndarray, ...]:
-    """Per-axis coordinate arrays broadcast to the full grid shape."""
-    return grid.positions
-
-
 def build_operators(grid: Grid, order: tuple[int, int]) -> tuple[SbpOperator1D, ...]:
     """One operator per grid axis, periodic where the grid is."""
     return tuple(
@@ -401,8 +396,3 @@ def boundary_quadrature(grid: Grid, ops, u: np.ndarray, v: np.ndarray,
         w = w * ops[a].P.reshape(reshape)
         pos += 1
     return sign * _seq_sum(s * w)
-
-
-def state_zeros(n_comp: int, grid: Grid) -> np.ndarray:
-    """A zero state field of shape (n_comp, *grid.shape)."""
-    return np.zeros((int(n_comp),) + grid.shape)

@@ -32,7 +32,6 @@ from .sbp_core import (
     apply_derivative,
     boundary_quadrature,
     face_label,
-    position_arrays,
 )
 
 
@@ -167,7 +166,7 @@ def eval_primal_residual(
         V = mode.field
     else:
         raise ValueError(f"unknown coefficient mode '{mode.kind}'")
-    A, C = coeff_matrices(model, V, position_arrays(grid))
+    A, C = coeff_matrices(model, V, grid.positions)
     return _residual(model, grid, ops, _assemble(grid, ops, A, C, U), A, U,
                      sat, forcing)
 
@@ -193,7 +192,7 @@ def eval_dual_residual(
     if mode.kind not in ("dual", "frozen"):
         raise ValueError("dual residuals take a dual (or frozen) coefficient mode")
     V = Phi if mode.field is None else mode.field
-    A, C = coeff_matrices(model, V, position_arrays(grid))
+    A, C = coeff_matrices(model, V, grid.positions)
     return _residual(model, grid, ops, -_assemble(grid, ops, A, C, Phi), A, Phi,
                      sat, forcing)
 
@@ -217,7 +216,7 @@ def eval_new_linearised_pair(
     """
     U_bar = np.asarray(U_bar, dtype=np.float64)
     U_prime = np.asarray(U_prime, dtype=np.float64)
-    pos = position_arrays(grid)
+    pos = grid.positions
     A_tot, C_tot = coeff_matrices(model, U_bar + U_prime, pos)
     res_mean = _residual(model, grid, ops, _assemble(grid, ops, A_tot, C_tot, U_bar),
                          A_tot, U_bar, sat_mean)
@@ -243,7 +242,7 @@ def eval_remainder_H(
     """
     U_bar = np.asarray(U_bar, dtype=np.float64)
     U_prime = np.asarray(U_prime, dtype=np.float64)
-    split = coeff_split(model, U_bar, U_prime, position_arrays(grid))
+    split = coeff_split(model, U_bar, U_prime, grid.positions)
     return _assemble(grid, ops, split.A_prime, split.C_prime, U_prime)
 
 
@@ -306,7 +305,7 @@ def _swe_standard_matrices(model: ModelSpec, grid: Grid, ops, qbar: np.ndarray):
     dqy = apply_derivative(ops[1], qbar, 1)
     f = model.f0
     if model.f1 != 0.0:
-        f = model.f0 + model.f1 * position_arrays(grid)[1]
+        f = model.f0 + model.f1 * grid.positions[1]
     N = np.zeros((3, 3) + grid.shape)
     N[0, 0] = dqx[1] + dqy[2]
     N[0, 1] = dqx[0]
@@ -333,7 +332,7 @@ def bilinear_face_functional(
     ip(Phi, R_primal(U; V)) - ip(U, R_dual_spatial(Phi; V)) up to roundoff
     and collapses to twice the energy-identity flux at Phi = U.
     """
-    A, _ = coeff_matrices(model, V, position_arrays(grid))
+    A, _ = coeff_matrices(model, V, grid.positions)
     total = 0.0
     for ax in range(grid.dim):
         if grid.periodic[ax]:

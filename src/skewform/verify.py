@@ -32,7 +32,6 @@ from .sbp_core import (
     build_operators,
     inner_product,
     make_grid,
-    position_arrays,
 )
 from .spatial_op import (
     bilinear_face_functional,
@@ -210,7 +209,7 @@ def check_duality(kinds=MODEL_KINDS, trials: int = 50,
 
 def ansatz_defect(model, grid, ops, U) -> float:
     """sup norm of (A_j U)_xj + A_j^T U_xj - calA_j U_xj over both axes."""
-    A, _ = coeff_matrices(model, U, pos=position_arrays(grid))
+    A, _ = coeff_matrices(model, U, pos=grid.positions)
     cal = swe_quasilinear(U)
     worst = 0.0
     for ax in range(2):

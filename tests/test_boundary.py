@@ -134,6 +134,8 @@ def test_sat_config_validation():
     with pytest.raises(ValueError, match="positive"):
         make_sat_config({"x_low": {"kind": "characteristic", "scale": 0.0}})
     with pytest.raises(ValueError, match="finite"):
+        make_sat_config({"x_low": {"kind": "characteristic", "scale": np.inf}})
+    with pytest.raises(ValueError, match="finite"):
         make_sat_config({"x_low": {"kind": "characteristic", "g": np.inf}})
     g = make_grid(((0.0, 1.0), (0.0, 1.0)), (8, 8), periodic=(False, True))
     with pytest.raises(ValueError, match="bad face label"):

@@ -174,6 +174,7 @@ def test_final_state_file_round_trips(tmp_path):
     header = [ln for ln in lines if ln.startswith("#")]
     data = [ln for ln in lines if not ln.startswith("#")]
     assert any("burgers1d" in ln for ln in header)
+    assert header[-1].endswith("columns: i_x u")
     assert len(data) == 48
     first = data[0].split()
     assert first[0] == "0"
@@ -240,6 +241,30 @@ def test_analyze_boundary_glancing_exits_2():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["--model", "swe2d", "--state", "1,0.5,0", "--normal", "1,0",
+      "--formulation", "linearised", "--alpha", "nan"], "alpha"),
+    (["--model", "swe2d", "--state", "1,0.5,0", "--normal", "1,0",
+      "--beta", "inf"], "beta"),
+    (["--model", "swe2d", "--state", "1,0.5,0", "--normal", "inf,0"], "--normal"),
+    (["--model", "swe2d", "--state", "1,half,0", "--normal", "1,0"], "--state"),
+    (["--model", "euler3d_cyl", "--state", "1,0,0,1", "--normal", "1,0,0",
+      "--radius", "0"], "--radius"),
+    (["--model", "euler3d_cyl", "--state", "1,0,0,1", "--normal", "1,0,0",
+      "--radius=-1"], "--radius"),
+    (["--model", "euler3d_cyl", "--state", "1,0,0,1", "--normal", "1,0,0",
+      "--radius", "nan"], "--radius"),
+], ids=["alpha_nan", "beta_inf", "normal_inf", "state_typo", "radius_zero",
+        "radius_negative", "radius_nan"])
+def test_analyze_boundary_refuses_bad_numbers(tmp_path, argv, option):
+    out_dir = tmp_path / "o"
+    code, out, err = run_main(["analyze-boundary", *argv, "--out-dir", str(out_dir)])
+    assert code == 2
+    assert out == ""
+    assert option in err
+    assert not out_dir.exists()
+
+
 def test_analyze_boundary_cylindrical_needs_radius():
     code, _, err = run_main([
         "analyze-boundary", "--model", "euler3d_cyl", "--state", "1,0.5,0.2,0.3",
@@ -255,6 +280,11 @@ def test_convergence_needs_three_levels(tmp_path):
     code, _, err = run_main(["convergence", "--config", "burgers_periodic",
                              "--levels", "16,32", "--out", str(tmp_path)])
     assert code == 2
+    code, out, err = run_main(["convergence", "--config", "burgers_periodic",
+                               "--levels", "24,x,96"])
+    assert code == 2
+    assert out == ""
+    assert "--levels must be an integer, got 'x'" in err
 
 
 def test_convergence_reports_the_design_order(tmp_path):
@@ -303,33 +333,105 @@ def test_bounded_convergence_levels_end_at_t_final(tmp_path, monkeypatch):
         assert abs(s - round(s)) <= 1e-9 * s
 
 
-@pytest.mark.parametrize("edit", [
+def with_sat(closure):
+    """BURGERS_CFG on a bounded grid with the x_low closure on line 25."""
+    return (lambda text: text.replace("periodic = true", "periodic = false")
+            + f"\n[sat]\nx_low = {closure}\nx_high = characteristic\n")
+
+
+@pytest.mark.parametrize("edit, line", [
     # frozen mode without a [coefficient] section
-    lambda text: text.replace("mode = nonlinear", "mode = frozen"),
+    (lambda text: text.replace("mode = nonlinear", "mode = frozen"), None),
     # t_final shorter than one step
-    lambda text: text.replace("t_final = 0.1", "t_final = 0.001"),
+    (lambda text: text.replace("t_final = 0.1", "t_final = 0.001"), None),
     # non-finite scheme values
-    lambda text: text.replace("t_final = 0.1", "t_final = nan"),
-    lambda text: text.replace("t_final = 0.1", "t_final = inf"),
-    lambda text: text.replace("stride = 5", "stride = 5\ncfl = inf"),
+    (lambda text: text.replace("t_final = 0.1", "t_final = nan"), None),
+    (lambda text: text.replace("t_final = 0.1", "t_final = inf"), None),
+    (lambda text: text.replace("stride = 5", "stride = 5\ncfl = inf"), None),
     # 25.5 steps: the march would stop half a step short of t_final
-    lambda text: text.replace("t_final = 0.1", "t_final = 0.102"),
+    (lambda text: text.replace("t_final = 0.1", "t_final = 0.102"), None),
     # t_final / dt overflows to inf
-    lambda text: text.replace("dt = 0.004", "dt = 1e-310"),
+    (lambda text: text.replace("dt = 0.004", "dt = 1e-310"), None),
+    # every number the config holds is a finite float or an integer,
+    # refused at its own line
+    (lambda text: text.replace("kind = burgers1d", "kind = swe2d\nalpha = nan"), 4),
+    (lambda text: text.replace("kind = burgers1d", "kind = swe2d\nf0 = inf"), 4),
+    (lambda text: text.replace("extents = 0,1", "extents = 0,one"), 6),
+    (lambda text: text.replace("extents = 0,1", "extents = 0,inf"), 6),
+    (lambda text: text.replace("shape = 48", "shape = forty"), 7),
+    (lambda text: text.replace("order = 4,2", "order = 4,x"), 11),
+    (lambda text: text.replace("stride = 5", "stride = ten"), 15),
+    (lambda text: text.replace("stride = 5", "stride = 2.5"), 15),
+    (lambda text: text.replace("sin:1", "sin:one"), 19),
+    (lambda text: text.replace("comp0 = 0.0 0.1", "comp0 = nan 0.1"), 19),
+    (lambda text: text.replace("comp0 = 0.0 0.1", "comp0 = 0.0 inf"), 19),
+    (lambda text: text.replace("family = trig\ncomp0 = 0.0 0.1 sin:1",
+                               "family = constant\ncomp0 = inf"), 19),
+    (with_sat("characteristic g=zero"), 25),
+    (with_sat("swe_two_condition g2=1.0 g3=zero"), 25),
+    (with_sat("characteristic scale=inf"), 25),
 ], ids=["frozen_without_coefficient", "t_final_below_dt", "t_final_nan",
-        "t_final_inf", "cfl_inf", "t_final_not_whole_steps", "steps_overflow"])
-def test_malformed_scenarios_exit_2_in_run_and_convergence(tmp_path, edit):
+        "t_final_inf", "cfl_inf", "t_final_not_whole_steps", "steps_overflow",
+        "alpha_nan", "f0_inf", "extents_typo", "extents_inf", "shape_typo",
+        "order_typo", "stride_typo", "stride_fraction", "wavenumber_typo",
+        "trig_offset_nan", "trig_amp_inf", "constant_inf", "sat_g_typo",
+        "sat_g3_typo", "sat_scale_inf"])
+def test_malformed_scenarios_exit_2_in_run_and_convergence(tmp_path, edit, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(edit(BURGERS_CFG))
     out_dir = tmp_path / "o"
     code, out, err = run_main(["run", "--config", str(cfg), "--out", str(out_dir)])
     assert code == 2
     assert "config error" in err
+    assert out == ""
     assert not out_dir.exists()
+    if line is not None:
+        assert f"{cfg}:{line}: " in err
     # convergence builds and validates every level before it marches any
     code, out, err = run_main(["convergence", "--config", str(cfg),
                                "--levels", "24,48,96", "--out", str(out_dir)])
     assert code == 2
     assert "config error" in err and "run failed" not in err
     assert out == ""
+    assert not out_dir.exists()
+    if line is not None:
+        assert f"{cfg}:{line}: " in err
+
+
+IDENTITY_CFG = """
+[model]
+kind = euler2d
+
+[grid]
+extents = 0,1 / 0,1
+shape = 9 / 9
+
+[scheme]
+order = 2,1
+mode = identity
+
+[identity]
+trials = 3
+seed = 0
+mode = nonlinear
+"""
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("trials = 3", "trials = 0", 14),
+    ("trials = 3", "trials = -4", 14),
+    ("trials = 3", "trials = three", 14),
+    ("seed = 0", "seed = -1", 15),
+    ("seed = 0", "seed = 0.5", 15),
+    ("mode = nonlinear", "mode = bogus", 16),
+], ids=["trials_zero", "trials_negative", "trials_typo", "seed_negative",
+        "seed_fraction", "mode_unknown"])
+def test_identity_values_are_refused_before_any_output(tmp_path, old, new, line):
+    cfg = tmp_path / "identity.cfg"
+    cfg.write_text(IDENTITY_CFG.replace(old, new))
+    out_dir = tmp_path / "o"
+    code, out, err = run_main(["run", "--config", str(cfg), "--out", str(out_dir)])
+    assert code == 2
+    assert out == ""
+    assert f"config error: {cfg}:{line}: " in err
     assert not out_dir.exists()

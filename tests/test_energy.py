@@ -7,7 +7,7 @@ import skewform as sk
 from skewform.boundary import FaceClosure, build_sat, make_sat_config
 from skewform.energy import boundary_contraction, energy_report, total_energy
 from skewform.models import make_model, norm_weight, sample_state, swe_transform
-from skewform.sbp_core import build_operators, inner_product, make_grid, position_arrays, quadrature_weights
+from skewform.sbp_core import build_operators, inner_product, make_grid, quadrature_weights
 from skewform.spatial_op import dual, frozen, new_linearised, nonlinear
 
 
@@ -37,7 +37,7 @@ def test_cylindrical_energy_weights_by_the_radius():
     ops = build_operators(g, (2, 1))
     rng = np.random.default_rng(43)
     U = rng.normal(size=(4, 8, 8, 8))
-    R = position_arrays(g)[0]
+    R = g.positions[0]
     w = quadrature_weights(g, ops)
     manual = float(np.sum(w * R * (U[0] ** 2 + U[1] ** 2 + U[2] ** 2)))
     assert abs(total_energy(m, g, ops, U) - manual) <= 1e-13 * (1 + abs(manual))

@@ -19,7 +19,7 @@ from skewform.models import (
     wavespeeds,
     with_params,
 )
-from skewform.sbp_core import make_grid, position_arrays
+from skewform.sbp_core import make_grid
 
 ALL_KINDS = ("burgers1d", "euler2d", "euler3d_cyl", "swe2d")
 
@@ -49,6 +49,12 @@ def test_with_params_swaps_splitting_parameters():
     assert (m3.alpha, m3.beta) == (0.25, 0.75)
     burgers = make_model("burgers1d")
     assert with_params(burgers, alpha=None, beta=None) == burgers
+    # parameters must be finite, when made and when swapped
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            make_model("swe2d", f0=bad)
+        with pytest.raises(ValueError, match=r"\['beta'\] must be finite"):
+            with_params(m, alpha=0.5, beta=bad)
 
 
 def test_burgers_coefficient_is_a_third_of_the_state():
@@ -73,7 +79,7 @@ def test_swe_pinned_coefficient_and_coriolis_skewness():
     m = make_model("swe2d", alpha=1.0, beta=0.0, f0=0.7, f1=0.3)
     V = np.zeros((3, 2, 2))
     V[0] = 1.0
-    pos = position_arrays(make_grid(((0.0, 1.0), (0.0, 1.0)), (2, 2)))
+    pos = make_grid(((0.0, 1.0), (0.0, 1.0)), (2, 2)).positions
     A, C = coeff_matrices(m, V, pos=pos)
     assert np.array_equal(A[0][..., 0, 0], np.array([[0.0, -2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     # C + C^T = 0 exactly, with f = f0 + f1*y entering the (1,2) block
@@ -113,7 +119,7 @@ def test_cylindrical_norm_weight_carries_the_radius():
     g = make_grid(((0.3, 1.3), (0.0, 1.0), (0.0, 1.0)), (4, 4, 4),
                   periodic=(False, False, True), axis_names=m.axis_names)
     W = norm_weight(m, g)
-    R = position_arrays(g)[0]
+    R = g.positions[0]
     assert W.shape == (4, 4, 4, 4, 4)
     for c in range(3):
         assert np.array_equal(W[c, c], R)

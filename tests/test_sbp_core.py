@@ -14,9 +14,7 @@ from skewform.sbp_core import (
     inner_product,
     make_grid,
     parse_face,
-    position_arrays,
     quadrature_weights,
-    state_zeros,
 )
 
 ORDERS = [(2, 1), (4, 2)]
@@ -337,12 +335,9 @@ def test_apply_derivative_rejects_a_bad_axis():
         apply_derivative(op, np.zeros((1, 10)), axis=1)
 
 
-def test_state_zeros_and_position_arrays():
+def test_grid_positions():
     g = make_grid(((0.0, 1.0), (0.0, 2.0)), (5, 6))
-    z = state_zeros(3, g)
-    assert z.shape == (3, 5, 6)
-    assert not z.any()
-    X, Y = position_arrays(g)
+    X, Y = g.positions
     assert X.shape == (5, 6) and Y.shape == (5, 6)
     assert X[2, 0] == g.coords[0][2]
     assert Y[0, 3] == g.coords[1][3]
