@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ModelSpec, check_admissible, coeff_matrices, with_params
-from .sbp_core import Grid, parse_face
+from .sbp_core import Grid, face_layer, parse_face
 
 # Non-glancing thresholds for the rewritten formulation and the
 # two-condition SAT.
@@ -162,9 +162,7 @@ def _sat_swe_two_condition(model, grid, ops, U, field, ax, side, closure):
     idx = 0 if side == "low" else grid.shape[ax] - 1
     outward = -1.0 if side == "low" else 1.0
     normal = (outward, 0.0) if ax == 0 else (0.0, outward)
-    take = [slice(None)] * 3
-    take[ax + 1] = idx
-    Uf = U[tuple(take)]
+    Uf = face_layer(grid, U, (ax, side))
     un = normal[0] * Uf[1] + normal[1] * Uf[2]
     utau = -normal[1] * Uf[1] + normal[0] * Uf[2]
     root = np.sqrt(Uf[0])
@@ -179,8 +177,7 @@ def _sat_swe_two_condition(model, grid, ops, U, field, ax, side, closure):
         2.0 * np.abs(safe_un) * root * usq
     )
     sigma = np.where(active, sigma, 0.0) / ops[ax].P[idx]
-    for c in range(3):
-        field[(c,) + tuple(take[1:])] += sigma * Uf[c]
+    face_layer(grid, field, (ax, side))[...] += sigma * Uf
 
 
 def _zero_tolerance(eigs: np.ndarray) -> float:
@@ -262,6 +259,9 @@ def analyze_boundary(
     normal = tuple(float(c) for c in normal)
     if len(normal) != model.dim:
         raise ValueError(f"normal has {len(normal)} components, model is {model.dim}D")
+    length = float(np.linalg.norm(normal))
+    if not abs(length - 1.0) <= 1e-6:
+        raise ValueError(f"normal must have unit length, got length {length!r}")
     check_admissible(model, state)
     model = with_params(model, alpha=alpha, beta=beta)
     a_out = model.alpha if model.kind == "swe2d" else None

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import sys
 from importlib import resources
@@ -38,7 +39,7 @@ from .boundary import (
 )
 from .energy import energy_report
 from .models import MODEL_KINDS, make_model, sample_state, swe_transform
-from .sbp_core import build_operators, face_label, faces, make_grid
+from .sbp_core import ACCURACIES, build_operators, face_label, faces, make_grid
 from .spatial_op import dual, frozen, nonlinear
 from .timeint import MODES, Scenario, march, validate_scenario
 from .verify import (
@@ -329,6 +330,9 @@ def build_scheme(cfg, path):
         )
     order = tuple(_number(piece, _at(cfg, "scheme", "order", path), int)
                   for piece in pieces)
+    if order not in ACCURACIES:
+        raise ConfigError(f"{_at(cfg, 'scheme', 'order', path)} must be one of"
+                          f" {ACCURACIES}, got {order}")
     mode = _need(cfg, "scheme", "mode", path)
     if mode not in RUN_MODES:
         raise ConfigError(
@@ -350,9 +354,12 @@ def _march_fields(cfg, grid, path) -> dict:
             )
         return _number(text, _at(cfg, "scheme", key, path), kind)
 
-    return dict(dt=scheme("dt"), t_final=scheme("t_final"),
-                cfl=scheme("cfl", "0.2"), stride=scheme("stride", "1", int),
-                sat=build_sat_from_config(cfg, grid, path))
+    stride = scheme("stride", "1", int)
+    if stride < 1:
+        raise ConfigError(f"{_at(cfg, 'scheme', 'stride', path)} must be at least 1,"
+                          f" got {stride}")
+    return dict(dt=scheme("dt"), t_final=scheme("t_final"), cfl=scheme("cfl", "0.2"),
+                stride=stride, sat=build_sat_from_config(cfg, grid, path))
 
 
 def _load_config(spec: str) -> tuple[str, str]:
@@ -404,10 +411,10 @@ def write_final_state(target, model, grid, state) -> None:
             )
         fh.write(f"# layout: one node per line, C order; columns: {idx_cols} "
                  + " ".join(model.components) + "\n")
-        for index in np.ndindex(*grid.shape):
-            values = " ".join(repr(float(state[(c,) + index]))
-                              for c in range(model.n_comp))
-            fh.write(" ".join(str(i) for i in index) + " " + values + "\n")
+        # One node per line in C order; str of a float is its repr.
+        columns = np.asarray(state, dtype=np.float64).reshape(model.n_comp, -1).tolist()
+        nodes = zip(itertools.product(*map(range, grid.shape)), zip(*columns))
+        fh.writelines(" ".join(map(str, index + values)) + "\n" for index, values in nodes)
 
 
 def _identity_mode(kind, model, grid, rng):
@@ -534,6 +541,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     names = list(CHECKS) if args.suite == "all" else [args.suite]
     reports = []
     for name in names:

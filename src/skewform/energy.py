@@ -28,8 +28,7 @@ from .spatial_op import CoeffMode, Residual, eval_dual_residual, eval_primal_res
 
 def total_energy(model: ModelSpec, grid: Grid, ops, U: np.ndarray) -> float:
     """E = <U, P U> in the model norm (a semi-norm for the euler models)."""
-    W = norm_weight(model, grid)
-    return inner_product(grid, ops, U, U, weight=W)
+    return inner_product(grid, ops, U, U, weight=norm_weight(model, grid))
 
 
 @dataclass(frozen=True, eq=False)

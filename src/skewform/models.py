@@ -23,6 +23,7 @@ all produce the same boundary contraction.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,14 @@ class ModelSpec:
     @property
     def dim(self) -> int:
         return len(self.axis_names)
+
+    @cached_property
+    def pattern(self) -> tuple:
+        """(A, C): per axis the (row, col) entries of A_i that coeff_matrices
+        writes, then those of C, each in row-major order.  Every other entry
+        is zero at every state, so the kernels skip it."""
+        A, C = _coefficients(self, np.ones(self.n_comp), (np.ones(()),) * self.dim)
+        return tuple(tuple(sorted(entries)) for entries in A), tuple(sorted(C))
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +155,8 @@ def coeff_matrices(model: ModelSpec, V, pos=None):
 
     Returns:
         (A, C): A of shape (dim, n_comp, n_comp, *s) and C of shape
-        (n_comp, n_comp, *s); C is skew per node.
+        (n_comp, n_comp, *s); C is skew per node.  Only the entries of
+        model.pattern are written.
     """
     V = _as_state(model, V)
     check_admissible(model, V)
@@ -154,94 +164,63 @@ def coeff_matrices(model: ModelSpec, V, pos=None):
     nc = model.n_comp
     A = np.zeros((model.dim, nc, nc) + s)
     C = np.zeros((nc, nc) + s)
+    entries_A, entries_C = _coefficients(model, V, pos)
+    for M, entries in (*zip(A, entries_A), (C, entries_C)):
+        for (a, b), value in entries.items():
+            M[a, b] = value
+    return A, C
 
+
+def _coefficients(model: ModelSpec, V: np.ndarray, pos):
+    """The entries of A and C that can be nonzero: per axis a dict
+    {(row, col): value} for A_i, then one for C."""
     if model.kind == "burgers1d":
-        A[0, 0, 0] = V[0] / 3.0
-        return A, C
+        return ({(0, 0): V[0] / 3.0},), {}
 
     if model.kind == "euler2d":
-        u, v = V[0], V[1]
-        A[0, 0, 0] = u / 2.0
-        A[0, 1, 1] = u / 2.0
-        A[0, 0, 2] = 0.5
-        A[0, 2, 0] = 0.5
-        A[1, 0, 0] = v / 2.0
-        A[1, 1, 1] = v / 2.0
-        A[1, 1, 2] = 0.5
-        A[1, 2, 1] = 0.5
-        return A, C
+        u, v = V[0] / 2.0, V[1] / 2.0
+        return ({(0, 0): u, (1, 1): u, (0, 2): 0.5, (2, 0): 0.5},
+                {(0, 0): v, (1, 1): v, (1, 2): 0.5, (2, 1): 0.5}), {}
 
     if model.kind == "euler3d_cyl":
         if pos is None:
             raise ValueError("euler3d_cyl needs pos with the radius array")
-        r = np.asarray(pos[0], dtype=np.float64)
-        u, v, w = V[0], V[1], V[2]
-        hr = r / 2.0
-        A[0, 0, 0] = hr * u
-        A[0, 1, 1] = hr * u
-        A[0, 2, 2] = hr * u
-        A[0, 0, 3] = hr
-        A[0, 3, 0] = hr
-        A[1, 0, 0] = v / 2.0
-        A[1, 1, 1] = v / 2.0
-        A[1, 2, 2] = v / 2.0
-        A[1, 1, 3] = 0.5
-        A[1, 3, 1] = 0.5
-        A[2, 0, 0] = hr * w
-        A[2, 1, 1] = hr * w
-        A[2, 2, 2] = hr * w
-        A[2, 2, 3] = hr
-        A[2, 3, 2] = hr
-        C[0, 1] = -v
-        C[1, 0] = v
-        C[0, 3] = np.broadcast_to(-0.5, s)
-        C[3, 0] = np.broadcast_to(0.5, s)
-        return A, C
+        hr = np.asarray(pos[0], dtype=np.float64) / 2.0
+        u, v, w = hr * V[0], V[1] / 2.0, hr * V[2]
+        A = ({(0, 0): u, (1, 1): u, (2, 2): u, (0, 3): hr, (3, 0): hr},
+             {(0, 0): v, (1, 1): v, (2, 2): v, (1, 3): 0.5, (3, 1): 0.5},
+             {(0, 0): w, (1, 1): w, (2, 2): w, (2, 3): hr, (3, 2): hr})
+        return A, {(0, 1): -V[1], (1, 0): V[1], (0, 3): -0.5, (3, 0): 0.5}
 
     # swe2d
     root = np.sqrt(V[0])
     a, b = model.alpha, model.beta
-    A[0, 0, 0] = a * V[1] / root
-    A[0, 0, 1] = (1.0 - 3.0 * a) * root
-    A[0, 1, 0] = 2.0 * a * root
-    A[0, 1, 1] = V[1] / (2.0 * root)
-    A[0, 2, 2] = V[1] / (2.0 * root)
-    A[1, 0, 0] = b * V[2] / root
-    A[1, 0, 2] = (1.0 - 3.0 * b) * root
-    A[1, 2, 0] = 2.0 * b * root
-    A[1, 1, 1] = V[2] / (2.0 * root)
-    A[1, 2, 2] = V[2] / (2.0 * root)
+    ux, uy = V[1] / (2.0 * root), V[2] / (2.0 * root)
+    A = ({(0, 0): a * V[1] / root, (0, 1): (1.0 - 3.0 * a) * root,
+          (1, 0): 2.0 * a * root, (1, 1): ux, (2, 2): ux},
+         {(0, 0): b * V[2] / root, (0, 2): (1.0 - 3.0 * b) * root,
+          (2, 0): 2.0 * b * root, (1, 1): uy, (2, 2): uy})
     f = model.f0
     if model.f1 != 0.0:
         if pos is None:
             raise ValueError("swe2d with f1 != 0 needs pos with the y array")
         f = model.f0 + model.f1 * np.asarray(pos[1], dtype=np.float64)
-    C[1, 2] = np.broadcast_to(-np.asarray(f, dtype=np.float64), s)
-    C[2, 1] = np.broadcast_to(np.asarray(f, dtype=np.float64), s)
-    return A, C
+    return A, {(1, 2): -f, (2, 1): f}
 
 
 def norm_weight(model: ModelSpec, grid: Grid) -> np.ndarray:
-    """Per-node norm matrix field P, shape (n_comp, n_comp, *grid.shape).
+    """Per-node diagonal of the norm matrix P, shape (n_comp, *grid.shape);
+    P is diagonal for every model.
 
     Singular for the euler models (pressure carries no norm weight); the
     cylindrical model includes the radius factor.
     """
     validate_grid(model, grid)
-    nc = model.n_comp
-    W = np.zeros((nc, nc) + grid.shape)
-    if model.kind == "burgers1d":
-        W[0, 0] = 1.0
-    elif model.kind == "euler2d":
-        W[0, 0] = 1.0
-        W[1, 1] = 1.0
-    elif model.kind == "euler3d_cyl":
-        r = grid.coords[0].reshape((grid.shape[0], 1, 1))
-        for c in range(3):
-            W[c, c] = np.broadcast_to(r, grid.shape)
-    else:
-        for c in range(3):
-            W[c, c] = 1.0
+    W = np.ones((model.n_comp,) + grid.shape)
+    if model.kind in ("euler2d", "euler3d_cyl"):
+        W[-1] = 0.0
+    if model.kind == "euler3d_cyl":
+        W[:3] *= grid.coords[0].reshape((grid.shape[0], 1, 1))
     return W
 
 

@@ -12,10 +12,12 @@ matching the Kronecker ordering I_comp (x) D_x (x) I_y used throughout.
 
 All reductions (inner products, boundary quadratures) accumulate
 left-to-right over lexicographic node order.  Operator application adds the
-nonzero diagonals of D in increasing offset order; row i of diagonal k holds
-the entry in column i + k, so every row adds its products in increasing
-column order, exactly as a walk over the matrix columns would.  Every result
-is therefore reproducible bit-for-bit for a given build.
+nonzero runs of D's diagonals in increasing offset order, each as one slice
+along the field's own axis; row i of a run on diagonal k holds the entry in
+column i + k, so every row adds its nonzero products in increasing column
+order.  The sum starts at +0.0 and never becomes -0.0, so the skipped exact
+zero products change nothing for finite fields, and every result equals the
+walk over all matrix columns bit for bit and is reproducible for a given build.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ _INTERIOR = {
     (2, 1): (-1 / 2, 0.0, 1 / 2),
     (4, 2): (1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12),
 }
+# The supported (interior, boundary) accuracy pairs.
+ACCURACIES = tuple(_INTERIOR)
 
 # Boundary quadrature weights (units of h) and the upper-left Q block.
 _P_BLOCK = {
@@ -63,8 +67,9 @@ class SbpOperator1D:
         Q: almost-skew matrix, shape (n, n).
         D: derivative matrix P^{-1} Q, shape (n, n).
         B: diagonal of Q + Q^T, shape (n,); zero for periodic operators.
-        diagonals: the nonzero diagonals of D as (offset, values) pairs in
-            increasing offset, values[i] = D[i, i + offset]; the periodic
+        diagonals: the maximal runs of nonzeros on D's diagonals as
+            (offset, first_row, values) in increasing offset, values[j] =
+            D[first_row + j, first_row + j + offset]; the periodic
             wrap-around entries form short diagonals of their own.
     """
 
@@ -98,7 +103,7 @@ def build_sbp_operator(
         SbpOperator1D with Q + Q^T = B holding entry for entry.
     """
     order = (int(order[0]), int(order[1]))
-    if order not in _INTERIOR:
+    if order not in ACCURACIES:
         raise ValueError(f"unsupported accuracy {order}; try (2, 1) or (4, 2)")
     if not h > 0.0:
         raise ValueError(f"spacing must be positive, got {h}")
@@ -143,9 +148,14 @@ def build_sbp_operator(
 
     D = Q / P[:, None]
     rows, cols = np.nonzero(D)
-    # Not np.unique: it imports numpy.ma, which costs resident memory.
-    offsets = sorted(set((cols - rows).tolist()))
-    diagonals = tuple((k, D.diagonal(k).copy()) for k in offsets)
+    runs = []  # [offset, first_row, last_row]
+    for k, i in sorted(zip((cols - rows).tolist(), rows.tolist())):
+        if runs and runs[-1][0] == k and runs[-1][2] == i - 1:
+            runs[-1][2] = i
+        else:
+            runs.append([k, i, i])
+    diagonals = tuple((k, lo, D[lo:hi + 1, lo + k:hi + k + 1].diagonal().copy())
+                      for k, lo, hi in runs)
     return SbpOperator1D(
         n=n, h=float(h), order=order, periodic=periodic,
         P=P, Q=Q, D=D, B=B, diagonals=diagonals,
@@ -173,12 +183,14 @@ def apply_derivative(op: SbpOperator1D, field: np.ndarray, axis: int = 0) -> np.
         raise ValueError(
             f"axis {axis} has {field.shape[ax]} nodes, operator expects {op.n}"
         )
-    v = np.moveaxis(field, ax, -1)
-    out = np.zeros(v.shape)
-    for k, d in op.diagonals:
-        lo, hi = max(0, -k), op.n - max(0, k)
-        out[..., lo:hi] += d * v[..., lo + k:hi + k]
-    return np.moveaxis(out, -1, ax)
+    out = np.zeros(field.shape)
+    lead = (slice(None),) * ax
+    tail = (1,) * (field.ndim - ax - 1)
+    for k, i, d in op.diagonals:
+        rows = slice(i, i + d.size)
+        cols = slice(i + k, i + k + d.size)
+        out[lead + (rows,)] += d.reshape(d.shape + tail) * field[lead + (cols,)]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,11 +322,14 @@ def _seq_sum(values: np.ndarray) -> float:
 
 def quadrature_weights(grid: Grid, ops) -> np.ndarray:
     """Tensor-product quadrature weights, shape grid.shape."""
-    w = np.ones(grid.shape)
-    for ax in range(grid.dim):
-        reshape = [1] * grid.dim
-        reshape[ax] = grid.shape[ax]
-        w = w * ops[ax].P.reshape(reshape)
+    return _tensor_weights(ops)
+
+
+def _tensor_weights(ops) -> np.ndarray:
+    """The product of the operators' weights P, one axis each, in order."""
+    w = np.ones(tuple(op.n for op in ops))
+    for ax, op in enumerate(ops):
+        w = w * op.P.reshape((-1,) + (1,) * (len(ops) - 1 - ax))
     return w
 
 
@@ -324,8 +339,8 @@ def inner_product(grid: Grid, ops, u: np.ndarray, v: np.ndarray,
 
     Args:
         u, v: state fields of shape (n_comp, *grid.shape).
-        weight: per-node symmetric matrix field (n_comp, n_comp, *grid.shape),
-            or None for the identity component weight.
+        weight: per-node diagonal of W, shape (n_comp, *grid.shape), or
+            None for the identity component weight.
 
     The component contraction runs in fixed index order and the node
     reduction is sequential over lexicographic order.
@@ -336,63 +351,44 @@ def inner_product(grid: Grid, ops, u: np.ndarray, v: np.ndarray,
         raise ValueError(f"mismatched state shapes {u.shape} and {v.shape}")
     if u.shape[1:] != grid.shape:
         raise ValueError(f"state shape {u.shape} does not match grid {grid.shape}")
-    nc = u.shape[0]
-    if weight is None:
-        s = np.zeros(grid.shape)
-        for c in range(nc):
-            s += u[c] * v[c]
-    else:
-        weight = np.asarray(weight, dtype=np.float64)
-        if weight.shape[:2] != (nc, nc):
-            raise ValueError(f"weight shape {weight.shape} does not match {nc} components")
-        wt = np.moveaxis(weight, 0, 1)
-        gap = np.abs(weight - wt).max()
-        ref = np.abs(weight).max()
-        if gap > 1e-13 * max(1.0, ref):
-            raise ValueError("inner-product weight must be symmetric per node")
-        s = np.zeros(grid.shape)
-        for a in range(nc):
-            for b in range(nc):
-                s += u[a] * weight[a, b] * v[b]
+    if weight is not None and np.shape(weight) != u.shape:
+        raise ValueError(f"weight shape {np.shape(weight)} does not match {u.shape}")
+    s = np.zeros(grid.shape)
+    for c in range(u.shape[0]):
+        s += u[c] * v[c] if weight is None else u[c] * weight[c] * v[c]
     return _seq_sum(s * quadrature_weights(grid, ops))
 
 
-def boundary_quadrature(grid: Grid, ops, u: np.ndarray, v: np.ndarray,
+def face_layer(grid: Grid, field: np.ndarray, face: tuple[int, str]) -> np.ndarray:
+    """The view of field on a face's node layer; field may carry any
+    leading axes before the grid's."""
+    ax, side = face
+    idx = 0 if side == "low" else grid.shape[ax] - 1
+    return field[(Ellipsis, idx) + (slice(None),) * (grid.dim - 1 - ax)]
+
+
+def boundary_quadrature(grid: Grid, ops, uf: np.ndarray, vf: np.ndarray,
                         face: tuple[int, str]) -> float:
     """Signed face term of the SBP identity, outward positive.
 
-    Contracts u and v componentwise on the face layer, weighted by the
-    transverse quadrature.  The low face carries sign -1 and the high face
-    +1, so for a 1D grid the right face returns u(b) v(b) and the left face
-    -u(a) v(a).  Periodic axes have no faces.
+    Contracts two states given by their face layers (face_layer)
+    componentwise, weighted by the transverse quadrature.  The low face
+    carries sign -1 and the high face +1, so for a 1D grid the right face
+    returns u(b) v(b) and the left face -u(a) v(a).  Periodic axes have no
+    faces.
     """
     ax, side = face
     if grid.periodic[ax]:
         raise ValueError(f"axis {grid.axis_names[ax]} is periodic and has no faces")
     if side not in ("low", "high"):
         raise ValueError(f"face side must be 'low' or 'high', got '{side}'")
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.shape[1:] != grid.shape:
-        raise ValueError("states must share the grid shape")
-    idx = 0 if side == "low" else grid.shape[ax] - 1
-    sign = -1.0 if side == "low" else 1.0
-    take = [slice(None)] * (grid.dim + 1)
-    take[ax + 1] = idx
-    uf = u[tuple(take)]
-    vf = v[tuple(take)]
-    nc = u.shape[0]
-    s = np.zeros(uf.shape[1:])
-    for c in range(nc):
+    uf = np.asarray(uf, dtype=np.float64)
+    vf = np.asarray(vf, dtype=np.float64)
+    tshape = grid.shape[:ax] + grid.shape[ax + 1:]
+    if uf.shape != vf.shape or uf.shape[1:] != tshape:
+        raise ValueError("face layers must share the face's shape")
+    s = np.zeros(tshape)
+    for c in range(uf.shape[0]):
         s = s + uf[c] * vf[c]
-    tshape = [n for a, n in enumerate(grid.shape) if a != ax]
-    w = np.ones(tuple(tshape))
-    pos = 0
-    for a in range(grid.dim):
-        if a == ax:
-            continue
-        reshape = [1] * len(tshape)
-        reshape[pos] = grid.shape[a]
-        w = w * ops[a].P.reshape(reshape)
-        pos += 1
-    return sign * _seq_sum(s * w)
+    w = _tensor_weights([op for a, op in enumerate(ops) if a != ax])
+    return (-1.0 if side == "low" else 1.0) * _seq_sum(s * w)

@@ -32,6 +32,8 @@ from .sbp_core import (
     apply_derivative,
     boundary_quadrature,
     face_label,
+    face_layer,
+    faces,
 )
 
 
@@ -87,36 +89,44 @@ class Residual:
     face_terms: dict
 
 
-def matfield_apply(M: np.ndarray, W: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Pointwise matrix-vector product over the grid, fixed loop order."""
-    nc = W.shape[0]
+def matfield_apply(M: np.ndarray, W: np.ndarray, pattern,
+                   transpose: bool = False) -> np.ndarray:
+    """Pointwise product M W (M^T W with transpose) over the grid.
+
+    pattern lists, in row-major order, the (i, j) entries of M that can be
+    nonzero (ModelSpec.pattern); the others are skipped.  Row-major order
+    makes each output row add its products in increasing column order from
+    +0.0, transposed or not, so on finite fields the result equals the loop
+    over every entry bit for bit.
+    """
     out = np.zeros_like(W)
-    for a in range(nc):
-        for b in range(nc):
-            m = M[b, a] if transpose else M[a, b]
-            out[a] += m * W[b]
+    for i, j in pattern:
+        row, col = (j, i) if transpose else (i, j)
+        out[row] += M[i, j] * W[col]
     return out
 
 
-def _assemble(grid: Grid, ops, A: np.ndarray, C: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """sum_ax [ D_ax(A_ax W) + A_ax^T D_ax W ] + C W."""
+def _assemble(model: ModelSpec, grid: Grid, ops, A: np.ndarray, C: np.ndarray,
+              W: np.ndarray) -> np.ndarray:
+    """sum_ax [ D_ax(A_ax W) + A_ax^T D_ax W ] + C W on the model's pattern."""
+    pat_A, pat_C = model.pattern
     out = np.zeros_like(W)
     for ax in range(grid.dim):
-        out += apply_derivative(ops[ax], matfield_apply(A[ax], W), ax)
-        out += matfield_apply(A[ax], apply_derivative(ops[ax], W, ax), transpose=True)
-    out += matfield_apply(C, W)
+        out += apply_derivative(ops[ax], matfield_apply(A[ax], W, pat_A[ax]), ax)
+        out += matfield_apply(A[ax], apply_derivative(ops[ax], W, ax), pat_A[ax],
+                              transpose=True)
+    out += matfield_apply(C, W, pat_C)
     return out
 
 
-def _face_terms(grid: Grid, ops, A: np.ndarray, S: np.ndarray) -> dict:
+def _face_terms(model: ModelSpec, grid: Grid, ops, A: np.ndarray, S: np.ndarray) -> dict:
+    """bq(S, A_ax S) per face, with A_ax S formed on the face layer only."""
     terms = {}
-    for ax in range(grid.dim):
-        if grid.periodic[ax]:
-            continue
-        AS = matfield_apply(A[ax], S)
-        for side in ("low", "high"):
-            face = (ax, side)
-            terms[face_label(grid, face)] = boundary_quadrature(grid, ops, S, AS, face)
+    for face in faces(grid):
+        Sf = face_layer(grid, S, face)
+        ASf = matfield_apply(face_layer(grid, A[face[0]], face), Sf,
+                             model.pattern[0][face[0]])
+        terms[face_label(grid, face)] = boundary_quadrature(grid, ops, Sf, ASf, face)
     return terms
 
 
@@ -132,7 +142,7 @@ def _residual(model: ModelSpec, grid: Grid, ops, spatial: np.ndarray,
         forcing = np.asarray(forcing, dtype=np.float64)
         R = R - forcing
     return Residual(R=R, spatial=spatial, sat=sat_field, forcing=forcing,
-                    face_terms=_face_terms(grid, ops, A, S))
+                    face_terms=_face_terms(model, grid, ops, A, S))
 
 
 def eval_primal_residual(
@@ -167,7 +177,7 @@ def eval_primal_residual(
     else:
         raise ValueError(f"unknown coefficient mode '{mode.kind}'")
     A, C = coeff_matrices(model, V, grid.positions)
-    return _residual(model, grid, ops, _assemble(grid, ops, A, C, U), A, U,
+    return _residual(model, grid, ops, _assemble(model, grid, ops, A, C, U), A, U,
                      sat, forcing)
 
 
@@ -193,7 +203,7 @@ def eval_dual_residual(
         raise ValueError("dual residuals take a dual (or frozen) coefficient mode")
     V = Phi if mode.field is None else mode.field
     A, C = coeff_matrices(model, V, grid.positions)
-    return _residual(model, grid, ops, -_assemble(grid, ops, A, C, Phi), A, Phi,
+    return _residual(model, grid, ops, -_assemble(model, grid, ops, A, C, Phi), A, Phi,
                      sat, forcing)
 
 
@@ -218,10 +228,10 @@ def eval_new_linearised_pair(
     U_prime = np.asarray(U_prime, dtype=np.float64)
     pos = grid.positions
     A_tot, C_tot = coeff_matrices(model, U_bar + U_prime, pos)
-    res_mean = _residual(model, grid, ops, _assemble(grid, ops, A_tot, C_tot, U_bar),
+    res_mean = _residual(model, grid, ops, _assemble(model, grid, ops, A_tot, C_tot, U_bar),
                          A_tot, U_bar, sat_mean)
     A_bar, C_bar = coeff_matrices(model, U_bar, pos)
-    res_pert = _residual(model, grid, ops, _assemble(grid, ops, A_bar, C_bar, U_prime),
+    res_pert = _residual(model, grid, ops, _assemble(model, grid, ops, A_bar, C_bar, U_prime),
                          A_bar, U_prime, sat_pert)
     return res_mean, res_pert
 
@@ -243,7 +253,7 @@ def eval_remainder_H(
     U_bar = np.asarray(U_bar, dtype=np.float64)
     U_prime = np.asarray(U_prime, dtype=np.float64)
     split = coeff_split(model, U_bar, U_prime, grid.positions)
-    return _assemble(grid, ops, split.A_prime, split.C_prime, U_prime)
+    return _assemble(model, grid, ops, split.A_prime, split.C_prime, U_prime)
 
 
 def eval_standard_linearised_residual(
@@ -277,8 +287,9 @@ def eval_standard_linearised_residual(
         M, N = _swe_standard_matrices(model, grid, ops, mean)
         spatial = np.zeros_like(U_prime)
         for ax in range(2):
-            spatial += matfield_apply(M[ax], apply_derivative(ops[ax], U_prime, ax))
-        spatial += matfield_apply(N, U_prime)
+            spatial += matfield_apply(M[ax], apply_derivative(ops[ax], U_prime, ax),
+                                      model.pattern[0][ax])
+        spatial += matfield_apply(N, U_prime, tuple(np.ndindex(3, 3)))
     else:
         raise ValueError(
             f"standard linearisation covers burgers1d and swe2d, not '{model.kind}'"
@@ -287,7 +298,8 @@ def eval_standard_linearised_residual(
 
 
 def _swe_standard_matrices(model: ModelSpec, grid: Grid, ops, qbar: np.ndarray):
-    """Advective matrices M1, M2 and zero-order N at a primitive mean."""
+    """Advective matrices M1, M2 and zero-order N at a primitive mean; M_ax
+    has the entry pattern of the skew-form A_ax (model.pattern)."""
     phib, ub, vb = qbar[0], qbar[1], qbar[2]
     M = np.zeros((2, 3, 3) + grid.shape)
     M[0, 0, 0] = ub
@@ -334,13 +346,11 @@ def bilinear_face_functional(
     """
     A, _ = coeff_matrices(model, V, grid.positions)
     total = 0.0
-    for ax in range(grid.dim):
-        if grid.periodic[ax]:
-            continue
-        AU = matfield_apply(A[ax], U)
-        APhi = matfield_apply(A[ax], Phi)
-        for side in ("low", "high"):
-            face = (ax, side)
-            total += boundary_quadrature(grid, ops, Phi, AU, face)
-            total += boundary_quadrature(grid, ops, APhi, U, face)
+    for face in faces(grid):
+        Af, pattern = face_layer(grid, A[face[0]], face), model.pattern[0][face[0]]
+        Uf, Phif = face_layer(grid, U, face), face_layer(grid, Phi, face)
+        AUf = matfield_apply(Af, Uf, pattern)
+        APhif = matfield_apply(Af, Phif, pattern)
+        total += boundary_quadrature(grid, ops, Phif, AUf, face)
+        total += boundary_quadrature(grid, ops, APhif, Uf, face)
     return total

@@ -214,9 +214,10 @@ def ansatz_defect(model, grid, ops, U) -> float:
     worst = 0.0
     for ax in range(2):
         DU = apply_derivative(ops[ax], U, axis=ax)
-        flux = apply_derivative(ops[ax], matfield_apply(A[ax], U), axis=ax)
-        skew = matfield_apply(A[ax], DU, transpose=True)
-        quasi = matfield_apply(cal[ax], DU)
+        pattern = model.pattern[0][ax]
+        flux = apply_derivative(ops[ax], matfield_apply(A[ax], U, pattern), axis=ax)
+        skew = matfield_apply(A[ax], DU, pattern, transpose=True)
+        quasi = matfield_apply(cal[ax], DU, tuple(np.ndindex(3, 3)))
         worst = max(worst, float(np.max(np.abs(flux + skew - quasi))))
     return worst
 

@@ -191,6 +191,17 @@ def test_verify_subcommand_exit_codes(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_refuses_fewer_than_one_trial(tmp_path, trials):
+    # no trial would check any identity, so a PASS would be vacuous
+    code, out, err = run_main(["verify", "energy", "--trials", trials,
+                               "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert out == ""
+    assert "--trials must be at least 1" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_verify_writes_the_checks_csv(tmp_path):
     code, out, _ = run_main(["verify", "duality", "--trials", "3",
                              "--out-dir", str(tmp_path)])
@@ -254,8 +265,12 @@ def test_analyze_boundary_glancing_exits_2():
       "--radius=-1"], "--radius"),
     (["--model", "euler3d_cyl", "--state", "1,0,0,1", "--normal", "1,0,0",
       "--radius", "nan"], "--radius"),
+    (["--model", "swe2d", "--state", "1,0.5,0", "--normal", "0,0"],
+     "unit length, got length 0.0"),
+    (["--model", "swe2d", "--state", "1,0.5,0", "--normal", "1,1"],
+     "unit length, got length 1.4142135623730951"),
 ], ids=["alpha_nan", "beta_inf", "normal_inf", "state_typo", "radius_zero",
-        "radius_negative", "radius_nan"])
+        "radius_negative", "radius_nan", "normal_zero", "normal_not_unit"])
 def test_analyze_boundary_refuses_bad_numbers(tmp_path, argv, option):
     out_dir = tmp_path / "o"
     code, out, err = run_main(["analyze-boundary", *argv, "--out-dir", str(out_dir)])
@@ -370,12 +385,15 @@ def with_sat(closure):
     (with_sat("characteristic g=zero"), 25),
     (with_sat("swe_two_condition g2=1.0 g3=zero"), 25),
     (with_sat("characteristic scale=inf"), 25),
+    # values that parse but are out of range keep their line too
+    (lambda text: text.replace("order = 4,2", "order = 3,1"), 11),
+    (lambda text: text.replace("stride = 5", "stride = 0"), 15),
 ], ids=["frozen_without_coefficient", "t_final_below_dt", "t_final_nan",
         "t_final_inf", "cfl_inf", "t_final_not_whole_steps", "steps_overflow",
         "alpha_nan", "f0_inf", "extents_typo", "extents_inf", "shape_typo",
         "order_typo", "stride_typo", "stride_fraction", "wavenumber_typo",
         "trig_offset_nan", "trig_amp_inf", "constant_inf", "sat_g_typo",
-        "sat_g3_typo", "sat_scale_inf"])
+        "sat_g3_typo", "sat_scale_inf", "order_unsupported", "stride_zero"])
 def test_malformed_scenarios_exit_2_in_run_and_convergence(tmp_path, edit, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(edit(BURGERS_CFG))

@@ -120,21 +120,21 @@ def test_cylindrical_norm_weight_carries_the_radius():
                   periodic=(False, False, True), axis_names=m.axis_names)
     W = norm_weight(m, g)
     R = g.positions[0]
-    assert W.shape == (4, 4, 4, 4, 4)
+    assert W.shape == (4, 4, 4, 4)
     for c in range(3):
-        assert np.array_equal(W[c, c], R)
-    assert not W[3, 3].any()
+        assert np.array_equal(W[c], R)
+    assert not W[3].any()
 
 
 def test_norm_weight_identity_and_seminorm():
     gb = make_grid(((0.0, 1.0),), (5,))
     Wb = norm_weight(make_model("burgers1d"), gb)
-    assert np.array_equal(Wb[0, 0], np.ones(5))
+    assert np.array_equal(Wb[0], np.ones(5))
     ge = make_grid(((0.0, 1.0), (0.0, 1.0)), (4, 4))
     We = norm_weight(make_model("euler2d"), ge)
-    assert np.array_equal(We[0, 0], np.ones((4, 4)))
-    assert np.array_equal(We[1, 1], np.ones((4, 4)))
-    assert not We[2, 2].any()
+    assert np.array_equal(We[0], np.ones((4, 4)))
+    assert np.array_equal(We[1], np.ones((4, 4)))
+    assert not We[2].any()
     assert has_invertible_norm(make_model("burgers1d"))
     assert has_invertible_norm(make_model("swe2d"))
     assert not has_invertible_norm(make_model("euler2d"))
@@ -274,3 +274,25 @@ def test_validate_grid_checks_dimension_and_cylindrical_radius():
     gok = make_grid(((0.3, 1.3), (0.0, 1.0), (0.0, 1.0)), (4, 4, 4),
                     periodic=(False, False, True), axis_names=mc.axis_names)
     validate_grid(mc, gok)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_pattern_covers_every_coefficient_entry(kind):
+    # The kernels skip every entry outside model.pattern, so each entry
+    # coeff_matrices makes nonzero must be listed, rows then columns.
+    m = make_model("swe2d", alpha=0.4, beta=0.7, f0=0.7, f1=0.3) \
+        if kind == "swe2d" else make_model(kind)
+    shape = (5,) * m.dim
+    pos = tuple(np.full(shape, 0.3 + 0.2 * ax) for ax in range(m.dim))
+    pat_A, pat_C = m.pattern
+    assert len(pat_A) == m.dim
+    for pattern in (*pat_A, pat_C):
+        assert list(pattern) == sorted(set(pattern))
+    rng = np.random.default_rng(41)
+    for trial in range(20):
+        A, C = coeff_matrices(m, sample_state(m, shape, rng), pos)
+        for M, pattern in [*zip(A, pat_A), (C, pat_C)]:
+            written = {(a, b) for a in range(m.n_comp) for b in range(m.n_comp)
+                       if M[a, b].any()}
+            assert written <= set(pattern)
+

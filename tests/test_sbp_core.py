@@ -10,6 +10,7 @@ from skewform.sbp_core import (
     build_operators,
     build_sbp_operator,
     face_label,
+    face_layer,
     faces,
     inner_product,
     make_grid,
@@ -208,19 +209,18 @@ def test_inner_product_of_x_with_itself():
     assert abs(inner_product(g, ops21, x, x) - (1.0 / 3.0 + h * h / 6.0)) <= 1e-15
 
 
-def test_inner_product_accepts_a_matrix_weight():
+def test_inner_product_accepts_a_component_weight():
     g = make_grid(((0.0, 1.0),), (17,))
     ops = build_operators(g, (4, 2))
     u = np.ones((1, 17))
-    w = 3.0 * np.ones((1, 1, 17))
+    w = 3.0 * np.ones((1, 17))
     assert abs(inner_product(g, ops, u, u, weight=w) - 3.0) <= 1e-13
-    # an off-diagonal weight couples components
-    g2 = make_grid(((0.0, 1.0),), (17,))
+    # the weight is the per-node diagonal, one field per component
     u2 = np.stack([np.ones(17), 2.0 * np.ones(17)])
-    w2 = np.zeros((2, 2, 17))
-    w2[0, 1] = w2[1, 0] = 1.0
-    got = inner_product(g2, ops, u2, u2, weight=w2)
-    assert abs(got - 4.0) <= 1e-13
+    w2 = np.stack([np.ones(17), 0.5 * np.ones(17)])
+    assert abs(inner_product(g, ops, u2, u2, weight=w2) - 3.0) <= 1e-13
+    with pytest.raises(ValueError, match="weight shape"):
+        inner_product(g, ops, u2, u2, weight=np.ones((2, 2, 17)))
 
 
 def test_boundary_quadrature_signs_in_1d():
@@ -229,8 +229,8 @@ def test_boundary_quadrature_signs_in_1d():
     rng = np.random.default_rng(7)
     u = rng.normal(size=(1, 9))
     v = rng.normal(size=(1, 9))
-    hi = boundary_quadrature(g, ops, u, v, (0, "high"))
-    lo = boundary_quadrature(g, ops, u, v, (0, "low"))
+    hi = boundary_quadrature(g, ops, u[:, -1], v[:, -1], (0, "high"))
+    lo = boundary_quadrature(g, ops, u[:, 0], v[:, 0], (0, "low"))
     assert hi == u[0, -1] * v[0, -1]
     assert lo == -u[0, 0] * v[0, 0]
 
@@ -241,14 +241,15 @@ def test_boundary_quadrature_uses_tangential_weights_in_2d():
     rng = np.random.default_rng(8)
     u = rng.normal(size=(2, 9, 12))
     v = rng.normal(size=(2, 9, 12))
-    got = boundary_quadrature(g, ops, u, v, (0, "high"))
+    got = boundary_quadrature(g, ops, face_layer(g, u, (0, "high")),
+                              face_layer(g, v, (0, "high")), (0, "high"))
     manual = 0.0
     for c in range(2):
         for j in range(12):
             manual += ops[1].P[j] * u[c, -1, j] * v[c, -1, j]
     assert abs(got - manual) <= 1e-13 * (1 + abs(manual))
     with pytest.raises(ValueError, match="periodic"):
-        boundary_quadrature(g, ops, u, v, (1, "low"))
+        boundary_quadrature(g, ops, u[:, :, 0], v[:, :, 0], (1, "low"))
 
 
 def test_sbp_property_transfers_to_the_quadrature():
@@ -308,10 +309,15 @@ def column_walk(D, v):
 def test_apply_derivative_adds_columns_in_increasing_order(order, periodic, n):
     # The module's bit-for-bit contract: every row sums its products in
     # increasing column order, at small and large sizes, along each axis.
+    # Exact zeros of both signs, scattered and filling a whole component,
+    # pin that skipping D's zero entries changes no bit.
     op = build_sbp_operator(order, n, 1.0 / n, periodic=periodic)
     rng = np.random.default_rng(n)
     for ax, shape in enumerate([(3, n, 7), (3, 7, n)]):
         f = rng.normal(size=shape)
+        f[rng.random(shape) < 0.2] = 0.0
+        f[rng.random(shape) < 0.2] = -0.0
+        f[1] = -0.0
         got = apply_derivative(op, f, axis=ax)
         want = column_walk(op.D, np.moveaxis(f, 1 + ax, -1))
         want = np.moveaxis(want, -1, 1 + ax)

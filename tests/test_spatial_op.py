@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 
 import skewform as sk
-from skewform.models import make_model, sample_state
-from skewform.sbp_core import apply_derivative, build_operators, inner_product, make_grid
+from skewform.models import MODEL_KINDS, coeff_matrices, make_model, sample_state
+from skewform.sbp_core import (
+    apply_derivative,
+    boundary_quadrature,
+    build_operators,
+    face_label,
+    face_layer,
+    faces,
+    inner_product,
+    make_grid,
+)
 from skewform.spatial_op import (
+    _swe_standard_matrices,
     bilinear_face_functional,
     dual,
     eval_dual_residual,
@@ -15,6 +25,7 @@ from skewform.spatial_op import (
     eval_remainder_H,
     eval_standard_linearised_residual,
     frozen,
+    matfield_apply,
     new_linearised,
     nonlinear,
     standard_linearised,
@@ -202,3 +213,86 @@ def test_residuals_refuse_non_finite_states(kind, bad):
         eval_new_linearised_pair(m, g, ops, broken, 0.1 * good)
     with pytest.raises(ValueError, match="non-finite"):
         eval_new_linearised_pair(m, g, ops, good, broken)
+
+
+def dense_matfield(M, W, transpose=False):
+    """Reference product over every entry of M, rows then columns."""
+    out = np.zeros_like(W)
+    for a in range(W.shape[0]):
+        for b in range(W.shape[0]):
+            out[a] += (M[b, a] if transpose else M[a, b]) * W[b]
+    return out
+
+
+def signed_zeros(U, rng):
+    """U with about a fifth of its entries 0.0 and a fifth -0.0."""
+    U = U.copy()
+    U[rng.random(U.shape) < 0.2] = 0.0
+    U[rng.random(U.shape) < 0.2] = -0.0
+    return U
+
+
+def pattern_cases(kind, order, seed):
+    """small_setup's model, plus for swe2d one whose pattern holds entries
+    that are zero at every state: 1 - 3 alpha = 0 and f0 = f1 = 0."""
+    m, g, ops, rng = small_setup(kind, order, seed)
+    models = [m]
+    if kind == "swe2d":
+        models.append(make_model("swe2d", alpha=1 / 3, beta=1 / 3))
+    return models, g, ops, rng
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_matfield_apply_on_the_pattern_matches_the_dense_loop_bitwise(kind):
+    models, g, ops, rng = pattern_cases(kind, (4, 2), 43)
+    for m in models:
+        for trial in range(3):
+            V = sample_state(m, g.shape, rng)
+            first = 1 if kind == "swe2d" else 0  # the depth stays admissible
+            V[first:] = signed_zeros(V[first:], rng)
+            A, C = coeff_matrices(m, V, g.positions)
+            W = signed_zeros(sample_state(m, g.shape, rng), rng)
+            pat_A, pat_C = m.pattern
+            # a full random matrix: rows of three or four products, whose
+            # sum depends on the order they are added in
+            full = signed_zeros(rng.normal(size=(m.n_comp,) + W.shape), rng)
+            full_pattern = tuple(np.ndindex(m.n_comp, m.n_comp))
+            for M, pattern in [*zip(A, pat_A), (C, pat_C), (full, full_pattern)]:
+                for transpose in (False, True):
+                    got = matfield_apply(M, W, pattern, transpose=transpose)
+                    want = dense_matfield(M, W, transpose=transpose)
+                    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_residual_matches_the_dense_assembly_bitwise(kind):
+    # spatial part and face terms against every entry of A and C, with
+    # A S formed on the whole grid before its face layers are read
+    models, g, ops, rng = pattern_cases(kind, (4, 2), 47)
+    for m in models:
+        V = sample_state(m, g.shape, rng)
+        W = signed_zeros(sample_state(m, g.shape, rng), rng)
+        A, C = coeff_matrices(m, V, g.positions)
+        want = np.zeros_like(W)
+        for ax in range(g.dim):
+            want += apply_derivative(ops[ax], dense_matfield(A[ax], W), ax)
+            want += dense_matfield(A[ax], apply_derivative(ops[ax], W, ax), True)
+        want += dense_matfield(C, W)
+        res = eval_primal_residual(m, g, ops, W, frozen(V))
+        assert res.spatial.tobytes() == want.tobytes()
+        for face in faces(g):
+            AW = face_layer(g, dense_matfield(A[face[0]], W), face)
+            bq = boundary_quadrature(g, ops, face_layer(g, W, face), AW, face)
+            assert res.face_terms[face_label(g, face)] == bq
+
+
+def test_standard_transport_matrices_stay_on_the_swe_pattern():
+    # the standard linearisation's face terms read M_ax on model.pattern
+    m, g, ops, rng = small_setup("swe2d", (4, 2), 53)
+    for trial in range(5):
+        qbar = sample_state(m, g.shape, rng)
+        M, _ = _swe_standard_matrices(m, g, ops, qbar)
+        for ax in range(2):
+            written = {(a, b) for a in range(3) for b in range(3) if M[ax, a, b].any()}
+            assert written <= set(m.pattern[0][ax])
+
