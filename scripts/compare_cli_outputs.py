@@ -18,9 +18,11 @@ swe_coriolis_periodic (16,32,64); `analyze-boundary` for swe2d
 nonlinear_rewritten, swe2d linearised with --alpha 0.3, euler2d, euler2d
 linearised at a state with a zero eigenvalue (whose printed digits would
 otherwise show the eigensolver's rounding) and euler3d_cyl at radius 0.8;
-and two refusals, so the bytes of the refusal path are checked too: `run`
-on a config with `stride = ten` (written into the case's directory first)
-and `analyze-boundary --alpha nan`.
+`run` on a swe2d `standard_vs_new` config bounded in x with a linear
+Coriolis profile, which no bundled scenario marches (written into the
+case's directory first); and two refusals, so the bytes of the refusal
+path are checked too: `run` on a config with `stride = ten` (written into
+the case's directory first) and `analyze-boundary --alpha nan`.
 """
 
 from __future__ import annotations
@@ -53,6 +55,45 @@ family = trig
 comp0 = 0.0 0.1 sin:1
 """
 
+# The standard linearisation of swe2d next to the coupled split: an
+# admissible mean (depth >= 0.9) and dt well inside the CFL limit.
+SWE_STANDARD_VS_NEW_CFG = """\
+[model]
+kind = swe2d
+alpha = 0.4
+beta = 0.7
+f0 = 0.5
+f1 = 0.3
+
+[grid]
+extents = 0,1 / 0,1
+shape = 17 / 17
+periodic = false / true
+
+[scheme]
+order = 4,2
+mode = standard_vs_new
+dt = 0.002
+t_final = 0.04
+stride = 5
+cfl = 0.2
+
+[coefficient]
+family = trig
+comp0 = 1.0 0.1 sin:1 cos:1
+comp1 = 0.2 0.1 cos:1 one
+comp2 = -0.1 0.1 one sin:1
+
+[perturbation]
+family = trig
+comp0 = 0.0 0.01 cos:1 sin:1
+comp1 = 0.0 0.01 sin:2 one
+comp2 = 0.0 0.01 one cos:1
+
+[output]
+prefix = swe_standard_vs_new
+"""
+
 FIXED_CASES = {
     "verify_all": ["verify", "all", "--seed", "3", "--trials", "7"],
     "convergence_burgers_periodic": ["convergence", "--config", "burgers_periodic",
@@ -74,6 +115,7 @@ FIXED_CASES = {
     "boundary_euler3d_cyl": ["analyze-boundary", "--model", "euler3d_cyl",
                              "--state", "1,0,0,1", "--normal", "1,0,0",
                              "--radius", "0.8"],
+    "run_swe_standard_vs_new": ["run", "--config", "swe_standard_vs_new.cfg"],
     "refuse_stride_typo": ["run", "--config", "stride_typo.cfg"],
     "refuse_alpha_nan": ["analyze-boundary", "--model", "swe2d",
                          "--state", "1,0.5,0", "--normal", "1,0",
@@ -81,7 +123,10 @@ FIXED_CASES = {
 }
 
 # Files written into a case's working directory before it runs.
-CASE_FILES = {"refuse_stride_typo": {"stride_typo.cfg": STRIDE_TYPO_CFG}}
+CASE_FILES = {
+    "run_swe_standard_vs_new": {"swe_standard_vs_new.cfg": SWE_STANDARD_VS_NEW_CFG},
+    "refuse_stride_typo": {"stride_typo.cfg": STRIDE_TYPO_CFG},
+}
 
 
 def package_root(path: str) -> Path:

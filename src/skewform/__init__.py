@@ -29,6 +29,7 @@ from .models import (
     MODEL_KINDS,
     ModelSpec,
     coeff_matrices,
+    dense_matrix,
     make_model,
     sample_state,
     swe_inverse,
@@ -101,6 +102,7 @@ __all__ = [
     "check_energy_identity",
     "check_swe_ansatz",
     "coeff_matrices",
+    "dense_matrix",
     "dual",
     "energy_report",
     "eval_dual_residual",

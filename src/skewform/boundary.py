@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelSpec, check_admissible, coeff_matrices, with_params
+from .models import ModelSpec, check_admissible, coeff_matrices, dense_matrix, with_params
 from .sbp_core import Grid, face_layer, parse_face
 
 # Non-glancing thresholds for the rewritten formulation and the
@@ -299,7 +299,7 @@ def analyze_boundary(
         A, _ = coeff_matrices(model, state, pos)
         M = np.zeros((model.n_comp, model.n_comp))
         for ax in range(model.dim):
-            M += normal[ax] * A[ax]
+            M += normal[ax] * dense_matrix(A[ax], model.n_comp)
         S = 0.5 * (M + M.T)
         contraction = float(state @ M @ state) if formulation == "nonlinear" else None
     else:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelSpec, coeff_matrices, norm_weight, with_params
+from .models import ModelSpec, coeff_matrices, dense_matrix, norm_weight, with_params
 from .sbp_core import Grid, inner_product
 from .spatial_op import CoeffMode, Residual, eval_dual_residual, eval_primal_residual
 
@@ -128,5 +128,5 @@ def boundary_contraction(
     A, _ = coeff_matrices(model, V, pos)
     total = 0.0
     for ax in range(model.dim):
-        total += normal[ax] * float(state @ A[ax] @ state)
+        total += normal[ax] * float(state @ dense_matrix(A[ax], model.n_comp) @ state)
     return total

@@ -1,4 +1,4 @@
-"""Model catalogue: coefficient matrices of the skew-symmetric first-order form.
+"""Model catalogue: coefficient entry tables of the skew-symmetric first-order form.
 
 Every model writes its governing system as
 
@@ -18,12 +18,16 @@ frozen, V = mean for the perturbation equation).  The catalogue:
 The shallow water model works in transformed variables whose squared norm is
 twice the energy density; alpha and beta parametrise valid splittings that
 all produce the same boundary contraction.
+
+A coefficient matrix is an entry table: a dict {(row, col): field} of the
+entries that can be nonzero, keys in row-major order.  Every other entry is
+zero at every state, so no dense tensor is built; dense_matrix expands one
+point's table where a linear-algebra routine needs the whole matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -61,24 +65,6 @@ class ModelSpec:
     @property
     def dim(self) -> int:
         return len(self.axis_names)
-
-    @cached_property
-    def pattern(self) -> tuple:
-        """(A, C): per axis the (row, col) entries of A_i that coeff_matrices
-        writes, then those of C, each in row-major order.  Every other entry
-        is zero at every state, so the kernels skip it."""
-        A, C = _coefficients(self, np.ones(self.n_comp), (np.ones(()),) * self.dim)
-        return tuple(tuple(sorted(entries)) for entries in A), tuple(sorted(C))
-
-
-@dataclass(frozen=True, eq=False)
-class CoefficientSplit:
-    """Mean and increment coefficient matrices about a mean state."""
-
-    A_bar: np.ndarray
-    C_bar: np.ndarray
-    A_prime: np.ndarray
-    C_prime: np.ndarray
 
 
 def make_model(kind: str, **params) -> ModelSpec:
@@ -145,7 +131,7 @@ def check_admissible(model: ModelSpec, V) -> None:
 
 
 def coeff_matrices(model: ModelSpec, V, pos=None):
-    """Coefficient matrices at the state V, which must be admissible.
+    """Coefficient entry tables at the state V, which must be admissible.
 
     Args:
         V: coefficient state, shape (n_comp, *s) where s may be empty for a
@@ -154,21 +140,30 @@ def coeff_matrices(model: ModelSpec, V, pos=None):
            euler3d_cyl (radius) and for swe2d when f1 is nonzero.
 
     Returns:
-        (A, C): A of shape (dim, n_comp, n_comp, *s) and C of shape
-        (n_comp, n_comp, *s); C is skew per node.  Only the entries of
-        model.pattern are written.
+        (A, C): A is a tuple of dim tables {(row, col): field} for A_i and C
+        one table, keys row-major, every field of shape s (0-d for a point);
+        C is skew per node.  The fields are views into one packed block.
     """
     V = _as_state(model, V)
     check_admissible(model, V)
-    s = V.shape[1:]
-    nc = model.n_comp
-    A = np.zeros((model.dim, nc, nc) + s)
-    C = np.zeros((nc, nc) + s)
-    entries_A, entries_C = _coefficients(model, V, pos)
-    for M, entries in (*zip(A, entries_A), (C, entries_C)):
-        for (a, b), value in entries.items():
-            M[a, b] = value
-    return A, C
+    A, C = _coefficients(model, V, pos)
+    tables = [dict(sorted(entries.items())) for entries in (*A, C)]
+    # One block, not one per entry: glibc then keeps its heap, not trims and refaults it.
+    block = np.empty((sum(map(len, tables)),) + V.shape[1:])
+    views = (block[k, ...] for k in range(len(block)))
+    for entries in tables:
+        for key, value in entries.items():
+            entries[key] = view = next(views)
+            view[...] = value
+    return tuple(tables[:-1]), tables[-1]
+
+
+def dense_matrix(entries, n_comp: int) -> np.ndarray:
+    """The n_comp x n_comp matrix of one point's entry table, zero elsewhere."""
+    M = np.zeros((n_comp, n_comp))
+    for key, value in entries.items():
+        M[key] = value
+    return M
 
 
 def _coefficients(model: ModelSpec, V: np.ndarray, pos):
@@ -246,8 +241,9 @@ def swe_inverse(U) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return U[0], U[1] / root, U[2] / root
 
 
-def swe_quasilinear(U) -> tuple[np.ndarray, np.ndarray]:
-    """Quasilinear target matrices of the transformed shallow water system.
+def swe_quasilinear(U) -> tuple[dict, dict]:
+    """Quasilinear target matrices of the transformed shallow water system,
+    as entry tables.
 
     For smooth fields, (A1(U) U)_x + A1(U)^T U_x equals calA(U) U_x with the
     first matrix returned here, and likewise in y with the second; this is
@@ -256,46 +252,36 @@ def swe_quasilinear(U) -> tuple[np.ndarray, np.ndarray]:
     U = np.asarray(U, dtype=np.float64)
     root = np.sqrt(U[0])
     r3 = U[0] * root
-    s = U.shape[1:]
-    calA = np.zeros((3, 3) + s)
-    calB = np.zeros((3, 3) + s)
-
-    calA[0, 0] = U[1] / (2.0 * root)
-    calA[0, 1] = root
-    calA[1, 0] = root - U[1] ** 2 / (4.0 * r3)
-    calA[1, 1] = 3.0 * U[1] / (2.0 * root)
-    calA[2, 0] = -U[1] * U[2] / (4.0 * r3)
-    calA[2, 1] = U[2] / (2.0 * root)
-    calA[2, 2] = U[1] / root
-
-    calB[0, 0] = U[2] / (2.0 * root)
-    calB[0, 2] = root
-    calB[1, 0] = -U[1] * U[2] / (4.0 * r3)
-    calB[1, 1] = U[2] / root
-    calB[1, 2] = U[1] / (2.0 * root)
-    calB[2, 0] = root - U[2] ** 2 / (4.0 * r3)
-    calB[2, 2] = 3.0 * U[2] / (2.0 * root)
+    calA = {(0, 0): U[1] / (2.0 * root), (0, 1): root,
+            (1, 0): root - U[1] ** 2 / (4.0 * r3), (1, 1): 3.0 * U[1] / (2.0 * root),
+            (2, 0): -U[1] * U[2] / (4.0 * r3), (2, 1): U[2] / (2.0 * root),
+            (2, 2): U[1] / root}
+    calB = {(0, 0): U[2] / (2.0 * root), (0, 2): root,
+            (1, 0): -U[1] * U[2] / (4.0 * r3), (1, 1): U[2] / root,
+            (1, 2): U[1] / (2.0 * root),
+            (2, 0): root - U[2] ** 2 / (4.0 * r3), (2, 2): 3.0 * U[2] / (2.0 * root)}
     return calA, calB
 
 
-def coeff_split(model: ModelSpec, U_bar, U_prime, pos=None) -> CoefficientSplit:
-    """Coefficients at the mean and their increment to the total state.
+def coeff_split(model: ModelSpec, U_bar, U_prime, pos=None) -> tuple:
+    """Increment tables (A', C') of the coefficients from the mean to the
+    total state.
 
-    A_prime = A(mean + pert) - A(mean) entry for entry; for burgers1d the
+    A' = A(mean + pert) - A(mean) entry for entry; for burgers1d the
     coefficient is linear in the state, so the increment is evaluated
     directly as A(pert), which scales exactly under scaling of the
     perturbation.
     """
     U_bar = _as_state(model, U_bar)
     U_prime = _as_state(model, U_prime)
-    A_bar, C_bar = coeff_matrices(model, U_bar, pos)
     if model.kind == "burgers1d":
-        A_prime, C_prime = coeff_matrices(model, U_prime, pos)
-    else:
-        A_tot, C_tot = coeff_matrices(model, U_bar + U_prime, pos)
-        A_prime = A_tot - A_bar
-        C_prime = C_tot - C_bar
-    return CoefficientSplit(A_bar=A_bar, C_bar=C_bar, A_prime=A_prime, C_prime=C_prime)
+        check_admissible(model, U_bar)
+        return coeff_matrices(model, U_prime, pos)
+    A_bar, C_bar = coeff_matrices(model, U_bar, pos)
+    A_tot, C_tot = coeff_matrices(model, U_bar + U_prime, pos)
+    A_prime = tuple({key: tot[key] - bar[key] for key in tot}
+                    for tot, bar in zip(A_tot, A_bar))
+    return A_prime, {key: C_tot[key] - C_bar[key] for key in C_tot}
 
 
 def wavespeeds(model: ModelSpec, V) -> tuple[float, ...]:

@@ -17,6 +17,9 @@ state, acted-on state) pair:
 
 Because the paths share code, the coupled mean/perturbation system with a
 zero perturbation reproduces the nonlinear evaluation bit for bit.
+
+Coefficient matrices arrive as entry tables {(row, col): field} in row-major
+order (models.coeff_matrices); every kernel walks the table's entries only.
 """
 
 from __future__ import annotations
@@ -89,49 +92,49 @@ class Residual:
     face_terms: dict
 
 
-def matfield_apply(M: np.ndarray, W: np.ndarray, pattern,
-                   transpose: bool = False) -> np.ndarray:
+def matfield_apply(M: dict, W: np.ndarray, transpose: bool = False) -> np.ndarray:
     """Pointwise product M W (M^T W with transpose) over the grid.
 
-    pattern lists, in row-major order, the (i, j) entries of M that can be
-    nonzero (ModelSpec.pattern); the others are skipped.  Row-major order
-    makes each output row add its products in increasing column order from
-    +0.0, transposed or not, so on finite fields the result equals the loop
-    over every entry bit for bit.
+    M is an entry table {(i, j): field} with keys in row-major order; the
+    entries it leaves out are zero.  Row-major order makes each output row
+    add its products in increasing column order from +0.0, transposed or
+    not, so on finite fields the result equals the loop over every entry of
+    the dense matrix bit for bit.
     """
     out = np.zeros_like(W)
-    for i, j in pattern:
+    for (i, j), field in M.items():
         row, col = (j, i) if transpose else (i, j)
-        out[row] += M[i, j] * W[col]
+        out[row] += field * W[col]
     return out
 
 
-def _assemble(model: ModelSpec, grid: Grid, ops, A: np.ndarray, C: np.ndarray,
-              W: np.ndarray) -> np.ndarray:
-    """sum_ax [ D_ax(A_ax W) + A_ax^T D_ax W ] + C W on the model's pattern."""
-    pat_A, pat_C = model.pattern
+def _assemble(grid: Grid, ops, A: tuple, C: dict, W: np.ndarray) -> np.ndarray:
+    """sum_ax [ D_ax(A_ax W) + A_ax^T D_ax W ] + C W over the tables' entries."""
     out = np.zeros_like(W)
     for ax in range(grid.dim):
-        out += apply_derivative(ops[ax], matfield_apply(A[ax], W, pat_A[ax]), ax)
-        out += matfield_apply(A[ax], apply_derivative(ops[ax], W, ax), pat_A[ax],
-                              transpose=True)
-    out += matfield_apply(C, W, pat_C)
+        out += apply_derivative(ops[ax], matfield_apply(A[ax], W), ax)
+        out += matfield_apply(A[ax], apply_derivative(ops[ax], W, ax), transpose=True)
+    out += matfield_apply(C, W)
     return out
 
 
-def _face_terms(model: ModelSpec, grid: Grid, ops, A: np.ndarray, S: np.ndarray) -> dict:
+def _face_table(grid: Grid, M: dict, face) -> dict:
+    """The face layer of every entry of the table M."""
+    return {key: face_layer(grid, field, face) for key, field in M.items()}
+
+
+def _face_terms(grid: Grid, ops, A: tuple, S: np.ndarray) -> dict:
     """bq(S, A_ax S) per face, with A_ax S formed on the face layer only."""
     terms = {}
     for face in faces(grid):
         Sf = face_layer(grid, S, face)
-        ASf = matfield_apply(face_layer(grid, A[face[0]], face), Sf,
-                             model.pattern[0][face[0]])
+        ASf = matfield_apply(_face_table(grid, A[face[0]], face), Sf)
         terms[face_label(grid, face)] = boundary_quadrature(grid, ops, Sf, ASf, face)
     return terms
 
 
 def _residual(model: ModelSpec, grid: Grid, ops, spatial: np.ndarray,
-              A: np.ndarray, S: np.ndarray, sat=None, forcing=None) -> Residual:
+              A: tuple, S: np.ndarray, sat=None, forcing=None) -> Residual:
     """Completes the spatial part acting on S: the SAT on S, the forcing,
     R = spatial - SAT - forcing, and the face terms of A on S."""
     sat_field = _boundary.build_sat(model, grid, ops, S, sat) if sat is not None else None
@@ -142,7 +145,7 @@ def _residual(model: ModelSpec, grid: Grid, ops, spatial: np.ndarray,
         forcing = np.asarray(forcing, dtype=np.float64)
         R = R - forcing
     return Residual(R=R, spatial=spatial, sat=sat_field, forcing=forcing,
-                    face_terms=_face_terms(model, grid, ops, A, S))
+                    face_terms=_face_terms(grid, ops, A, S))
 
 
 def eval_primal_residual(
@@ -177,8 +180,7 @@ def eval_primal_residual(
     else:
         raise ValueError(f"unknown coefficient mode '{mode.kind}'")
     A, C = coeff_matrices(model, V, grid.positions)
-    return _residual(model, grid, ops, _assemble(model, grid, ops, A, C, U), A, U,
-                     sat, forcing)
+    return _residual(model, grid, ops, _assemble(grid, ops, A, C, U), A, U, sat, forcing)
 
 
 def eval_dual_residual(
@@ -203,7 +205,7 @@ def eval_dual_residual(
         raise ValueError("dual residuals take a dual (or frozen) coefficient mode")
     V = Phi if mode.field is None else mode.field
     A, C = coeff_matrices(model, V, grid.positions)
-    return _residual(model, grid, ops, -_assemble(model, grid, ops, A, C, Phi), A, Phi,
+    return _residual(model, grid, ops, -_assemble(grid, ops, A, C, Phi), A, Phi,
                      sat, forcing)
 
 
@@ -228,10 +230,10 @@ def eval_new_linearised_pair(
     U_prime = np.asarray(U_prime, dtype=np.float64)
     pos = grid.positions
     A_tot, C_tot = coeff_matrices(model, U_bar + U_prime, pos)
-    res_mean = _residual(model, grid, ops, _assemble(model, grid, ops, A_tot, C_tot, U_bar),
+    res_mean = _residual(model, grid, ops, _assemble(grid, ops, A_tot, C_tot, U_bar),
                          A_tot, U_bar, sat_mean)
     A_bar, C_bar = coeff_matrices(model, U_bar, pos)
-    res_pert = _residual(model, grid, ops, _assemble(model, grid, ops, A_bar, C_bar, U_prime),
+    res_pert = _residual(model, grid, ops, _assemble(grid, ops, A_bar, C_bar, U_prime),
                          A_bar, U_prime, sat_pert)
     return res_mean, res_pert
 
@@ -252,8 +254,8 @@ def eval_remainder_H(
     """
     U_bar = np.asarray(U_bar, dtype=np.float64)
     U_prime = np.asarray(U_prime, dtype=np.float64)
-    split = coeff_split(model, U_bar, U_prime, grid.positions)
-    return _assemble(model, grid, ops, split.A_prime, split.C_prime, U_prime)
+    A_prime, C_prime = coeff_split(model, U_bar, U_prime, grid.positions)
+    return _assemble(grid, ops, A_prime, C_prime, U_prime)
 
 
 def eval_standard_linearised_residual(
@@ -282,50 +284,37 @@ def eval_standard_linearised_residual(
         du = apply_derivative(ops[0], U_prime, 0)
         dm = apply_derivative(ops[0], mean, 0)
         spatial = mean * du + dm * U_prime
-        M = mean[None, None]  # (dim, 1, 1, n) transport matrix field
+        M = ({(0, 0): mean[0]},)  # the transport matrix table
     elif model.kind == "swe2d":
         M, N = _swe_standard_matrices(model, grid, ops, mean)
         spatial = np.zeros_like(U_prime)
         for ax in range(2):
-            spatial += matfield_apply(M[ax], apply_derivative(ops[ax], U_prime, ax),
-                                      model.pattern[0][ax])
-        spatial += matfield_apply(N, U_prime, tuple(np.ndindex(3, 3)))
+            spatial += matfield_apply(M[ax], apply_derivative(ops[ax], U_prime, ax))
+        spatial += matfield_apply(N, U_prime)
     else:
         raise ValueError(
             f"standard linearisation covers burgers1d and swe2d, not '{model.kind}'"
         )
-    return _residual(model, grid, ops, spatial, 0.5 * M, U_prime, sat, forcing)
+    half = tuple({key: 0.5 * field for key, field in M_ax.items()} for M_ax in M)
+    return _residual(model, grid, ops, spatial, half, U_prime, sat, forcing)
 
 
 def _swe_standard_matrices(model: ModelSpec, grid: Grid, ops, qbar: np.ndarray):
-    """Advective matrices M1, M2 and zero-order N at a primitive mean; M_ax
-    has the entry pattern of the skew-form A_ax (model.pattern)."""
+    """Tables of the advective matrices M1, M2 and the zero-order N at a
+    primitive mean; M_ax has the entries of the skew-form A_ax."""
     phib, ub, vb = qbar[0], qbar[1], qbar[2]
-    M = np.zeros((2, 3, 3) + grid.shape)
-    M[0, 0, 0] = ub
-    M[0, 0, 1] = phib
-    M[0, 1, 0] = 1.0
-    M[0, 1, 1] = ub
-    M[0, 2, 2] = ub
-    M[1, 0, 0] = vb
-    M[1, 0, 2] = phib
-    M[1, 1, 1] = vb
-    M[1, 2, 0] = 1.0
-    M[1, 2, 2] = vb
+    one = np.ones(grid.shape)
+    M = ({(0, 0): ub, (0, 1): phib, (1, 0): one, (1, 1): ub, (2, 2): ub},
+         {(0, 0): vb, (0, 2): phib, (1, 1): vb, (2, 0): one, (2, 2): vb})
 
     dqx = apply_derivative(ops[0], qbar, 0)
     dqy = apply_derivative(ops[1], qbar, 1)
     f = model.f0
     if model.f1 != 0.0:
         f = model.f0 + model.f1 * grid.positions[1]
-    N = np.zeros((3, 3) + grid.shape)
-    N[0, 0] = dqx[1] + dqy[2]
-    N[0, 1] = dqx[0]
-    N[0, 2] = dqy[0]
-    N[1, 1] = dqx[1]
-    N[1, 2] = dqy[1] - f
-    N[2, 1] = dqx[2] + f
-    N[2, 2] = dqy[2]
+    N = {(0, 0): dqx[1] + dqy[2], (0, 1): dqx[0], (0, 2): dqy[0],
+         (1, 1): dqx[1], (1, 2): dqy[1] - f,
+         (2, 1): dqx[2] + f, (2, 2): dqy[2]}
     return M, N
 
 
@@ -347,10 +336,8 @@ def bilinear_face_functional(
     A, _ = coeff_matrices(model, V, grid.positions)
     total = 0.0
     for face in faces(grid):
-        Af, pattern = face_layer(grid, A[face[0]], face), model.pattern[0][face[0]]
+        Af = _face_table(grid, A[face[0]], face)
         Uf, Phif = face_layer(grid, U, face), face_layer(grid, Phi, face)
-        AUf = matfield_apply(Af, Uf, pattern)
-        APhif = matfield_apply(Af, Phif, pattern)
-        total += boundary_quadrature(grid, ops, Phif, AUf, face)
-        total += boundary_quadrature(grid, ops, APhif, Uf, face)
+        total += boundary_quadrature(grid, ops, Phif, matfield_apply(Af, Uf), face)
+        total += boundary_quadrature(grid, ops, matfield_apply(Af, Phif), Uf, face)
     return total

@@ -110,19 +110,22 @@ def _sweep(kinds, orders, trials: int, seed: int, salt: int, one) -> list:
 
 
 def _finish(name, trials, seed, tolerance, samples) -> CheckReport:
-    """Aggregates (residual, meta) samples; ties keep the earliest."""
+    """Aggregates (residual, meta) samples; ties keep the earliest.  A check
+    that drew no sample has shown nothing and raises ValueError."""
+    if not samples:
+        raise ValueError(f"check '{name}' drew no samples; it needs at least"
+                         " one trial, model kind and operator order")
     max_residual = -np.inf
     worst = {}
     for residual, meta in samples:
         if residual > max_residual:
             max_residual = residual
             worst = meta
-    max_residual = float(max_residual) if samples else 0.0
     return CheckReport(
         name=name,
         trials=trials,
         seed=seed,
-        max_residual=max_residual,
+        max_residual=float(max_residual),
         tolerance=tolerance,
         passed=bool(max_residual <= tolerance),
         worst=worst,
@@ -214,10 +217,9 @@ def ansatz_defect(model, grid, ops, U) -> float:
     worst = 0.0
     for ax in range(2):
         DU = apply_derivative(ops[ax], U, axis=ax)
-        pattern = model.pattern[0][ax]
-        flux = apply_derivative(ops[ax], matfield_apply(A[ax], U, pattern), axis=ax)
-        skew = matfield_apply(A[ax], DU, pattern, transpose=True)
-        quasi = matfield_apply(cal[ax], DU, tuple(np.ndindex(3, 3)))
+        flux = apply_derivative(ops[ax], matfield_apply(A[ax], U), axis=ax)
+        skew = matfield_apply(A[ax], DU, transpose=True)
+        quasi = matfield_apply(cal[ax], DU)
         worst = max(worst, float(np.max(np.abs(flux + skew - quasi))))
     return worst
 

@@ -8,6 +8,7 @@ from skewform.models import (
     check_admissible,
     coeff_matrices,
     coeff_split,
+    dense_matrix,
     has_invertible_norm,
     make_model,
     norm_weight,
@@ -26,6 +27,21 @@ ALL_KINDS = ("burgers1d", "euler2d", "euler3d_cyl", "swe2d")
 
 def matvec(M, w):
     return np.einsum("ij...,j...->i...", M, w)
+
+
+def dense(entries, n_comp, s=()):
+    """An entry table as the dense (n_comp, n_comp, *s) array."""
+    M = np.zeros((n_comp, n_comp) + tuple(s))
+    for key, value in entries.items():
+        M[key] = value
+    return M
+
+
+def dense_coeffs(m, V, pos=None):
+    """coeff_matrices densified: A as (dim, nc, nc, *s), C as (nc, nc, *s)."""
+    A, C = coeff_matrices(m, V, pos)
+    s = np.shape(V)[1:]
+    return np.stack([dense(M, m.n_comp, s) for M in A]), dense(C, m.n_comp, s)
 
 
 def test_make_model_rejects_unknown_kind_and_stray_params():
@@ -60,7 +76,7 @@ def test_with_params_swaps_splitting_parameters():
 def test_burgers_coefficient_is_a_third_of_the_state():
     m = make_model("burgers1d")
     V = np.array([[0.9, -0.3, 0.0]])
-    A, C = coeff_matrices(m, V)
+    A, C = dense_coeffs(m, V)
     assert A.shape == (1, 1, 1, 3)
     assert np.array_equal(A[0, 0, 0], V[0] / 3.0)
     assert not C.any()
@@ -69,7 +85,7 @@ def test_burgers_coefficient_is_a_third_of_the_state():
 def test_euler2d_pinned_coefficient():
     m = make_model("euler2d")
     V = np.ones((3, 1))
-    A, C = coeff_matrices(m, V)
+    A, C = dense_coeffs(m, V)
     assert np.array_equal(A[0][..., 0], 0.5 * np.array([[1, 0, 1], [0, 1, 0], [1, 0, 0]]))
     assert np.array_equal(A[1][..., 0], 0.5 * np.array([[1, 0, 0], [0, 1, 1], [0, 1, 0]]))
     assert not C.any()
@@ -80,7 +96,7 @@ def test_swe_pinned_coefficient_and_coriolis_skewness():
     V = np.zeros((3, 2, 2))
     V[0] = 1.0
     pos = make_grid(((0.0, 1.0), (0.0, 1.0)), (2, 2)).positions
-    A, C = coeff_matrices(m, V, pos=pos)
+    A, C = dense_coeffs(m, V, pos=pos)
     assert np.array_equal(A[0][..., 0, 0], np.array([[0.0, -2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     # C + C^T = 0 exactly, with f = f0 + f1*y entering the (1,2) block
     CT = np.swapaxes(C, 0, 1)
@@ -100,7 +116,7 @@ def test_cylindrical_coefficients_scale_with_radius():
     m = make_model("euler3d_cyl")
     V = np.array([[1.0], [0.5], [0.2], [0.3]])
     pos = (np.array([0.8]), np.array([0.0]), np.array([0.0]))
-    A, C = coeff_matrices(m, V, pos=pos)
+    A, C = dense_coeffs(m, V, pos=pos)
     # radial block is r/2 times the constant-coefficient pattern
     r = 0.8
     expected = (r / 2.0) * np.array(
@@ -168,14 +184,14 @@ def test_quasilinear_matrices_match_a_finite_difference_jacobian():
             for trial in range(10):
                 U = sample_state(m, (3,), rng)
                 w = rng.normal(size=U.shape)
-                Aq = swe_quasilinear(U)
+                Aq = [dense(M, 3, U.shape[1:]) for M in swe_quasilinear(U)]
                 for ax in range(2):
                     def flux(state):
-                        A, _ = coeff_matrices(m, state)
+                        A, _ = dense_coeffs(m, state)
                         return matvec(A[ax], state)
 
                     jw = (flux(U + eps * w) - flux(U - eps * w)) / (2.0 * eps)
-                    A, _ = coeff_matrices(m, U)
+                    A, _ = dense_coeffs(m, U)
                     lhs = jw + matvec(np.swapaxes(A[ax], 0, 1), w)
                     rhs = matvec(Aq[ax], w)
                     assert np.max(np.abs(lhs - rhs)) <= 5e-8, (alpha, beta, ax)
@@ -185,7 +201,7 @@ def test_quasilinear_matrices_pinned_at_a_hand_checked_state():
     # U = (4, 6, 2): root = 2, u = 3, v = 1.  Entries worked out by hand from
     # the quasilinear form of the square-root variables.
     U = np.array([[4.0], [6.0], [2.0]])
-    Aq1, Aq2 = swe_quasilinear(U)
+    Aq1, Aq2 = (dense(M, 3, (1,)) for M in swe_quasilinear(U))
     want1 = np.array([[1.5, 2.0, 0.0], [0.875, 4.5, 0.0], [-0.375, 0.5, 3.0]])
     want2 = np.array([[0.5, 0.0, 2.0], [-0.375, 1.0, 1.5], [1.875, 0.0, 1.5]])
     assert np.max(np.abs(Aq1[..., 0] - want1)) <= 1e-15
@@ -197,11 +213,10 @@ def test_coefficient_split_burgers_increment_is_analytic():
     rng = np.random.default_rng(9)
     Ub = rng.normal(size=(1, 7))
     Up = rng.normal(size=(1, 7))
-    cs = coeff_split(m, Ub, Up)
-    A_base, _ = coeff_matrices(m, Ub)
-    A_prime, _ = coeff_matrices(m, Up)
-    assert np.array_equal(cs.A_bar, A_base)
-    assert np.array_equal(cs.A_prime, A_prime)
+    A_split, C_split = coeff_split(m, Ub, Up)
+    A_prime, _ = dense_coeffs(m, Up)
+    assert np.array_equal(np.stack([dense(M, 1, (7,)) for M in A_split]), A_prime)
+    assert C_split == {}
 
 
 def test_coefficient_split_is_exact_for_the_swe_total():
@@ -210,9 +225,11 @@ def test_coefficient_split_is_exact_for_the_swe_total():
     rng = np.random.default_rng(10)
     Ub = sample_state(m, (4, 3), rng)
     Up = 0.05 * rng.normal(size=Ub.shape)
-    cs = coeff_split(m, Ub, Up)
-    A_tot, _ = coeff_matrices(m, Ub + Up)
-    assert np.max(np.abs(cs.A_bar + cs.A_prime - A_tot)) <= 1e-13
+    A_split, _ = coeff_split(m, Ub, Up)
+    A_prime = np.stack([dense(M, 3, (4, 3)) for M in A_split])
+    A_bar, _ = dense_coeffs(m, Ub)
+    A_tot, _ = dense_coeffs(m, Ub + Up)
+    assert np.max(np.abs(A_bar + A_prime - A_tot)) <= 1e-13
 
 
 def test_wavespeeds_burgers():
@@ -229,7 +246,7 @@ def test_swe_wavespeeds_are_the_quasilinear_eigenvalue_radii():
     m = make_model("swe2d")
     for trial in range(20):
         U = sample_state(m, (5, 4), rng)
-        calA, calB = swe_quasilinear(U)
+        calA, calB = (dense(M, 3, U.shape[1:]) for M in swe_quasilinear(U))
         speeds = wavespeeds(m, U)
         for ax, M in enumerate((calA, calB)):
             eig = np.linalg.eigvals(np.moveaxis(M.reshape(3, 3, -1), -1, 0))
@@ -278,21 +295,44 @@ def test_validate_grid_checks_dimension_and_cylindrical_radius():
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_pattern_covers_every_coefficient_entry(kind):
-    # The kernels skip every entry outside model.pattern, so each entry
-    # coeff_matrices makes nonzero must be listed, rows then columns.
+    # The kernels walk the entry tables in key order, so the keys must be
+    # row-major and the same at every state; the fields share one block.
     m = make_model("swe2d", alpha=0.4, beta=0.7, f0=0.7, f1=0.3) \
         if kind == "swe2d" else make_model(kind)
     shape = (5,) * m.dim
     pos = tuple(np.full(shape, 0.3 + 0.2 * ax) for ax in range(m.dim))
-    pat_A, pat_C = m.pattern
-    assert len(pat_A) == m.dim
-    for pattern in (*pat_A, pat_C):
-        assert list(pattern) == sorted(set(pattern))
     rng = np.random.default_rng(41)
+    first = None
     for trial in range(20):
         A, C = coeff_matrices(m, sample_state(m, shape, rng), pos)
-        for M, pattern in [*zip(A, pat_A), (C, pat_C)]:
-            written = {(a, b) for a in range(m.n_comp) for b in range(m.n_comp)
-                       if M[a, b].any()}
-            assert written <= set(pattern)
+        assert len(A) == m.dim
+        keys = [list(M) for M in (*A, C)]
+        for table in keys:
+            assert table == sorted(set(table))
+        first = first or keys
+        assert keys == first
+        fields = [field for M in (*A, C) for field in M.values()]
+        block = fields[0].base
+        assert block.shape == (len(fields),) + shape
+        assert all(field.base is block and field.shape == shape for field in fields)
 
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_point_state_tables_match_the_grid_at_that_node(kind):
+    # s = (): every field is a 0-d view of the block, and the tables and
+    # their dense matrices equal the grid tables at the node.
+    m = make_model("swe2d", alpha=0.4, beta=0.7, f0=0.7, f1=0.3) \
+        if kind == "swe2d" else make_model(kind)
+    shape = (4,) * m.dim
+    pos = tuple(np.full(shape, 0.3 + 0.2 * ax) for ax in range(m.dim))
+    V = sample_state(m, shape, np.random.default_rng(42))
+    node = (1,) * m.dim
+    A, C = coeff_matrices(m, V, pos)
+    Ap, Cp = coeff_matrices(m, V[(slice(None),) + node], tuple(p[node] for p in pos))
+    for M, Mp in [*zip(A, Ap), (C, Cp)]:
+        assert list(Mp) == list(M)
+        for key, field in Mp.items():
+            assert isinstance(field, np.ndarray) and field.shape == ()
+            assert field.tobytes() == M[key][node].tobytes()
+        at_node = dense(M, m.n_comp, shape)[(Ellipsis,) + node]
+        assert np.array_equal(dense_matrix(Mp, m.n_comp), at_node)

@@ -232,6 +232,14 @@ def signed_zeros(U, rng):
     return U
 
 
+def densify(M, n_comp, s):
+    """An entry table as the dense (n_comp, n_comp, *s) array."""
+    out = np.zeros((n_comp, n_comp) + s)
+    for key, value in M.items():
+        out[key] = value
+    return out
+
+
 def pattern_cases(kind, order, seed):
     """small_setup's model, plus for swe2d one whose pattern holds entries
     that are zero at every state: 1 - 3 alpha = 0 and f0 = f1 = 0."""
@@ -252,15 +260,15 @@ def test_matfield_apply_on_the_pattern_matches_the_dense_loop_bitwise(kind):
             V[first:] = signed_zeros(V[first:], rng)
             A, C = coeff_matrices(m, V, g.positions)
             W = signed_zeros(sample_state(m, g.shape, rng), rng)
-            pat_A, pat_C = m.pattern
             # a full random matrix: rows of three or four products, whose
             # sum depends on the order they are added in
             full = signed_zeros(rng.normal(size=(m.n_comp,) + W.shape), rng)
-            full_pattern = tuple(np.ndindex(m.n_comp, m.n_comp))
-            for M, pattern in [*zip(A, pat_A), (C, pat_C), (full, full_pattern)]:
+            full_table = {key: full[key] for key in np.ndindex(m.n_comp, m.n_comp)}
+            for M in (*A, C, full_table):
                 for transpose in (False, True):
-                    got = matfield_apply(M, W, pattern, transpose=transpose)
-                    want = dense_matfield(M, W, transpose=transpose)
+                    got = matfield_apply(M, W, transpose=transpose)
+                    want = dense_matfield(densify(M, m.n_comp, g.shape), W,
+                                          transpose=transpose)
                     assert got.tobytes() == want.tobytes()
 
 
@@ -273,6 +281,8 @@ def test_residual_matches_the_dense_assembly_bitwise(kind):
         V = sample_state(m, g.shape, rng)
         W = signed_zeros(sample_state(m, g.shape, rng), rng)
         A, C = coeff_matrices(m, V, g.positions)
+        A = [densify(M, m.n_comp, g.shape) for M in A]
+        C = densify(C, m.n_comp, g.shape)
         want = np.zeros_like(W)
         for ax in range(g.dim):
             want += apply_derivative(ops[ax], dense_matfield(A[ax], W), ax)
@@ -287,12 +297,16 @@ def test_residual_matches_the_dense_assembly_bitwise(kind):
 
 
 def test_standard_transport_matrices_stay_on_the_swe_pattern():
-    # the standard linearisation's face terms read M_ax on model.pattern
+    # the standard linearisation's tables are walked in key order, so their
+    # keys are row-major; M_ax has the entries of the skew-form A_ax
     m, g, ops, rng = small_setup("swe2d", (4, 2), 53)
     for trial in range(5):
         qbar = sample_state(m, g.shape, rng)
-        M, _ = _swe_standard_matrices(m, g, ops, qbar)
+        M, N = _swe_standard_matrices(m, g, ops, qbar)
+        A, _ = coeff_matrices(m, sample_state(m, g.shape, rng), g.positions)
+        for table in (*M, N):
+            assert list(table) == sorted(table)
         for ax in range(2):
-            written = {(a, b) for a in range(3) for b in range(3) if M[ax, a, b].any()}
-            assert written <= set(m.pattern[0][ax])
+            written = {key for key, field in M[ax].items() if field.any()}
+            assert written <= set(A[ax])
 

@@ -94,3 +94,17 @@ def test_default_setup_round_trip():
 def test_checks_reject_unknown_kinds():
     with pytest.raises(ValueError, match="unknown model"):
         check_energy_identity(kinds=("advection",), trials=1, seed=0)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("energy_identity", lambda: check_energy_identity(trials=0)),
+    ("duality", lambda: check_duality(kinds=())),
+    ("decomposition", lambda: check_decomposition(orders=())),
+    ("alpha_independence", lambda: check_alpha_independence(trials=0)),
+    ("swe_ansatz", lambda: check_swe_ansatz(orders=())),
+], ids=["energy_no_trials", "duality_no_kinds", "decomposition_no_orders",
+        "alpha_no_trials", "ansatz_no_orders"])
+def test_a_check_without_samples_is_refused(name, call):
+    # a suite that drew nothing has shown nothing: no vacuous pass
+    with pytest.raises(ValueError, match=f"check '{name}' drew no samples"):
+        call()
