@@ -20,9 +20,13 @@ linearised at a state with a zero eigenvalue (whose printed digits would
 otherwise show the eigensolver's rounding) and euler3d_cyl at radius 0.8;
 `run` on a swe2d `standard_vs_new` config bounded in x with a linear
 Coriolis profile, which no bundled scenario marches (written into the
-case's directory first); and two refusals, so the bytes of the refusal
+case's directory first); and three refusals, so the bytes of the refusal
 path are checked too: `run` on a config with `stride = ten` (written into
-the case's directory first) and `analyze-boundary --alpha nan`.
+the case's directory first), `analyze-boundary --alpha nan`, and `run` on
+the swe2d `standard_vs_new` config with a two-condition closure on x_low.
+The last refusal exits 2 since the standard linearisation took no SAT; a
+tree from before that refuses nothing, marches and fails with exit 1, so
+against such a tree this one case differs by design.
 """
 
 from __future__ import annotations
@@ -94,6 +98,13 @@ comp2 = 0.0 0.01 one cos:1
 prefix = swe_standard_vs_new
 """
 
+# A closure the swe2d standard linearisation refuses: it marches a primitive
+# perturbation, and the closures are written for transformed variables.
+SWE_STANDARD_SAT_CFG = SWE_STANDARD_VS_NEW_CFG + """
+[sat]
+x_low = swe_two_condition g2=1.0 g3=0.2
+"""
+
 FIXED_CASES = {
     "verify_all": ["verify", "all", "--seed", "3", "--trials", "7"],
     "convergence_burgers_periodic": ["convergence", "--config", "burgers_periodic",
@@ -120,12 +131,14 @@ FIXED_CASES = {
     "refuse_alpha_nan": ["analyze-boundary", "--model", "swe2d",
                          "--state", "1,0.5,0", "--normal", "1,0",
                          "--alpha", "nan", "--formulation", "linearised"],
+    "refuse_swe_standard_sat": ["run", "--config", "swe_standard_sat.cfg"],
 }
 
 # Files written into a case's working directory before it runs.
 CASE_FILES = {
     "run_swe_standard_vs_new": {"swe_standard_vs_new.cfg": SWE_STANDARD_VS_NEW_CFG},
     "refuse_stride_typo": {"stride_typo.cfg": STRIDE_TYPO_CFG},
+    "refuse_swe_standard_sat": {"swe_standard_sat.cfg": SWE_STANDARD_SAT_CFG},
 }
 
 

@@ -49,19 +49,13 @@ from .sbp_core import (
     make_grid,
 )
 from .spatial_op import (
-    CoeffMode,
     Residual,
     bilinear_face_functional,
-    dual,
     eval_dual_residual,
     eval_new_linearised_pair,
     eval_primal_residual,
     eval_remainder_H,
     eval_standard_linearised_residual,
-    frozen,
-    new_linearised,
-    nonlinear,
-    standard_linearised,
 )
 from .timeint import Scenario, march, rk4_step
 from .verify import (
@@ -78,7 +72,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryAnalysis",
     "CheckReport",
-    "CoeffMode",
     "EnergyReport",
     "FaceClosure",
     "Grid",
@@ -103,7 +96,6 @@ __all__ = [
     "check_swe_ansatz",
     "coeff_matrices",
     "dense_matrix",
-    "dual",
     "energy_report",
     "eval_dual_residual",
     "eval_new_linearised_pair",
@@ -111,18 +103,14 @@ __all__ = [
     "eval_remainder_H",
     "eval_standard_linearised_residual",
     "faces",
-    "frozen",
     "inner_product",
     "make_grid",
     "make_model",
     "make_sat_config",
     "march",
-    "new_linearised",
-    "nonlinear",
     "report_from_residual",
     "rk4_step",
     "sample_state",
-    "standard_linearised",
     "swe_inverse",
     "swe_quasilinear",
     "swe_rewritten_contraction",

@@ -158,11 +158,11 @@ def _sat_swe_two_condition(model, grid, ops, U, field, ax, side, closure):
         raise ValueError("swe_two_condition closure is a swe2d face closure")
     if grid.dim != 2:
         raise ValueError("swe_two_condition closure expects a 2D grid")
-    check_admissible(model, U)
     idx = 0 if side == "low" else grid.shape[ax] - 1
     outward = -1.0 if side == "low" else 1.0
     normal = (outward, 0.0) if ax == 0 else (0.0, outward)
     Uf = face_layer(grid, U, (ax, side))
+    check_admissible(model, Uf)  # the penalty reads the face layer only
     un = normal[0] * Uf[1] + normal[1] * Uf[2]
     utau = -normal[1] * Uf[1] + normal[0] * Uf[2]
     root = np.sqrt(Uf[0])

@@ -40,7 +40,6 @@ from .boundary import (
 from .energy import energy_report
 from .models import MODEL_KINDS, make_model, sample_state, swe_transform
 from .sbp_core import ACCURACIES, build_operators, face_label, faces, make_grid
-from .spatial_op import dual, frozen, nonlinear
 from .timeint import MODES, Scenario, march, validate_scenario
 from .verify import (
     CHECK_CSV_HEADER,
@@ -417,12 +416,6 @@ def write_final_state(target, model, grid, state) -> None:
         fh.writelines(" ".join(map(str, index + values)) + "\n" for index, values in nodes)
 
 
-def _identity_mode(kind, model, grid, rng):
-    if kind == "frozen":
-        return frozen(sample_state(model, grid.shape, rng))
-    return nonlinear() if kind == "nonlinear" else dual()
-
-
 def build_scenarios(cfg, path, mode, prefix, model, grid, ops, **scheme):
     """The named scenarios a marching config describes on one grid.
 
@@ -485,8 +478,9 @@ def run_identity(cfg, model, grid, ops, path):
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
         U = sample_state(model, grid.shape, rng)
-        mode = _identity_mode(mode_kind, model, grid, rng)
-        reports.append(energy_report(model, grid, ops, U, mode, t=float(trial)))
+        V = sample_state(model, grid.shape, rng) if mode_kind == "frozen" else None
+        reports.append(energy_report(model, grid, ops, U, V, mode_kind == "dual",
+                                     t=float(trial)))
     return reports
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .models import ModelSpec, coeff_matrices, dense_matrix, norm_weight, with_params
 from .sbp_core import Grid, inner_product
-from .spatial_op import CoeffMode, Residual, eval_dual_residual, eval_primal_residual
+from .spatial_op import Residual, eval_dual_residual, eval_primal_residual
 
 
 def total_energy(model: ModelSpec, grid: Grid, ops, U: np.ndarray) -> float:
@@ -56,21 +56,21 @@ def energy_report(
     grid: Grid,
     ops,
     U: np.ndarray,
-    mode: CoeffMode,
+    V: np.ndarray | None = None,
+    dual: bool = False,
     sat=None,
     t: float = 0.0,
 ) -> EnergyReport:
-    """Evaluates the energy balance of the mode's residual at the state U.
+    """Evaluates the energy balance of the residual acting on the state U
+    with coefficients at V (at U itself when V is None).
 
-    For mode 'dual' the state is the dual variable and the face fluxes flip
-    sign.  Forcing never enters the rate.
+    With dual the residual is the dual one, U is the dual variable and the
+    face fluxes flip sign.  Forcing never enters the rate.
     """
     U = np.asarray(U, dtype=np.float64)
-    if mode.kind == "dual":
-        res = eval_dual_residual(model, grid, ops, U, mode=mode, sat=sat)
-    else:
-        res = eval_primal_residual(model, grid, ops, U, mode, sat=sat)
-    return report_from_residual(model, grid, ops, U, res, mode.kind == "dual", t)
+    evaluate = eval_dual_residual if dual else eval_primal_residual
+    res = evaluate(model, grid, ops, U, V, sat=sat)
+    return report_from_residual(model, grid, ops, U, res, dual, t)
 
 
 def report_from_residual(model: ModelSpec, grid: Grid, ops, U: np.ndarray,

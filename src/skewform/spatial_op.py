@@ -6,10 +6,12 @@ The residual convention is
 
 so SAT penalties and forcing enter the tendency with a plus sign.  One
 shared assembler produces every skew-form operator from a (coefficient
-state, acted-on state) pair:
+state, acted-on state) pair.  eval_primal_residual(U, V) and
+eval_dual_residual(Phi, V) take the pair as arguments, the acted-on state
+first; V = None evaluates the coefficients at the acted-on state:
 
-    nonlinear            (U, U)
-    frozen               (V_fixed, U)
+    nonlinear            (U, U)              V = None
+    frozen               (V_fixed, U)        V = V_fixed
     perturbation eq      (mean, U')          which is the new linearisation
     mean eq              (mean + pert, mean)
     remainder H          increment matrices acting on U'
@@ -40,45 +42,9 @@ from .sbp_core import (
 )
 
 
-@dataclass(frozen=True)
-class CoeffMode:
-    """How coefficient matrices are evaluated.
-
-    kind is one of 'nonlinear', 'frozen', 'new_linearised',
-    'standard_linearised', 'dual'.  field carries the fixed coefficient
-    state where one is needed (frozen V, linearisation mean, dual V; a dual
-    mode without a field uses the dual state itself, the self-adjoint case).
-    """
-
-    kind: str
-    field: np.ndarray | None = None
-
-
-def nonlinear() -> CoeffMode:
-    return CoeffMode("nonlinear")
-
-
-def frozen(v_field) -> CoeffMode:
-    return CoeffMode("frozen", np.asarray(v_field, dtype=np.float64))
-
-
-def new_linearised(mean_field) -> CoeffMode:
-    return CoeffMode("new_linearised", np.asarray(mean_field, dtype=np.float64))
-
-
-def standard_linearised(mean_field) -> CoeffMode:
-    return CoeffMode("standard_linearised", np.asarray(mean_field, dtype=np.float64))
-
-
-def dual(v_field=None) -> CoeffMode:
-    if v_field is None:
-        return CoeffMode("dual", None)
-    return CoeffMode("dual", np.asarray(v_field, dtype=np.float64))
-
-
 @dataclass(frozen=True, eq=False)
 class Residual:
-    """Assembled spatial operator with its SAT and forcing parts.
+    """Assembled spatial operator with its SAT part.
 
     R = spatial - sat - forcing (missing parts treated as zero).
     face_terms maps face labels to the raw contraction
@@ -88,7 +54,6 @@ class Residual:
     R: np.ndarray
     spatial: np.ndarray
     sat: np.ndarray | None
-    forcing: np.ndarray | None
     face_terms: dict
 
 
@@ -133,6 +98,14 @@ def _face_terms(grid: Grid, ops, A: tuple, S: np.ndarray) -> dict:
     return terms
 
 
+def _coeff_state(U: np.ndarray, V) -> np.ndarray:
+    """The coefficient state V of the acted-on state U (U when V is None)."""
+    V = U if V is None else np.asarray(V, dtype=np.float64)
+    if V.shape != U.shape:
+        raise ValueError(f"coefficient state has shape {V.shape}, acted-on state {U.shape}")
+    return V
+
+
 def _residual(model: ModelSpec, grid: Grid, ops, spatial: np.ndarray,
               A: tuple, S: np.ndarray, sat=None, forcing=None) -> Residual:
     """Completes the spatial part acting on S: the SAT on S, the forcing,
@@ -142,9 +115,8 @@ def _residual(model: ModelSpec, grid: Grid, ops, spatial: np.ndarray,
     if sat_field is not None:
         R = R - sat_field
     if forcing is not None:
-        forcing = np.asarray(forcing, dtype=np.float64)
-        R = R - forcing
-    return Residual(R=R, spatial=spatial, sat=sat_field, forcing=forcing,
+        R = R - np.asarray(forcing, dtype=np.float64)
+    return Residual(R=R, spatial=spatial, sat=sat_field,
                     face_terms=_face_terms(grid, ops, A, S))
 
 
@@ -153,33 +125,22 @@ def eval_primal_residual(
     grid: Grid,
     ops,
     U: np.ndarray,
-    mode: CoeffMode,
+    V: np.ndarray | None = None,
     sat=None,
     forcing=None,
 ) -> Residual:
-    """Evaluates the primal residual of the skew form in the given mode.
+    """Evaluates the primal residual of the skew form acting on U with the
+    coefficients evaluated at V.
 
     Args:
-        U: the acted-on state (the perturbation in new_linearised mode).
-        mode: coefficient mode; dual is rejected here.
+        U: the acted-on state (the perturbation of a linearisation).
+        V: the coefficient state, of U's shape; None evaluates the
+           coefficients at U (the nonlinear residual).
         sat: optional SatConfig of face closures.
         forcing: optional forcing field F.
     """
     U = np.asarray(U, dtype=np.float64)
-    if mode.kind == "dual":
-        raise ValueError("dual residuals come from eval_dual_residual")
-    if mode.kind == "standard_linearised":
-        return eval_standard_linearised_residual(model, grid, ops, U, mode.field,
-                                                 sat=sat, forcing=forcing)
-    if mode.kind == "nonlinear":
-        V = U
-    elif mode.kind in ("frozen", "new_linearised"):
-        if mode.field is None:
-            raise ValueError(f"{mode.kind} mode needs a coefficient field")
-        V = mode.field
-    else:
-        raise ValueError(f"unknown coefficient mode '{mode.kind}'")
-    A, C = coeff_matrices(model, V, grid.positions)
+    A, C = coeff_matrices(model, _coeff_state(U, V), grid.positions)
     return _residual(model, grid, ops, _assemble(grid, ops, A, C, U), A, U, sat, forcing)
 
 
@@ -188,23 +149,18 @@ def eval_dual_residual(
     grid: Grid,
     ops,
     Phi: np.ndarray,
-    mode: CoeffMode | None = None,
+    V: np.ndarray | None = None,
     sat=None,
     forcing=None,
 ) -> Residual:
     """Evaluates the dual residual -[ (A_i Phi)_{x_i} + A_i^T Phi_{x_i} + C Phi ].
 
-    With no coefficient field the coefficients are evaluated at Phi itself
-    (the self-adjoint case), and the spatial part is exactly the negated
-    primal spatial part at the same state.
+    The coefficients are evaluated at V.  With V None they are evaluated at
+    Phi itself (the self-adjoint case), and the spatial part is exactly the
+    negated primal spatial part at the same state.
     """
     Phi = np.asarray(Phi, dtype=np.float64)
-    if mode is None:
-        mode = dual()
-    if mode.kind not in ("dual", "frozen"):
-        raise ValueError("dual residuals take a dual (or frozen) coefficient mode")
-    V = Phi if mode.field is None else mode.field
-    A, C = coeff_matrices(model, V, grid.positions)
+    A, C = coeff_matrices(model, _coeff_state(Phi, V), grid.positions)
     return _residual(model, grid, ops, -_assemble(grid, ops, A, C, Phi), A, Phi,
                      sat, forcing)
 
@@ -228,13 +184,8 @@ def eval_new_linearised_pair(
     """
     U_bar = np.asarray(U_bar, dtype=np.float64)
     U_prime = np.asarray(U_prime, dtype=np.float64)
-    pos = grid.positions
-    A_tot, C_tot = coeff_matrices(model, U_bar + U_prime, pos)
-    res_mean = _residual(model, grid, ops, _assemble(grid, ops, A_tot, C_tot, U_bar),
-                         A_tot, U_bar, sat_mean)
-    A_bar, C_bar = coeff_matrices(model, U_bar, pos)
-    res_pert = _residual(model, grid, ops, _assemble(grid, ops, A_bar, C_bar, U_prime),
-                         A_bar, U_prime, sat_pert)
+    res_mean = eval_primal_residual(model, grid, ops, U_bar, U_bar + U_prime, sat_mean)
+    res_pert = eval_primal_residual(model, grid, ops, U_prime, U_bar, sat_pert)
     return res_mean, res_pert
 
 
@@ -279,7 +230,7 @@ def eval_standard_linearised_residual(
     U_prime = np.asarray(U_prime, dtype=np.float64)
     if mean is None:
         raise ValueError("standard linearisation needs a mean field")
-    mean = np.asarray(mean, dtype=np.float64)
+    mean = _coeff_state(U_prime, mean)
     if model.kind == "burgers1d":
         du = apply_derivative(ops[0], U_prime, 0)
         dm = apply_derivative(ops[0], mean, 0)

@@ -5,6 +5,11 @@ Marching is defined for the models whose norm matrix is invertible
 tendency is simply the negated residual).  The euler models have singular
 norm matrices and are verified statically instead.
 
+Each uncoupled mode marches one residual of the marched state U with
+coefficients at V: the primal (nonlinear, frozen), the dual, or the
+standard linearisation.  V is None in nonlinear runs and the mean when one
+is given; the coupled mode marches the mean/perturbation pair.
+
 Conservation claims are always asserted through the per-step
 volume_residual of the energy reports, never through E(T) - E(0): the
 semi-discrete identity is exact while RK4 adds an O(dt^4) drift.  A report
@@ -22,10 +27,10 @@ from .energy import EnergyReport, report_from_residual
 from .models import ModelSpec, check_admissible, has_invertible_norm, wavespeeds
 from .sbp_core import Grid
 from .spatial_op import (
-    CoeffMode,
     eval_dual_residual,
     eval_new_linearised_pair,
     eval_primal_residual,
+    eval_standard_linearised_residual,
 )
 
 MODES = (
@@ -56,10 +61,11 @@ class Scenario:
 
     initial is the marched state: U for nonlinear/frozen, the perturbation
     for the linearised modes, the dual variable for dual runs.  mean is the
-    frozen coefficient field (frozen, standard_linearised, dual with fixed
-    coefficients) or the initial mean state of the coupled mode.  forcing
-    may be None, a constant field, or a callable t -> field, and applies to
-    the marched equation (the mean equation in coupled mode).
+    coefficient state V (frozen, standard_linearised, dual with fixed
+    coefficients; a nonlinear run ignores it) or the initial mean state of
+    the coupled mode.  forcing may be None, a constant field, or a callable
+    t -> field, and applies to the marched equation (the mean equation in
+    coupled mode).
     """
 
     model: ModelSpec
@@ -78,7 +84,8 @@ class Scenario:
 
 def validate_scenario(sc: Scenario) -> None:
     """Raises ValueError when the scenario is malformed or the model/mode
-    pair is unsupported (singular norm matrix, missing mean field)."""
+    pair is unsupported (singular norm matrix, missing mean field, a SAT
+    closure on a swe2d standard linearisation)."""
     if sc.mode not in MODES:
         raise ValueError(f"unknown mode '{sc.mode}'; expected one of {MODES}")
     if not has_invertible_norm(sc.model):
@@ -107,6 +114,12 @@ def validate_scenario(sc: Scenario) -> None:
             raise ValueError(f"mode '{sc.mode}' needs a mean field")
         if np.asarray(sc.mean).shape != (sc.model.n_comp,) + sc.grid.shape:
             raise ValueError("mean field does not match the model/grid shape")
+    if sc.mode == "standard_linearised" and sc.model.kind == "swe2d" and sc.sat is not None:
+        active = [face for face, c in sc.sat.faces.items() if c.kind not in ("none", "periodic")]
+        if active:
+            raise ValueError("swe2d standard_linearised marches a primitive perturbation,"
+                             " and the SAT closures are written for transformed variables:"
+                             f" close its faces with none or periodic, got {', '.join(active)}")
 
 
 def _forcing_at(forcing, t: float):
@@ -148,6 +161,10 @@ def march(sc: Scenario) -> tuple[list[EnergyReport], np.ndarray | tuple]:
     coupled = sc.mode == "new_linearised_coupled"
     dual = sc.mode == "dual"
     U = np.array(sc.initial, dtype=np.float64)
+    # frozen-coefficient modes, and dual runs with a mean, take their
+    # coefficients (and their speeds) from the mean
+    V = None if sc.mode == "nonlinear" or sc.mean is None \
+        else np.asarray(sc.mean, dtype=np.float64)
 
     # evaluate(y, t) -> (tendency, the residual a report reads, its state)
     if coupled:
@@ -163,13 +180,13 @@ def march(sc: Scenario) -> tuple[list[EnergyReport], np.ndarray | tuple]:
 
     else:
         state = U
-        # the other march modes are coefficient-mode kinds of the same name
-        mode = CoeffMode(sc.mode, None if sc.mean is None
-                         else np.asarray(sc.mean, dtype=np.float64))
-        evaluator = eval_dual_residual if dual else eval_primal_residual
+        # the residual each uncoupled mode marches, called as (U, V, sat, forcing)
+        evaluator = {"nonlinear": eval_primal_residual, "frozen": eval_primal_residual,
+                     "standard_linearised": eval_standard_linearised_residual,
+                     "dual": eval_dual_residual}[sc.mode]
 
         def evaluate(y, t):
-            res = evaluator(model, grid, ops, y, mode, sat=sc.sat,
+            res = evaluator(model, grid, ops, y, V, sat=sc.sat,
                             forcing=_forcing_at(sc.forcing, t))
             return -res.R, res, y
 
@@ -178,10 +195,7 @@ def march(sc: Scenario) -> tuple[list[EnergyReport], np.ndarray | tuple]:
         return k1 if u is state else evaluate(u, s)[0]
 
     def speed_state(y):
-        if coupled:
-            return y[0] + y[1]
-        # frozen-coefficient modes, and dual runs with a mean, move at the mean's speed
-        return y if sc.mode == "nonlinear" or sc.mean is None else sc.mean
+        return y[0] + y[1] if coupled else (y if V is None else V)
 
     sup0 = max(float(np.max(np.abs(state))), 1e-12)
     nsteps = round(sc.t_final / sc.dt)

@@ -35,14 +35,11 @@ from .sbp_core import (
 )
 from .spatial_op import (
     bilinear_face_functional,
-    dual,
     eval_dual_residual,
     eval_new_linearised_pair,
     eval_primal_residual,
     eval_remainder_H,
-    frozen,
     matfield_apply,
-    nonlinear,
 )
 
 ORDERS = ((2, 1), (4, 2))
@@ -141,13 +138,8 @@ def check_energy_identity(kinds=MODEL_KINDS, trials: int = 100,
         U = sample_state(model, grid.shape, rng)
         out = []
         for mode_kind in ("nonlinear", "frozen", "dual"):
-            if mode_kind == "nonlinear":
-                mode = nonlinear()
-            elif mode_kind == "frozen":
-                mode = frozen(sample_state(model, grid.shape, rng))
-            else:
-                mode = dual()
-            rep = energy_report(model, grid, ops, U, mode)
+            V = sample_state(model, grid.shape, rng) if mode_kind == "frozen" else None
+            rep = energy_report(model, grid, ops, U, V, mode_kind == "dual")
             scale = 1.0 + abs(rep.rate) + abs(rep.boundary_flux) \
                 + abs(rep.sat_contribution)
             out.append((
@@ -176,8 +168,8 @@ def check_duality(kinds=MODEL_KINDS, trials: int = 50,
 
         # Bilinear identity at frozen coefficients V (C terms cancel
         # pairwise; Coriolis included for swe2d).
-        res_p = eval_primal_residual(model, grid, ops, U, frozen(V))
-        res_d = eval_dual_residual(model, grid, ops, Phi, mode=dual(V))
+        res_p = eval_primal_residual(model, grid, ops, U, V)
+        res_d = eval_dual_residual(model, grid, ops, Phi, V)
         lhs = inner_product(grid, ops, Phi, res_p.spatial) \
             - inner_product(grid, ops, U, res_d.spatial)
         rhs = bilinear_face_functional(model, grid, ops, U, Phi, V)
@@ -194,13 +186,13 @@ def check_duality(kinds=MODEL_KINDS, trials: int = 50,
 
         # Strict self-adjointness: the dual spatial residual at coefficients
         # Phi is exactly the negated primal one.
-        res_sp = eval_primal_residual(model, grid, ops, Phi, nonlinear())
+        res_sp = eval_primal_residual(model, grid, ops, Phi)
         res_sd = eval_dual_residual(model, grid, ops, Phi)
         exact = float(np.max(np.abs(res_sd.spatial + res_sp.spatial)))
         out.append((exact, dict(meta, case="self_adjoint_exact")))
 
         # Dual energy identity: the dual volume residual vanishes.
-        rep = energy_report(model, grid, ops, Phi, dual())
+        rep = energy_report(model, grid, ops, Phi, dual=True)
         scale_d = 1.0 + abs(rep.rate) + abs(rep.boundary_flux)
         out.append((abs(rep.volume_residual) / scale_d,
                     dict(meta, case="dual_energy")))
@@ -318,8 +310,7 @@ def check_decomposition(kinds=MODEL_KINDS, trials: int = 50,
         meta = dict(meta, state_hash=_state_hash(U_bar))
         out = []
 
-        full = eval_primal_residual(model, grid, ops, U_bar + U_prime,
-                                    nonlinear()).spatial
+        full = eval_primal_residual(model, grid, ops, U_bar + U_prime).spatial
         res_m, res_p = eval_new_linearised_pair(model, grid, ops, U_bar, U_prime)
         H = eval_remainder_H(model, grid, ops, U_bar, U_prime)
         defect = float(np.max(np.abs(full - res_m.spatial - res_p.spatial - H)))

@@ -18,7 +18,6 @@ from skewform.boundary import (
 from skewform.energy import boundary_contraction, energy_report
 from skewform.models import make_model, swe_transform
 from skewform.sbp_core import build_operators, make_grid
-from skewform.spatial_op import nonlinear
 
 
 def nonglancing_state(rng, sign):
@@ -201,7 +200,7 @@ def test_two_condition_face_rate_telescopes():
     U = swe_transform(phi, u, v)
     g2, g3 = 1.3, 0.4
     sat = make_sat_config({"x_low": FaceClosure(kind="swe_two_condition", g2=g2, g3=g3)})
-    rep = energy_report(m, g, ops, U, nonlinear(), sat=sat)
+    rep = energy_report(m, g, ops, U, sat=sat)
     face_rate = rep.face_fluxes["x_low"] + rep.sat_contribution
     Uf = U[:, 0, :]
     an, _ = swe_normal_tangential(Uf, (-1.0, 0.0))
@@ -211,7 +210,7 @@ def test_two_condition_face_rate_telescopes():
     assert abs(face_rate - manual) <= 1e-12 * (1 + abs(manual))
     # homogeneous data makes the face strictly dissipative
     sat0 = make_sat_config({"x_low": FaceClosure(kind="swe_two_condition")})
-    rep0 = energy_report(m, g, ops, U, nonlinear(), sat=sat0)
+    rep0 = energy_report(m, g, ops, U, sat=sat0)
     assert rep0.face_fluxes["x_low"] + rep0.sat_contribution < 0.0
 
 
@@ -224,6 +223,27 @@ def test_two_condition_penalty_skips_outflow_nodes():
     sat = make_sat_config({"x_low": FaceClosure(kind="swe_two_condition", g2=1.0)})
     field = build_sat(m, g, ops, U, sat)
     assert field is None or not field.any()
+
+
+def test_two_condition_penalty_checks_admissibility_on_its_face_only():
+    # a frozen residual acts on U with coefficients at the admissible V, so
+    # U may leave the admissible set away from the face the penalty reads
+    m = make_model("swe2d")
+    g = make_grid(((0.0, 1.0), (0.0, 1.0)), (9, 9), periodic=(False, True))
+    ops = build_operators(g, (2, 1))
+    V = swe_transform(np.ones((9, 9)), 0.5 * np.ones((9, 9)), np.zeros((9, 9)))
+    sat = make_sat_config({"x_low": FaceClosure(kind="swe_two_condition", g2=1.0)})
+    U = V.copy()
+    U[0, 4, 4] = -0.3
+    plain = sk.eval_primal_residual(m, g, ops, U, V)
+    closed = sk.eval_primal_residual(m, g, ops, U, V, sat=sat)
+    assert np.array_equal(closed.spatial, plain.spatial)
+    assert closed.sat[:, 0].any() and not closed.sat[:, 1:].any()
+    # a bad node on the face layer is still refused
+    U = V.copy()
+    U[0, 0, 4] = -0.3
+    with pytest.raises(ValueError, match="depth"):
+        sk.eval_primal_residual(m, g, ops, U, V, sat=sat)
 
 
 def test_splitting_overrides_refuse_other_models():

@@ -416,6 +416,68 @@ def test_malformed_scenarios_exit_2_in_run_and_convergence(tmp_path, edit, line)
         assert f"{cfg}:{line}: " in err
 
 
+SWE_STANDARD_CFG = """
+[model]
+kind = swe2d
+
+[grid]
+extents = 0,1 / 0,1
+shape = 17 / 17
+periodic = false / true
+
+[scheme]
+order = 2,1
+mode = standard_linearised
+dt = 0.002
+t_final = 0.01
+
+[coefficient]
+family = trig
+comp0 = 1.0 0.1 sin:1 cos:1
+comp1 = 0.2 0.1 cos:1 one
+comp2 = -0.1 0.1 one sin:1
+
+[perturbation]
+family = trig
+comp0 = 0.0 0.01 cos:1 sin:1
+comp1 = 0.0 0.01 sin:2 one
+comp2 = 0.0 0.01 one cos:1
+
+[sat]
+x_low = swe_two_condition g2=1.0 g3=0.2
+x_high = none
+"""
+
+
+@pytest.mark.parametrize("mode", ["standard_linearised", "standard_vs_new"])
+def test_swe_standard_linearisation_refuses_a_sat_closure(tmp_path, monkeypatch, mode):
+    # the closures are written for transformed variables, and this mode
+    # marches a primitive perturbation
+    def no_march(sc):
+        raise AssertionError("marched before refusing the closure")
+
+    monkeypatch.setattr(cli, "march", no_march)
+    cfg = tmp_path / "std.cfg"
+    cfg.write_text(SWE_STANDARD_CFG.replace("mode = standard_linearised", f"mode = {mode}"))
+    out_dir = tmp_path / "o"
+    commands = [["run"]]
+    if mode == "standard_linearised":
+        commands.append(["convergence", "--levels", "17,33,65"])
+    for command in commands:
+        code, out, err = run_main([*command, "--config", str(cfg), "--out", str(out_dir)])
+        assert code == 2, command
+        assert "config error" in err and "x_low" in err and "none or periodic" in err
+        assert out == ""
+        assert not out_dir.exists()
+
+
+def test_swe_standard_linearisation_marches_with_open_faces(tmp_path):
+    cfg = tmp_path / "std.cfg"
+    cfg.write_text(SWE_STANDARD_CFG.replace("swe_two_condition g2=1.0 g3=0.2", "none"))
+    code, out, err = run_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 0, err
+
+
 IDENTITY_CFG = """
 [model]
 kind = euler2d

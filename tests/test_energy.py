@@ -8,7 +8,6 @@ from skewform.boundary import FaceClosure, build_sat, make_sat_config
 from skewform.energy import boundary_contraction, energy_report, total_energy
 from skewform.models import make_model, norm_weight, sample_state, swe_transform
 from skewform.sbp_core import build_operators, inner_product, make_grid, quadrature_weights
-from skewform.spatial_op import dual, frozen, new_linearised, nonlinear
 
 
 def test_energy_has_no_half_factor():
@@ -50,7 +49,7 @@ def test_burgers_boundary_flux_pinned():
     g = make_grid(((0.0, 1.0),), (33,))
     ops = build_operators(g, (4, 2))
     u = (2.0 * g.coords[0])[None]
-    rep = energy_report(m, g, ops, u, nonlinear())
+    rep = energy_report(m, g, ops, u)
     assert abs(rep.boundary_flux - (-16.0 / 3.0)) <= 1e-12
     assert abs(rep.volume_residual) <= 1e-12
     assert abs(rep.rate - rep.boundary_flux) <= 1e-12
@@ -78,7 +77,7 @@ def test_volume_residual_vanishes_for_random_states():
             ops = build_operators(g, order)
             for trial in range(5):
                 U = sample_state(m, g.shape, rng)
-                rep = energy_report(m, g, ops, U, nonlinear())
+                rep = energy_report(m, g, ops, U)
                 scale = 1.0 + abs(rep.rate) + abs(rep.boundary_flux)
                 assert abs(rep.volume_residual) <= 1e-12 * scale, (kind, order)
 
@@ -89,8 +88,8 @@ def test_dual_report_flips_the_flux_sign():
     ops = build_operators(g, (4, 2))
     rng = np.random.default_rng(47)
     u = rng.normal(size=(1, 21))
-    rp = energy_report(m, g, ops, u, nonlinear())
-    rd = energy_report(m, g, ops, u, dual())
+    rp = energy_report(m, g, ops, u)
+    rd = energy_report(m, g, ops, u, dual=True)
     assert abs(rd.boundary_flux + rp.boundary_flux) <= 1e-13 * (1 + abs(rp.boundary_flux))
     scale = 1.0 + abs(rd.rate) + abs(rd.boundary_flux)
     assert abs(rd.volume_residual) <= 1e-12 * scale
@@ -102,7 +101,7 @@ def test_zero_state_report_is_exactly_zero():
     ops = build_operators(g, (2, 1))
     U = swe_transform(np.ones((8, 8)), np.zeros((8, 8)), np.zeros((8, 8)))
     # constant depth, no motion: E = integral of phi^2 and nothing moves
-    rep = energy_report(m, g, ops, U, nonlinear())
+    rep = energy_report(m, g, ops, U)
     assert rep.volume_residual == 0.0
     assert rep.rate == 0.0
     assert abs(rep.energy - 1.0) <= 1e-13
@@ -114,7 +113,7 @@ def test_sat_contribution_enters_the_rate_identity():
     ops = build_operators(g, (4, 2))
     u = (1.0 + 0.3 * np.sin(2 * np.pi * g.coords[0]))[None]
     sat = make_sat_config({"x_low": FaceClosure(kind="characteristic", g=0.0)})
-    rep = energy_report(m, g, ops, u, nonlinear(), sat=sat)
+    rep = energy_report(m, g, ops, u, sat=sat)
     # u(0) = 1 > 0, so the left face is inflow and the penalty is active:
     # with homogeneous data its contribution cancels the inflow flux exactly
     assert rep.sat_contribution != 0.0
@@ -123,7 +122,7 @@ def test_sat_contribution_enters_the_rate_identity():
     scale = 1.0 + abs(rep.rate) + abs(rep.boundary_flux) + abs(rep.sat_contribution)
     assert abs(rep.volume_residual) <= 1e-12 * scale
     assert rep.t == 0.0
-    rep2 = energy_report(m, g, ops, u, nonlinear(), sat=sat, t=1.5)
+    rep2 = energy_report(m, g, ops, u, sat=sat, t=1.5)
     assert rep2.t == 1.5
 
 
