@@ -20,13 +20,24 @@ linearised at a state with a zero eigenvalue (whose printed digits would
 otherwise show the eigensolver's rounding) and euler3d_cyl at radius 0.8;
 `run` on a swe2d `standard_vs_new` config bounded in x with a linear
 Coriolis profile, which no bundled scenario marches (written into the
-case's directory first); and three refusals, so the bytes of the refusal
-path are checked too: `run` on a config with `stride = ten` (written into
-the case's directory first), `analyze-boundary --alpha nan`, and `run` on
-the swe2d `standard_vs_new` config with a two-condition closure on x_low.
-The last refusal exits 2 since the standard linearisation took no SAT; a
-tree from before that refuses nothing, marches and fails with exit 1, so
-against such a tree this one case differs by design.
+case's directory first); `run` on a bounded burgers config with inflow at
+both faces, each closed by a `characteristic` penalty (no bundled scenario
+marches that closure); and five refusals, so the bytes of the refusal path
+are checked too: `run` on a config with `stride = ten` (written into the
+case's directory first), `analyze-boundary --alpha nan`, `run` on the swe2d
+`standard_vs_new` config with a two-condition closure on x_low, and `run`
+on the burgers config with a swe2d closure on x_low and with a
+`characteristic` closure given the `g2=` it does not read.
+
+Some cases differ by design against older trees.  The swe2d
+`standard_linearised` refusal: a tree from before it marches and fails with
+exit 1.  The two burgers closure refusals: a tree from before make_sat_config
+checked closures against the model marches them, failing with exit 1 on the
+swe2d closure and exiting 0 on the unread option.  The `_standard` files of
+`run_swe_standard_vs_new`: a tree from before the swe2d standard run took
+primitive variables (its mean swe_inverse(mean), its perturbation
+swe_inverse(mean + pert) - swe_inverse(mean)) reads the transformed fields
+as primitive ones.
 """
 
 from __future__ import annotations
@@ -105,6 +116,36 @@ SWE_STANDARD_SAT_CFG = SWE_STANDARD_VS_NEW_CFG + """
 x_low = swe_two_condition g2=1.0 g3=0.2
 """
 
+# A bounded burgers config with inflow at both faces (u = 0.5 cos(2 pi x)
+# on [0, 0.5]), each face closed by a characteristic penalty.
+BURGERS_CHARACTERISTIC_CFG = """\
+[model]
+kind = burgers1d
+
+[grid]
+extents = 0,0.5
+shape = 33
+periodic = false
+
+[scheme]
+order = 4,2
+mode = nonlinear
+dt = 0.002
+t_final = 0.1
+stride = 5
+
+[initial]
+family = trig
+comp0 = 0.0 0.5 cos:1
+
+[sat]
+x_low = characteristic g=0.1
+x_high = characteristic g=-0.2 scale=2.0
+
+[output]
+prefix = burgers_characteristic
+"""
+
 FIXED_CASES = {
     "verify_all": ["verify", "all", "--seed", "3", "--trials", "7"],
     "convergence_burgers_periodic": ["convergence", "--config", "burgers_periodic",
@@ -132,6 +173,9 @@ FIXED_CASES = {
                          "--state", "1,0.5,0", "--normal", "1,0",
                          "--alpha", "nan", "--formulation", "linearised"],
     "refuse_swe_standard_sat": ["run", "--config", "swe_standard_sat.cfg"],
+    "run_burgers_characteristic": ["run", "--config", "burgers_characteristic.cfg"],
+    "refuse_sat_model_mismatch": ["run", "--config", "sat_model_mismatch.cfg"],
+    "refuse_sat_unread_option": ["run", "--config", "sat_unread_option.cfg"],
 }
 
 # Files written into a case's working directory before it runs.
@@ -139,6 +183,11 @@ CASE_FILES = {
     "run_swe_standard_vs_new": {"swe_standard_vs_new.cfg": SWE_STANDARD_VS_NEW_CFG},
     "refuse_stride_typo": {"stride_typo.cfg": STRIDE_TYPO_CFG},
     "refuse_swe_standard_sat": {"swe_standard_sat.cfg": SWE_STANDARD_SAT_CFG},
+    "run_burgers_characteristic": {"burgers_characteristic.cfg": BURGERS_CHARACTERISTIC_CFG},
+    "refuse_sat_model_mismatch": {"sat_model_mismatch.cfg": BURGERS_CHARACTERISTIC_CFG.replace(
+        "x_low = characteristic g=0.1", "x_low = swe_two_condition g2=1.0")},
+    "refuse_sat_unread_option": {"sat_unread_option.cfg": BURGERS_CHARACTERISTIC_CFG.replace(
+        "x_low = characteristic g=0.1", "x_low = characteristic g2=0.1")},
 }
 
 

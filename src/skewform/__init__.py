@@ -12,7 +12,6 @@ seeded batch checks.
 from .boundary import (
     BoundaryAnalysis,
     FaceClosure,
-    SatConfig,
     analyze_boundary,
     build_sat,
     make_sat_config,
@@ -78,7 +77,6 @@ __all__ = [
     "MODEL_KINDS",
     "ModelSpec",
     "Residual",
-    "SatConfig",
     "SbpOperator1D",
     "Scenario",
     "analyze_boundary",

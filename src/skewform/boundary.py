@@ -24,12 +24,12 @@ well-posedness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .models import ModelSpec, check_admissible, coeff_matrices, dense_matrix, with_params
-from .sbp_core import Grid, face_layer, parse_face
+from .sbp_core import Grid, face_label, face_layer
 
 # Non-glancing thresholds for the rewritten formulation and the
 # two-condition SAT.
@@ -49,80 +49,85 @@ class FaceClosure:
     scale: float = 1.0
 
 
-_CLOSURE_KINDS = ("none", "periodic", "characteristic", "swe_two_condition")
+# Each closure kind: the model it closes (None: any model) and the
+# FaceClosure options it reads.
+_CLOSURES = {
+    "none": (None, ()),
+    "periodic": (None, ()),
+    "characteristic": ("burgers1d", ("g", "scale")),
+    "swe_two_condition": ("swe2d", ("g2", "g3", "scale")),
+}
 
 
-@dataclass(frozen=True, eq=False)
-class SatConfig:
-    """Face label -> FaceClosure mapping (labels like 'x_low')."""
+def _entry_problem(model: ModelSpec, grid: Grid, faces: dict, closures: dict,
+                   label) -> str | None:
+    """Why the closure given for label is refused, or None; faces maps
+    every face label of the grid to its (axis, side)."""
+    closure = closures[label]
+    if label not in faces:
+        return f"bad face label; expected one of {list(faces)}"
+    if closure.kind not in _CLOSURES:
+        return f"unknown closure '{closure.kind}'; try one of {tuple(_CLOSURES)}"
+    closes, reads = _CLOSURES[closure.kind]
+    if closes not in (None, model.kind):
+        return f"{closure.kind} closure is a {closes} face closure, the model is {model.kind}"
+    unread = [f.name for f in fields(FaceClosure)
+              if f.name not in ("kind", *reads) and getattr(closure, f.name) != f.default]
+    if unread:
+        return f"{closure.kind} closure reads no {', '.join(unread)}"
+    if not 0.0 < closure.scale < np.inf:
+        return f"penalty scale must be positive and finite, got {closure.scale}"
+    if not np.isfinite((closure.g, closure.g2, closure.g3)).all():
+        return "boundary data must be finite"
+    ax, side = faces[label]
+    name = grid.axis_names[ax]
+    if closure.kind == "periodic" and not grid.periodic[ax]:
+        return (f"axis {name}: periodic closure requires a grid built periodic on"
+                " that axis (the circulant operator carries the closure)")
+    if closure.kind != "periodic" and grid.periodic[ax]:
+        return f"axis {name} is periodic and has no faces to close"
+    # the other face of a periodic axis takes a periodic closure or none
+    other = face_label(grid, (ax, "high" if side == "low" else "low"))
+    if closure.kind == "periodic" and other not in closures:
+        return f"axis {name}: periodic closure must cover both faces"
+    return None
 
-    faces: dict
 
+def make_sat_config(model: ModelSpec, grid: Grid, entries: dict, where=repr) -> dict:
+    """Resolves face label -> closure entries (FaceClosure or its keyword
+    dict) against the model and grid they close, once.
 
-def make_sat_config(entries: dict) -> SatConfig:
-    faces = {}
-    for label, closure in entries.items():
-        if not isinstance(closure, FaceClosure):
-            closure = FaceClosure(**closure)
-        if closure.kind not in _CLOSURE_KINDS:
-            raise ValueError(
-                f"unknown closure '{closure.kind}'; try one of {_CLOSURE_KINDS}"
-            )
-        if not 0.0 < closure.scale < np.inf:
-            raise ValueError(f"penalty scale must be positive and finite, got {closure.scale}")
-        for value in (closure.g, closure.g2, closure.g3):
-            if not np.isfinite(value):
-                raise ValueError("boundary data must be finite")
-        faces[str(label)] = closure
-    return SatConfig(faces=faces)
-
-
-def validate_sat(grid: Grid, sat: SatConfig) -> None:
-    """Checks closure/axis consistency; periodic closures come in pairs."""
-    known = [f"{n}_{s}" for n in grid.axis_names for s in ("low", "high")]
-    for label in sat.faces:
-        if label not in known:
-            raise ValueError(f"bad face label '{label}'; expected one of {known}")
-    for ax in range(grid.dim):
-        name = grid.axis_names[ax]
-        kinds = {}
-        for side in ("low", "high"):
-            closure = sat.faces.get(f"{name}_{side}")
-            kinds[side] = None if closure is None else closure.kind
-        periodic_sides = [s for s, k in kinds.items() if k == "periodic"]
-        if periodic_sides and len(periodic_sides) != 2:
-            raise ValueError(f"axis {name}: periodic closure must cover both faces")
-        if periodic_sides and not grid.periodic[ax]:
-            raise ValueError(
-                f"axis {name}: periodic closure requires a grid built periodic on"
-                " that axis (the circulant operator carries the closure)"
-            )
-        if grid.periodic[ax]:
-            bad = [s for s, k in kinds.items() if k not in (None, "periodic")]
-            if bad:
-                raise ValueError(f"axis {name} is periodic and has no faces to close")
+    Returns the penalised faces {(axis, side): FaceClosure} in entry order;
+    'none' and 'periodic' faces are checked and left out.  The first
+    refused entry raises ValueError, naming the entry as where(label).
+    """
+    faces = {face_label(grid, (ax, s)): (ax, s) for ax in range(grid.dim)
+             for s in ("low", "high")}
+    closures = {label: c if isinstance(c, FaceClosure) else FaceClosure(**c)
+                for label, c in entries.items()}
+    for label in closures:
+        problem = _entry_problem(model, grid, faces, closures, label)
+        if problem is not None:
+            raise ValueError(f"{where(label)}: {problem}")
+    return {faces[label]: c for label, c in closures.items()
+            if c.kind not in ("none", "periodic")}
 
 
 def build_sat(model: ModelSpec, grid: Grid, ops, U: np.ndarray,
-              sat: SatConfig | None) -> np.ndarray | None:
-    """Assembles the SAT penalty field for the configured faces.
-
-    Periodic closures contribute nothing here (the operator carries them);
-    'none' faces are left open.  Returns None when there is no config.
+              sat: dict | None) -> np.ndarray | None:
+    """Assembles the SAT penalty field of the faces make_sat_config
+    resolved; None when there is no config.  Periodic closures and 'none'
+    faces are not among them: the operator carries the former, the latter
+    are left open.
     """
     if sat is None:
         return None
-    validate_sat(grid, sat)
     U = np.asarray(U, dtype=np.float64)
     field = np.zeros_like(U)
-    for label, closure in sat.faces.items():
-        if closure.kind in ("none", "periodic"):
-            continue
-        ax, side = parse_face(grid, label)
-        if closure.kind == "characteristic":
-            _sat_characteristic(model, grid, ops, U, field, ax, side, closure)
-        else:
-            _sat_swe_two_condition(model, grid, ops, U, field, ax, side, closure)
+    for (ax, side), closure in sat.items():
+        penalty = _sat_characteristic if closure.kind == "characteristic" \
+            else _sat_swe_two_condition
+        penalty(model, grid, ops, U, field, ax, side, closure)
     return field
 
 
@@ -133,8 +138,6 @@ def _sat_characteristic(model, grid, ops, U, field, ax, side, closure):
     the inflow face contributes 2 u^2 g / 3 to the energy rate, zero for
     homogeneous data, so the rate gains no positive boundary term.
     """
-    if model.kind != "burgers1d":
-        raise ValueError("characteristic closure is a burgers1d face closure")
     idx = 0 if side == "low" else grid.shape[ax] - 1
     sign = -1.0 if side == "low" else 1.0
     w = U[0, idx]
@@ -154,17 +157,12 @@ def _sat_swe_two_condition(model, grid, ops, U, field, ax, side, closure):
     continuous two-condition bound.  Nodes that are not strictly inflow
     (U_n >= -DELTA_N) are left alone.
     """
-    if model.kind != "swe2d":
-        raise ValueError("swe_two_condition closure is a swe2d face closure")
-    if grid.dim != 2:
-        raise ValueError("swe_two_condition closure expects a 2D grid")
     idx = 0 if side == "low" else grid.shape[ax] - 1
     outward = -1.0 if side == "low" else 1.0
     normal = (outward, 0.0) if ax == 0 else (0.0, outward)
     Uf = face_layer(grid, U, (ax, side))
     check_admissible(model, Uf)  # the penalty reads the face layer only
-    un = normal[0] * Uf[1] + normal[1] * Uf[2]
-    utau = -normal[1] * Uf[1] + normal[0] * Uf[2]
+    un, utau = swe_normal_tangential(Uf, normal)
     root = np.sqrt(Uf[0])
     active = un < -DELTA_N
     safe_un = np.where(active, un, -1.0)

@@ -35,10 +35,9 @@ from .boundary import (
     analysis_table,
     analyze_boundary,
     make_sat_config,
-    validate_sat,
 )
 from .energy import energy_report
-from .models import MODEL_KINDS, make_model, sample_state, swe_transform
+from .models import MODEL_KINDS, make_model, sample_state, swe_inverse, swe_transform
 from .sbp_core import ACCURACIES, build_operators, face_label, faces, make_grid
 from .timeint import MODES, Scenario, march, validate_scenario
 from .verify import (
@@ -286,18 +285,13 @@ def build_field(cfg, section, model, grid, path):
     return np.stack(comps)
 
 
-def build_sat_from_config(cfg, grid, path):
+def build_sat_from_config(cfg, model, grid, path):
+    """The [sat] entries resolved by boundary.make_sat_config; a refused
+    entry is a config error at its line."""
     if "sat" not in cfg:
         return None
-    labels = {f"{name}_{side}" for name in grid.axis_names
-              for side in ("low", "high")}
     entries = {}
     for key, (value, lineno) in cfg["sat"].items():
-        if key not in labels:
-            raise ConfigError(
-                f"{path}:{lineno}: unknown face '{key}'; grid faces are"
-                f" {sorted(labels)}"
-            )
         tokens = value.split()
         if not tokens:
             raise ConfigError(f"{path}:{lineno}: empty closure for '{key}'")
@@ -312,11 +306,10 @@ def build_sat_from_config(cfg, grid, path):
             kwargs[name] = _number(val, f"{path}:{lineno}: '{name}'")
         entries[key] = FaceClosure(kind=tokens[0], **kwargs)
     try:
-        sat = make_sat_config(entries)
-        validate_sat(grid, sat)
+        return make_sat_config(model, grid, entries, where=lambda label:
+                               f"{path}:{cfg['sat'][label][1]}: [sat] '{label}'")
     except ValueError as exc:
-        raise ConfigError(f"{path}: [sat] {exc}")
-    return sat
+        raise ConfigError(str(exc))
 
 
 def build_scheme(cfg, path):
@@ -341,7 +334,7 @@ def build_scheme(cfg, path):
     return order, mode
 
 
-def _march_fields(cfg, grid, path) -> dict:
+def _march_fields(cfg, model, grid, path) -> dict:
     """The Scenario fields a marching config sets: dt, t_final, cfl,
     stride and sat."""
 
@@ -358,7 +351,7 @@ def _march_fields(cfg, grid, path) -> dict:
         raise ConfigError(f"{_at(cfg, 'scheme', 'stride', path)} must be at least 1,"
                           f" got {stride}")
     return dict(dt=scheme("dt"), t_final=scheme("t_final"), cfl=scheme("cfl", "0.2"),
-                stride=stride, sat=build_sat_from_config(cfg, grid, path))
+                stride=stride, sat=build_sat_from_config(cfg, model, grid, path))
 
 
 def _load_config(spec: str) -> tuple[str, str]:
@@ -426,6 +419,14 @@ def build_scenarios(cfg, path, mode, prefix, model, grid, ops, **scheme):
     """
 
     def scenario(run_mode, initial, mean):
+        if run_mode == "standard_linearised" and model.kind == "swe2d":
+            # its operator acts on primitive (phi, u, v): linearise about the
+            # configured mean with the configured perturbation
+            try:
+                primitive = np.stack(swe_inverse(mean))
+                initial, mean = np.stack(swe_inverse(mean + initial)) - primitive, primitive
+            except ValueError as exc:
+                raise ConfigError(f"{path}: primitive mean or mean + perturbation: {exc}")
         return Scenario(model=model, grid=grid, ops=ops, mode=run_mode,
                         initial=initial, mean=mean, **scheme)
 
@@ -505,7 +506,7 @@ def cmd_run(args) -> int:
         return 0
 
     runs = build_scenarios(cfg, display, mode, prefix, model, grid, ops,
-                           **_march_fields(cfg, grid, display))
+                           **_march_fields(cfg, model, grid, display))
     results = []
     try:
         for name, sc in runs:
@@ -617,7 +618,7 @@ def cmd_convergence(args) -> int:
         raise ConfigError(f"{display}: convergence studies need a single"
                           " marching mode")
     # The config's stride is checked but unused: only the final states count.
-    fields = _march_fields(cfg, base_grid, display) | {"stride": 10 ** 9}
+    fields = _march_fields(cfg, model, base_grid, display) | {"stride": 10 ** 9}
     dt0 = fields.pop("dt")
 
     # Every level is built and validated before any is marched.
@@ -673,9 +674,11 @@ def cmd_convergence(args) -> int:
 
     if model.kind == "swe2d":
         print("quasilinear ansatz defect on the initial/mean field:")
-        defects = [ansatz_defect(model, sc.grid, sc.ops,
-                                 sc.initial if sc.mean is None else sc.mean)
-                   for sc in scenarios]
+        states = [sc.initial if sc.mean is None else sc.mean for sc in scenarios]
+        if mode == "standard_linearised":  # the primitive mean, transformed back
+            states = [swe_transform(*mean) for mean in states]
+        defects = [ansatz_defect(model, sc.grid, sc.ops, U)
+                   for sc, U in zip(scenarios, states)]
         for k, d in enumerate(defects):
             line = f"  n={levels[k]:<5d} defect {d:.6e}"
             if k > 0 and d > 0.0:

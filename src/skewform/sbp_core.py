@@ -303,15 +303,6 @@ def face_label(grid: Grid, face: tuple[int, str]) -> str:
     return f"{grid.axis_names[ax]}_{side}"
 
 
-def parse_face(grid: Grid, label: str) -> tuple[int, str]:
-    """Inverse of face_label, e.g. 'x_low' -> (0, 'low')."""
-    for face in faces(grid):
-        if face_label(grid, face) == label:
-            return face
-    known = ", ".join(face_label(grid, f) for f in faces(grid))
-    raise ValueError(f"unknown face '{label}'; known faces: {known}")
-
-
 def _seq_sum(values: np.ndarray) -> float:
     """Left-to-right sum over C-order entries (no reassociation)."""
     flat = np.ravel(values, order="C")
@@ -320,13 +311,9 @@ def _seq_sum(values: np.ndarray) -> float:
     return float(np.add.accumulate(flat)[-1])
 
 
-def quadrature_weights(grid: Grid, ops) -> np.ndarray:
-    """Tensor-product quadrature weights, shape grid.shape."""
-    return _tensor_weights(ops)
-
-
-def _tensor_weights(ops) -> np.ndarray:
-    """The product of the operators' weights P, one axis each, in order."""
+def quadrature_weights(ops) -> np.ndarray:
+    """Tensor-product quadrature weights: the product of the operators'
+    weights P, one axis each, in order (shape grid.shape for a grid's ops)."""
     w = np.ones(tuple(op.n for op in ops))
     for ax, op in enumerate(ops):
         w = w * op.P.reshape((-1,) + (1,) * (len(ops) - 1 - ax))
@@ -356,7 +343,7 @@ def inner_product(grid: Grid, ops, u: np.ndarray, v: np.ndarray,
     s = np.zeros(grid.shape)
     for c in range(u.shape[0]):
         s += u[c] * v[c] if weight is None else u[c] * weight[c] * v[c]
-    return _seq_sum(s * quadrature_weights(grid, ops))
+    return _seq_sum(s * quadrature_weights(ops))
 
 
 def face_layer(grid: Grid, field: np.ndarray, face: tuple[int, str]) -> np.ndarray:
@@ -390,5 +377,5 @@ def boundary_quadrature(grid: Grid, ops, uf: np.ndarray, vf: np.ndarray,
     s = np.zeros(tshape)
     for c in range(uf.shape[0]):
         s = s + uf[c] * vf[c]
-    w = _tensor_weights([op for a, op in enumerate(ops) if a != ax])
+    w = quadrature_weights([op for a, op in enumerate(ops) if a != ax])
     return (-1.0 if side == "low" else 1.0) * _seq_sum(s * w)

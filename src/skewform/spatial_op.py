@@ -136,7 +136,7 @@ def eval_primal_residual(
         U: the acted-on state (the perturbation of a linearisation).
         V: the coefficient state, of U's shape; None evaluates the
            coefficients at U (the nonlinear residual).
-        sat: optional SatConfig of face closures.
+        sat: optional faces resolved by boundary.make_sat_config.
         forcing: optional forcing field F.
     """
     U = np.asarray(U, dtype=np.float64)

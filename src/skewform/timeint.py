@@ -25,7 +25,7 @@ import numpy as np
 
 from .energy import EnergyReport, report_from_residual
 from .models import ModelSpec, check_admissible, has_invertible_norm, wavespeeds
-from .sbp_core import Grid
+from .sbp_core import Grid, face_label
 from .spatial_op import (
     eval_dual_residual,
     eval_new_linearised_pair,
@@ -42,7 +42,8 @@ MODES = (
 )
 
 # Diagnostic guard, not a physical bound: abort when the sup norm grows a
-# thousandfold from the start.
+# thousandfold from the start, measured against at least 1 (the models'
+# unit scale) so that a march starting at rest is not aborted at once.
 BLOWUP_FACTOR = 1e3
 
 
@@ -63,9 +64,10 @@ class Scenario:
     for the linearised modes, the dual variable for dual runs.  mean is the
     coefficient state V (frozen, standard_linearised, dual with fixed
     coefficients; a nonlinear run ignores it) or the initial mean state of
-    the coupled mode.  forcing may be None, a constant field, or a callable
-    t -> field, and applies to the marched equation (the mean equation in
-    coupled mode).
+    the coupled mode.  sat holds the penalised faces that
+    boundary.make_sat_config resolved, or None.  forcing may be None, a
+    constant field, or a callable t -> field, and applies to the marched
+    equation (the mean equation in coupled mode).
     """
 
     model: ModelSpec
@@ -114,12 +116,11 @@ def validate_scenario(sc: Scenario) -> None:
             raise ValueError(f"mode '{sc.mode}' needs a mean field")
         if np.asarray(sc.mean).shape != (sc.model.n_comp,) + sc.grid.shape:
             raise ValueError("mean field does not match the model/grid shape")
-    if sc.mode == "standard_linearised" and sc.model.kind == "swe2d" and sc.sat is not None:
-        active = [face for face, c in sc.sat.faces.items() if c.kind not in ("none", "periodic")]
-        if active:
-            raise ValueError("swe2d standard_linearised marches a primitive perturbation,"
-                             " and the SAT closures are written for transformed variables:"
-                             f" close its faces with none or periodic, got {', '.join(active)}")
+    if sc.mode == "standard_linearised" and sc.model.kind == "swe2d" and sc.sat:
+        active = ", ".join(face_label(sc.grid, face) for face in sc.sat)
+        raise ValueError("swe2d standard_linearised marches a primitive perturbation,"
+                         " and the SAT closures are written for transformed variables:"
+                         f" close its faces with none or periodic, got {active}")
 
 
 def _forcing_at(forcing, t: float):
@@ -197,7 +198,7 @@ def march(sc: Scenario) -> tuple[list[EnergyReport], np.ndarray | tuple]:
     def speed_state(y):
         return y[0] + y[1] if coupled else (y if V is None else V)
 
-    sup0 = max(float(np.max(np.abs(state))), 1e-12)
+    sup0 = max(float(np.max(np.abs(state))), 1.0)
     nsteps = round(sc.t_final / sc.dt)
     reports: list[EnergyReport] = []
 
@@ -216,7 +217,7 @@ def march(sc: Scenario) -> tuple[list[EnergyReport], np.ndarray | tuple]:
         if not np.isfinite(sup) or sup > BLOWUP_FACTOR * sup0:
             raise RuntimeError(
                 f"blow-up guard tripped at t={t:.6g}: sup norm {sup:.3g} vs"
-                f" initial {sup0:.3g}"
+                f" reference {sup0:.3g}"
             )
         if model.kind == "swe2d" and sc.mode in ("nonlinear", "frozen"):
             check_admissible(model, state)

@@ -273,7 +273,7 @@ def test_criterion_9_dissipative_penalties():
     gb = make_grid(((0.0, 1.0),), (33,))
     opsb = build_operators(gb, (4, 2))
     u0 = (1.0 + 0.3 * np.sin(2 * np.pi * gb.coords[0]))[None]
-    sat = make_sat_config({
+    sat = make_sat_config(mb, gb, {
         "x_low": FaceClosure(kind="characteristic", g=0.0),
         "x_high": FaceClosure(kind="characteristic", g=0.0),
     })
@@ -301,7 +301,7 @@ def test_criterion_9_dissipative_penalties():
         u = rng.uniform(0.3, 0.8) + 0.1 * np.cos(2 * np.pi * Y)
         v = rng.uniform(-0.3, 0.3) * np.sin(2 * np.pi * Y)
         U = swe_transform(phi, u, v)
-        sat0 = make_sat_config({"x_low": FaceClosure(kind="swe_two_condition")})
+        sat0 = make_sat_config(ms, gs, {"x_low": FaceClosure(kind="swe_two_condition")})
         rep0 = energy_report(ms, gs, opss, U, sat=sat0)
         face0 = rep0.face_fluxes["x_low"] + rep0.sat_contribution
         scale0 = 1.0 + abs(rep0.rate) + abs(rep0.boundary_flux) + abs(
@@ -309,7 +309,7 @@ def test_criterion_9_dissipative_penalties():
         worst_hom = max(worst_hom, face0 / scale0)
         g2 = rng.uniform(1.2, 1.6)
         g3 = rng.uniform(0.0, 0.5)
-        satg = make_sat_config({"x_low": FaceClosure(
+        satg = make_sat_config(ms, gs, {"x_low": FaceClosure(
             kind="swe_two_condition", g2=g2, g3=g3)})
         repg = energy_report(ms, gs, opss, U, sat=satg)
         faceg = repg.face_fluxes["x_low"] + repg.sat_contribution

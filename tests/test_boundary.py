@@ -13,11 +13,10 @@ from skewform.boundary import (
     make_sat_config,
     swe_normal_tangential,
     swe_rewritten_contraction,
-    validate_sat,
 )
 from skewform.energy import boundary_contraction, energy_report
 from skewform.models import make_model, swe_transform
-from skewform.sbp_core import build_operators, make_grid
+from skewform.sbp_core import build_operators, face_label, faces, make_grid
 
 
 def nonglancing_state(rng, sign):
@@ -128,36 +127,83 @@ def test_analysis_table_and_csv_row():
 
 
 def test_sat_config_validation():
+    mb = make_model("burgers1d")
+    gb = make_grid(((0.0, 1.0),), (9,))
     with pytest.raises(ValueError, match="unknown closure"):
-        make_sat_config({"x_low": {"kind": "reflecting"}})
+        make_sat_config(mb, gb, {"x_low": {"kind": "reflecting"}})
     with pytest.raises(ValueError, match="positive"):
-        make_sat_config({"x_low": {"kind": "characteristic", "scale": 0.0}})
+        make_sat_config(mb, gb, {"x_low": {"kind": "characteristic", "scale": 0.0}})
     with pytest.raises(ValueError, match="finite"):
-        make_sat_config({"x_low": {"kind": "characteristic", "scale": np.inf}})
+        make_sat_config(mb, gb, {"x_low": {"kind": "characteristic", "scale": np.inf}})
     with pytest.raises(ValueError, match="finite"):
-        make_sat_config({"x_low": {"kind": "characteristic", "g": np.inf}})
+        make_sat_config(mb, gb, {"x_low": {"kind": "characteristic", "g": np.inf}})
+    m = make_model("swe2d")
     g = make_grid(((0.0, 1.0), (0.0, 1.0)), (8, 8), periodic=(False, True))
     with pytest.raises(ValueError, match="bad face label"):
-        validate_sat(g, make_sat_config({"z_low": {"kind": "characteristic"}}))
+        make_sat_config(m, g, {"z_low": {"kind": "swe_two_condition"}})
     # penalties cannot sit on a periodic axis
     with pytest.raises(ValueError):
-        validate_sat(g, make_sat_config({"y_low": {"kind": "characteristic"}}))
+        make_sat_config(m, g, {"y_low": {"kind": "swe_two_condition"}})
     # periodic closures must pair up and land on periodic axes
     with pytest.raises(ValueError):
-        validate_sat(g, make_sat_config({"y_low": {"kind": "periodic"}}))
+        make_sat_config(m, g, {"y_low": {"kind": "periodic"}})
     with pytest.raises(ValueError):
-        validate_sat(g, make_sat_config({"x_low": {"kind": "periodic"},
-                                         "x_high": {"kind": "periodic"}}))
-    validate_sat(g, make_sat_config({"y_low": {"kind": "periodic"},
-                                     "y_high": {"kind": "periodic"},
-                                     "x_low": {"kind": "characteristic"}}))
+        make_sat_config(m, g, {"x_low": {"kind": "periodic"},
+                               "x_high": {"kind": "periodic"}})
+    make_sat_config(m, g, {"y_low": {"kind": "periodic"},
+                           "y_high": {"kind": "periodic"},
+                           "x_low": {"kind": "swe_two_condition"}})
+
+
+def test_sat_config_resolves_face_labels_of_the_grid():
+    m = make_model("swe2d")
+    g = make_grid(((0.0, 1.0), (0.0, 2.0)), (8, 6), periodic=(False, True))
+    assert faces(g) == ((0, "low"), (0, "high"))
+    closure = FaceClosure(kind="swe_two_condition", g2=1.0)
+    for f in faces(g):
+        assert make_sat_config(m, g, {face_label(g, f): closure}) == {f: closure}
+    # y is periodic: no penalty sits on y_low; nonsense is no face at all
+    with pytest.raises(ValueError, match="periodic"):
+        make_sat_config(m, g, {"y_low": closure})
+    with pytest.raises(ValueError, match="bad face label"):
+        make_sat_config(m, g, {"nonsense": closure})
+    # entry order is kept, and open or periodic faces are left out
+    both = {"x_high": closure, "x_low": FaceClosure(kind="none"),
+            "y_low": FaceClosure(kind="periodic"), "y_high": FaceClosure(kind="periodic")}
+    assert list(make_sat_config(m, g, both)) == [(0, "high")]
+
+
+def test_sat_config_refuses_options_the_closure_does_not_read():
+    mb = make_model("burgers1d")
+    gb = make_grid(((0.0, 1.0),), (9,))
+    for bad in ({"kind": "characteristic", "g2": 1.0},
+                {"kind": "characteristic", "g3": 0.5},
+                {"kind": "none", "scale": 2.0},
+                {"kind": "none", "g": 0.1}):
+        with pytest.raises(ValueError, match="reads no"):
+            make_sat_config(mb, gb, {"x_low": bad})
+    ms = make_model("swe2d")
+    gs = make_grid(((0.0, 1.0), (0.0, 1.0)), (8, 8), periodic=(False, True))
+    with pytest.raises(ValueError, match="reads no g$"):
+        make_sat_config(ms, gs, {"x_low": {"kind": "swe_two_condition", "g": 1.0}})
+    with pytest.raises(ValueError, match="reads no scale"):
+        make_sat_config(ms, gs, {"y_low": {"kind": "periodic", "scale": 2.0},
+                                 "y_high": {"kind": "periodic"}})
+    # the options each closure reads, and an entry naming itself by where
+    make_sat_config(mb, gb, {"x_low": {"kind": "characteristic", "g": 0.2, "scale": 2.0}})
+    make_sat_config(ms, gs, {"x_low": {"kind": "swe_two_condition", "g2": 1.0,
+                                       "g3": 0.2, "scale": 2.0}})
+    with pytest.raises(ValueError, match=r"^here x_high: none closure reads no g2"):
+        make_sat_config(mb, gb, {"x_low": {"kind": "none"},
+                                 "x_high": {"kind": "none", "g2": 1.0}},
+                        where=lambda label: f"here {label}")
 
 
 def test_characteristic_penalty_is_active_only_at_inflow():
     m = make_model("burgers1d")
     g = make_grid(((0.0, 1.0),), (17,))
     ops = build_operators(g, (2, 1))
-    sat = make_sat_config({"x_low": FaceClosure(kind="characteristic", g=0.25)})
+    sat = make_sat_config(m, g, {"x_low": FaceClosure(kind="characteristic", g=0.25)})
     u = np.full((1, 17), 0.9)
     field = build_sat(m, g, ops, u, sat)
     # u(0) = 0.9 > 0 means u_n = -0.9 < 0 at the left face: active
@@ -174,17 +220,12 @@ def test_characteristic_penalty_is_active_only_at_inflow():
 def test_characteristic_closure_refuses_other_models():
     m = make_model("swe2d")
     g = make_grid(((0.0, 1.0), (0.0, 1.0)), (8, 8), periodic=(False, True))
-    ops = build_operators(g, (2, 1))
-    sat = make_sat_config({"x_low": FaceClosure(kind="characteristic")})
-    U = swe_transform(np.ones((8, 8)), np.ones((8, 8)), np.zeros((8, 8)))
     with pytest.raises(ValueError, match="burgers1d"):
-        build_sat(m, g, ops, U, sat)
+        make_sat_config(m, g, {"x_low": FaceClosure(kind="characteristic")})
     mb = make_model("burgers1d")
     gb = make_grid(((0.0, 1.0),), (9,))
-    opsb = build_operators(gb, (2, 1))
-    satb = make_sat_config({"x_low": FaceClosure(kind="swe_two_condition")})
     with pytest.raises(ValueError, match="swe2d"):
-        build_sat(mb, gb, opsb, np.ones((1, 9)), satb)
+        make_sat_config(mb, gb, {"x_low": FaceClosure(kind="swe_two_condition")})
 
 
 def test_two_condition_face_rate_telescopes():
@@ -199,7 +240,7 @@ def test_two_condition_face_rate_telescopes():
     v = 0.2 * np.sin(2 * np.pi * Y) + 0.1
     U = swe_transform(phi, u, v)
     g2, g3 = 1.3, 0.4
-    sat = make_sat_config({"x_low": FaceClosure(kind="swe_two_condition", g2=g2, g3=g3)})
+    sat = make_sat_config(m, g, {"x_low": FaceClosure(kind="swe_two_condition", g2=g2, g3=g3)})
     rep = energy_report(m, g, ops, U, sat=sat)
     face_rate = rep.face_fluxes["x_low"] + rep.sat_contribution
     Uf = U[:, 0, :]
@@ -209,7 +250,7 @@ def test_two_condition_face_rate_telescopes():
                           / (np.abs(an) * np.sqrt(Uf[0]))))
     assert abs(face_rate - manual) <= 1e-12 * (1 + abs(manual))
     # homogeneous data makes the face strictly dissipative
-    sat0 = make_sat_config({"x_low": FaceClosure(kind="swe_two_condition")})
+    sat0 = make_sat_config(m, g, {"x_low": FaceClosure(kind="swe_two_condition")})
     rep0 = energy_report(m, g, ops, U, sat=sat0)
     assert rep0.face_fluxes["x_low"] + rep0.sat_contribution < 0.0
 
@@ -220,7 +261,7 @@ def test_two_condition_penalty_skips_outflow_nodes():
     ops = build_operators(g, (2, 1))
     # u < 0: the low-x face sees outflow (U_n = +|u| sqrt(phi) > 0)
     U = swe_transform(np.ones((8, 8)), -0.5 * np.ones((8, 8)), np.zeros((8, 8)))
-    sat = make_sat_config({"x_low": FaceClosure(kind="swe_two_condition", g2=1.0)})
+    sat = make_sat_config(m, g, {"x_low": FaceClosure(kind="swe_two_condition", g2=1.0)})
     field = build_sat(m, g, ops, U, sat)
     assert field is None or not field.any()
 
@@ -232,7 +273,7 @@ def test_two_condition_penalty_checks_admissibility_on_its_face_only():
     g = make_grid(((0.0, 1.0), (0.0, 1.0)), (9, 9), periodic=(False, True))
     ops = build_operators(g, (2, 1))
     V = swe_transform(np.ones((9, 9)), 0.5 * np.ones((9, 9)), np.zeros((9, 9)))
-    sat = make_sat_config({"x_low": FaceClosure(kind="swe_two_condition", g2=1.0)})
+    sat = make_sat_config(m, g, {"x_low": FaceClosure(kind="swe_two_condition", g2=1.0)})
     U = V.copy()
     U[0, 4, 4] = -0.3
     plain = sk.eval_primal_residual(m, g, ops, U, V)

@@ -10,6 +10,8 @@ import pytest
 
 from skewform import cli
 from skewform.cli import ConfigError, bundled_scenarios, main, parse_config_text
+from skewform.models import swe_transform
+from skewform.sbp_core import build_operators
 
 BURGERS_CFG = """
 [model]
@@ -385,6 +387,14 @@ def with_sat(closure):
     (with_sat("characteristic g=zero"), 25),
     (with_sat("swe_two_condition g2=1.0 g3=zero"), 25),
     (with_sat("characteristic scale=inf"), 25),
+    # closures checked against the model and grid: a closure of another
+    # model, options the closure does not read, an unknown kind, and a
+    # periodic closure on the bounded axis
+    (with_sat("swe_two_condition g2=1.0"), 25),
+    (with_sat("characteristic g2=1.0"), 25),
+    (with_sat("none scale=2"), 25),
+    (with_sat("charactristic"), 25),
+    (with_sat("periodic"), 25),
     # values that parse but are out of range keep their line too
     (lambda text: text.replace("order = 4,2", "order = 3,1"), 11),
     (lambda text: text.replace("stride = 5", "stride = 0"), 15),
@@ -393,7 +403,9 @@ def with_sat(closure):
         "alpha_nan", "f0_inf", "extents_typo", "extents_inf", "shape_typo",
         "order_typo", "stride_typo", "stride_fraction", "wavenumber_typo",
         "trig_offset_nan", "trig_amp_inf", "constant_inf", "sat_g_typo",
-        "sat_g3_typo", "sat_scale_inf", "order_unsupported", "stride_zero"])
+        "sat_g3_typo", "sat_scale_inf", "sat_model_mismatch", "sat_unread_g2",
+        "sat_unread_scale", "sat_unknown_kind", "sat_periodic_on_bounded_axis",
+        "order_unsupported", "stride_zero"])
 def test_malformed_scenarios_exit_2_in_run_and_convergence(tmp_path, edit, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(edit(BURGERS_CFG))
@@ -414,6 +426,25 @@ def test_malformed_scenarios_exit_2_in_run_and_convergence(tmp_path, edit, line)
     assert not out_dir.exists()
     if line is not None:
         assert f"{cfg}:{line}: " in err
+
+
+def test_lone_periodic_closure_is_refused_at_its_own_line(tmp_path):
+    # on the periodic grid of BURGERS_CFG, x_high alone is periodic
+    text = BURGERS_CFG + "\n[sat]\nx_high = periodic\n"
+    cfg = tmp_path / "lone.cfg"
+    cfg.write_text(text)
+    line = len(text.splitlines())
+    for command in (["run"], ["convergence", "--levels", "24,48,96"]):
+        code, out, err = run_main([*command, "--config", str(cfg),
+                                   "--out", str(tmp_path / "o")])
+        assert code == 2, command
+        assert f"{cfg}:{line}: [sat] 'x_high'" in err and "both faces" in err
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+    # both faces periodic is the same as no entry
+    cfg.write_text(text + "x_low = periodic\n")
+    code, out, err = run_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 0, err
 
 
 SWE_STANDARD_CFG = """
@@ -469,6 +500,43 @@ def test_swe_standard_linearisation_refuses_a_sat_closure(tmp_path, monkeypatch,
         assert "config error" in err and "x_low" in err and "none or periodic" in err
         assert out == ""
         assert not out_dir.exists()
+
+
+def test_swe_standard_and_coupled_runs_linearise_about_one_mean(tmp_path):
+    # the standard run marches primitive variables: its mean and perturbation
+    # are the configured transformed fields taken back to (phi, u, v), so the
+    # two t = 0 energies measure different variables
+    text = (SWE_STANDARD_CFG.replace("mode = standard_linearised", "mode = standard_vs_new")
+            .replace("swe_two_condition g2=1.0 g3=0.2", "none"))
+    path = tmp_path / "std.cfg"
+    path.write_text(text)
+    code, out, err = run_main(["run", "--config", str(path), "--out", str(tmp_path)])
+    assert code == 0, err
+    e0 = {run: read_csv(tmp_path / f"run_{run}.csv")[1][0][1] for run in ("standard", "new")}
+    assert e0["standard"] != e0["new"]
+    cfg = parse_config_text(text, "std.cfg")
+    model = cli.build_model(cfg, "std.cfg")
+    grid = cli.build_grid(cfg, model, "std.cfg")
+    order, mode = cli.build_scheme(cfg, "std.cfg")
+    (_, standard), (_, coupled) = cli.build_scenarios(
+        cfg, "std.cfg", mode, "p", model, grid, build_operators(grid, order),
+        **cli._march_fields(cfg, model, grid, "std.cfg"))
+    assert np.allclose(swe_transform(*standard.mean), coupled.mean, rtol=1e-15, atol=0.0)
+    assert np.allclose(swe_transform(*(standard.mean + standard.initial)),
+                       coupled.mean + coupled.initial, rtol=1e-15, atol=0.0)
+
+
+def test_swe_standard_run_refuses_a_perturbation_past_the_depth_floor(tmp_path):
+    # mean + perturbation has no primitive form when its depth is negative
+    cfg = tmp_path / "std.cfg"
+    cfg.write_text(SWE_STANDARD_CFG.replace("swe_two_condition g2=1.0 g3=0.2", "none")
+                   .replace("comp0 = 0.0 0.01 cos:1 sin:1", "comp0 = -2.0 0.01 cos:1 sin:1"))
+    out_dir = tmp_path / "o"
+    code, out, err = run_main(["run", "--config", str(cfg), "--out", str(out_dir)])
+    assert code == 2
+    assert f"config error: {cfg}: primitive mean" in err and "depth" in err
+    assert out == ""
+    assert not out_dir.exists()
 
 
 def test_swe_standard_linearisation_marches_with_open_faces(tmp_path):

@@ -37,7 +37,7 @@ def test_cylindrical_energy_weights_by_the_radius():
     rng = np.random.default_rng(43)
     U = rng.normal(size=(4, 8, 8, 8))
     R = g.positions[0]
-    w = quadrature_weights(g, ops)
+    w = quadrature_weights(ops)
     manual = float(np.sum(w * R * (U[0] ** 2 + U[1] ** 2 + U[2] ** 2)))
     assert abs(total_energy(m, g, ops, U) - manual) <= 1e-13 * (1 + abs(manual))
 
@@ -112,7 +112,7 @@ def test_sat_contribution_enters_the_rate_identity():
     g = make_grid(((0.0, 1.0),), (33,))
     ops = build_operators(g, (4, 2))
     u = (1.0 + 0.3 * np.sin(2 * np.pi * g.coords[0]))[None]
-    sat = make_sat_config({"x_low": FaceClosure(kind="characteristic", g=0.0)})
+    sat = make_sat_config(m, g, {"x_low": FaceClosure(kind="characteristic", g=0.0)})
     rep = energy_report(m, g, ops, u, sat=sat)
     # u(0) = 1 > 0, so the left face is inflow and the penalty is active:
     # with homogeneous data its contribution cancels the inflow flux exactly

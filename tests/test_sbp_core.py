@@ -9,12 +9,9 @@ from skewform.sbp_core import (
     boundary_quadrature,
     build_operators,
     build_sbp_operator,
-    face_label,
     face_layer,
-    faces,
     inner_product,
     make_grid,
-    parse_face,
     quadrature_weights,
 )
 
@@ -175,23 +172,11 @@ def test_grid_rejects_bad_arguments():
         make_grid(((0.0, 1.0),), (8, 8))
 
 
-def test_faces_and_labels_round_trip():
-    g = make_grid(((0.0, 1.0), (0.0, 2.0)), (8, 6), periodic=(False, True))
-    fs = faces(g)
-    assert fs == ((0, "low"), (0, "high"))
-    for f in fs:
-        assert parse_face(g, face_label(g, f)) == f
-    with pytest.raises(ValueError):
-        parse_face(g, "y_low")
-    with pytest.raises(ValueError):
-        parse_face(g, "nonsense")
-
-
 def test_quadrature_weights_sum_to_the_measure():
     g = make_grid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5)), (9, 10, 8),
                   periodic=(False, True, False))
     ops = build_operators(g, (2, 1))
-    w = quadrature_weights(g, ops)
+    w = quadrature_weights(ops)
     assert w.shape == (9, 10, 8)
     assert abs(w.sum() - 1.0 * 2.0 * 0.5) <= 1e-13
 

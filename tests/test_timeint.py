@@ -176,8 +176,7 @@ def test_frozen_march_integrates_pure_forcing_exactly_enough():
 def test_coupled_march_applies_its_forcing_to_the_mean_equation():
     # a uniform mean and a zero perturbation: the forcing drives the mean
     # alone, and the perturbation equation, linear in the perturbation,
-    # keeps it at zero (a zero mean would trip the blow-up guard, whose
-    # reference is the initial sup norm)
+    # keeps it at zero
     m, g, ops = burgers_setup(n=16, order=(2, 1))
     one = np.ones((1, 16))
     sc = Scenario(model=m, grid=g, ops=ops, mode="new_linearised_coupled",
@@ -197,7 +196,7 @@ def sat_forced_scenario(mode, stride, t_final):
     mean = (0.6 + 0.05 * np.cos(2 * np.pi * x))[None]
     if mode in ("new_linearised_coupled", "standard_linearised"):
         u0 = 0.01 * u0  # the marched state is a perturbation of the mean
-    sat = make_sat_config({"x_low": FaceClosure(kind="characteristic", g=0.4)})
+    sat = make_sat_config(m, g, {"x_low": FaceClosure(kind="characteristic", g=0.4)})
     return Scenario(model=m, grid=g, ops=ops, mode=mode, initial=u0,
                     mean=None if mode == "nonlinear" else mean,
                     forcing=lambda t: 0.1 * np.cos(3.0 * t) * np.ones_like(u0),
@@ -280,6 +279,22 @@ def test_blow_up_guard_raises():
                   dt=0.01, t_final=1.0, stride=10 ** 9)
     with pytest.raises(RuntimeError, match="blow-up"):
         march(sc)
+
+
+@pytest.mark.parametrize("mode", ["nonlinear", "frozen", "new_linearised_coupled"])
+def test_a_forced_march_from_rest_is_not_a_blow_up(mode):
+    # growth is measured against at least the unit scale: from a zero state
+    # the uniform forcing cos(t) drives the state (the mean, coupled) to sin(t)
+    m, g, ops = burgers_setup(n=16, order=(2, 1))
+    zero = np.zeros((1, 16))
+    sc = Scenario(model=m, grid=g, ops=ops, mode=mode, initial=zero,
+                  mean=None if mode == "nonlinear" else zero,
+                  forcing=lambda t: np.full_like(zero, np.cos(t)),
+                  dt=0.01, t_final=1.0, stride=10 ** 9)
+    reports, final = march(sc)
+    assert reports[-1].t == 1.0
+    state = final[0] if mode == "new_linearised_coupled" else final
+    assert np.max(np.abs(state - np.sin(1.0))) <= 1e-8
 
 
 def test_losing_admissibility_raises():
