@@ -22,18 +22,25 @@ otherwise show the eigensolver's rounding) and euler3d_cyl at radius 0.8;
 Coriolis profile, which no bundled scenario marches (written into the
 case's directory first); `run` on a bounded burgers config with inflow at
 both faces, each closed by a `characteristic` penalty (no bundled scenario
-marches that closure); and five refusals, so the bytes of the refusal path
-are checked too: `run` on a config with `stride = ten` (written into the
-case's directory first), `analyze-boundary --alpha nan`, `run` on the swe2d
-`standard_vs_new` config with a two-condition closure on x_low, and `run`
-on the burgers config with a swe2d closure on x_low and with a
-`characteristic` closure given the `g2=` it does not read.
+marches that closure); `run` on a swe2d config whose two-condition closure
+is active at inflow on a (4,2) grid, where the boundary weight 17h/48 is no
+power of two (the bundled swe_inflow_twocond weighs h/2 = 1/32, by which a
+reordered division is exact); and seven refusals, so the bytes of the
+refusal path are checked too: `run` on a config with `stride = ten`
+(written into the case's directory first), `analyze-boundary --alpha nan`,
+`run` on the swe2d `standard_vs_new` config with a two-condition closure on
+x_low, and `run` on the burgers config with a swe2d closure on x_low, with
+a `characteristic` closure given the `g2=` it does not read, with
+`characteristic g2=0` and with `none scale=1.0`.
 
 Some cases differ by design against older trees.  The swe2d
 `standard_linearised` refusal: a tree from before it marches and fails with
 exit 1.  The two burgers closure refusals: a tree from before make_sat_config
 checked closures against the model marches them, failing with exit 1 on the
-swe2d closure and exiting 0 on the unread option.  The `_standard` files of
+swe2d closure and exiting 0 on the unread option.  The `characteristic g2=0`
+and `none scale=1.0` refusals: a tree from before make_sat_config took the
+options an entry writes tells an unread option by its value only, and
+marches both with exit 0.  The `_standard` files of
 `run_swe_standard_vs_new`: a tree from before the swe2d standard run took
 primitive variables (its mean swe_inverse(mean), its perturbation
 swe_inverse(mean + pert) - swe_inverse(mean)) reads the transformed fields
@@ -146,6 +153,43 @@ x_high = characteristic g=-0.2 scale=2.0
 prefix = burgers_characteristic
 """
 
+# The two-condition closure with active inflow on a (4,2) grid, whose
+# boundary weight P0 = 17h/48 is no power of two, so a reordered division
+# by it shows in the bytes.  The data g2, g3 differ from the inflow state.
+SWE_TWO_CONDITION_42_CFG = """\
+[model]
+kind = swe2d
+alpha = 0.5
+beta = 0.8
+
+[grid]
+extents = 0,1 / 0,1
+shape = 17 / 17
+periodic = false / true
+
+[scheme]
+order = 4,2
+mode = nonlinear
+dt = 0.002
+t_final = 0.06
+stride = 5
+cfl = 0.3
+
+[initial]
+family = trig
+variables = primitive
+comp0 = 1.0 0.05 sin:1 cos:1
+comp1 = 0.8 0.1 one cos:1
+comp2 = 0.1 0.05 cos:1 sin:1
+
+[sat]
+x_low = swe_two_condition g2=1.3 g3=0.2 scale=1.5
+x_high = none
+
+[output]
+prefix = swe_two_condition_42
+"""
+
 FIXED_CASES = {
     "verify_all": ["verify", "all", "--seed", "3", "--trials", "7"],
     "convergence_burgers_periodic": ["convergence", "--config", "burgers_periodic",
@@ -176,6 +220,9 @@ FIXED_CASES = {
     "run_burgers_characteristic": ["run", "--config", "burgers_characteristic.cfg"],
     "refuse_sat_model_mismatch": ["run", "--config", "sat_model_mismatch.cfg"],
     "refuse_sat_unread_option": ["run", "--config", "sat_unread_option.cfg"],
+    "run_swe_two_condition_42": ["run", "--config", "swe_two_condition_42.cfg"],
+    "refuse_sat_unread_zero": ["run", "--config", "sat_unread_zero.cfg"],
+    "refuse_sat_unread_default_scale": ["run", "--config", "sat_unread_default_scale.cfg"],
 }
 
 # Files written into a case's working directory before it runs.
@@ -188,6 +235,12 @@ CASE_FILES = {
         "x_low = characteristic g=0.1", "x_low = swe_two_condition g2=1.0")},
     "refuse_sat_unread_option": {"sat_unread_option.cfg": BURGERS_CHARACTERISTIC_CFG.replace(
         "x_low = characteristic g=0.1", "x_low = characteristic g2=0.1")},
+    "run_swe_two_condition_42": {"swe_two_condition_42.cfg": SWE_TWO_CONDITION_42_CFG},
+    "refuse_sat_unread_zero": {"sat_unread_zero.cfg": BURGERS_CHARACTERISTIC_CFG.replace(
+        "x_low = characteristic g=0.1", "x_low = characteristic g2=0")},
+    "refuse_sat_unread_default_scale": {"sat_unread_default_scale.cfg":
+                                        BURGERS_CHARACTERISTIC_CFG.replace(
+        "x_low = characteristic g=0.1", "x_low = none scale=1.0")},
 }
 
 

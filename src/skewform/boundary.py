@@ -24,7 +24,7 @@ well-posedness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +39,8 @@ DELTA_1 = 1e-8
 
 @dataclass(frozen=True)
 class FaceClosure:
-    """One face's closure: 'none', 'periodic', 'characteristic', or
-    'swe_two_condition', with its boundary data and penalty scale."""
+    """One face's resolved closure: 'characteristic' or 'swe_two_condition',
+    with its boundary data and penalty scale."""
 
     kind: str
     g: float = 0.0
@@ -49,53 +49,96 @@ class FaceClosure:
     scale: float = 1.0
 
 
-# Each closure kind: the model it closes (None: any model) and the
-# FaceClosure options it reads.
+def _characteristic_penalty(model, Uf, sign, ax, closure, weight):
+    """Burgers inflow penalty sigma (u - g) / weight with sigma = scale * u_n / 3.
+
+    Active only where the face is inflow (u_n < 0).  With the default scale
+    the inflow face contributes 2 u^2 g / 3 to the energy rate, zero for
+    homogeneous data, so the rate gains no positive boundary term.
+    """
+    un = sign * Uf
+    sigma = np.where(un < 0.0, closure.scale * un / 3.0, 0.0)
+    return sigma * (Uf - closure.g) / weight
+
+
+def _two_condition_penalty(model, Uf, sign, ax, closure, weight):
+    """Two-condition shallow water inflow penalty.
+
+    Penalises the conditions a2 = U_n^2 + U1^2 = g2^2 and a3 = U_n U_tau =
+    g3^2 through the state direction, with the scaling that makes the face
+    energy rate telescope to the quadrature of
+    (-U1^4 + g2^4 + g3^4) / (|U_n| sqrt(U1)), the sign structure of the
+    continuous two-condition bound.  Nodes that are not strictly inflow
+    (U_n >= -DELTA_N) are left alone.
+    """
+    check_admissible(model, Uf)  # the penalty reads the face layer only
+    un, utau = swe_normal_tangential(Uf, (sign, 0.0) if ax == 0 else (0.0, sign))
+    root = np.sqrt(Uf[0])
+    active = un < -DELTA_N
+    safe_un = np.where(active, un, -1.0)
+    a2 = un * un + Uf[0] * Uf[0]
+    a3 = un * utau
+    usq = Uf[0] ** 2 + Uf[1] ** 2 + Uf[2] ** 2
+    g2_4 = closure.g2 ** 4
+    g3_4 = closure.g3 ** 4
+    sigma = -closure.scale * ((a2 * a2 - g2_4) + (a3 * a3 - g3_4)) / (
+        2.0 * np.abs(safe_un) * root * usq
+    )
+    sigma = np.where(active, sigma, 0.0) / weight
+    return sigma * Uf
+
+
+# Each closure kind: the model it closes (None: any model), the options it
+# reads, and its penalty (None: no penalty), which maps (model, face layer of
+# the acted-on state, outward sign, axis, FaceClosure, boundary weight P[idx])
+# to the penalty layer, already divided by the weight.
 _CLOSURES = {
-    "none": (None, ()),
-    "periodic": (None, ()),
-    "characteristic": ("burgers1d", ("g", "scale")),
-    "swe_two_condition": ("swe2d", ("g2", "g3", "scale")),
+    "none": (None, (), None),
+    "periodic": (None, (), None),
+    "characteristic": ("burgers1d", ("g", "scale"), _characteristic_penalty),
+    "swe_two_condition": ("swe2d", ("g2", "g3", "scale"), _two_condition_penalty),
 }
 
 
-def _entry_problem(model: ModelSpec, grid: Grid, faces: dict, closures: dict,
+def _entry_problem(model: ModelSpec, grid: Grid, faces: dict, entries: dict,
                    label) -> str | None:
-    """Why the closure given for label is refused, or None; faces maps
+    """Why the closure entry given for label is refused, or None; faces maps
     every face label of the grid to its (axis, side)."""
-    closure = closures[label]
+    kind = entries[label].get("kind")
     if label not in faces:
         return f"bad face label; expected one of {list(faces)}"
-    if closure.kind not in _CLOSURES:
-        return f"unknown closure '{closure.kind}'; try one of {tuple(_CLOSURES)}"
-    closes, reads = _CLOSURES[closure.kind]
+    if kind not in _CLOSURES:
+        return f"unknown closure '{kind}'; try one of {tuple(_CLOSURES)}"
+    closes, reads, _ = _CLOSURES[kind]
     if closes not in (None, model.kind):
-        return f"{closure.kind} closure is a {closes} face closure, the model is {model.kind}"
-    unread = [f.name for f in fields(FaceClosure)
-              if f.name not in ("kind", *reads) and getattr(closure, f.name) != f.default]
+        return f"{kind} closure is a {closes} face closure, the model is {model.kind}"
+    unread = [key for key in entries[label] if key not in ("kind", *reads)]
     if unread:
-        return f"{closure.kind} closure reads no {', '.join(unread)}"
+        return f"{kind} closure reads no {', '.join(unread)}"
+    closure = FaceClosure(**entries[label])
     if not 0.0 < closure.scale < np.inf:
         return f"penalty scale must be positive and finite, got {closure.scale}"
     if not np.isfinite((closure.g, closure.g2, closure.g3)).all():
         return "boundary data must be finite"
     ax, side = faces[label]
     name = grid.axis_names[ax]
-    if closure.kind == "periodic" and not grid.periodic[ax]:
+    if kind == "periodic" and not grid.periodic[ax]:
         return (f"axis {name}: periodic closure requires a grid built periodic on"
                 " that axis (the circulant operator carries the closure)")
-    if closure.kind != "periodic" and grid.periodic[ax]:
+    if kind != "periodic" and grid.periodic[ax]:
         return f"axis {name} is periodic and has no faces to close"
     # the other face of a periodic axis takes a periodic closure or none
     other = face_label(grid, (ax, "high" if side == "low" else "low"))
-    if closure.kind == "periodic" and other not in closures:
+    if kind == "periodic" and other not in entries:
         return f"axis {name}: periodic closure must cover both faces"
     return None
 
 
 def make_sat_config(model: ModelSpec, grid: Grid, entries: dict, where=repr) -> dict:
-    """Resolves face label -> closure entries (FaceClosure or its keyword
-    dict) against the model and grid they close, once.
+    """Resolves face label -> closure entries, each the keyword dict
+    {"kind": kind, option: value, ...} of the options it sets, against the
+    model and grid they close, once.  An option the kind does not read is
+    refused whatever its value, and so is an unknown option name.
 
     Returns the penalised faces {(axis, side): FaceClosure} in entry order;
     'none' and 'periodic' faces are checked and left out.  The first
@@ -103,14 +146,12 @@ def make_sat_config(model: ModelSpec, grid: Grid, entries: dict, where=repr) -> 
     """
     faces = {face_label(grid, (ax, s)): (ax, s) for ax in range(grid.dim)
              for s in ("low", "high")}
-    closures = {label: c if isinstance(c, FaceClosure) else FaceClosure(**c)
-                for label, c in entries.items()}
-    for label in closures:
-        problem = _entry_problem(model, grid, faces, closures, label)
+    for label in entries:
+        problem = _entry_problem(model, grid, faces, entries, label)
         if problem is not None:
             raise ValueError(f"{where(label)}: {problem}")
-    return {faces[label]: c for label, c in closures.items()
-            if c.kind not in ("none", "periodic")}
+    return {faces[label]: FaceClosure(**entry) for label, entry in entries.items()
+            if _CLOSURES[entry["kind"]][2] is not None}
 
 
 def build_sat(model: ModelSpec, grid: Grid, ops, U: np.ndarray,
@@ -125,57 +166,12 @@ def build_sat(model: ModelSpec, grid: Grid, ops, U: np.ndarray,
     U = np.asarray(U, dtype=np.float64)
     field = np.zeros_like(U)
     for (ax, side), closure in sat.items():
-        penalty = _sat_characteristic if closure.kind == "characteristic" \
-            else _sat_swe_two_condition
-        penalty(model, grid, ops, U, field, ax, side, closure)
+        idx = 0 if side == "low" else grid.shape[ax] - 1
+        penalty = _CLOSURES[closure.kind][2]
+        face_layer(grid, field, (ax, side))[...] += penalty(
+            model, face_layer(grid, U, (ax, side)), -1.0 if side == "low" else 1.0,
+            ax, closure, ops[ax].P[idx])
     return field
-
-
-def _sat_characteristic(model, grid, ops, U, field, ax, side, closure):
-    """Burgers inflow penalty sigma (u - g) with sigma = scale * u_n / 3.
-
-    Active only where the face is inflow (u_n < 0).  With the default scale
-    the inflow face contributes 2 u^2 g / 3 to the energy rate, zero for
-    homogeneous data, so the rate gains no positive boundary term.
-    """
-    idx = 0 if side == "low" else grid.shape[ax] - 1
-    sign = -1.0 if side == "low" else 1.0
-    w = U[0, idx]
-    un = sign * w
-    if un < 0.0:
-        sigma = closure.scale * un / 3.0
-        field[0, idx] += sigma * (w - closure.g) / ops[ax].P[idx]
-
-
-def _sat_swe_two_condition(model, grid, ops, U, field, ax, side, closure):
-    """Two-condition shallow water inflow penalty.
-
-    Penalises the conditions a2 = U_n^2 + U1^2 = g2^2 and a3 = U_n U_tau =
-    g3^2 through the state direction, with the scaling that makes the face
-    energy rate telescope to the quadrature of
-    (-U1^4 + g2^4 + g3^4) / (|U_n| sqrt(U1)), the sign structure of the
-    continuous two-condition bound.  Nodes that are not strictly inflow
-    (U_n >= -DELTA_N) are left alone.
-    """
-    idx = 0 if side == "low" else grid.shape[ax] - 1
-    outward = -1.0 if side == "low" else 1.0
-    normal = (outward, 0.0) if ax == 0 else (0.0, outward)
-    Uf = face_layer(grid, U, (ax, side))
-    check_admissible(model, Uf)  # the penalty reads the face layer only
-    un, utau = swe_normal_tangential(Uf, normal)
-    root = np.sqrt(Uf[0])
-    active = un < -DELTA_N
-    safe_un = np.where(active, un, -1.0)
-    a2 = un * un + Uf[0] * Uf[0]
-    a3 = un * utau
-    usq = Uf[0] ** 2 + Uf[1] ** 2 + Uf[2] ** 2
-    g2_4 = closure.g2 ** 4
-    g3_4 = closure.g3 ** 4
-    sigma = -closure.scale * ((a2 * a2 - g2_4) + (a3 * a3 - g3_4)) / (
-        2.0 * np.abs(safe_un) * root * usq
-    )
-    sigma = np.where(active, sigma, 0.0) / ops[ax].P[idx]
-    face_layer(grid, field, (ax, side))[...] += sigma * Uf
 
 
 def _zero_tolerance(eigs: np.ndarray) -> float:
@@ -265,6 +261,7 @@ def analyze_boundary(
     a_out = model.alpha if model.kind == "swe2d" else None
     b_out = model.beta if model.kind == "swe2d" else None
 
+    count = None
     if formulation == "nonlinear_rewritten":
         if model.kind != "swe2d":
             raise ValueError("the rewritten formulation applies to swe2d only")
@@ -273,23 +270,16 @@ def analyze_boundary(
         c = 1.0 / (2.0 * un * float(np.sqrt(state[0])))
         S = np.diag([-c, c, c])
         eigs = np.sort(np.array([-c, c, c]))
-        neg, zero, pos_n = _signature_counts(eigs)
         # Two genuine conditions at inflow; at outflow the negative
         # direction is dominated by (U_n^2 + U1^2)^2 >= U1^4 and no data
         # is required.
         count = 2 if un < 0.0 else 0
-        return BoundaryAnalysis(
-            formulation=formulation, face=face, normal=normal,
-            alpha=a_out, beta=b_out, S=S, eigenvalues=eigs,
-            n_negative=neg, n_zero=zero, n_positive=pos_n,
-            bc_count=count, contraction=contraction,
-        )
-
-    if formulation == "nonlinear" and model.kind == "swe2d":
+    elif formulation == "nonlinear" and model.kind == "swe2d":
         un, _ = swe_normal_tangential(state, normal)
         root = np.sqrt(state[0])
         vn = float(un / root)
         S = np.diag([vn, vn / 2.0, vn / 2.0])
+        eigs = np.linalg.eigvalsh(S)
         contraction = float(
             vn * (state[0] ** 2 + 0.5 * (state[1] ** 2 + state[2] ** 2))
         )
@@ -299,19 +289,19 @@ def analyze_boundary(
         for ax in range(model.dim):
             M += normal[ax] * dense_matrix(A[ax], model.n_comp)
         S = 0.5 * (M + M.T)
+        eigs = np.linalg.eigvalsh(S)
         contraction = float(state @ M @ state) if formulation == "nonlinear" else None
     else:
         raise ValueError(
             "formulation must be 'nonlinear', 'linearised', or 'nonlinear_rewritten'"
         )
 
-    eigs = np.linalg.eigvalsh(S)
     neg, zero, pos_n = _signature_counts(eigs)
     return BoundaryAnalysis(
         formulation=formulation, face=face, normal=normal,
         alpha=a_out, beta=b_out, S=S, eigenvalues=eigs,
         n_negative=neg, n_zero=zero, n_positive=pos_n,
-        bc_count=neg, contraction=contraction,
+        bc_count=neg if count is None else count, contraction=contraction,
     )
 
 

@@ -30,7 +30,6 @@ import numpy as np
 
 from .boundary import (
     ANALYSIS_CSV_HEADER,
-    FaceClosure,
     analysis_csv_row,
     analysis_table,
     analyze_boundary,
@@ -286,8 +285,8 @@ def build_field(cfg, section, model, grid, path):
 
 
 def build_sat_from_config(cfg, model, grid, path):
-    """The [sat] entries resolved by boundary.make_sat_config; a refused
-    entry is a config error at its line."""
+    """The [sat] entries, each the dict of options it writes, resolved by
+    boundary.make_sat_config; a refused entry is a config error at its line."""
     if "sat" not in cfg:
         return None
     entries = {}
@@ -295,16 +294,13 @@ def build_sat_from_config(cfg, model, grid, path):
         tokens = value.split()
         if not tokens:
             raise ConfigError(f"{path}:{lineno}: empty closure for '{key}'")
-        kwargs = {}
+        entries[key] = {"kind": tokens[0]}
         for token in tokens[1:]:
             name, eq, val = token.partition("=")
-            if not eq or name not in ("g", "g2", "g3", "scale"):
-                raise ConfigError(
-                    f"{path}:{lineno}: closure options are g=, g2=, g3=,"
-                    f" scale=, got {token!r}"
-                )
-            kwargs[name] = _number(val, f"{path}:{lineno}: '{name}'")
-        entries[key] = FaceClosure(kind=tokens[0], **kwargs)
+            if not eq or name in entries[key]:
+                raise ConfigError(f"{path}:{lineno}: options are name=value, each name"
+                                  f" once, got {token!r}")
+            entries[key][name] = _number(val, f"{path}:{lineno}: '{name}'")
     try:
         return make_sat_config(model, grid, entries, where=lambda label:
                                f"{path}:{cfg['sat'][label][1]}: [sat] '{label}'")
@@ -376,18 +372,27 @@ def bundled_scenarios() -> tuple[str, ...]:
     return tuple(names)
 
 
-def write_reports_csv(target, grid, reports) -> None:
-    labels = [face_label(grid, f) for f in faces(grid)]
+def write_csv(out_dir, name, header, rows) -> Path:
+    """Writes the header and rows to out_dir/name, making out_dir first;
+    returns the path written."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    target = out_dir / name
     with open(target, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "E", "rate", "boundary_flux", "volume_residual"]
-                        + [f"flux_{label}" for label in labels])
-        for rep in reports:
-            writer.writerow(
-                [repr(rep.t), repr(rep.energy), repr(rep.rate),
-                 repr(rep.boundary_flux), repr(rep.volume_residual)]
-                + [repr(rep.face_fluxes[label]) for label in labels]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+    return target
+
+
+def write_reports_csv(out_dir, name, grid, reports) -> Path:
+    labels = [face_label(grid, f) for f in faces(grid)]
+    return write_csv(out_dir, name, ["t", "E", "rate", "boundary_flux", "volume_residual"]
+                     + [f"flux_{label}" for label in labels],
+                     ([repr(rep.t), repr(rep.energy), repr(rep.rate),
+                       repr(rep.boundary_flux), repr(rep.volume_residual)]
+                      + [repr(rep.face_fluxes[label]) for label in labels]
+                      for rep in reports))
 
 
 def write_final_state(target, model, grid, state) -> None:
@@ -497,9 +502,7 @@ def cmd_run(args) -> int:
 
     if mode == "identity":
         reports = run_identity(cfg, model, grid, ops, display)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        target = out_dir / f"{prefix}.csv"
-        write_reports_csv(target, grid, reports)
+        target = write_reports_csv(out_dir, f"{prefix}.csv", grid, reports)
         worst = max(abs(r.volume_residual) for r in reports)
         print(f"wrote {target} ({len(reports)} sampled states,"
               f" max |volume_residual| {worst:.3e})")
@@ -515,10 +518,8 @@ def cmd_run(args) -> int:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name, sc, reports, final in results:
-        target = out_dir / f"{name}.csv"
-        write_reports_csv(target, grid, reports)
+        target = write_reports_csv(out_dir, f"{name}.csv", grid, reports)
         worst = max(abs(r.volume_residual) for r in reports)
         drift = reports[-1].energy - reports[0].energy
         print(f"wrote {target} ({len(reports)} reports, max"
@@ -551,14 +552,8 @@ def cmd_verify(args) -> int:
     passed = sum(1 for r in reports if r.passed)
     print(f"{passed}/{len(reports)} suites passed")
     if args.out_dir is not None:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        target = out_dir / "checks.csv"
-        with open(target, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CHECK_CSV_HEADER)
-            for report in reports:
-                writer.writerow(check_csv_row(report))
+        target = write_csv(args.out_dir, "checks.csv", CHECK_CSV_HEADER,
+                           map(check_csv_row, reports))
         print(f"wrote {target}")
     return 0 if passed == len(reports) else 1
 
@@ -587,13 +582,8 @@ def cmd_analyze_boundary(args) -> int:
     )
     print(analysis_table(analysis))
     if args.out_dir is not None:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        target = out_dir / "boundary.csv"
-        with open(target, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(ANALYSIS_CSV_HEADER)
-            writer.writerow(analysis_csv_row(analysis))
+        target = write_csv(args.out_dir, "boundary.csv", ANALYSIS_CSV_HEADER,
+                           [analysis_csv_row(analysis)])
         print(f"wrote {target}")
     return 0
 
@@ -698,14 +688,8 @@ def cmd_convergence(args) -> int:
             print(line)
 
     if args.out_dir is not None:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        target = out_dir / "convergence.csv"
-        with open(target, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("levels", "error", "order"))
-            for pair, err, order_txt in rows:
-                writer.writerow((pair, repr(err), order_txt))
+        target = write_csv(args.out_dir, "convergence.csv", ("levels", "error", "order"),
+                           [(pair, repr(err), order_txt) for pair, err, order_txt in rows])
         print(f"wrote {target}")
     return 0
 

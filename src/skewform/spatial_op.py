@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import boundary as _boundary
+from .boundary import build_sat
 from .models import ModelSpec, coeff_matrices, coeff_split
 from .sbp_core import (
     Grid,
@@ -110,7 +110,7 @@ def _residual(model: ModelSpec, grid: Grid, ops, spatial: np.ndarray,
               A: tuple, S: np.ndarray, sat=None, forcing=None) -> Residual:
     """Completes the spatial part acting on S: the SAT on S, the forcing,
     R = spatial - SAT - forcing, and the face terms of A on S."""
-    sat_field = _boundary.build_sat(model, grid, ops, S, sat) if sat is not None else None
+    sat_field = build_sat(model, grid, ops, S, sat)
     R = spatial
     if sat_field is not None:
         R = R - sat_field

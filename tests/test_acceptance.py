@@ -11,7 +11,6 @@ import numpy as np
 
 import skewform as sk
 from skewform.boundary import (
-    FaceClosure,
     analyze_boundary,
     make_sat_config,
     swe_normal_tangential,
@@ -274,8 +273,8 @@ def test_criterion_9_dissipative_penalties():
     opsb = build_operators(gb, (4, 2))
     u0 = (1.0 + 0.3 * np.sin(2 * np.pi * gb.coords[0]))[None]
     sat = make_sat_config(mb, gb, {
-        "x_low": FaceClosure(kind="characteristic", g=0.0),
-        "x_high": FaceClosure(kind="characteristic", g=0.0),
+        "x_low": {"kind": "characteristic", "g": 0.0},
+        "x_high": {"kind": "characteristic", "g": 0.0},
     })
     sc = Scenario(model=mb, grid=gb, ops=opsb, mode="nonlinear", initial=u0,
                   dt=2e-3, t_final=0.1, stride=1, sat=sat)
@@ -301,7 +300,7 @@ def test_criterion_9_dissipative_penalties():
         u = rng.uniform(0.3, 0.8) + 0.1 * np.cos(2 * np.pi * Y)
         v = rng.uniform(-0.3, 0.3) * np.sin(2 * np.pi * Y)
         U = swe_transform(phi, u, v)
-        sat0 = make_sat_config(ms, gs, {"x_low": FaceClosure(kind="swe_two_condition")})
+        sat0 = make_sat_config(ms, gs, {"x_low": {"kind": "swe_two_condition"}})
         rep0 = energy_report(ms, gs, opss, U, sat=sat0)
         face0 = rep0.face_fluxes["x_low"] + rep0.sat_contribution
         scale0 = 1.0 + abs(rep0.rate) + abs(rep0.boundary_flux) + abs(
@@ -309,8 +308,8 @@ def test_criterion_9_dissipative_penalties():
         worst_hom = max(worst_hom, face0 / scale0)
         g2 = rng.uniform(1.2, 1.6)
         g3 = rng.uniform(0.0, 0.5)
-        satg = make_sat_config(ms, gs, {"x_low": FaceClosure(
-            kind="swe_two_condition", g2=g2, g3=g3)})
+        satg = make_sat_config(ms, gs, {"x_low": {
+            "kind": "swe_two_condition", "g2": g2, "g3": g3}})
         repg = energy_report(ms, gs, opss, U, sat=satg)
         faceg = repg.face_fluxes["x_low"] + repg.sat_contribution
         Uf = U[:, 0, :]

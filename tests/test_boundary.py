@@ -159,17 +159,18 @@ def test_sat_config_resolves_face_labels_of_the_grid():
     m = make_model("swe2d")
     g = make_grid(((0.0, 1.0), (0.0, 2.0)), (8, 6), periodic=(False, True))
     assert faces(g) == ((0, "low"), (0, "high"))
+    entry = {"kind": "swe_two_condition", "g2": 1.0}
     closure = FaceClosure(kind="swe_two_condition", g2=1.0)
     for f in faces(g):
-        assert make_sat_config(m, g, {face_label(g, f): closure}) == {f: closure}
+        assert make_sat_config(m, g, {face_label(g, f): entry}) == {f: closure}
     # y is periodic: no penalty sits on y_low; nonsense is no face at all
     with pytest.raises(ValueError, match="periodic"):
-        make_sat_config(m, g, {"y_low": closure})
+        make_sat_config(m, g, {"y_low": entry})
     with pytest.raises(ValueError, match="bad face label"):
-        make_sat_config(m, g, {"nonsense": closure})
+        make_sat_config(m, g, {"nonsense": entry})
     # entry order is kept, and open or periodic faces are left out
-    both = {"x_high": closure, "x_low": FaceClosure(kind="none"),
-            "y_low": FaceClosure(kind="periodic"), "y_high": FaceClosure(kind="periodic")}
+    both = {"x_high": entry, "x_low": {"kind": "none"},
+            "y_low": {"kind": "periodic"}, "y_high": {"kind": "periodic"}}
     assert list(make_sat_config(m, g, both)) == [(0, "high")]
 
 
@@ -203,7 +204,7 @@ def test_characteristic_penalty_is_active_only_at_inflow():
     m = make_model("burgers1d")
     g = make_grid(((0.0, 1.0),), (17,))
     ops = build_operators(g, (2, 1))
-    sat = make_sat_config(m, g, {"x_low": FaceClosure(kind="characteristic", g=0.25)})
+    sat = make_sat_config(m, g, {"x_low": {"kind": "characteristic", "g": 0.25}})
     u = np.full((1, 17), 0.9)
     field = build_sat(m, g, ops, u, sat)
     # u(0) = 0.9 > 0 means u_n = -0.9 < 0 at the left face: active
@@ -221,11 +222,11 @@ def test_characteristic_closure_refuses_other_models():
     m = make_model("swe2d")
     g = make_grid(((0.0, 1.0), (0.0, 1.0)), (8, 8), periodic=(False, True))
     with pytest.raises(ValueError, match="burgers1d"):
-        make_sat_config(m, g, {"x_low": FaceClosure(kind="characteristic")})
+        make_sat_config(m, g, {"x_low": {"kind": "characteristic"}})
     mb = make_model("burgers1d")
     gb = make_grid(((0.0, 1.0),), (9,))
     with pytest.raises(ValueError, match="swe2d"):
-        make_sat_config(mb, gb, {"x_low": FaceClosure(kind="swe_two_condition")})
+        make_sat_config(mb, gb, {"x_low": {"kind": "swe_two_condition"}})
 
 
 def test_two_condition_face_rate_telescopes():
@@ -240,7 +241,7 @@ def test_two_condition_face_rate_telescopes():
     v = 0.2 * np.sin(2 * np.pi * Y) + 0.1
     U = swe_transform(phi, u, v)
     g2, g3 = 1.3, 0.4
-    sat = make_sat_config(m, g, {"x_low": FaceClosure(kind="swe_two_condition", g2=g2, g3=g3)})
+    sat = make_sat_config(m, g, {"x_low": {"kind": "swe_two_condition", "g2": g2, "g3": g3}})
     rep = energy_report(m, g, ops, U, sat=sat)
     face_rate = rep.face_fluxes["x_low"] + rep.sat_contribution
     Uf = U[:, 0, :]
@@ -250,7 +251,7 @@ def test_two_condition_face_rate_telescopes():
                           / (np.abs(an) * np.sqrt(Uf[0]))))
     assert abs(face_rate - manual) <= 1e-12 * (1 + abs(manual))
     # homogeneous data makes the face strictly dissipative
-    sat0 = make_sat_config(m, g, {"x_low": FaceClosure(kind="swe_two_condition")})
+    sat0 = make_sat_config(m, g, {"x_low": {"kind": "swe_two_condition"}})
     rep0 = energy_report(m, g, ops, U, sat=sat0)
     assert rep0.face_fluxes["x_low"] + rep0.sat_contribution < 0.0
 
@@ -261,7 +262,7 @@ def test_two_condition_penalty_skips_outflow_nodes():
     ops = build_operators(g, (2, 1))
     # u < 0: the low-x face sees outflow (U_n = +|u| sqrt(phi) > 0)
     U = swe_transform(np.ones((8, 8)), -0.5 * np.ones((8, 8)), np.zeros((8, 8)))
-    sat = make_sat_config(m, g, {"x_low": FaceClosure(kind="swe_two_condition", g2=1.0)})
+    sat = make_sat_config(m, g, {"x_low": {"kind": "swe_two_condition", "g2": 1.0}})
     field = build_sat(m, g, ops, U, sat)
     assert field is None or not field.any()
 
@@ -273,7 +274,7 @@ def test_two_condition_penalty_checks_admissibility_on_its_face_only():
     g = make_grid(((0.0, 1.0), (0.0, 1.0)), (9, 9), periodic=(False, True))
     ops = build_operators(g, (2, 1))
     V = swe_transform(np.ones((9, 9)), 0.5 * np.ones((9, 9)), np.zeros((9, 9)))
-    sat = make_sat_config(m, g, {"x_low": FaceClosure(kind="swe_two_condition", g2=1.0)})
+    sat = make_sat_config(m, g, {"x_low": {"kind": "swe_two_condition", "g2": 1.0}})
     U = V.copy()
     U[0, 4, 4] = -0.3
     plain = sk.eval_primal_residual(m, g, ops, U, V)

@@ -395,6 +395,15 @@ def with_sat(closure):
     (with_sat("none scale=2"), 25),
     (with_sat("charactristic"), 25),
     (with_sat("periodic"), 25),
+    # an option the closure does not read is refused whatever its value,
+    # and so is an unknown option name, a token without '=' and a name
+    # given twice
+    (with_sat("characteristic g2=0"), 25),
+    (with_sat("none scale=1.0"), 25),
+    (with_sat("characteristic foo=1"), 25),
+    (with_sat("characteristic g"), 25),
+    (with_sat("characteristic g=0.1 g=0.2"), 25),
+    (with_sat("characteristic kind=1"), 25),
     # values that parse but are out of range keep their line too
     (lambda text: text.replace("order = 4,2", "order = 3,1"), 11),
     (lambda text: text.replace("stride = 5", "stride = 0"), 15),
@@ -405,6 +414,8 @@ def with_sat(closure):
         "trig_offset_nan", "trig_amp_inf", "constant_inf", "sat_g_typo",
         "sat_g3_typo", "sat_scale_inf", "sat_model_mismatch", "sat_unread_g2",
         "sat_unread_scale", "sat_unknown_kind", "sat_periodic_on_bounded_axis",
+        "sat_unread_g2_zero", "sat_unread_scale_default", "sat_unknown_option",
+        "sat_option_without_value", "sat_option_twice", "sat_kind_as_option",
         "order_unsupported", "stride_zero"])
 def test_malformed_scenarios_exit_2_in_run_and_convergence(tmp_path, edit, line):
     cfg = tmp_path / "bad.cfg"
@@ -426,6 +437,15 @@ def test_malformed_scenarios_exit_2_in_run_and_convergence(tmp_path, edit, line)
     assert not out_dir.exists()
     if line is not None:
         assert f"{cfg}:{line}: " in err
+
+
+def test_unknown_closure_option_is_refused_by_the_closure(tmp_path):
+    cfg = tmp_path / "foo.cfg"
+    cfg.write_text(with_sat("characteristic foo=1")(BURGERS_CFG))
+    code, out, err = run_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"{cfg}:25: [sat] 'x_low': characteristic closure reads no foo" in err
+    assert out == ""
 
 
 def test_lone_periodic_closure_is_refused_at_its_own_line(tmp_path):

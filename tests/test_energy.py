@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import skewform as sk
-from skewform.boundary import FaceClosure, build_sat, make_sat_config
+from skewform.boundary import build_sat, make_sat_config
 from skewform.energy import boundary_contraction, energy_report, total_energy
 from skewform.models import make_model, norm_weight, sample_state, swe_transform
 from skewform.sbp_core import build_operators, inner_product, make_grid, quadrature_weights
@@ -112,7 +112,7 @@ def test_sat_contribution_enters_the_rate_identity():
     g = make_grid(((0.0, 1.0),), (33,))
     ops = build_operators(g, (4, 2))
     u = (1.0 + 0.3 * np.sin(2 * np.pi * g.coords[0]))[None]
-    sat = make_sat_config(m, g, {"x_low": FaceClosure(kind="characteristic", g=0.0)})
+    sat = make_sat_config(m, g, {"x_low": {"kind": "characteristic", "g": 0.0}})
     rep = energy_report(m, g, ops, u, sat=sat)
     # u(0) = 1 > 0, so the left face is inflow and the penalty is active:
     # with homogeneous data its contribution cancels the inflow flux exactly

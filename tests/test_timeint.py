@@ -5,7 +5,7 @@ import pytest
 
 import skewform as sk
 from skewform import energy, timeint
-from skewform.boundary import FaceClosure, make_sat_config
+from skewform.boundary import make_sat_config
 from skewform.energy import energy_report, report_from_residual
 from skewform.models import make_model, sample_state, swe_transform
 from skewform.sbp_core import build_operators, make_grid
@@ -196,7 +196,7 @@ def sat_forced_scenario(mode, stride, t_final):
     mean = (0.6 + 0.05 * np.cos(2 * np.pi * x))[None]
     if mode in ("new_linearised_coupled", "standard_linearised"):
         u0 = 0.01 * u0  # the marched state is a perturbation of the mean
-    sat = make_sat_config(m, g, {"x_low": FaceClosure(kind="characteristic", g=0.4)})
+    sat = make_sat_config(m, g, {"x_low": {"kind": "characteristic", "g": 0.4}})
     return Scenario(model=m, grid=g, ops=ops, mode=mode, initial=u0,
                     mean=None if mode == "nonlinear" else mean,
                     forcing=lambda t: 0.1 * np.cos(3.0 * t) * np.ones_like(u0),
@@ -272,13 +272,16 @@ def test_cfl_guard_uses_the_burgers_speed_u():
 
 
 def test_blow_up_guard_raises():
+    # with a zero frozen coefficient u_t = F, so F = 1e6 takes the sup norm
+    # to 1e4, ten times the guard's limit of 1e3, in the first step
     m, g, ops = burgers_setup()
     u0 = (0.4 * np.sin(2 * np.pi * g.coords[0]))[None]
     sc = Scenario(model=m, grid=g, ops=ops, mode="frozen", initial=u0,
-                  mean=np.zeros_like(u0), forcing=lambda t: np.full_like(u0, 1000.0),
+                  mean=np.zeros_like(u0), forcing=lambda t: np.full_like(u0, 1e6),
                   dt=0.01, t_final=1.0, stride=10 ** 9)
-    with pytest.raises(RuntimeError, match="blow-up"):
+    with pytest.raises(RuntimeError, match="blow-up") as info:
         march(sc)
+    assert "tripped at t=0.01:" in str(info.value)
 
 
 @pytest.mark.parametrize("mode", ["nonlinear", "frozen", "new_linearised_coupled"])
