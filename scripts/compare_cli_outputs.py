@@ -25,7 +25,10 @@ both faces, each closed by a `characteristic` penalty (no bundled scenario
 marches that closure); `run` on a swe2d config whose two-condition closure
 is active at inflow on a (4,2) grid, where the boundary weight 17h/48 is no
 power of two (the bundled swe_inflow_twocond weighs h/2 = 1/32, by which a
-reordered division is exact); and seven refusals, so the bytes of the
+reordered division is exact); `run` on burgers (4,2) grids of the fewest
+nodes each closure takes, 8 bounded, where no row is left to the interior
+stencil, and 5 periodic (each written into the case's directory first);
+and seven refusals, so the bytes of the
 refusal path are checked too: `run` on a config with `stride = ten`
 (written into the case's directory first), `analyze-boundary --alpha nan`,
 `run` on the swe2d `standard_vs_new` config with a two-condition closure on
@@ -190,6 +193,61 @@ x_high = none
 prefix = swe_two_condition_42
 """
 
+# The fewest nodes of a bounded (4,2) grid: every row of D is a boundary
+# row.  An inflow penalty at x_low keeps the march bounded.
+BURGERS_BOUNDED_8_CFG = """\
+[model]
+kind = burgers1d
+
+[grid]
+extents = 0,1
+shape = 8
+periodic = false
+
+[scheme]
+order = 4,2
+mode = nonlinear
+dt = 0.005
+t_final = 0.2
+stride = 5
+
+[initial]
+family = trig
+comp0 = 0.5 0.1 sin:1
+
+[sat]
+x_low = characteristic g=0.5
+x_high = none
+
+[output]
+prefix = burgers_bounded_8
+"""
+
+# The fewest nodes of a periodic (4,2) grid: one interior row, four wrap rows.
+BURGERS_PERIODIC_5_CFG = """\
+[model]
+kind = burgers1d
+
+[grid]
+extents = 0,1
+shape = 5
+periodic = true
+
+[scheme]
+order = 4,2
+mode = nonlinear
+dt = 0.005
+t_final = 0.2
+stride = 5
+
+[initial]
+family = trig
+comp0 = 0.0 0.1 sin:1
+
+[output]
+prefix = burgers_periodic_5
+"""
+
 FIXED_CASES = {
     "verify_all": ["verify", "all", "--seed", "3", "--trials", "7"],
     "convergence_burgers_periodic": ["convergence", "--config", "burgers_periodic",
@@ -223,6 +281,8 @@ FIXED_CASES = {
     "run_swe_two_condition_42": ["run", "--config", "swe_two_condition_42.cfg"],
     "refuse_sat_unread_zero": ["run", "--config", "sat_unread_zero.cfg"],
     "refuse_sat_unread_default_scale": ["run", "--config", "sat_unread_default_scale.cfg"],
+    "run_burgers_bounded_8": ["run", "--config", "burgers_bounded_8.cfg"],
+    "run_burgers_periodic_5": ["run", "--config", "burgers_periodic_5.cfg"],
 }
 
 # Files written into a case's working directory before it runs.
@@ -241,6 +301,8 @@ CASE_FILES = {
     "refuse_sat_unread_default_scale": {"sat_unread_default_scale.cfg":
                                         BURGERS_CHARACTERISTIC_CFG.replace(
         "x_low = characteristic g=0.1", "x_low = none scale=1.0")},
+    "run_burgers_bounded_8": {"burgers_bounded_8.cfg": BURGERS_BOUNDED_8_CFG},
+    "run_burgers_periodic_5": {"burgers_periodic_5.cfg": BURGERS_PERIODIC_5_CFG},
 }
 
 

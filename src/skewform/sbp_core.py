@@ -11,13 +11,15 @@ component-major vector layout in which the last spatial axis varies fastest,
 matching the Kronecker ordering I_comp (x) D_x (x) I_y used throughout.
 
 All reductions (inner products, boundary quadratures) accumulate
-left-to-right over lexicographic node order.  Operator application adds the
-nonzero runs of D's diagonals in increasing offset order, each as one slice
-along the field's own axis; row i of a run on diagonal k holds the entry in
-column i + k, so every row adds its nonzero products in increasing column
-order.  The sum starts at +0.0 and never becomes -0.0, so the skipped exact
-zero products change nothing for finite fields, and every result equals the
-walk over all matrix columns bit for bit and is reproducible for a given build.
+left-to-right over lexicographic node order.  Operator application follows a
+plan built once per operator: the rows the closure leaves to the interior
+stencil take one slice of the field per nonzero stencil offset with a scalar
+coefficient, and the boundary-block and periodic wrap rows take one gathered
+block of their nonzero columns.  Every row sum starts as its first product
+plus +0.0 and adds the other products in increasing column order, so it
+never becomes -0.0; the skipped exact zero products therefore change nothing
+for finite fields, and every result equals the walk over all matrix columns
+bit for bit and is reproducible for a given build.
 """
 
 from __future__ import annotations
@@ -67,10 +69,15 @@ class SbpOperator1D:
         Q: almost-skew matrix, shape (n, n).
         D: derivative matrix P^{-1} Q, shape (n, n).
         B: diagonal of Q + Q^T, shape (n,); zero for periodic operators.
-        diagonals: the maximal runs of nonzeros on D's diagonals as
-            (offset, first_row, values) in increasing offset, values[j] =
-            D[first_row + j, first_row + j + offset]; the periodic
-            wrap-around entries form short diagonals of their own.
+        interior: (lo, hi, terms), the rows lo..hi-1 that the closure
+            leaves to the interior stencil (possibly none) and their
+            nonzero entries as ((offset, coefficient), ...) in increasing
+            offset: D[i, i + offset] = coefficient on every such row.
+        edge: (rows, cols, coefs), the other rows of D: the boundary blocks
+            or the periodic wrap rows.  cols and coefs have shape
+            (len(rows), K); row rows[e] holds its nonzeros D[rows[e],
+            cols[e, j]] = coefs[e, j] in increasing column order, padded
+            to K entries with coefficient 0 on its last nonzero column.
     """
 
     n: int
@@ -81,7 +88,8 @@ class SbpOperator1D:
     Q: np.ndarray
     D: np.ndarray
     B: np.ndarray
-    diagonals: tuple
+    interior: tuple
+    edge: tuple
 
 
 def build_sbp_operator(
@@ -147,18 +155,20 @@ def build_sbp_operator(
         B[-1] = 1.0
 
     D = Q / P[:, None]
-    rows, cols = np.nonzero(D)
-    runs = []  # [offset, first_row, last_row]
-    for k, i in sorted(zip((cols - rows).tolist(), rows.tolist())):
-        if runs and runs[-1][0] == k and runs[-1][2] == i - 1:
-            runs[-1][2] = i
-        else:
-            runs.append([k, i, i])
-    diagonals = tuple((k, lo, D[lo:hi + 1, lo + k:hi + k + 1].diagonal().copy())
-                      for k, lo, hi in runs)
+    lo = half if periodic else len(_Q_BLOCK[order])
+    hi = n - lo
+    # P is h on the interior rows, so D holds stencil / h there
+    terms = tuple((k, stencil[k + half] / h) for k in range(-half, half + 1)
+                  if stencil[k + half] != 0.0)
+    rows = np.r_[0:lo, hi:n]
+    nonzero = [np.flatnonzero(D[i]).tolist() for i in rows]
+    width = max(map(len, nonzero))
+    pad = [width - len(c) for c in nonzero]
+    cols = np.array([c + c[-1:] * p for c, p in zip(nonzero, pad)])
+    coefs = np.array([D[i, c].tolist() + [0.0] * p for i, c, p in zip(rows, nonzero, pad)])
     return SbpOperator1D(
         n=n, h=float(h), order=order, periodic=periodic,
-        P=P, Q=Q, D=D, B=B, diagonals=diagonals,
+        P=P, Q=Q, D=D, B=B, interior=(lo, hi, terms), edge=(rows, cols, coefs),
     )
 
 
@@ -177,19 +187,28 @@ def apply_derivative(op: SbpOperator1D, field: np.ndarray, axis: int = 0) -> np.
     if field.ndim < 2:
         raise ValueError("state fields carry a leading component axis")
     ax = axis + 1
-    if ax >= field.ndim:
+    if axis < 0 or ax >= field.ndim:
         raise ValueError(f"field has no spatial axis {axis}")
     if field.shape[ax] != op.n:
         raise ValueError(
             f"axis {axis} has {field.shape[ax]} nodes, operator expects {op.n}"
         )
-    out = np.zeros(field.shape)
-    lead = (slice(None),) * ax
-    tail = (1,) * (field.ndim - ax - 1)
-    for k, i, d in op.diagonals:
-        rows = slice(i, i + d.size)
-        cols = slice(i + k, i + k + d.size)
-        out[lead + (rows,)] += d.reshape(d.shape + tail) * field[lead + (cols,)]
+    out = np.empty(field.shape)
+    f = field.swapaxes(ax, -1)
+    o = out.swapaxes(ax, -1)
+    lo, hi, ((k, c), *terms) = op.interior
+    inner = o[..., lo:hi]
+    np.multiply(f[..., lo + k:hi + k], c, out=inner)
+    inner += 0.0
+    for k, c in terms:
+        inner += c * f[..., lo + k:hi + k]
+    rows, cols, coefs = op.edge
+    block = f[..., cols]
+    block *= coefs
+    edge = block[..., 0] + 0.0
+    for j in range(1, cols.shape[1]):
+        edge += block[..., j]
+    o[..., rows] = edge
     return out
 
 

@@ -27,6 +27,7 @@ order (models.coeff_matrices); every kernel walks the table's entries only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,13 +49,19 @@ class Residual:
 
     R = spatial - sat - forcing (missing parts treated as zero).
     face_terms maps face labels to the raw contraction
-    boundary_quadrature(S, A_ax S) used by the energy bookkeeping.
+    boundary_quadrature(S, A_ax S) used by the energy bookkeeping; it is
+    formed on first read from face_data = (grid, ops, A, S), since only the
+    energy reports read it.
     """
 
     R: np.ndarray
     spatial: np.ndarray
     sat: np.ndarray | None
-    face_terms: dict
+    face_data: tuple
+
+    @cached_property
+    def face_terms(self) -> dict:
+        return _face_terms(*self.face_data)
 
 
 def matfield_apply(M: dict, W: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -109,15 +116,15 @@ def _coeff_state(U: np.ndarray, V) -> np.ndarray:
 def _residual(model: ModelSpec, grid: Grid, ops, spatial: np.ndarray,
               A: tuple, S: np.ndarray, sat=None, forcing=None) -> Residual:
     """Completes the spatial part acting on S: the SAT on S, the forcing,
-    R = spatial - SAT - forcing, and the face terms of A on S."""
+    and R = spatial - SAT - forcing; the face terms of A on S wait for
+    their first read."""
     sat_field = build_sat(model, grid, ops, S, sat)
     R = spatial
     if sat_field is not None:
         R = R - sat_field
     if forcing is not None:
         R = R - np.asarray(forcing, dtype=np.float64)
-    return Residual(R=R, spatial=spatial, sat=sat_field,
-                    face_terms=_face_terms(grid, ops, A, S))
+    return Residual(R=R, spatial=spatial, sat=sat_field, face_data=(grid, ops, A, S))
 
 
 def eval_primal_residual(

@@ -288,20 +288,34 @@ def column_walk(D, v):
     return out
 
 
+# The fewest nodes each closure takes; bounded (4, 2) leaves no interior row.
+SMALLEST = {((2, 1), False): 4, ((2, 1), True): 3,
+            ((4, 2), False): 8, ((4, 2), True): 5}
+
+
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("periodic", [False, True])
-@pytest.mark.parametrize("n", [13, 64, 65, 257])
+@pytest.mark.parametrize("n", ["min", 13, 64, 65, 257])
 def test_apply_derivative_adds_columns_in_increasing_order(order, periodic, n):
     # The module's bit-for-bit contract: every row sums its products in
-    # increasing column order, at small and large sizes, along each axis.
-    # Exact zeros of both signs, scattered and filling a whole component,
-    # pin that skipping D's zero entries changes no bit.
+    # increasing column order, at small and large sizes, along each axis,
+    # on contiguous fields and on views that are not.  Exact zeros of both
+    # signs, scattered and filling a whole component, pin that skipping D's
+    # zero entries changes no bit.
+    if n == "min":
+        n = SMALLEST[order, periodic]
     op = build_sbp_operator(order, n, 1.0 / n, periodic=periodic)
     rng = np.random.default_rng(n)
-    for ax, shape in enumerate([(3, n, 7), (3, 7, n)]):
-        f = rng.normal(size=shape)
-        f[rng.random(shape) < 0.2] = 0.0
-        f[rng.random(shape) < 0.2] = -0.0
+    cases = [
+        (0, rng.normal(size=(3, n, 7))),
+        (1, rng.normal(size=(3, 7, n))),
+        (1, rng.normal(size=(2, 4, n, 3))),
+        (0, rng.normal(size=(7, n, 3)).transpose(2, 1, 0)),
+        (1, rng.normal(size=(4, 5, 2 * n))[1:, :, ::2]),
+    ]
+    for ax, f in cases:
+        f[rng.random(f.shape) < 0.2] = 0.0
+        f[rng.random(f.shape) < 0.2] = -0.0
         f[1] = -0.0
         got = apply_derivative(op, f, axis=ax)
         want = column_walk(op.D, np.moveaxis(f, 1 + ax, -1))
@@ -309,6 +323,27 @@ def test_apply_derivative_adds_columns_in_increasing_order(order, periodic, n):
         assert got.shape == want.shape
         assert np.ascontiguousarray(got).tobytes() == \
             np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("n", ["min", 13])
+def test_apply_derivative_reads_only_the_nonzero_columns_of_each_row(order, periodic, n):
+    # An inf in column j reaches exactly the rows whose D row has a nonzero
+    # in column j; every other row keeps its bits.
+    if n == "min":
+        n = SMALLEST[order, periodic]
+    op = build_sbp_operator(order, n, 1.0 / n, periodic=periodic)
+    f = np.random.default_rng(n).normal(size=(2, 3, n))
+    base = apply_derivative(op, f, axis=1)
+    for j in range(n):
+        g = f.copy()
+        g[..., j] = np.inf
+        with np.errstate(invalid="ignore"):
+            got = apply_derivative(op, g, axis=1)
+        hit = op.D[:, j] != 0.0
+        assert np.all(~np.isfinite(got[..., hit]))
+        assert got[..., ~hit].tobytes() == base[..., ~hit].tobytes()
 
 
 def test_apply_derivative_is_deterministic():
@@ -324,6 +359,10 @@ def test_apply_derivative_rejects_a_bad_axis():
     op = build_sbp_operator((2, 1), 10, 0.1)
     with pytest.raises(ValueError):
         apply_derivative(op, np.zeros((1, 10)), axis=1)
+    # a negative axis would land on the component axis of a (4, 4) field
+    op4 = build_sbp_operator((2, 1), 4, 0.25)
+    with pytest.raises(ValueError):
+        apply_derivative(op4, np.zeros((4, 4)), axis=-1)
 
 
 def test_grid_positions():
