@@ -28,13 +28,16 @@ power of two (the bundled swe_inflow_twocond weighs h/2 = 1/32, by which a
 reordered division is exact); `run` on burgers (4,2) grids of the fewest
 nodes each closure takes, 8 bounded, where no row is left to the interior
 stencil, and 5 periodic (each written into the case's directory first);
-and seven refusals, so the bytes of the
+and eleven refusals, so the bytes of the
 refusal path are checked too: `run` on a config with `stride = ten`
 (written into the case's directory first), `analyze-boundary --alpha nan`,
 `run` on the swe2d `standard_vs_new` config with a two-condition closure on
 x_low, and `run` on the burgers config with a swe2d closure on x_low, with
 a `characteristic` closure given the `g2=` it does not read, with
-`characteristic g2=0` and with `none scale=1.0`.
+`characteristic g2=0` and with `none scale=1.0`; `run` on an identity
+config with a `[sat]` section and on a nonlinear config with an
+`[identity]` section, neither of which the mode reads; `analyze-boundary
+--radius` for swe2d; and `verify --seed -1`.
 
 Some cases differ by design against older trees.  The swe2d
 `standard_linearised` refusal: a tree from before it marches and fails with
@@ -47,7 +50,11 @@ marches both with exit 0.  The `_standard` files of
 `run_swe_standard_vs_new`: a tree from before the swe2d standard run took
 primitive variables (its mean swe_inverse(mean), its perturbation
 swe_inverse(mean + pert) - swe_inverse(mean)) reads the transformed fields
-as primitive ones.
+as primitive ones.  The four refusals of input the job never reads (the
+identity `[sat]`, the nonlinear `[identity]`, the swe2d `--radius` and
+`verify --seed -1`): a tree from before they were refused ignores the
+`[sat]`, the `[identity]` and the `--radius` and exits 0, and fails on the
+negative seed inside numpy with a message that does not name `--seed`.
 """
 
 from __future__ import annotations
@@ -248,6 +255,27 @@ comp0 = 0.0 0.1 sin:1
 prefix = burgers_periodic_5
 """
 
+# An identity run on a bounded grid with a [sat] entry identity never reads.
+IDENTITY_SAT_CFG = """\
+[model]
+kind = burgers1d
+
+[grid]
+extents = 0,1
+shape = 16
+periodic = false
+
+[scheme]
+order = 2,1
+mode = identity
+
+[identity]
+trials = 2
+
+[sat]
+x_low = bogus g=1
+"""
+
 FIXED_CASES = {
     "verify_all": ["verify", "all", "--seed", "3", "--trials", "7"],
     "convergence_burgers_periodic": ["convergence", "--config", "burgers_periodic",
@@ -283,6 +311,11 @@ FIXED_CASES = {
     "refuse_sat_unread_default_scale": ["run", "--config", "sat_unread_default_scale.cfg"],
     "run_burgers_bounded_8": ["run", "--config", "burgers_bounded_8.cfg"],
     "run_burgers_periodic_5": ["run", "--config", "burgers_periodic_5.cfg"],
+    "refuse_identity_sat": ["run", "--config", "identity_sat.cfg"],
+    "refuse_nonlinear_identity": ["run", "--config", "nonlinear_identity.cfg"],
+    "refuse_swe2d_radius": ["analyze-boundary", "--model", "swe2d",
+                            "--state", "1,0.5,0", "--normal", "1,0", "--radius", "-3"],
+    "refuse_verify_seed_negative": ["verify", "energy", "--seed", "-1", "--trials", "2"],
 }
 
 # Files written into a case's working directory before it runs.
@@ -303,6 +336,9 @@ CASE_FILES = {
         "x_low = characteristic g=0.1", "x_low = none scale=1.0")},
     "run_burgers_bounded_8": {"burgers_bounded_8.cfg": BURGERS_BOUNDED_8_CFG},
     "run_burgers_periodic_5": {"burgers_periodic_5.cfg": BURGERS_PERIODIC_5_CFG},
+    "refuse_identity_sat": {"identity_sat.cfg": IDENTITY_SAT_CFG},
+    "refuse_nonlinear_identity": {"nonlinear_identity.cfg": STRIDE_TYPO_CFG.replace(
+        "stride = ten", "stride = 5") + "\n[identity]\ntrials = -5\n"},
 }
 
 

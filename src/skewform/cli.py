@@ -8,7 +8,8 @@ Subcommands:
 
 Configs are plain text, line oriented, with [section] headers and
 key = value pairs; '#' starts a full-line comment.  Unknown sections or
-keys are rejected with the offending line number.  All outputs are plain
+keys, and keys the scheme mode never reads, are rejected with the
+offending line number.  All outputs are plain
 CSV / text so runs diff cleanly; identical config and seed give identical
 bytes per build configuration.
 
@@ -64,6 +65,18 @@ _SCHEMA = {
     "sat": None,
     "identity": frozenset({"trials", "seed", "mode"}),
     "output": frozenset({"prefix"}),
+}
+
+# The sections each mode reads besides [model], [grid], [scheme] and
+# [output]; every mode but identity also reads the [scheme] march keys.
+_MODE_READS = {
+    "identity": {"identity"},
+    "nonlinear": {"initial", "sat"},
+    "frozen": {"initial", "coefficient", "sat"},
+    "dual": {"initial", "coefficient", "sat"},
+    "new_linearised_coupled": {"initial", "perturbation", "sat"},
+    "standard_linearised": {"coefficient", "perturbation", "sat"},
+    "standard_vs_new": {"coefficient", "perturbation", "sat"},
 }
 
 
@@ -327,6 +340,14 @@ def build_scheme(cfg, path):
             f"{path}:{_line(cfg, 'scheme', 'mode')}: unknown mode '{mode}';"
             f" expected one of {RUN_MODES}"
         )
+    # The first key the mode never reads is refused at its line.
+    reads = _MODE_READS[mode] | {"model", "grid", "scheme", "output"}
+    unread_keys = _SCHEMA["scheme"] - {"order", "mode"} if mode == "identity" else ()
+    for section, keys in cfg.items():
+        for key in keys:
+            if section not in reads or section == "scheme" and key in unread_keys:
+                raise ConfigError(f"{_at(cfg, section, key, path)} in [{section}] is"
+                                  f" not read by mode '{mode}'")
     return order, mode
 
 
@@ -539,6 +560,8 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     names = list(CHECKS) if args.suite == "all" else [args.suite]
     reports = []
     for name in names:
@@ -570,6 +593,9 @@ def cmd_analyze_boundary(args) -> int:
             raise ValueError("euler3d_cyl face states need a finite --radius > 0,"
                              f" got {args.radius}")
         pos = (np.float64(args.radius),) + (np.float64(0.0),) * 2
+    elif args.radius is not None:
+        raise ValueError(f"--radius applies to euler3d_cyl face states only,"
+                         f" not {args.model}")
     analysis = analyze_boundary(
         model,
         state,

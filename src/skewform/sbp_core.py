@@ -117,40 +117,29 @@ def build_sbp_operator(
         raise ValueError(f"spacing must be positive, got {h}")
     half = _HALF_WIDTH[order]
     stencil = _INTERIOR[order]
-    if periodic:
-        min_nodes = 2 * half + 1
-    else:
-        min_nodes = _MIN_NODES[order]
+    min_nodes = 2 * half + 1 if periodic else _MIN_NODES[order]
     if n < min_nodes:
         raise ValueError(f"order {order} needs at least {min_nodes} nodes, got {n}")
 
+    # The interior stencil on every row, wrapped when periodic and clipped
+    # at the ends otherwise; a bounded closure then writes its boundary
+    # block over the first rows and the mirror with flipped sign over the
+    # last, so symmetric pairs cancel exactly.
     Q = np.zeros((n, n))
-    if periodic:
-        for i in range(n):
-            for k in range(-half, half + 1):
-                if stencil[k + half] != 0.0:
-                    Q[i, (i + k) % n] = stencil[k + half]
-        P = np.full(n, h)
-        B = np.zeros(n)
-    else:
-        block = _Q_BLOCK[order]
-        bw = len(block)
-        for i in range(bw):
-            for j, val in enumerate(block[i]):
+    P = np.full(n, h)
+    B = np.zeros(n)
+    for i in range(n):
+        for k in range(-half, half + 1):
+            if periodic or 0 <= i + k < n:
+                Q[i, (i + k) % n] = stencil[k + half]
+    if not periodic:
+        for i, row in enumerate(_Q_BLOCK[order]):
+            for j, val in enumerate(row):
                 Q[i, j] = val
-        for i in range(bw, n - bw):
-            for k in range(-half, half + 1):
-                Q[i, i + k] = stencil[k + half]
-        # Mirror with flipped sign so symmetric pairs cancel exactly.
-        for i in range(bw):
-            for j, val in enumerate(block[i]):
                 Q[n - 1 - i, n - 1 - j] = -val
-        pb = _P_BLOCK[order]
-        P = np.full(n, h)
-        for i, w in enumerate(pb):
+        for i, w in enumerate(_P_BLOCK[order]):
             P[i] = w * h
             P[n - 1 - i] = w * h
-        B = np.zeros(n)
         B[0] = -1.0
         B[-1] = 1.0
 
@@ -322,14 +311,6 @@ def face_label(grid: Grid, face: tuple[int, str]) -> str:
     return f"{grid.axis_names[ax]}_{side}"
 
 
-def _seq_sum(values: np.ndarray) -> float:
-    """Left-to-right sum over C-order entries (no reassociation)."""
-    flat = np.ravel(values, order="C")
-    if flat.size == 0:
-        return 0.0
-    return float(np.add.accumulate(flat)[-1])
-
-
 def quadrature_weights(ops) -> np.ndarray:
     """Tensor-product quadrature weights: the product of the operators'
     weights P, one axis each, in order (shape grid.shape for a grid's ops)."""
@@ -337,6 +318,15 @@ def quadrature_weights(ops) -> np.ndarray:
     for ax, op in enumerate(ops):
         w = w * op.P.reshape((-1,) + (1,) * (len(ops) - 1 - ax))
     return w
+
+
+def _contract(ops, u: np.ndarray, v: np.ndarray, weight=None) -> float:
+    """sum_nodes quad * sum_c u_c weight_c v_c: the components in index
+    order, then the nodes left to right in C order (no reassociation)."""
+    s = np.zeros(u.shape[1:])
+    for c in range(u.shape[0]):
+        s += u[c] * v[c] if weight is None else u[c] * weight[c] * v[c]
+    return float(np.add.accumulate(np.ravel(s * quadrature_weights(ops)))[-1])
 
 
 def inner_product(grid: Grid, ops, u: np.ndarray, v: np.ndarray,
@@ -359,10 +349,7 @@ def inner_product(grid: Grid, ops, u: np.ndarray, v: np.ndarray,
         raise ValueError(f"state shape {u.shape} does not match grid {grid.shape}")
     if weight is not None and np.shape(weight) != u.shape:
         raise ValueError(f"weight shape {np.shape(weight)} does not match {u.shape}")
-    s = np.zeros(grid.shape)
-    for c in range(u.shape[0]):
-        s += u[c] * v[c] if weight is None else u[c] * weight[c] * v[c]
-    return _seq_sum(s * quadrature_weights(ops))
+    return _contract(ops, u, v, weight)
 
 
 def face_layer(grid: Grid, field: np.ndarray, face: tuple[int, str]) -> np.ndarray:
@@ -393,8 +380,5 @@ def boundary_quadrature(grid: Grid, ops, uf: np.ndarray, vf: np.ndarray,
     tshape = grid.shape[:ax] + grid.shape[ax + 1:]
     if uf.shape != vf.shape or uf.shape[1:] != tshape:
         raise ValueError("face layers must share the face's shape")
-    s = np.zeros(tshape)
-    for c in range(uf.shape[0]):
-        s = s + uf[c] * vf[c]
-    w = quadrature_weights([op for a, op in enumerate(ops) if a != ax])
-    return (-1.0 if side == "low" else 1.0) * _seq_sum(s * w)
+    sign = -1.0 if side == "low" else 1.0
+    return sign * _contract([op for a, op in enumerate(ops) if a != ax], uf, vf)

@@ -61,7 +61,8 @@ class Residual:
 
     @cached_property
     def face_terms(self) -> dict:
-        return _face_terms(*self.face_data)
+        grid, ops, A, S = self.face_data
+        return _face_terms(grid, ops, A, S, S)
 
 
 def matfield_apply(M: dict, W: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -90,18 +91,15 @@ def _assemble(grid: Grid, ops, A: tuple, C: dict, W: np.ndarray) -> np.ndarray:
     return out
 
 
-def _face_table(grid: Grid, M: dict, face) -> dict:
-    """The face layer of every entry of the table M."""
-    return {key: face_layer(grid, field, face) for key, field in M.items()}
-
-
-def _face_terms(grid: Grid, ops, A: tuple, S: np.ndarray) -> dict:
-    """bq(S, A_ax S) per face, with A_ax S formed on the face layer only."""
+def _face_terms(grid: Grid, ops, A: tuple, X: np.ndarray, Y: np.ndarray) -> dict:
+    """bq(X, A_ax Y) per face label, with A_ax Y formed on the face layer
+    only."""
     terms = {}
     for face in faces(grid):
-        Sf = face_layer(grid, S, face)
-        ASf = matfield_apply(_face_table(grid, A[face[0]], face), Sf)
-        terms[face_label(grid, face)] = boundary_quadrature(grid, ops, Sf, ASf, face)
+        Af = {key: face_layer(grid, field, face) for key, field in A[face[0]].items()}
+        AYf = matfield_apply(Af, face_layer(grid, Y, face))
+        terms[face_label(grid, face)] = boundary_quadrature(
+            grid, ops, face_layer(grid, X, face), AYf, face)
     return terms
 
 
@@ -237,36 +235,31 @@ def eval_standard_linearised_residual(
     U_prime = np.asarray(U_prime, dtype=np.float64)
     if mean is None:
         raise ValueError("standard linearisation needs a mean field")
-    mean = _coeff_state(U_prime, mean)
-    if model.kind == "burgers1d":
-        du = apply_derivative(ops[0], U_prime, 0)
-        dm = apply_derivative(ops[0], mean, 0)
-        spatial = mean * du + dm * U_prime
-        M = ({(0, 0): mean[0]},)  # the transport matrix table
-    elif model.kind == "swe2d":
-        M, N = _swe_standard_matrices(model, grid, ops, mean)
-        spatial = np.zeros_like(U_prime)
-        for ax in range(2):
-            spatial += matfield_apply(M[ax], apply_derivative(ops[ax], U_prime, ax))
-        spatial += matfield_apply(N, U_prime)
-    else:
-        raise ValueError(
-            f"standard linearisation covers burgers1d and swe2d, not '{model.kind}'"
-        )
+    M, N = _standard_matrices(model, grid, ops, _coeff_state(U_prime, mean))
+    spatial = np.zeros_like(U_prime)
+    for ax in range(grid.dim):
+        spatial += matfield_apply(M[ax], apply_derivative(ops[ax], U_prime, ax))
+    spatial += matfield_apply(N, U_prime)
     half = tuple({key: 0.5 * field for key, field in M_ax.items()} for M_ax in M)
     return _residual(model, grid, ops, spatial, half, U_prime, sat, forcing)
 
 
-def _swe_standard_matrices(model: ModelSpec, grid: Grid, ops, qbar: np.ndarray):
-    """Tables of the advective matrices M1, M2 and the zero-order N at a
-    primitive mean; M_ax has the entries of the skew-form A_ax."""
+def _standard_matrices(model: ModelSpec, grid: Grid, ops, qbar: np.ndarray):
+    """Tables of the advective matrices M_ax and the zero-order N at a mean,
+    primitive for swe2d; M_ax has the entries of the skew-form A_ax."""
+    if model.kind not in ("burgers1d", "swe2d"):
+        raise ValueError(
+            f"standard linearisation covers burgers1d and swe2d, not '{model.kind}'"
+        )
+    dq = [apply_derivative(ops[ax], qbar, ax) for ax in range(grid.dim)]
+    if model.kind == "burgers1d":
+        return ({(0, 0): qbar[0]},), {(0, 0): dq[0][0]}
     phib, ub, vb = qbar[0], qbar[1], qbar[2]
     one = np.ones(grid.shape)
     M = ({(0, 0): ub, (0, 1): phib, (1, 0): one, (1, 1): ub, (2, 2): ub},
          {(0, 0): vb, (0, 2): phib, (1, 1): vb, (2, 0): one, (2, 2): vb})
 
-    dqx = apply_derivative(ops[0], qbar, 0)
-    dqy = apply_derivative(ops[1], qbar, 1)
+    dqx, dqy = dq
     f = model.f0
     if model.f1 != 0.0:
         f = model.f0 + model.f1 * grid.positions[1]
@@ -293,9 +286,9 @@ def bilinear_face_functional(
     """
     A, _ = coeff_matrices(model, V, grid.positions)
     total = 0.0
-    for face in faces(grid):
-        Af = _face_table(grid, A[face[0]], face)
-        Uf, Phif = face_layer(grid, U, face), face_layer(grid, Phi, face)
-        total += boundary_quadrature(grid, ops, Phif, matfield_apply(Af, Uf), face)
-        total += boundary_quadrature(grid, ops, matfield_apply(Af, Phif), Uf, face)
+    # bq is symmetric bit for bit, so bq(A_ax Phi, U) = bq(U, A_ax Phi)
+    for phi_au, u_aphi in zip(_face_terms(grid, ops, A, Phi, U).values(),
+                              _face_terms(grid, ops, A, U, Phi).values()):
+        total += phi_au
+        total += u_aphi
     return total

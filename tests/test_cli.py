@@ -204,6 +204,16 @@ def test_verify_refuses_fewer_than_one_trial(tmp_path, trials):
     assert not (tmp_path / "o").exists()
 
 
+def test_verify_refuses_a_negative_seed(tmp_path):
+    # numpy would refuse it too, but without naming the option
+    code, out, err = run_main(["verify", "energy", "--seed", "-1",
+                               "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert out == ""
+    assert "--seed must be at least 0, got -1" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_verify_writes_the_checks_csv(tmp_path):
     code, out, _ = run_main(["verify", "duality", "--trials", "3",
                              "--out-dir", str(tmp_path)])
@@ -267,12 +277,15 @@ def test_analyze_boundary_glancing_exits_2():
       "--radius=-1"], "--radius"),
     (["--model", "euler3d_cyl", "--state", "1,0,0,1", "--normal", "1,0,0",
       "--radius", "nan"], "--radius"),
+    (["--model", "swe2d", "--state", "1,0.5,0", "--normal", "1,0",
+      "--radius", "-3"], "--radius applies to euler3d_cyl face states only"),
     (["--model", "swe2d", "--state", "1,0.5,0", "--normal", "0,0"],
      "unit length, got length 0.0"),
     (["--model", "swe2d", "--state", "1,0.5,0", "--normal", "1,1"],
      "unit length, got length 1.4142135623730951"),
 ], ids=["alpha_nan", "beta_inf", "normal_inf", "state_typo", "radius_zero",
-        "radius_negative", "radius_nan", "normal_zero", "normal_not_unit"])
+        "radius_negative", "radius_nan", "radius_other_model", "normal_zero",
+        "normal_not_unit"])
 def test_analyze_boundary_refuses_bad_numbers(tmp_path, argv, option):
     out_dir = tmp_path / "o"
     code, out, err = run_main(["analyze-boundary", *argv, "--out-dir", str(out_dir)])
@@ -356,6 +369,15 @@ def with_sat(closure):
             + f"\n[sat]\nx_low = {closure}\nx_high = characteristic\n")
 
 
+def identity_with(extra):
+    """BURGERS_CFG as an identity run that reads all it holds (prefix on
+    line 18), with extra appended."""
+    return (lambda text: text.replace("mode = nonlinear\ndt = 0.004\nt_final = 0.1"
+                                      "\nstride = 5", "mode = identity")
+            .replace("[initial]\nfamily = trig\ncomp0 = 0.0 0.1 sin:1",
+                     "[identity]\ntrials = 2") + extra)
+
+
 @pytest.mark.parametrize("edit, line", [
     # frozen mode without a [coefficient] section
     (lambda text: text.replace("mode = nonlinear", "mode = frozen"), None),
@@ -407,6 +429,20 @@ def with_sat(closure):
     # values that parse but are out of range keep their line too
     (lambda text: text.replace("order = 4,2", "order = 3,1"), 11),
     (lambda text: text.replace("stride = 5", "stride = 0"), 15),
+    # input the mode never reads: the march keys and [sat] under identity,
+    # [coefficient] and [identity] under nonlinear, [coefficient] under a
+    # coupled run alone and [initial] under standard
+    (lambda text: text.replace("mode = nonlinear", "mode = identity")
+     .replace("dt = 0.004", "dt = banana"), 13),
+    (identity_with("\n[sat]\nx_low = bogus g=1\n"), 21),
+    (lambda text: text + "\n[coefficient]\nfamily = bogus\ncomp0 = 1.0\n", 25),
+    (lambda text: text + "\n[identity]\ntrials = -5\n", 25),
+    (lambda text: text.replace("mode = nonlinear", "mode = new_linearised_coupled")
+     + "\n[perturbation]\nfamily = trig\ncomp0 = 0.0 0.01 sin:1\n"
+     "\n[coefficient]\nfamily = constant\ncomp0 = 1.0\n", 29),
+    (lambda text: text.replace("mode = nonlinear", "mode = standard_linearised")
+     + "\n[coefficient]\nfamily = constant\ncomp0 = 1.0\n"
+     "\n[perturbation]\nfamily = trig\ncomp0 = 0.0 0.01 sin:1\n", 18),
 ], ids=["frozen_without_coefficient", "t_final_below_dt", "t_final_nan",
         "t_final_inf", "cfl_inf", "t_final_not_whole_steps", "steps_overflow",
         "alpha_nan", "f0_inf", "extents_typo", "extents_inf", "shape_typo",
@@ -416,7 +452,10 @@ def with_sat(closure):
         "sat_unread_scale", "sat_unknown_kind", "sat_periodic_on_bounded_axis",
         "sat_unread_g2_zero", "sat_unread_scale_default", "sat_unknown_option",
         "sat_option_without_value", "sat_option_twice", "sat_kind_as_option",
-        "order_unsupported", "stride_zero"])
+        "order_unsupported", "stride_zero", "identity_dt_unread",
+        "identity_sat_unread", "nonlinear_coefficient_unread",
+        "nonlinear_identity_unread", "coupled_coefficient_unread",
+        "standard_initial_unread"])
 def test_malformed_scenarios_exit_2_in_run_and_convergence(tmp_path, edit, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(edit(BURGERS_CFG))

@@ -40,3 +40,14 @@ def test_light_hooks_time_the_march(tmp_path):
     assert result["code"] == 0
     assert len(result["events"]["march"]) == 1
     assert len(result["events"]["steps"]) == 100
+
+
+def test_trace_hooks_count_the_work_of_each_apply(tmp_path):
+    # a march applies D, so the trace reaches ApplyWork, which reads op.D
+    result = run_child("trace", tmp_path / "trace.json",
+                       ["run", "--config", "burgers_periodic",
+                        "--out-dir", str(tmp_path / "out")], tmp_path)
+    assert result["code"] == 0
+    assert result["layers"]["sbp_core.apply_derivative"][0] > 0
+    flop, nbytes = result["work"]["sbp_core.apply_derivative"]
+    assert flop > 0 and nbytes > 0

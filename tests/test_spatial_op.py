@@ -18,7 +18,7 @@ from skewform.sbp_core import (
     make_grid,
 )
 from skewform.spatial_op import (
-    _swe_standard_matrices,
+    _standard_matrices,
     bilinear_face_functional,
     eval_dual_residual,
     eval_new_linearised_pair,
@@ -297,15 +297,29 @@ def test_residual_matches_the_dense_assembly_bitwise(kind):
 
 def test_standard_transport_matrices_stay_on_the_swe_pattern():
     # the standard linearisation's tables are walked in key order, so their
-    # keys are row-major; M_ax has the entries of the skew-form A_ax
-    m, g, ops, rng = small_setup("swe2d", (4, 2), 53)
-    for trial in range(5):
-        qbar = sample_state(m, g.shape, rng)
-        M, N = _swe_standard_matrices(m, g, ops, qbar)
-        A, _ = coeff_matrices(m, sample_state(m, g.shape, rng), g.positions)
-        for table in (*M, N):
-            assert list(table) == sorted(table)
-        for ax in range(2):
-            written = {key for key, field in M[ax].items() if field.any()}
-            assert written <= set(A[ax])
+    # keys are row-major; M_ax has the entries of the skew-form A_ax, for
+    # burgers1d as for swe2d
+    for kind in ("burgers1d", "swe2d"):
+        m, g, ops, rng = small_setup(kind, (4, 2), 53)
+        for trial in range(5):
+            qbar = sample_state(m, g.shape, rng)
+            M, N = _standard_matrices(m, g, ops, qbar)
+            A, _ = coeff_matrices(m, sample_state(m, g.shape, rng), g.positions)
+            assert len(M) == g.dim
+            for table in (*M, N):
+                assert list(table) == sorted(table)
+            for ax in range(g.dim):
+                written = {key for key, field in M[ax].items() if field.any()}
+                assert written <= set(A[ax])
+            if kind == "burgers1d":
+                # M = mean and N = d_x mean: u_bar u'_x + u_bar_x u'
+                assert np.array_equal(M[0][(0, 0)], qbar[0])
+                assert np.array_equal(N[(0, 0)], apply_derivative(ops[0], qbar, 0)[0])
+
+
+def test_standard_linearisation_refuses_the_models_it_does_not_cover():
+    m, g, ops, rng = small_setup("euler2d", (2, 1), 54)
+    U, V = sample_state(m, g.shape, rng), sample_state(m, g.shape, rng)
+    with pytest.raises(ValueError, match="covers burgers1d and swe2d, not 'euler2d'"):
+        eval_standard_linearised_residual(m, g, ops, U, V)
 
