@@ -28,7 +28,10 @@ power of two (the bundled swe_inflow_twocond weighs h/2 = 1/32, by which a
 reordered division is exact); `run` on burgers (4,2) grids of the fewest
 nodes each closure takes, 8 bounded, where no row is left to the interior
 stencil, and 5 periodic (each written into the case's directory first);
-and eleven refusals, so the bytes of the
+`run` on a nonlinear (4,2) swe2d config bounded in both axes on a 17 x 13
+grid with `none` closures, the one march of a multi-line field bounded
+along its last axis (the burgers marches have one line and the swe2d
+cases are periodic in y); and twelve refusals, so the bytes of the
 refusal path are checked too: `run` on a config with `stride = ten`
 (written into the case's directory first), `analyze-boundary --alpha nan`,
 `run` on the swe2d `standard_vs_new` config with a two-condition closure on
@@ -36,7 +39,8 @@ x_low, and `run` on the burgers config with a swe2d closure on x_low, with
 a `characteristic` closure given the `g2=` it does not read, with
 `characteristic g2=0` and with `none scale=1.0`; `run` on an identity
 config with a `[sat]` section and on a nonlinear config with an
-`[identity]` section, neither of which the mode reads; `analyze-boundary
+`[identity]` section, neither of which the mode reads, and on the identity
+config with an empty `[sat]` header; `analyze-boundary
 --radius` for swe2d; and `verify --seed -1`.
 
 Some cases differ by design against older trees.  The swe2d
@@ -55,6 +59,8 @@ identity `[sat]`, the nonlinear `[identity]`, the swe2d `--radius` and
 `verify --seed -1`): a tree from before they were refused ignores the
 `[sat]`, the `[identity]` and the `--radius` and exits 0, and fails on the
 negative seed inside numpy with a message that does not name `--seed`.
+The empty `[sat]` refusal of the identity config: a tree from before empty
+sections were refused exits 0 and writes `run.csv`.
 """
 
 from __future__ import annotations
@@ -255,6 +261,45 @@ comp0 = 0.0 0.1 sin:1
 prefix = burgers_periodic_5
 """
 
+# A nonlinear swe2d march bounded in both axes on a non-square grid, so the
+# apply along y crosses the boundary rows of a multi-line field; every face
+# is left open.
+SWE_BOUNDED_17X13_CFG = """\
+[model]
+kind = swe2d
+alpha = 0.5
+beta = 0.8
+
+[grid]
+extents = 0,1 / 0,0.75
+shape = 17 / 13
+periodic = false / false
+
+[scheme]
+order = 4,2
+mode = nonlinear
+dt = 0.002
+t_final = 0.04
+stride = 5
+cfl = 0.3
+
+[initial]
+family = trig
+variables = primitive
+comp0 = 1.0 0.05 sin:1 cos:1
+comp1 = 0.3 0.1 one cos:1
+comp2 = 0.1 0.05 cos:1 sin:1
+
+[sat]
+x_low = none
+x_high = none
+y_low = none
+y_high = none
+
+[output]
+prefix = swe_bounded_17x13
+"""
+
 # An identity run on a bounded grid with a [sat] entry identity never reads.
 IDENTITY_SAT_CFG = """\
 [model]
@@ -311,7 +356,9 @@ FIXED_CASES = {
     "refuse_sat_unread_default_scale": ["run", "--config", "sat_unread_default_scale.cfg"],
     "run_burgers_bounded_8": ["run", "--config", "burgers_bounded_8.cfg"],
     "run_burgers_periodic_5": ["run", "--config", "burgers_periodic_5.cfg"],
+    "run_swe_bounded_17x13": ["run", "--config", "swe_bounded_17x13.cfg"],
     "refuse_identity_sat": ["run", "--config", "identity_sat.cfg"],
+    "refuse_identity_empty_sat": ["run", "--config", "identity_empty_sat.cfg"],
     "refuse_nonlinear_identity": ["run", "--config", "nonlinear_identity.cfg"],
     "refuse_swe2d_radius": ["analyze-boundary", "--model", "swe2d",
                             "--state", "1,0.5,0", "--normal", "1,0", "--radius", "-3"],
@@ -336,7 +383,10 @@ CASE_FILES = {
         "x_low = characteristic g=0.1", "x_low = none scale=1.0")},
     "run_burgers_bounded_8": {"burgers_bounded_8.cfg": BURGERS_BOUNDED_8_CFG},
     "run_burgers_periodic_5": {"burgers_periodic_5.cfg": BURGERS_PERIODIC_5_CFG},
+    "run_swe_bounded_17x13": {"swe_bounded_17x13.cfg": SWE_BOUNDED_17X13_CFG},
     "refuse_identity_sat": {"identity_sat.cfg": IDENTITY_SAT_CFG},
+    "refuse_identity_empty_sat": {"identity_empty_sat.cfg":
+                                  IDENTITY_SAT_CFG.replace("x_low = bogus g=1\n", "")},
     "refuse_nonlinear_identity": {"nonlinear_identity.cfg": STRIDE_TYPO_CFG.replace(
         "stride = ten", "stride = 5") + "\n[identity]\ntrials = -5\n"},
 }

@@ -84,10 +84,15 @@ class ConfigError(Exception):
     """Config parse or consistency error, message carries file:line."""
 
 
+class _Section(dict):
+    """One section's {key: (value, lineno)} entries; line is its header's."""
+    line = 0
+
+
 def parse_config_text(text: str, path: str = "<config>") -> dict:
     """Parses the line-oriented config format.
 
-    Returns {section: {key: (value, lineno)}}; rejects unknown sections,
+    Returns {section: _Section}; rejects unknown sections,
     unknown keys, duplicates, and malformed lines, citing line numbers.
     """
     sections: dict = {}
@@ -106,9 +111,9 @@ def parse_config_text(text: str, path: str = "<config>") -> dict:
                 )
             if name in sections:
                 raise ConfigError(f"{path}:{lineno}: duplicate section [{name}]")
-            current = {}
+            current = sections[name] = _Section()
+            current.line = lineno
             current_name = name
-            sections[name] = current
             continue
         if "=" not in line:
             raise ConfigError(
@@ -340,10 +345,13 @@ def build_scheme(cfg, path):
             f"{path}:{_line(cfg, 'scheme', 'mode')}: unknown mode '{mode}';"
             f" expected one of {RUN_MODES}"
         )
-    # The first key the mode never reads is refused at its line.
+    # The first unread key is refused at its line, an unread empty section at its header.
     reads = _MODE_READS[mode] | {"model", "grid", "scheme", "output"}
     unread_keys = _SCHEMA["scheme"] - {"order", "mode"} if mode == "identity" else ()
     for section, keys in cfg.items():
+        if section not in reads and not keys:
+            raise ConfigError(f"{path}:{keys.line}: empty [{section}] is not read"
+                              f" by mode '{mode}'")
         for key in keys:
             if section not in reads or section == "scheme" and key in unread_keys:
                 raise ConfigError(f"{_at(cfg, section, key, path)} in [{section}] is"

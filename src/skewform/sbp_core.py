@@ -12,14 +12,15 @@ matching the Kronecker ordering I_comp (x) D_x (x) I_y used throughout.
 
 All reductions (inner products, boundary quadratures) accumulate
 left-to-right over lexicographic node order.  Operator application follows a
-plan built once per operator: the rows the closure leaves to the interior
-stencil take one slice of the field per nonzero stencil offset with a scalar
-coefficient, and the boundary-block and periodic wrap rows take one gathered
-block of their nonzero columns.  Every row sum starts as its first product
-plus +0.0 and adds the other products in increasing column order, so it
-never becomes -0.0; the skipped exact zero products therefore change nothing
-for finite fields, and every result equals the walk over all matrix columns
-bit for bit and is reproducible for a given build.
+plan built once per operator: the interior stencil takes one flat run over
+the C-contiguous field per nonzero stencil offset, shifted by the offset
+times the axis stride, with a scalar coefficient; the boundary-block and
+periodic wrap rows, which those runs cross, are then overwritten from one
+gathered block of their nonzero columns.  Every row sum starts as its first
+product plus +0.0 and adds the other products in increasing column order, so
+it never becomes -0.0; the skipped exact zero products therefore change
+nothing for finite fields, and every result equals the walk over all matrix
+columns bit for bit and is reproducible for a given build.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ class SbpOperator1D:
         interior: (lo, hi, terms), the rows lo..hi-1 that the closure
             leaves to the interior stencil (possibly none) and their
             nonzero entries as ((offset, coefficient), ...) in increasing
-            offset: D[i, i + offset] = coefficient on every such row.
+            offset: D[i, i + offset] = coefficient on every such row, applied
+            as one run from row lo of the first line to hi-1 of the last.
         edge: (rows, cols, coefs), the other rows of D: the boundary blocks
             or the periodic wrap rows.  cols and coefs have shape
             (len(rows), K); row rows[e] holds its nonzeros D[rows[e],
@@ -170,9 +172,10 @@ def apply_derivative(op: SbpOperator1D, field: np.ndarray, axis: int = 0) -> np.
         axis: spatial axis index (0 for x, 1 for y, ...).
 
     Returns:
-        Array of the same shape.
+        Array of the same shape.  A field not in C order is copied first;
+        the flat interior runs cross the edge rows, which are then rewritten.
     """
-    field = np.asarray(field, dtype=np.float64)
+    field = np.ascontiguousarray(field, dtype=np.float64)
     if field.ndim < 2:
         raise ValueError("state fields carry a leading component axis")
     ax = axis + 1
@@ -183,14 +186,17 @@ def apply_derivative(op: SbpOperator1D, field: np.ndarray, axis: int = 0) -> np.
             f"axis {axis} has {field.shape[ax]} nodes, operator expects {op.n}"
         )
     out = np.empty(field.shape)
-    f = field.swapaxes(ax, -1)
-    o = out.swapaxes(ax, -1)
+    post = int(np.prod(field.shape[ax + 1:]))
+    fl = field.reshape(-1)
     lo, hi, ((k, c), *terms) = op.interior
-    inner = o[..., lo:hi]
-    np.multiply(f[..., lo + k:hi + k], c, out=inner)
+    start, stop = lo * post, field.size - (op.n - hi) * post
+    inner = out.reshape(-1)[start:stop]
+    np.multiply(fl[start + k * post:stop + k * post], c, out=inner)
     inner += 0.0
     for k, c in terms:
-        inner += c * f[..., lo + k:hi + k]
+        inner += c * fl[start + k * post:stop + k * post]
+    f = field.swapaxes(ax, -1)
+    o = out.swapaxes(ax, -1)
     rows, cols, coefs = op.edge
     block = f[..., cols]
     block *= coefs

@@ -430,11 +430,13 @@ def identity_with(extra):
     (lambda text: text.replace("order = 4,2", "order = 3,1"), 11),
     (lambda text: text.replace("stride = 5", "stride = 0"), 15),
     # input the mode never reads: the march keys and [sat] under identity,
+    # also when empty (refused at its header),
     # [coefficient] and [identity] under nonlinear, [coefficient] under a
     # coupled run alone and [initial] under standard
     (lambda text: text.replace("mode = nonlinear", "mode = identity")
      .replace("dt = 0.004", "dt = banana"), 13),
     (identity_with("\n[sat]\nx_low = bogus g=1\n"), 21),
+    (identity_with("\n[sat]\n"), 20),
     (lambda text: text + "\n[coefficient]\nfamily = bogus\ncomp0 = 1.0\n", 25),
     (lambda text: text + "\n[identity]\ntrials = -5\n", 25),
     (lambda text: text.replace("mode = nonlinear", "mode = new_linearised_coupled")
@@ -453,7 +455,8 @@ def identity_with(extra):
         "sat_unread_g2_zero", "sat_unread_scale_default", "sat_unknown_option",
         "sat_option_without_value", "sat_option_twice", "sat_kind_as_option",
         "order_unsupported", "stride_zero", "identity_dt_unread",
-        "identity_sat_unread", "nonlinear_coefficient_unread",
+        "identity_sat_unread", "identity_empty_sat_unread",
+        "nonlinear_coefficient_unread",
         "nonlinear_identity_unread", "coupled_coefficient_unread",
         "standard_initial_unread"])
 def test_malformed_scenarios_exit_2_in_run_and_convergence(tmp_path, edit, line):

@@ -344,6 +344,24 @@ def test_apply_derivative_reads_only_the_nonzero_columns_of_each_row(order, peri
         hit = op.D[:, j] != 0.0
         assert np.all(~np.isfinite(got[..., hit]))
         assert got[..., ~hit].tobytes() == base[..., ~hit].tobytes()
+    # Along an axis with nodes after it the flat interior runs cross from
+    # line to line: an inf in column j of one line reaches the same rows of
+    # that line only, and every other line keeps its bits.
+    rng = np.random.default_rng(n + 1)
+    for ax, f in ((0, rng.normal(size=(2, n, 3))), (1, rng.normal(size=(2, 3, n, 4)))):
+        base = np.moveaxis(apply_derivative(op, f, axis=ax), 1 + ax, -1)
+        for line in np.ndindex(base.shape[:-1]):
+            others = np.ones(base.shape[:-1], dtype=bool)
+            others[line] = False
+            for j in range(n):
+                g = f.copy()
+                np.moveaxis(g, 1 + ax, -1)[line + (j,)] = np.inf
+                with np.errstate(invalid="ignore"):
+                    got = np.moveaxis(apply_derivative(op, g, axis=ax), 1 + ax, -1)
+                hit = op.D[:, j] != 0.0
+                assert np.all(~np.isfinite(got[line][hit]))
+                assert got[line][~hit].tobytes() == base[line][~hit].tobytes()
+                assert got[others].tobytes() == base[others].tobytes()
 
 
 def test_apply_derivative_is_deterministic():
