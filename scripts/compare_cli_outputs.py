@@ -31,7 +31,11 @@ stencil, and 5 periodic (each written into the case's directory first);
 `run` on a nonlinear (4,2) swe2d config bounded in both axes on a 17 x 13
 grid with `none` closures, the one march of a multi-line field bounded
 along its last axis (the burgers marches have one line and the swe2d
-cases are periodic in y); and twelve refusals, so the bytes of the
+cases are periodic in y); `run` on a bounded (4,2) burgers grid with a
+`characteristic g=1.0` inflow closure at x_low in each march mode no other
+case runs alone: frozen, dual with a `[coefficient]` and without one,
+`new_linearised_coupled` and `standard_linearised`, and `convergence`
+(17,33,65) on its coupled config; and thirteen refusals, so the bytes of the
 refusal path are checked too: `run` on a config with `stride = ten`
 (written into the case's directory first), `analyze-boundary --alpha nan`,
 `run` on the swe2d `standard_vs_new` config with a two-condition closure on
@@ -40,7 +44,8 @@ a `characteristic` closure given the `g2=` it does not read, with
 `characteristic g2=0` and with `none scale=1.0`; `run` on an identity
 config with a `[sat]` section and on a nonlinear config with an
 `[identity]` section, neither of which the mode reads, and on the identity
-config with an empty `[sat]` header; `analyze-boundary
+config with an empty `[sat]` header; `run` on the frozen burgers config
+without its `[coefficient]`; `analyze-boundary
 --radius` for swe2d; and `verify --seed -1`.
 
 Some cases differ by design against older trees.  The swe2d
@@ -60,7 +65,10 @@ identity `[sat]`, the nonlinear `[identity]`, the swe2d `--radius` and
 `[sat]`, the `[identity]` and the `--radius` and exits 0, and fails on the
 negative seed inside numpy with a message that does not name `--seed`.
 The empty `[sat]` refusal of the identity config: a tree from before empty
-sections were refused exits 0 and writes `run.csv`.
+sections were refused exits 0 and writes `run.csv`.  The frozen refusal
+without `[coefficient]`: a tree from before the scheme modes were one table
+says `frozen mode needs a [coefficient] section` where this one says
+`missing required section [coefficient]`, as coupled and standard configs do.
 """
 
 from __future__ import annotations
@@ -300,6 +308,45 @@ y_high = none
 prefix = swe_bounded_17x13
 """
 
+# A bounded (4,2) burgers grid with inflow at x_low closed by a characteristic
+# penalty, for the march modes no other case runs alone; burgers_mode_cfg
+# adds the field sections a case's mode reads.
+BURGERS_MODES_CFG = """\
+[model]
+kind = burgers1d
+
+[grid]
+extents = 0,1
+shape = 33
+periodic = false
+
+[scheme]
+order = 4,2
+mode = {mode}
+dt = 0.004
+t_final = 0.1
+stride = 5
+
+[sat]
+x_low = characteristic g=1.0
+x_high = none
+
+[output]
+prefix = burgers_{mode}
+"""
+
+BURGERS_FIELDS = {
+    "initial": "family = trig\ncomp0 = 1.0 0.1 sin:1\n",
+    "coefficient": "family = trig\ncomp0 = 1.0 0.2 cos:1\n",
+    "perturbation": "family = trig\ncomp0 = 0.0 0.01 sin:2\n",
+}
+
+
+def burgers_mode_cfg(mode, *sections):
+    return BURGERS_MODES_CFG.format(mode=mode) + "".join(
+        f"\n[{section}]\n{BURGERS_FIELDS[section]}" for section in sections)
+
+
 # An identity run on a bounded grid with a [sat] entry identity never reads.
 IDENTITY_SAT_CFG = """\
 [model]
@@ -357,6 +404,14 @@ FIXED_CASES = {
     "run_burgers_bounded_8": ["run", "--config", "burgers_bounded_8.cfg"],
     "run_burgers_periodic_5": ["run", "--config", "burgers_periodic_5.cfg"],
     "run_swe_bounded_17x13": ["run", "--config", "swe_bounded_17x13.cfg"],
+    "run_burgers_frozen": ["run", "--config", "burgers_frozen.cfg"],
+    "run_burgers_dual": ["run", "--config", "burgers_dual.cfg"],
+    "run_burgers_dual_self": ["run", "--config", "burgers_dual_self.cfg"],
+    "run_burgers_coupled": ["run", "--config", "burgers_coupled.cfg"],
+    "run_burgers_standard": ["run", "--config", "burgers_standard.cfg"],
+    "convergence_burgers_coupled": ["convergence", "--config", "burgers_coupled.cfg",
+                                    "--levels", "17,33,65"],
+    "refuse_frozen_without_coefficient": ["run", "--config", "burgers_frozen.cfg"],
     "refuse_identity_sat": ["run", "--config", "identity_sat.cfg"],
     "refuse_identity_empty_sat": ["run", "--config", "identity_empty_sat.cfg"],
     "refuse_nonlinear_identity": ["run", "--config", "nonlinear_identity.cfg"],
@@ -384,6 +439,18 @@ CASE_FILES = {
     "run_burgers_bounded_8": {"burgers_bounded_8.cfg": BURGERS_BOUNDED_8_CFG},
     "run_burgers_periodic_5": {"burgers_periodic_5.cfg": BURGERS_PERIODIC_5_CFG},
     "run_swe_bounded_17x13": {"swe_bounded_17x13.cfg": SWE_BOUNDED_17X13_CFG},
+    "run_burgers_frozen": {"burgers_frozen.cfg":
+                           burgers_mode_cfg("frozen", "initial", "coefficient")},
+    "run_burgers_dual": {"burgers_dual.cfg": burgers_mode_cfg("dual", "initial", "coefficient")},
+    "run_burgers_dual_self": {"burgers_dual_self.cfg": burgers_mode_cfg("dual", "initial")},
+    "run_burgers_coupled": {"burgers_coupled.cfg": burgers_mode_cfg(
+        "new_linearised_coupled", "initial", "perturbation")},
+    "run_burgers_standard": {"burgers_standard.cfg": burgers_mode_cfg(
+        "standard_linearised", "coefficient", "perturbation")},
+    "convergence_burgers_coupled": {"burgers_coupled.cfg": burgers_mode_cfg(
+        "new_linearised_coupled", "initial", "perturbation")},
+    "refuse_frozen_without_coefficient": {"burgers_frozen.cfg":
+                                          burgers_mode_cfg("frozen", "initial")},
     "refuse_identity_sat": {"identity_sat.cfg": IDENTITY_SAT_CFG},
     "refuse_identity_empty_sat": {"identity_empty_sat.cfg":
                                   IDENTITY_SAT_CFG.replace("x_low = bogus g=1\n", "")},

@@ -7,11 +7,12 @@ Subcommands:
     convergence       refinement study on a configured scenario
 
 Configs are plain text, line oriented, with [section] headers and
-key = value pairs; '#' starts a full-line comment.  Unknown sections or
-keys, and keys the scheme mode never reads, are rejected with the
-offending line number.  All outputs are plain
-CSV / text so runs diff cleanly; identical config and seed give identical
-bytes per build configuration.
+key = value pairs; '#' starts a full-line comment.  Each scheme mode is one
+row of _RUNS, the runs it marches, and reads only the fields they name.
+Unknown sections or keys, and input the mode never reads, are rejected
+with the offending line number.  All outputs are plain CSV / text so runs
+diff cleanly; identical config and seed give identical bytes per build
+configuration.
 
 Exit status: 0 success, 1 failing checks or a failed run, 2 usage or
 config errors.
@@ -39,7 +40,7 @@ from .boundary import (
 from .energy import energy_report
 from .models import MODEL_KINDS, make_model, sample_state, swe_inverse, swe_transform
 from .sbp_core import ACCURACIES, build_operators, face_label, faces, make_grid
-from .timeint import MODES, Scenario, march, validate_scenario
+from .timeint import MEAN_MODES, Scenario, march, validate_scenario
 from .verify import (
     CHECK_CSV_HEADER,
     CHECKS,
@@ -48,10 +49,19 @@ from .verify import (
     format_check_line,
 )
 
-# Scheme modes the runner accepts: the marching modes plus the two
-# CLI-level composites (identity sampling for the euler models and the
-# standard-versus-new comparison pair).
-RUN_MODES = MODES + ("identity", "standard_vs_new")
+# Each scheme mode the runner accepts and the runs it marches: (name suffix,
+# march mode, section of the marched state, section of its mean or None).
+_RUNS = {
+    "nonlinear": (("", "nonlinear", "initial", None),),
+    "frozen": (("", "frozen", "initial", "coefficient"),),
+    "new_linearised_coupled": (("", "new_linearised_coupled", "perturbation", "initial"),),
+    "standard_linearised": (("", "standard_linearised", "perturbation", "coefficient"),),
+    "dual": (("", "dual", "initial", "coefficient"),),
+    "identity": (),
+    "standard_vs_new": (("_standard", "standard_linearised", "perturbation", "coefficient"),
+                        ("_new", "new_linearised_coupled", "perturbation", "coefficient")),
+}
+RUN_MODES = tuple(_RUNS)
 
 _FIELD_KEYS = frozenset({"family", "variables"} | {f"comp{i}" for i in range(4)})
 
@@ -65,18 +75,6 @@ _SCHEMA = {
     "sat": None,
     "identity": frozenset({"trials", "seed", "mode"}),
     "output": frozenset({"prefix"}),
-}
-
-# The sections each mode reads besides [model], [grid], [scheme] and
-# [output]; every mode but identity also reads the [scheme] march keys.
-_MODE_READS = {
-    "identity": {"identity"},
-    "nonlinear": {"initial", "sat"},
-    "frozen": {"initial", "coefficient", "sat"},
-    "dual": {"initial", "coefficient", "sat"},
-    "new_linearised_coupled": {"initial", "perturbation", "sat"},
-    "standard_linearised": {"coefficient", "perturbation", "sat"},
-    "standard_vs_new": {"coefficient", "perturbation", "sat"},
 }
 
 
@@ -173,17 +171,28 @@ def _number(text, where, kind=float, error=ConfigError):
     raise error(f"{where} must be {noun}, got {text!r}")
 
 
+def _config_number(cfg, section, key, path, default=None, kind=float, least=None):
+    """[section] key through _number, default when absent, and refused below
+    least.  A key without a default is required: the [scheme] dt and t_final,
+    which only marching modes read."""
+    text = _get(cfg, section, key, default)
+    if text is None:
+        raise ConfigError(f"{path}: [{section}] requires '{key}' for marching modes")
+    value = _number(text, _at(cfg, section, key, path), kind)
+    if least is not None and value < least:
+        raise ConfigError(f"{_at(cfg, section, key, path)} must be at least {least},"
+                          f" got {value}")
+    return value
+
+
 def _parse_axes(value: str):
     return [part.strip() for part in value.split("/")]
 
 
 def build_model(cfg, path):
     kind = _need(cfg, "model", "kind", path)
-    params = {}
-    for key in ("alpha", "beta", "f0", "f1"):
-        value = _get(cfg, "model", key)
-        if value is not None:
-            params[key] = _number(value, _at(cfg, "model", key, path))
+    params = {key: _config_number(cfg, "model", key, path)
+              for key in ("alpha", "beta", "f0", "f1") if key in cfg["model"]}
     try:
         return make_model(kind, **params)
     except ValueError as exc:
@@ -345,9 +354,12 @@ def build_scheme(cfg, path):
             f"{path}:{_line(cfg, 'scheme', 'mode')}: unknown mode '{mode}';"
             f" expected one of {RUN_MODES}"
         )
-    # The first unread key is refused at its line, an unread empty section at its header.
-    reads = _MODE_READS[mode] | {"model", "grid", "scheme", "output"}
-    unread_keys = _SCHEMA["scheme"] - {"order", "mode"} if mode == "identity" else ()
+    # A marching mode reads its runs' fields, [sat] and the march keys.  The first
+    # unread key is refused at its line, an unread empty section at its header.
+    runs = _RUNS[mode]
+    fields = {section for run in runs for section in run[2:]} - {None}
+    reads = {"model", "grid", "scheme", "output"} | (fields | {"sat"} if runs else {"identity"})
+    unread_keys = () if runs else _SCHEMA["scheme"] - {"order", "mode"}
     for section, keys in cfg.items():
         if section not in reads and not keys:
             raise ConfigError(f"{path}:{keys.line}: empty [{section}] is not read"
@@ -362,21 +374,11 @@ def build_scheme(cfg, path):
 def _march_fields(cfg, model, grid, path) -> dict:
     """The Scenario fields a marching config sets: dt, t_final, cfl,
     stride and sat."""
-
-    def scheme(key, default=None, kind=float):
-        text = _get(cfg, "scheme", key, default)
-        if text is None:
-            raise ConfigError(
-                f"{path}: [scheme] requires '{key}' for marching modes"
-            )
-        return _number(text, _at(cfg, "scheme", key, path), kind)
-
-    stride = scheme("stride", "1", int)
-    if stride < 1:
-        raise ConfigError(f"{_at(cfg, 'scheme', 'stride', path)} must be at least 1,"
-                          f" got {stride}")
-    return dict(dt=scheme("dt"), t_final=scheme("t_final"), cfl=scheme("cfl", "0.2"),
-                stride=stride, sat=build_sat_from_config(cfg, model, grid, path))
+    return dict(stride=_config_number(cfg, "scheme", "stride", path, "1", int, 1),
+                dt=_config_number(cfg, "scheme", "dt", path),
+                t_final=_config_number(cfg, "scheme", "t_final", path),
+                cfl=_config_number(cfg, "scheme", "cfl", path, "0.2"),
+                sat=build_sat_from_config(cfg, model, grid, path))
 
 
 def _load_config(spec: str) -> tuple[str, str]:
@@ -444,15 +446,25 @@ def write_final_state(target, model, grid, state) -> None:
 
 
 def build_scenarios(cfg, path, mode, prefix, model, grid, ops, **scheme):
-    """The named scenarios a marching config describes on one grid.
+    """The named scenarios a marching config describes on one grid, one per
+    row of _RUNS[mode], named prefix + suffix.
 
-    scheme holds the remaining Scenario fields (dt, t_final, sat, stride,
-    cfl).  Every scenario is validated here: malformed or unsupported
-    scenarios are config errors (exit 2), while failures during the march
-    itself (CFL, blow-up, admissibility) are run failures (exit 1).
+    Each field section is built once, in schema order.  A mean is required
+    where its march mode needs one (timeint.MEAN_MODES), else read when
+    given.  scheme holds the remaining Scenario fields (dt, t_final, sat,
+    stride, cfl).  Every scenario is validated here: malformed or
+    unsupported scenarios are config errors (exit 2), while failures during
+    the march itself (CFL, blow-up, admissibility) are run failures (exit 1).
     """
-
-    def scenario(run_mode, initial, mean):
+    runs = _RUNS[mode]
+    required = {state for _, _, state, _ in runs} | {
+        mean for _, run_mode, _, mean in runs if run_mode in MEAN_MODES}
+    means = {mean for *_, mean in runs}
+    fields = {section: build_field(cfg, section, model, grid, path) for section in _SCHEMA
+              if section in required or section in means and section in cfg}
+    scenarios = []
+    for suffix, run_mode, state, mean in runs:
+        initial, mean = fields[state], fields.get(mean)
         if run_mode == "standard_linearised" and model.kind == "swe2d":
             # its operator acts on primitive (phi, u, v): linearise about the
             # configured mean with the configured perturbation
@@ -461,54 +473,23 @@ def build_scenarios(cfg, path, mode, prefix, model, grid, ops, **scheme):
                 initial, mean = np.stack(swe_inverse(mean + initial)) - primitive, primitive
             except ValueError as exc:
                 raise ConfigError(f"{path}: primitive mean or mean + perturbation: {exc}")
-        return Scenario(model=model, grid=grid, ops=ops, mode=run_mode,
-                        initial=initial, mean=mean, **scheme)
-
-    runs = []
-    if mode == "standard_vs_new":
-        mean = build_field(cfg, "coefficient", model, grid, path)
-        pert = build_field(cfg, "perturbation", model, grid, path)
-        runs.append((f"{prefix}_standard",
-                     scenario("standard_linearised", pert, mean)))
-        runs.append((f"{prefix}_new",
-                     scenario("new_linearised_coupled", pert, mean)))
-    elif mode in ("new_linearised_coupled", "standard_linearised"):
-        mean_section = "initial" if mode == "new_linearised_coupled" \
-            else "coefficient"
-        mean = build_field(cfg, mean_section, model, grid, path)
-        pert = build_field(cfg, "perturbation", model, grid, path)
-        runs.append((prefix, scenario(mode, pert, mean)))
-    else:
-        initial = build_field(cfg, "initial", model, grid, path)
-        mean = None
-        if mode in ("frozen", "dual") and "coefficient" in cfg:
-            mean = build_field(cfg, "coefficient", model, grid, path)
-        if mode == "frozen" and mean is None:
-            raise ConfigError(f"{path}: frozen mode needs a [coefficient]"
-                              " section")
-        runs.append((prefix, scenario(mode, initial, mean)))
-
-    for _, sc in runs:
+        sc = Scenario(model=model, grid=grid, ops=ops, mode=run_mode,
+                      initial=initial, mean=mean, **scheme)
         try:
             validate_scenario(sc)
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}")
-    return runs
+        scenarios.append((prefix + suffix, sc))
+    return scenarios
 
 
 def run_identity(cfg, model, grid, ops, path):
-    where = {key: _at(cfg, "identity", key, path)
-             for key in ("trials", "seed", "mode")}
-    trials = _number(_get(cfg, "identity", "trials", "50"), where["trials"], int)
-    seed = _number(_get(cfg, "identity", "seed", "0"), where["seed"], int)
+    trials = _config_number(cfg, "identity", "trials", path, "50", int, 1)
+    seed = _config_number(cfg, "identity", "seed", path, "0", int, 0)
     mode_kind = _get(cfg, "identity", "mode", "nonlinear")
-    if trials < 1:
-        raise ConfigError(f"{where['trials']} must be at least 1, got {trials}")
-    if seed < 0:
-        raise ConfigError(f"{where['seed']} must be at least 0, got {seed}")
     if mode_kind not in ("nonlinear", "frozen", "dual"):
-        raise ConfigError(f"{where['mode']} must be nonlinear, frozen or dual,"
-                          f" got {mode_kind!r}")
+        raise ConfigError(f"{_at(cfg, 'identity', 'mode', path)} must be nonlinear,"
+                          f" frozen or dual, got {mode_kind!r}")
     reports = []
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
@@ -519,12 +500,17 @@ def run_identity(cfg, model, grid, ops, path):
     return reports
 
 
+def _load_scheme(spec):
+    """A config's (cfg, path, model, grid, order, mode), each checked."""
+    text, path = _load_config(spec)
+    cfg = parse_config_text(text, path)
+    model = build_model(cfg, path)
+    grid = build_grid(cfg, model, path)
+    return (cfg, path, model, grid, *build_scheme(cfg, path))
+
+
 def cmd_run(args) -> int:
-    text, display = _load_config(args.config)
-    cfg = parse_config_text(text, display)
-    model = build_model(cfg, display)
-    grid = build_grid(cfg, model, display)
-    order, mode = build_scheme(cfg, display)
+    cfg, display, model, grid, order, mode = _load_scheme(args.config)
     ops = build_operators(grid, order)
     prefix = _get(cfg, "output", "prefix", "run")
     out_dir = Path(args.out_dir)
@@ -553,14 +539,10 @@ def cmd_run(args) -> int:
         drift = reports[-1].energy - reports[0].energy
         print(f"wrote {target} ({len(reports)} reports, max"
               f" |volume_residual| {worst:.3e}, energy drift {drift:.3e})")
-        if sc.mode == "new_linearised_coupled":
-            for tag, state in zip(("mean", "pert"), final):
-                statefile = out_dir / f"{name}_{tag}_final.txt"
-                write_final_state(statefile, model, grid, state)
-                print(f"wrote {statefile}")
-        else:
-            statefile = out_dir / f"{name}_final.txt"
-            write_final_state(statefile, model, grid, final)
+        coupled = sc.mode == "new_linearised_coupled"
+        for tag, state in zip(("_mean", "_pert"), final) if coupled else [("", final)]:
+            statefile = out_dir / f"{name}{tag}_final.txt"
+            write_final_state(statefile, model, grid, state)
             print(f"wrote {statefile}")
     return 0
 
@@ -633,12 +615,8 @@ def cmd_convergence(args) -> int:
               for v in args.levels.split(",")]
     if len(levels) < 3:
         raise ValueError("need at least 3 refinement levels")
-    text, display = _load_config(args.config)
-    cfg = parse_config_text(text, display)
-    model = build_model(cfg, display)
-    base_grid = build_grid(cfg, model, display)
-    order, mode = build_scheme(cfg, display)
-    if mode in ("identity", "standard_vs_new"):
+    cfg, display, model, base_grid, order, mode = _load_scheme(args.config)
+    if len(_RUNS[mode]) != 1:
         raise ConfigError(f"{display}: convergence studies need a single"
                           " marching mode")
     # The config's stride is checked but unused: only the final states count.

@@ -509,6 +509,65 @@ def test_lone_periodic_closure_is_refused_at_its_own_line(tmp_path):
     assert code == 0, err
 
 
+# The README's per-mode table: the sections each mode reads besides
+# [model], [grid], [scheme] and [output].
+MODE_READS = {
+    "identity": ["identity"],
+    "nonlinear": ["initial", "sat"],
+    "frozen": ["initial", "coefficient", "sat"],
+    "dual": ["initial", "coefficient", "sat"],
+    "new_linearised_coupled": ["initial", "perturbation", "sat"],
+    "standard_linearised": ["coefficient", "perturbation", "sat"],
+    "standard_vs_new": ["coefficient", "perturbation", "sat"],
+}
+
+SECTION_TEXT = {
+    "initial": "family = trig\ncomp0 = 0.5 0.1 sin:1\n",
+    "coefficient": "family = constant\ncomp0 = 0.5\n",
+    "perturbation": "family = trig\ncomp0 = 0.0 0.01 sin:1\n",
+    "sat": "x_low = periodic\nx_high = periodic\n",
+    "identity": "trials = 2\n",
+}
+
+
+def mode_config(mode, sections):
+    march = "" if mode == "identity" else "dt = 0.004\nt_final = 0.02\n"
+    return ("[model]\nkind = burgers1d\n\n[grid]\nextents = 0,1\nshape = 32\n"
+            f"periodic = true\n\n[scheme]\norder = 4,2\nmode = {mode}\n{march}"
+            "\n[output]\nprefix = p\n"
+            + "".join(f"\n[{section}]\n{SECTION_TEXT[section]}" for section in sections))
+
+
+@pytest.mark.parametrize("mode", MODE_READS)
+def test_each_mode_reads_exactly_the_sections_of_its_table_row(tmp_path, mode):
+    cfg = tmp_path / "mode.cfg"
+    refused = tmp_path / "refused"
+    reads = MODE_READS[mode]
+    cfg.write_text(mode_config(mode, reads))
+    code, out, err = run_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 0, err
+    # any other section is refused at its first key
+    for section in sorted(set(SECTION_TEXT) - set(reads)):
+        text = mode_config(mode, reads + [section])
+        cfg.write_text(text)
+        line = len(text.splitlines()) - SECTION_TEXT[section].count("\n") + 1
+        key = SECTION_TEXT[section].partition(" =")[0]
+        code, out, err = run_main(["run", "--config", str(cfg), "--out", str(refused)])
+        assert code == 2, section
+        assert f"{cfg}:{line}: '{key}' in [{section}] is not read by mode '{mode}'" in err
+        assert out == "" and not refused.exists()
+    # every field it reads is required but the dual run's [coefficient]
+    for section in sorted(set(reads) - {"sat", "identity"}):
+        cfg.write_text(mode_config(mode, [s for s in reads if s != section]))
+        if (mode, section) == ("dual", "coefficient"):
+            assert run_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])[0] == 0
+            continue
+        code, out, err = run_main(["run", "--config", str(cfg), "--out", str(refused)])
+        assert code == 2, section
+        assert f"config error: {cfg}: missing required section [{section}]\n" == err
+        assert out == "" and not refused.exists()
+
+
 SWE_STANDARD_CFG = """
 [model]
 kind = swe2d

@@ -271,6 +271,24 @@ def test_cfl_guard_uses_the_burgers_speed_u():
         march(sc)
 
 
+@pytest.mark.parametrize("mode", ["standard_linearised", "new_linearised_coupled"])
+def test_swe_linearised_cfl_guard_takes_the_speed_of_the_transformed_mean(mode):
+    # mean phi = 4, u = 2, v = 0: the speed |u| + sqrt(phi) = 4 exceeds
+    # 0.2 h / dt = 3.5; the primitive mean read as a transformed state gives
+    # |u| / sqrt(phi) + sqrt(phi) = 3, which would let the standard run march
+    m = make_model("swe2d")
+    g = make_grid(((0.0, 1.0), (0.0, 1.0)), (16, 16), periodic=(True, True))
+    ops = build_operators(g, (2, 1))
+    ones = np.ones((3, 16, 16))
+    primitive = np.array([4.0, 2.0, 0.0])[:, None, None] * ones
+    mean = primitive if mode == "standard_linearised" else swe_transform(*primitive)
+    dt = 0.2 * g.spacings[0] / 3.5
+    sc = Scenario(model=m, grid=g, ops=ops, mode=mode, initial=1e-3 * ones, mean=mean,
+                  dt=dt, t_final=dt)
+    with pytest.raises(RuntimeError, match="CFL violation"):
+        march(sc)
+
+
 def test_blow_up_guard_raises():
     # with a zero frozen coefficient u_t = F, so F = 1e6 takes the sup norm
     # to 1e4, ten times the guard's limit of 1e3, in the first step
@@ -309,6 +327,21 @@ def test_losing_admissibility_raises():
     F[0] = -50.0
     sc = Scenario(model=m, grid=g, ops=ops, mode="nonlinear", initial=U0,
                   forcing=lambda t: F, dt=0.004, t_final=0.2, stride=10 ** 9)
+    with pytest.raises(ValueError, match="depth"):
+        march(sc)
+
+
+def test_losing_admissibility_raises_in_a_coupled_march():
+    # the forcing drains the mean's depth; the total state mean + pert is checked
+    m = make_model("swe2d")
+    g = make_grid(((0.0, 1.0), (0.0, 1.0)), (12, 12), periodic=(True, True))
+    ops = build_operators(g, (2, 1))
+    U0 = swe_transform(np.ones((12, 12)), np.zeros((12, 12)), np.zeros((12, 12)))
+    F = np.zeros_like(U0)
+    F[0] = -50.0
+    sc = Scenario(model=m, grid=g, ops=ops, mode="new_linearised_coupled",
+                  initial=np.zeros_like(U0), mean=U0, forcing=lambda t: F,
+                  dt=0.004, t_final=0.2, stride=10 ** 9)
     with pytest.raises(ValueError, match="depth"):
         march(sc)
 
