@@ -46,7 +46,16 @@ config with a `[sat]` section and on a nonlinear config with an
 `[identity]` section, neither of which the mode reads, and on the identity
 config with an empty `[sat]` header; `run` on the frozen burgers config
 without its `[coefficient]`; `analyze-boundary
---radius` for swe2d; and `verify --seed -1`.
+--radius` for swe2d; and `verify --seed -1`.  Then `convergence`
+(16,32,64) on a swe2d `standard_linearised` config periodic in both axes,
+and eleven refusals that cite where the refused value came from: `run` on
+the periodic burgers config with `cfl = -1`, with `dt = 0`, with a
+`t_final` that is not a whole number of steps, with `extents = 1,0`, with
+`shape = 1` and with two axes of extents; `run` on an euler2d march;
+`convergence` on the swe2d `standard_vs_new` config; `run` on the bounded
+burgers config with 6 nodes, and `convergence --levels 5,9,17` on it, both
+below the 8 nodes of (4,2); and `run` on the swe2d `standard_vs_new` config
+with a primitive `[coefficient]` whose depth reaches 0.
 
 Some cases differ by design against older trees.  The swe2d
 `standard_linearised` refusal: a tree from before it marches and fails with
@@ -69,6 +78,12 @@ sections were refused exits 0 and writes `run.csv`.  The frozen refusal
 without `[coefficient]`: a tree from before the scheme modes were one table
 says `frozen mode needs a [coefficient] section` where this one says
 `missing required section [coefficient]`, as coupled and standard configs do.
+The eleven refusals that cite their source: a tree from before they did
+prints `<cfg>:` without a line for the march settings, the euler2d march,
+the convergence mode and the `[grid]` values (whose axis-count message also
+named `[grid]` where this one names the key), and `error:` without the file
+for the grid below the operators' minimum and the primitive depth, or
+without naming `--levels`.
 """
 
 from __future__ import annotations
@@ -347,6 +362,38 @@ def burgers_mode_cfg(mode, *sections):
         f"\n[{section}]\n{BURGERS_FIELDS[section]}" for section in sections)
 
 
+# The swe2d standard linearisation on a grid periodic in both axes, which
+# convergence can refine (the SAT-free faces it takes are all periodic).
+SWE_STANDARD_PERIODIC_CFG = SWE_STANDARD_VS_NEW_CFG.replace(
+    "mode = standard_vs_new", "mode = standard_linearised").replace(
+    "periodic = false / true", "periodic = true / true")
+
+# The periodic burgers march of the stride typo case with a valid stride, the
+# base of the march-setting refusals.
+BURGERS_NONLINEAR_CFG = STRIDE_TYPO_CFG.replace("stride = ten", "stride = 5")
+
+# A march of the incompressible euler model, whose norm matrix is singular.
+EULER2D_MARCH_CFG = """\
+[model]
+kind = euler2d
+
+[grid]
+extents = 0,1 / 0,1
+shape = 9 / 9
+
+[scheme]
+order = 2,1
+mode = nonlinear
+dt = 0.01
+t_final = 0.1
+
+[initial]
+family = constant
+comp0 = 1.0
+comp1 = 0.0
+comp2 = 0.0
+"""
+
 # An identity run on a bounded grid with a [sat] entry identity never reads.
 IDENTITY_SAT_CFG = """\
 [model]
@@ -418,6 +465,23 @@ FIXED_CASES = {
     "refuse_swe2d_radius": ["analyze-boundary", "--model", "swe2d",
                             "--state", "1,0.5,0", "--normal", "1,0", "--radius", "-3"],
     "refuse_verify_seed_negative": ["verify", "energy", "--seed", "-1", "--trials", "2"],
+    "convergence_swe_standard_periodic": ["convergence", "--config",
+                                          "swe_standard_periodic.cfg",
+                                          "--levels", "16,32,64"],
+    "refuse_cfl_negative": ["run", "--config", "cfl_negative.cfg"],
+    "refuse_dt_zero": ["run", "--config", "dt_zero.cfg"],
+    "refuse_t_final_not_whole_steps": ["run", "--config", "t_final_steps.cfg"],
+    "refuse_euler2d_march": ["run", "--config", "euler2d_march.cfg"],
+    "refuse_convergence_standard_vs_new": ["convergence", "--config",
+                                           "swe_standard_vs_new.cfg",
+                                           "--levels", "17,33,65"],
+    "refuse_extents_empty": ["run", "--config", "extents_empty.cfg"],
+    "refuse_shape_one": ["run", "--config", "shape_one.cfg"],
+    "refuse_grid_axes": ["run", "--config", "grid_axes.cfg"],
+    "refuse_shape_below_order": ["run", "--config", "shape_below_order.cfg"],
+    "refuse_levels_below_order": ["convergence", "--config", "burgers_bounded_8.cfg",
+                                  "--levels", "5,9,17"],
+    "refuse_primitive_dry": ["run", "--config", "primitive_dry.cfg"],
 }
 
 # Files written into a case's working directory before it runs.
@@ -456,6 +520,28 @@ CASE_FILES = {
                                   IDENTITY_SAT_CFG.replace("x_low = bogus g=1\n", "")},
     "refuse_nonlinear_identity": {"nonlinear_identity.cfg": STRIDE_TYPO_CFG.replace(
         "stride = ten", "stride = 5") + "\n[identity]\ntrials = -5\n"},
+    "convergence_swe_standard_periodic": {"swe_standard_periodic.cfg":
+                                          SWE_STANDARD_PERIODIC_CFG},
+    "refuse_cfl_negative": {"cfl_negative.cfg": BURGERS_NONLINEAR_CFG.replace(
+        "stride = 5", "stride = 5\ncfl = -1")},
+    "refuse_dt_zero": {"dt_zero.cfg": BURGERS_NONLINEAR_CFG.replace("dt = 0.005", "dt = 0")},
+    "refuse_t_final_not_whole_steps": {"t_final_steps.cfg": BURGERS_NONLINEAR_CFG.replace(
+        "t_final = 0.5", "t_final = 0.5025")},
+    "refuse_euler2d_march": {"euler2d_march.cfg": EULER2D_MARCH_CFG},
+    "refuse_convergence_standard_vs_new": {"swe_standard_vs_new.cfg":
+                                           SWE_STANDARD_VS_NEW_CFG},
+    "refuse_extents_empty": {"extents_empty.cfg": BURGERS_NONLINEAR_CFG.replace(
+        "extents = 0,1", "extents = 1,0")},
+    "refuse_shape_one": {"shape_one.cfg": BURGERS_NONLINEAR_CFG.replace(
+        "shape = 64", "shape = 1")},
+    "refuse_grid_axes": {"grid_axes.cfg": BURGERS_NONLINEAR_CFG.replace(
+        "extents = 0,1", "extents = 0,1 / 0,1")},
+    "refuse_shape_below_order": {"shape_below_order.cfg": BURGERS_BOUNDED_8_CFG.replace(
+        "shape = 8", "shape = 6")},
+    "refuse_levels_below_order": {"burgers_bounded_8.cfg": BURGERS_BOUNDED_8_CFG},
+    "refuse_primitive_dry": {"primitive_dry.cfg": SWE_STANDARD_VS_NEW_CFG.replace(
+        "family = trig\ncomp0 = 1.0 0.1 sin:1 cos:1",
+        "family = trig\nvariables = primitive\ncomp0 = 0.0 0.1 sin:1 cos:1")},
 }
 
 

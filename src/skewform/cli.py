@@ -39,7 +39,8 @@ from .boundary import (
 )
 from .energy import energy_report
 from .models import MODEL_KINDS, make_model, sample_state, swe_inverse, swe_transform
-from .sbp_core import ACCURACIES, build_operators, face_label, faces, make_grid
+from .sbp_core import (ACCURACIES, ArgumentError, build_operators, face_label, faces,
+                       make_grid)
 from .timeint import MEAN_MODES, Scenario, march, validate_scenario
 from .verify import (
     CHECK_CSV_HEADER,
@@ -200,47 +201,37 @@ def build_model(cfg, path):
 
 
 def build_grid(cfg, model, path):
-    raw_extents = _parse_axes(_need(cfg, "grid", "extents", path))
-    raw_shape = _parse_axes(_need(cfg, "grid", "shape", path))
-    raw_periodic = _get(cfg, "grid", "periodic")
-    if len(raw_extents) != model.dim or len(raw_shape) != model.dim:
-        raise ConfigError(
-            f"{path}: [grid] needs {model.dim} '/'-separated axis entries for"
-            f" model '{model.kind}'"
-        )
+    def axes(key):
+        """[grid] key, one '/'-separated entry per model axis."""
+        parts = _parse_axes(_need(cfg, "grid", key, path))
+        if len(parts) != model.dim:
+            raise ConfigError(f"{_at(cfg, 'grid', key, path)} needs {model.dim}"
+                              f" '/'-separated axis entries for model '{model.kind}'")
+        return parts
+
     extents = []
-    for part in raw_extents:
+    for part in axes("extents"):
         pieces = part.split(",")
         if len(pieces) != 2:
-            raise ConfigError(
-                f"{path}:{_line(cfg, 'grid', 'extents')}: each axis extent is"
-                f" 'lo,hi', got {part!r}"
-            )
+            raise ConfigError(f"{path}:{_line(cfg, 'grid', 'extents')}: each axis extent"
+                              f" is 'lo,hi', got {part!r}")
         extents.append(tuple(_number(piece, _at(cfg, "grid", "extents", path))
                              for piece in pieces))
     shape = tuple(_number(part, _at(cfg, "grid", "shape", path), int)
-                  for part in raw_shape)
+                  for part in axes("shape"))
     periodic = None
-    if raw_periodic is not None:
-        flags = []
-        for part in _parse_axes(raw_periodic):
-            low = part.lower()
-            if low not in ("true", "false"):
-                raise ConfigError(
-                    f"{path}:{_line(cfg, 'grid', 'periodic')}: periodic entries"
-                    f" are 'true' or 'false', got {part!r}"
-                )
-            flags.append(low == "true")
-        if len(flags) != model.dim:
-            raise ConfigError(
-                f"{path}: [grid] periodic needs {model.dim} entries"
-            )
-        periodic = tuple(flags)
+    if "periodic" in cfg["grid"]:
+        periodic = []
+        for part in axes("periodic"):
+            if part.lower() not in ("true", "false"):
+                raise ConfigError(f"{path}:{_line(cfg, 'grid', 'periodic')}: periodic"
+                                  f" entries are 'true' or 'false', got {part!r}")
+            periodic.append(part.lower() == "true")
     try:
         return make_grid(tuple(extents), shape, periodic=periodic,
                          axis_names=model.axis_names)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: [grid] {exc}")
+    except ArgumentError as exc:
+        raise ConfigError(f"{path}:{_line(cfg, 'grid', exc.arg)}: [grid] {exc}")
 
 
 def build_field(cfg, section, model, grid, path):
@@ -262,9 +253,8 @@ def build_field(cfg, section, model, grid, path):
             f" or 'primitive', got {variables!r}"
         )
     if variables == "primitive" and model.kind != "swe2d":
-        raise ConfigError(
-            f"{path}: primitive variables apply to swe2d only"
-        )
+        raise ConfigError(f"{path}:{_line(cfg, section, 'variables')}: primitive"
+                          " variables apply to swe2d only")
     comps = []
     for c in range(model.n_comp):
         key = f"comp{c}"
@@ -307,7 +297,10 @@ def build_field(cfg, section, model, grid, path):
                 f" or 'trig', got {family!r}"
             )
     if variables == "primitive":
-        return swe_transform(comps[0], comps[1], comps[2])
+        try:
+            return swe_transform(*comps)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{_line(cfg, section, 'comp0')}: [{section}] {exc}")
     return np.stack(comps)
 
 
@@ -466,17 +459,19 @@ def build_scenarios(cfg, path, mode, prefix, model, grid, ops, **scheme):
     for suffix, run_mode, state, mean in runs:
         initial, mean = fields[state], fields.get(mean)
         if run_mode == "standard_linearised" and model.kind == "swe2d":
-            # its operator acts on primitive (phi, u, v): linearise about the
-            # configured mean with the configured perturbation
+            # its operator acts on a primitive (phi, u, v) perturbation: the
+            # configured one, taken to primitive variables about the mean
             try:
                 primitive = np.stack(swe_inverse(mean))
-                initial, mean = np.stack(swe_inverse(mean + initial)) - primitive, primitive
+                initial = np.stack(swe_inverse(mean + initial)) - primitive
             except ValueError as exc:
                 raise ConfigError(f"{path}: primitive mean or mean + perturbation: {exc}")
         sc = Scenario(model=model, grid=grid, ops=ops, mode=run_mode,
                       initial=initial, mean=mean, **scheme)
         try:
             validate_scenario(sc)
+        except ArgumentError as exc:
+            raise ConfigError(f"{path}:{_line(cfg, 'scheme', exc.arg)}: {exc}")
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}")
         scenarios.append((prefix + suffix, sc))
@@ -511,7 +506,10 @@ def _load_scheme(spec):
 
 def cmd_run(args) -> int:
     cfg, display, model, grid, order, mode = _load_scheme(args.config)
-    ops = build_operators(grid, order)
+    try:
+        ops = build_operators(grid, order)
+    except ValueError as exc:
+        raise ConfigError(f"{display}:{_line(cfg, 'grid', 'shape')}: [grid] {exc}")
     prefix = _get(cfg, "output", "prefix", "run")
     out_dir = Path(args.out_dir)
 
@@ -617,8 +615,8 @@ def cmd_convergence(args) -> int:
         raise ValueError("need at least 3 refinement levels")
     cfg, display, model, base_grid, order, mode = _load_scheme(args.config)
     if len(_RUNS[mode]) != 1:
-        raise ConfigError(f"{display}: convergence studies need a single"
-                          " marching mode")
+        raise ConfigError(f"{display}:{_line(cfg, 'scheme', 'mode')}: convergence studies"
+                          " need a single marching mode")
     # The config's stride is checked but unused: only the final states count.
     fields = _march_fields(cfg, model, base_grid, display) | {"stride": 10 ** 9}
     dt0 = fields.pop("dt")
@@ -633,14 +631,16 @@ def cmd_convergence(args) -> int:
                     f"levels are not nested on axis {name}: {nc} then {n}"
                     " (need doubling: 2n periodic, 2n-1 bounded)"
                 )
-        shape = tuple(n for _ in range(model.dim))
-        grid = make_grid(base_grid.extents, shape, periodic=base_grid.periodic,
-                         axis_names=model.axis_names)
+        try:
+            grid = make_grid(base_grid.extents, (n,) * model.dim,
+                             periodic=base_grid.periodic, axis_names=model.axis_names)
+            ops = build_operators(grid, order)
+        except ValueError as exc:
+            raise ValueError(f"--levels: {exc}")
         # h halves per level and dt = dt0 / 4^k falls with h^2: the RK4 error
         # stays below the spatial error and t_final a whole number of steps.
-        [(_, sc)] = build_scenarios(
-            cfg, display, mode, "", model, grid, build_operators(grid, order),
-            dt=dt0 * 0.25 ** k, **fields)
+        [(_, sc)] = build_scenarios(cfg, display, mode, "", model, grid, ops,
+                                    dt=dt0 * 0.25 ** k, **fields)
         scenarios.append(sc)
 
     finals = []
@@ -651,17 +651,13 @@ def cmd_convergence(args) -> int:
         except (RuntimeError, ValueError) as exc:
             print(f"run failed at level {n}: {exc}", file=sys.stderr)
             return 1
-        if mode == "new_linearised_coupled":
-            final = final[1]
-        finals.append(final)
+        finals.append(final[1] if mode == "new_linearised_coupled" else final)
         vr_initial.append(reports[0].volume_residual)
 
     print(f"solution self-convergence ({order[0]},{order[1]}), final time"
           f" {fields['t_final']}:")
     rows = []
-    errors = []
-    for k in range(len(levels) - 1):
-        errors.append(_shared_nodes_error(finals[k], finals[k + 1]))
+    errors = [_shared_nodes_error(coarse, fine) for coarse, fine in zip(finals, finals[1:])]
     scale = 1.0 + float(np.max(np.abs(finals[-1])))
     for k, err in enumerate(errors):
         pair = f"{levels[k]} -> {levels[k + 1]}"
@@ -676,11 +672,9 @@ def cmd_convergence(args) -> int:
 
     if model.kind == "swe2d":
         print("quasilinear ansatz defect on the initial/mean field:")
-        states = [sc.initial if sc.mean is None else sc.mean for sc in scenarios]
-        if mode == "standard_linearised":  # the primitive mean, transformed back
-            states = [swe_transform(*mean) for mean in states]
-        defects = [ansatz_defect(model, sc.grid, sc.ops, U)
-                   for sc, U in zip(scenarios, states)]
+        defects = [ansatz_defect(model, sc.grid, sc.ops,
+                                 sc.initial if sc.mean is None else sc.mean)
+                   for sc in scenarios]
         for k, d in enumerate(defects):
             line = f"  n={levels[k]:<5d} defect {d:.6e}"
             if k > 0 and d > 0.0:

@@ -67,28 +67,24 @@ def energy_report(
     With dual the residual is the dual one, U is the dual variable and the
     face fluxes flip sign.  Forcing never enters the rate.
     """
-    U = np.asarray(U, dtype=np.float64)
     evaluate = eval_dual_residual if dual else eval_primal_residual
-    res = evaluate(model, grid, ops, U, V, sat=sat)
-    return report_from_residual(model, grid, ops, U, res, dual, t)
+    return report_from_residual(model, evaluate(model, grid, ops, U, V, sat=sat), t)
 
 
-def report_from_residual(model: ModelSpec, grid: Grid, ops, U: np.ndarray,
-                         res: Residual, dual: bool, t: float) -> EnergyReport:
-    """The energy balance of an evaluated residual res at the state U.
+def report_from_residual(model: ModelSpec, res: Residual, t: float) -> EnergyReport:
+    """The energy balance of an evaluated residual at the state it acted on.
 
-    Reads only res.spatial, res.sat and res.face_terms, none of which
-    depends on forcing, so a residual evaluated with forcing gives the same
-    report as one evaluated without.  dual flips the sign of the face
-    fluxes.
+    Reads only res.spatial, res.sat, res.face_terms and res.flux_sign, none
+    of which depends on forcing, so a residual evaluated with forcing gives
+    the same report as one evaluated without.
     """
-    flux_sign = 2.0 if dual else -2.0
+    grid, ops, U = res.grid, res.ops, res.state
     rate = -2.0 * inner_product(grid, ops, U, res.spatial)
     sat_contribution = 0.0
     if res.sat is not None:
         sat_contribution = 2.0 * inner_product(grid, ops, U, res.sat)
     rate += sat_contribution
-    face_fluxes = {label: flux_sign * val for label, val in res.face_terms.items()}
+    face_fluxes = {label: res.flux_sign * val for label, val in res.face_terms.items()}
     boundary_flux = 0.0
     for val in face_fluxes.values():
         boundary_flux += val

@@ -40,6 +40,15 @@ _INTERIOR = {
 # The supported (interior, boundary) accuracy pairs.
 ACCURACIES = tuple(_INTERIOR)
 
+
+class ArgumentError(ValueError):
+    """A refused argument value; arg names the argument (or field) at fault."""
+
+    def __init__(self, arg: str, message: str):
+        super().__init__(message)
+        self.arg = arg
+
+
 # Boundary quadrature weights (units of h) and the upper-left Q block.
 _P_BLOCK = {
     (2, 1): (1 / 2,),
@@ -276,9 +285,10 @@ def make_grid(
         lo, hi = extents[ax]
         n = shape[ax]
         if not hi > lo:
-            raise ValueError(f"axis {axis_names[ax]}: extent [{lo}, {hi}] is empty")
+            raise ArgumentError("extents", f"axis {axis_names[ax]}: extent [{lo}, {hi}]"
+                                " is empty")
         if n < 2:
-            raise ValueError(f"axis {axis_names[ax]}: need at least 2 nodes")
+            raise ArgumentError("shape", f"axis {axis_names[ax]}: need at least 2 nodes")
         if periodic[ax]:
             h = (hi - lo) / n
             x = lo + h * np.arange(n)

@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .boundary import build_sat
-from .models import ModelSpec, coeff_matrices, coeff_split
+from .models import ModelSpec, coeff_matrices, coeff_split, swe_inverse
 from .sbp_core import (
     Grid,
     apply_derivative,
@@ -45,24 +45,26 @@ from .sbp_core import (
 
 @dataclass(frozen=True, eq=False)
 class Residual:
-    """Assembled spatial operator with its SAT part.
+    """An evaluated residual with all that its energy report reads.
 
-    R = spatial - sat - forcing (missing parts treated as zero).
-    face_terms maps face labels to the raw contraction
-    boundary_quadrature(S, A_ax S) used by the energy bookkeeping; it is
-    formed on first read from face_data = (grid, ops, A, S), since only the
-    energy reports read it.
+    R = spatial - sat - forcing (missing parts treated as zero), acting on
+    state.  flux_sign is -2 for a primal evaluation and +2 for the dual.
+    face_terms maps face labels to boundary_quadrature(state, A_ax state);
+    it is formed on first read, since only the energy reports read it.
     """
 
     R: np.ndarray
     spatial: np.ndarray
     sat: np.ndarray | None
-    face_data: tuple
+    grid: Grid
+    ops: tuple
+    A: tuple
+    state: np.ndarray
+    flux_sign: float
 
     @cached_property
     def face_terms(self) -> dict:
-        grid, ops, A, S = self.face_data
-        return _face_terms(grid, ops, A, S, S)
+        return _face_terms(self.grid, self.ops, self.A, self.state, self.state)
 
 
 def matfield_apply(M: dict, W: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -111,8 +113,8 @@ def _coeff_state(U: np.ndarray, V) -> np.ndarray:
     return V
 
 
-def _residual(model: ModelSpec, grid: Grid, ops, spatial: np.ndarray,
-              A: tuple, S: np.ndarray, sat=None, forcing=None) -> Residual:
+def _residual(model: ModelSpec, grid: Grid, ops, spatial: np.ndarray, A: tuple,
+              S: np.ndarray, sat=None, forcing=None, flux_sign=-2.0) -> Residual:
     """Completes the spatial part acting on S: the SAT on S, the forcing,
     and R = spatial - SAT - forcing; the face terms of A on S wait for
     their first read."""
@@ -122,7 +124,7 @@ def _residual(model: ModelSpec, grid: Grid, ops, spatial: np.ndarray,
         R = R - sat_field
     if forcing is not None:
         R = R - np.asarray(forcing, dtype=np.float64)
-    return Residual(R=R, spatial=spatial, sat=sat_field, face_data=(grid, ops, A, S))
+    return Residual(R, spatial, sat_field, grid, ops, A, S, flux_sign)
 
 
 def eval_primal_residual(
@@ -167,7 +169,7 @@ def eval_dual_residual(
     Phi = np.asarray(Phi, dtype=np.float64)
     A, C = coeff_matrices(model, _coeff_state(Phi, V), grid.positions)
     return _residual(model, grid, ops, -_assemble(grid, ops, A, C, Phi), A, Phi,
-                     sat, forcing)
+                     sat, forcing, flux_sign=2.0)
 
 
 def eval_new_linearised_pair(
@@ -178,6 +180,7 @@ def eval_new_linearised_pair(
     U_prime: np.ndarray,
     sat_mean=None,
     sat_pert=None,
+    forcing=None,
 ) -> tuple[Residual, Residual]:
     """Mean and perturbation residuals of the non-standard linearisation.
 
@@ -185,11 +188,12 @@ def eval_new_linearised_pair(
     and applies them to the mean; the perturbation equation evaluates them
     at the mean and applies them to the perturbation.  Together with the
     remainder H these reproduce the full nonlinear residual at the total
-    state up to roundoff.
+    state up to roundoff.  forcing applies to the mean equation.
     """
     U_bar = np.asarray(U_bar, dtype=np.float64)
     U_prime = np.asarray(U_prime, dtype=np.float64)
-    res_mean = eval_primal_residual(model, grid, ops, U_bar, U_bar + U_prime, sat_mean)
+    res_mean = eval_primal_residual(model, grid, ops, U_bar, U_bar + U_prime, sat_mean,
+                                    forcing)
     res_pert = eval_primal_residual(model, grid, ops, U_prime, U_bar, sat_pert)
     return res_mean, res_pert
 
@@ -219,23 +223,24 @@ def eval_standard_linearised_residual(
     grid: Grid,
     ops,
     U_prime: np.ndarray,
-    mean: np.ndarray,
+    V: np.ndarray,
     sat=None,
     forcing=None,
 ) -> Residual:
-    """The textbook advective linearisation about a frozen mean.
+    """The textbook advective linearisation about a frozen mean V.
 
-    Supported for burgers1d and swe2d only.  For swe2d both the mean and
-    the perturbation are primitive fields (phi, u, v); the operator is
-    M1(mean) d_x q' + M2(mean) d_y q' + N q' with N collecting the
-    mean-gradient and Coriolis zero-order terms.  This operator is not in
+    Supported for burgers1d and swe2d only.  V is in state variables, as
+    for every residual.  For swe2d the perturbation q' is primitive
+    (phi, u, v) and the operator is M1 d_x q' + M2 d_y q' + N q' at the
+    primitive mean swe_inverse(V), N collecting the mean-gradient and
+    Coriolis zero-order terms.  This operator is not in
     skew form; its face_terms use the transport matrices M_ax / 2 and are
     bookkeeping only.
     """
     U_prime = np.asarray(U_prime, dtype=np.float64)
-    if mean is None:
+    if V is None:
         raise ValueError("standard linearisation needs a mean field")
-    M, N = _standard_matrices(model, grid, ops, _coeff_state(U_prime, mean))
+    M, N = _standard_matrices(model, grid, ops, _coeff_state(U_prime, V))
     spatial = np.zeros_like(U_prime)
     for ax in range(grid.dim):
         spatial += matfield_apply(M[ax], apply_derivative(ops[ax], U_prime, ax))
@@ -244,22 +249,23 @@ def eval_standard_linearised_residual(
     return _residual(model, grid, ops, spatial, half, U_prime, sat, forcing)
 
 
-def _standard_matrices(model: ModelSpec, grid: Grid, ops, qbar: np.ndarray):
-    """Tables of the advective matrices M_ax and the zero-order N at a mean,
-    primitive for swe2d; M_ax has the entries of the skew-form A_ax."""
+def _standard_matrices(model: ModelSpec, grid: Grid, ops, V: np.ndarray):
+    """Tables of the advective matrices M_ax and the zero-order N at the
+    mean V, taken to primitive variables for swe2d; M_ax has the entries of
+    the skew-form A_ax."""
     if model.kind not in ("burgers1d", "swe2d"):
         raise ValueError(
             f"standard linearisation covers burgers1d and swe2d, not '{model.kind}'"
         )
-    dq = [apply_derivative(ops[ax], qbar, ax) for ax in range(grid.dim)]
     if model.kind == "burgers1d":
-        return ({(0, 0): qbar[0]},), {(0, 0): dq[0][0]}
-    phib, ub, vb = qbar[0], qbar[1], qbar[2]
+        return ({(0, 0): V[0]},), {(0, 0): apply_derivative(ops[0], V, 0)[0]}
+    qbar = np.stack(swe_inverse(V))
+    dqx, dqy = (apply_derivative(ops[ax], qbar, ax) for ax in range(grid.dim))
+    phib, ub, vb = qbar
     one = np.ones(grid.shape)
     M = ({(0, 0): ub, (0, 1): phib, (1, 0): one, (1, 1): ub, (2, 2): ub},
          {(0, 0): vb, (0, 2): phib, (1, 1): vb, (2, 0): one, (2, 2): vb})
 
-    dqx, dqy = dq
     f = model.f0
     if model.f1 != 0.0:
         f = model.f0 + model.f1 * grid.positions[1]

@@ -7,8 +7,8 @@ norm matrices and are verified statically instead.
 
 Each uncoupled mode marches one residual of the marched state U with
 coefficients at V: the primal (nonlinear, frozen), the dual, or the
-standard linearisation.  V is None in nonlinear runs and the mean when one
-is given; the coupled mode marches the mean/perturbation pair.
+standard linearisation.  V is the mean, in state variables, when one is
+given; the coupled mode marches the mean/perturbation pair.
 
 Conservation claims are always asserted through the per-step
 volume_residual of the energy reports, never through E(T) - E(0): the
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import EnergyReport, report_from_residual
-from .models import ModelSpec, check_admissible, has_invertible_norm, swe_transform, wavespeeds
-from .sbp_core import Grid, face_label
+from .models import ModelSpec, check_admissible, has_invertible_norm, wavespeeds
+from .sbp_core import ArgumentError, Grid, face_label
 from .spatial_op import (
     eval_dual_residual,
     eval_new_linearised_pair,
@@ -64,13 +64,13 @@ class Scenario:
     """A complete marching setup.
 
     initial is the marched state: U for nonlinear/frozen, the perturbation
-    for the linearised modes, the dual variable for dual runs.  mean is the
-    coefficient state V (frozen, standard_linearised, dual with fixed
-    coefficients; a nonlinear run ignores it) or the initial mean state of
-    the coupled mode.  sat holds the penalised faces that
-    boundary.make_sat_config resolved, or None.  forcing may be None, a
-    constant field, or a callable t -> field, and applies to the marched
-    equation (the mean equation in coupled mode).
+    for the linearised modes (primitive for swe2d standard_linearised), the
+    dual variable for dual runs.  mean is the coefficient state V in state
+    variables (frozen, standard_linearised, dual with fixed coefficients) or
+    the initial mean state of the coupled mode; nonlinear takes none.  sat
+    holds the penalised faces that boundary.make_sat_config resolved, or
+    None.  forcing may be None, a constant field, or a callable t -> field,
+    and applies to the marched equation (the mean equation in coupled mode).
     """
 
     model: ModelSpec
@@ -88,37 +88,40 @@ class Scenario:
 
 
 def validate_scenario(sc: Scenario) -> None:
-    """Raises ValueError when the scenario is malformed or the model/mode
-    pair is unsupported (singular norm matrix, missing mean field, a SAT
-    closure on a swe2d standard linearisation)."""
+    """Raises ValueError when the scenario is malformed or unsupported (a
+    missing or unread mean, a SAT closure on a swe2d standard run), and an
+    ArgumentError naming the field for a refused mode, dt, t_final, stride
+    or cfl."""
     if sc.mode not in MODES:
         raise ValueError(f"unknown mode '{sc.mode}'; expected one of {MODES}")
     if not has_invertible_norm(sc.model):
-        raise ValueError(
-            f"model '{sc.model.kind}' has a singular norm matrix; time marching"
-            " covers burgers1d and swe2d (verify the euler models statically)"
-        )
+        raise ArgumentError("mode", f"model '{sc.model.kind}' has a singular norm matrix;"
+                            " time marching covers burgers1d and swe2d (verify the"
+                            " euler models statically)")
     for name in ("dt", "t_final", "cfl"):
         if not np.isfinite(getattr(sc, name)):
-            raise ValueError(f"{name} must be finite")
+            raise ArgumentError(name, f"{name} must be finite")
     if not sc.dt > 0.0:
-        raise ValueError("dt must be positive")
+        raise ArgumentError("dt", "dt must be positive")
     if sc.t_final < sc.dt:
-        raise ValueError("t_final must be at least one step long")
+        raise ArgumentError("t_final", "t_final must be at least one step long")
     steps = sc.t_final / sc.dt
     if not np.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
-        raise ValueError(f"t_final is not a whole number of steps dt = {sc.dt}")
+        raise ArgumentError("t_final", "t_final is not a whole number of steps"
+                            f" dt = {sc.dt}")
     if sc.stride < 1:
-        raise ValueError("report stride must be at least 1")
+        raise ArgumentError("stride", "report stride must be at least 1")
     if not 0.0 < sc.cfl:
-        raise ValueError("cfl must be positive")
+        raise ArgumentError("cfl", "cfl must be positive")
     if np.asarray(sc.initial).shape != (sc.model.n_comp,) + sc.grid.shape:
         raise ValueError("initial data does not match the model/grid shape")
-    if sc.mode in MEAN_MODES:
-        if sc.mean is None:
-            raise ValueError(f"mode '{sc.mode}' needs a mean field")
-        if np.asarray(sc.mean).shape != (sc.model.n_comp,) + sc.grid.shape:
-            raise ValueError("mean field does not match the model/grid shape")
+    if sc.mode in MEAN_MODES and sc.mean is None:
+        raise ValueError(f"mode '{sc.mode}' needs a mean field")
+    if sc.mode == "nonlinear" and sc.mean is not None:
+        raise ValueError("mode 'nonlinear' takes no mean field: its coefficients are at"
+                         " the marched state")
+    if sc.mean is not None and np.asarray(sc.mean).shape != np.shape(sc.initial):
+        raise ValueError("mean field does not match the model/grid shape")
     if sc.mode == "standard_linearised" and sc.model.kind == "swe2d" and sc.sat:
         active = ", ".join(face_label(sc.grid, face) for face in sc.sat)
         raise ValueError("swe2d standard_linearised marches a primitive perturbation,"
@@ -127,11 +130,7 @@ def validate_scenario(sc: Scenario) -> None:
 
 
 def _forcing_at(forcing, t: float):
-    if forcing is None:
-        return None
-    if callable(forcing):
-        return forcing(t)
-    return forcing
+    return forcing(t) if callable(forcing) else forcing
 
 
 def _check_cfl(sc: Scenario, V: np.ndarray, t: float) -> None:
@@ -152,41 +151,32 @@ def _check_cfl(sc: Scenario, V: np.ndarray, t: float) -> None:
         )
 
 
-def march(sc: Scenario) -> tuple[list[EnergyReport], np.ndarray | tuple]:
+def march(sc: Scenario) -> tuple[list[EnergyReport], np.ndarray]:
     """Marches the scenario and reports the energy balance every stride.
 
-    Returns (reports, final_state); in coupled mode the final state is the
-    (mean, perturbation) pair and the reports track the perturbation
+    Returns (reports, the marched state at t_final), in coupled mode the
+    stacked (mean, perturbation) pair; its reports track the perturbation
     equation, whose skew structure is the linearisation claim under test.
     Raises on CFL violation, admissibility loss, or the blow-up guard.
     """
     validate_scenario(sc)
     model, grid, ops = sc.model, sc.grid, sc.ops
     coupled = sc.mode == "new_linearised_coupled"
-    dual = sc.mode == "dual"
-    U = np.array(sc.initial, dtype=np.float64)
-    # frozen-coefficient modes, and dual runs with a mean, take their
-    # coefficients (and their speeds) from the mean
-    V = None if sc.mode == "nonlinear" or sc.mean is None \
-        else np.asarray(sc.mean, dtype=np.float64)
-    # a swe2d standard run's mean is primitive: its speeds are the transformed mean's
-    V_speed = swe_transform(*V) if sc.mode == "standard_linearised" \
-        and model.kind == "swe2d" else V
+    # the coefficient state, which also gives a frozen-coefficient run its speeds
+    V = None if sc.mean is None else np.asarray(sc.mean, dtype=np.float64)
 
-    # evaluate(y, t) -> (tendency, the residual a report reads, its state)
+    # evaluate(y, t) -> (tendency, the residual a report reads)
     if coupled:
-        state = np.stack([np.array(sc.mean, dtype=np.float64), U])
+        state = np.stack([V, np.array(sc.initial, dtype=np.float64)])
 
         def evaluate(y, t):
             res_mean, res_pert = eval_new_linearised_pair(
-                model, grid, ops, y[0], y[1], sat_mean=sc.sat
-            )
-            f_t = _forcing_at(sc.forcing, t)
-            rm = res_mean.R if f_t is None else res_mean.R - f_t
-            return np.stack([-rm, -res_pert.R]), res_pert, y[1]
+                model, grid, ops, y[0], y[1], sat_mean=sc.sat,
+                forcing=_forcing_at(sc.forcing, t))
+            return np.stack([-res_mean.R, -res_pert.R]), res_pert
 
     else:
-        state = U
+        state = np.array(sc.initial, dtype=np.float64)
         # the residual each uncoupled mode marches, called as (U, V, sat, forcing)
         evaluator = {"nonlinear": eval_primal_residual, "frozen": eval_primal_residual,
                      "standard_linearised": eval_standard_linearised_residual,
@@ -195,14 +185,14 @@ def march(sc: Scenario) -> tuple[list[EnergyReport], np.ndarray | tuple]:
         def evaluate(y, t):
             res = evaluator(model, grid, ops, y, V, sat=sc.sat,
                             forcing=_forcing_at(sc.forcing, t))
-            return -res.R, res, y
+            return -res.R, res
 
     def rhs(u, s):
         # rk4_step evaluates stage 1 at the state it was handed: k1 holds it
         return k1 if u is state else evaluate(u, s)[0]
 
     def speed_state(y):
-        return y[0] + y[1] if coupled else (y if V is None else V_speed)
+        return y[0] + y[1] if coupled else (y if V is None else V)
 
     sup0 = max(float(np.max(np.abs(state))), 1.0)
     nsteps = round(sc.t_final / sc.dt)
@@ -213,10 +203,10 @@ def march(sc: Scenario) -> tuple[list[EnergyReport], np.ndarray | tuple]:
         _check_cfl(sc, speed_state(state), t)
         # Stage 1 feeds the report at t and then rk4_step; the residual is
         # released first, so its fields do not live through the later stages.
-        k1, res, y = evaluate(state, t)
+        k1, res = evaluate(state, t)
         if (k - 1) % sc.stride == 0:
-            reports.append(report_from_residual(model, grid, ops, y, res, dual, t))
-        del res, y
+            reports.append(report_from_residual(model, res, t))
+        del res
         state = rk4_step(rhs, state, t, sc.dt)
         t = k * sc.dt
         sup = float(np.max(np.abs(state)))
@@ -228,8 +218,5 @@ def march(sc: Scenario) -> tuple[list[EnergyReport], np.ndarray | tuple]:
         # the next CFL guard or the last evaluation checks the other modes' states
         if model.kind == "swe2d" and sc.mode == "frozen":
             check_admissible(model, state)
-    _, res, y = evaluate(state, t)
-    reports.append(report_from_residual(model, grid, ops, y, res, dual, t))
-
-    final = (state[0], state[1]) if coupled else state
-    return reports, final
+    reports.append(report_from_residual(model, evaluate(state, t)[1], t))
+    return reports, state

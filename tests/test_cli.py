@@ -10,8 +10,7 @@ import pytest
 
 from skewform import cli
 from skewform.cli import ConfigError, bundled_scenarios, main, parse_config_text
-from skewform.models import swe_transform
-from skewform.sbp_core import build_operators
+from skewform.models import swe_inverse, swe_transform
 
 BURGERS_CFG = """
 [model]
@@ -382,15 +381,28 @@ def identity_with(extra):
     # frozen mode without a [coefficient] section
     (lambda text: text.replace("mode = nonlinear", "mode = frozen"), None),
     # t_final shorter than one step
-    (lambda text: text.replace("t_final = 0.1", "t_final = 0.001"), None),
+    (lambda text: text.replace("t_final = 0.1", "t_final = 0.001"), 14),
     # non-finite scheme values
     (lambda text: text.replace("t_final = 0.1", "t_final = nan"), None),
     (lambda text: text.replace("t_final = 0.1", "t_final = inf"), None),
     (lambda text: text.replace("stride = 5", "stride = 5\ncfl = inf"), None),
     # 25.5 steps: the march would stop half a step short of t_final
-    (lambda text: text.replace("t_final = 0.1", "t_final = 0.102"), None),
+    (lambda text: text.replace("t_final = 0.1", "t_final = 0.102"), 14),
     # t_final / dt overflows to inf
-    (lambda text: text.replace("dt = 0.004", "dt = 1e-310"), None),
+    (lambda text: text.replace("dt = 0.004", "dt = 1e-310"), 14),
+    # march settings out of range cite their own line
+    (lambda text: text.replace("stride = 5", "stride = 5\ncfl = -1"), 16),
+    (lambda text: text.replace("dt = 0.004", "dt = 0"), 13),
+    # grid and field values refused past parsing keep their line too: an
+    # empty extent, too few nodes, entries for another number of axes and
+    # primitive variables on burgers
+    (lambda text: text.replace("extents = 0,1", "extents = 1,0"), 6),
+    (lambda text: text.replace("shape = 48", "shape = 1"), 7),
+    (lambda text: text.replace("extents = 0,1", "extents = 0,1 / 0,1"), 6),
+    (lambda text: text.replace("shape = 48", "shape = 48 / 48"), 7),
+    (lambda text: text.replace("periodic = true", "periodic = true / true"), 8),
+    (lambda text: text.replace("comp0 = 0.0 0.1", "variables = primitive\ncomp0 = 0.0 0.1"),
+     19),
     # every number the config holds is a finite float or an integer,
     # refused at its own line
     (lambda text: text.replace("kind = burgers1d", "kind = swe2d\nalpha = nan"), 4),
@@ -447,6 +459,8 @@ def identity_with(extra):
      "\n[perturbation]\nfamily = trig\ncomp0 = 0.0 0.01 sin:1\n", 18),
 ], ids=["frozen_without_coefficient", "t_final_below_dt", "t_final_nan",
         "t_final_inf", "cfl_inf", "t_final_not_whole_steps", "steps_overflow",
+        "cfl_negative", "dt_zero", "extents_empty", "shape_one", "extents_two_axes",
+        "shape_two_axes", "periodic_two_axes", "primitive_burgers",
         "alpha_nan", "f0_inf", "extents_typo", "extents_inf", "shape_typo",
         "order_typo", "stride_typo", "stride_fraction", "wavenumber_typo",
         "trig_offset_nan", "trig_amp_inf", "constant_inf", "sat_g_typo",
@@ -479,6 +493,69 @@ def test_malformed_scenarios_exit_2_in_run_and_convergence(tmp_path, edit, line)
     assert not out_dir.exists()
     if line is not None:
         assert f"{cfg}:{line}: " in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace("mode = nonlinear", "mode = standard_vs_new")
+    .replace("[initial]", "[perturbation]") + "\n[coefficient]\nfamily = constant\ncomp0 = 1.0\n",
+    identity_with(""),
+], ids=["standard_vs_new", "identity"])
+def test_convergence_refuses_a_mode_of_other_than_one_run_at_its_line(tmp_path, edit):
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text(edit(BURGERS_CFG))
+    code, out, err = run_main(["convergence", "--config", str(cfg), "--levels", "24,48,96"])
+    assert code == 2
+    assert err == (f"config error: {cfg}:12: convergence studies need a single marching"
+                   " mode\n")
+    assert out == ""
+
+
+def test_marching_a_singular_norm_model_is_refused_at_the_mode_line(tmp_path):
+    cfg = tmp_path / "euler.cfg"
+    cfg.write_text(IDENTITY_CFG.replace("mode = identity", "mode = nonlinear\ndt = 0.01\n"
+                                        "t_final = 0.1")
+                   .replace("[identity]\ntrials = 3\nseed = 0\nmode = nonlinear",
+                            "[initial]\nfamily = constant\ncomp0 = 1.0\ncomp1 = 0.0\n"
+                            "comp2 = 0.0"))
+    for command in (["run"], ["convergence", "--levels", "9,17,33"]):
+        code, out, err = run_main([*command, "--config", str(cfg),
+                                   "--out", str(tmp_path / "o")])
+        assert code == 2, command
+        assert f"config error: {cfg}:11: model 'euler2d' has a singular norm matrix" in err
+        assert out == "" and not (tmp_path / "o").exists()
+
+
+def test_a_grid_below_the_operators_minimum_is_refused_at_its_source(tmp_path):
+    # (4,2) needs 8 nodes on a bounded axis: the config's shape under run,
+    # and the --levels under convergence, which marches its own grids
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(BURGERS_CFG.replace("periodic = true", "periodic = false")
+                   .replace("shape = 48", "shape = 6"))
+    out_dir = tmp_path / "o"
+    code, out, err = run_main(["run", "--config", str(cfg), "--out", str(out_dir)])
+    assert code == 2
+    assert err == f"config error: {cfg}:7: [grid] order (4, 2) needs at least 8 nodes, got 6\n"
+    for levels, message in (("5,9,17", "order (4, 2) needs at least 8 nodes, got 5"),
+                            ("1,1,1", "axis x: need at least 2 nodes")):
+        code, out, err = run_main(["convergence", "--config", str(cfg), "--levels", levels,
+                                   "--out", str(out_dir)])
+        assert code == 2, levels
+        assert err == f"error: --levels: {message}\n"
+    assert out == "" and not out_dir.exists()
+
+
+def test_primitive_depth_at_the_floor_is_refused_at_its_line(tmp_path):
+    cfg = tmp_path / "dry.cfg"
+    cfg.write_text(SWE_STANDARD_CFG.replace("swe_two_condition g2=1.0 g3=0.2", "none")
+                   .replace("family = trig\ncomp0 = 1.0 0.1 sin:1 cos:1",
+                            "family = trig\nvariables = primitive\ncomp0 = 0.0 0.1 sin:1 cos:1"))
+    out_dir = tmp_path / "o"
+    for command in (["run"], ["convergence", "--levels", "17,33,65"]):
+        code, out, err = run_main([*command, "--config", str(cfg), "--out", str(out_dir)])
+        assert code == 2, command
+        assert err == (f"config error: {cfg}:19: [coefficient] phi must be positive for the"
+                       " square-root transform\n")
+        assert out == "" and not out_dir.exists()
 
 
 def test_unknown_closure_option_is_refused_by_the_closure(tmp_path):
@@ -623,28 +700,32 @@ def test_swe_standard_linearisation_refuses_a_sat_closure(tmp_path, monkeypatch,
         assert not out_dir.exists()
 
 
-def test_swe_standard_and_coupled_runs_linearise_about_one_mean(tmp_path):
-    # the standard run marches primitive variables: its mean and perturbation
-    # are the configured transformed fields taken back to (phi, u, v), so the
-    # two t = 0 energies measure different variables
-    text = (SWE_STANDARD_CFG.replace("mode = standard_linearised", "mode = standard_vs_new")
-            .replace("swe_two_condition g2=1.0 g3=0.2", "none"))
+def test_swe_standard_and_coupled_runs_linearise_about_one_mean(tmp_path, monkeypatch):
+    # both runs take the configured transformed mean; the standard run marches
+    # the perturbation taken to primitive (phi, u, v) about it, so the two
+    # t = 0 energies measure different variables
+    scenarios = []
+    real_march = cli.march
+
+    def recording_march(sc):
+        scenarios.append(sc)
+        return real_march(sc)
+
+    monkeypatch.setattr(cli, "march", recording_march)
     path = tmp_path / "std.cfg"
-    path.write_text(text)
+    path.write_text(SWE_STANDARD_CFG.replace("mode = standard_linearised",
+                                             "mode = standard_vs_new")
+                    .replace("swe_two_condition g2=1.0 g3=0.2", "none"))
     code, out, err = run_main(["run", "--config", str(path), "--out", str(tmp_path)])
     assert code == 0, err
     e0 = {run: read_csv(tmp_path / f"run_{run}.csv")[1][0][1] for run in ("standard", "new")}
     assert e0["standard"] != e0["new"]
-    cfg = parse_config_text(text, "std.cfg")
-    model = cli.build_model(cfg, "std.cfg")
-    grid = cli.build_grid(cfg, model, "std.cfg")
-    order, mode = cli.build_scheme(cfg, "std.cfg")
-    (_, standard), (_, coupled) = cli.build_scenarios(
-        cfg, "std.cfg", mode, "p", model, grid, build_operators(grid, order),
-        **cli._march_fields(cfg, model, grid, "std.cfg"))
-    assert np.allclose(swe_transform(*standard.mean), coupled.mean, rtol=1e-15, atol=0.0)
-    assert np.allclose(swe_transform(*(standard.mean + standard.initial)),
-                       coupled.mean + coupled.initial, rtol=1e-15, atol=0.0)
+    standard, coupled = scenarios
+    assert (standard.mode, coupled.mode) == ("standard_linearised", "new_linearised_coupled")
+    assert np.array_equal(standard.mean, coupled.mean)
+    primitive_total = np.stack(swe_inverse(standard.mean)) + standard.initial
+    assert np.allclose(swe_transform(*primitive_total), coupled.mean + coupled.initial,
+                       rtol=1e-15, atol=0.0)
 
 
 def test_swe_standard_run_refuses_a_perturbation_past_the_depth_floor(tmp_path):

@@ -123,6 +123,25 @@ def test_new_linearised_pair_degenerates_bitwise_at_zero_perturbation():
         assert not rp.R.any(), kind
 
 
+def test_new_linearised_pair_applies_its_forcing_to_the_mean_equation():
+    m, g, ops, rng = small_setup("swe2d", (4, 2), 30)
+    Ub = sample_state(m, g.shape, rng)
+    Up = 0.1 * sample_state(m, g.shape, rng)
+    F = rng.normal(size=Ub.shape)
+    rm0, rp0 = eval_new_linearised_pair(m, g, ops, Ub, Up)
+    rm, rp = eval_new_linearised_pair(m, g, ops, Ub, Up, forcing=F)
+    assert np.array_equal(rm.R, rm0.R - F)
+    assert np.array_equal(rp.R, rp0.R)
+
+
+def test_residuals_record_the_flux_sign_of_their_energy_balance():
+    m, g, ops, rng = small_setup("swe2d", (2, 1), 32)
+    U, V = sample_state(m, g.shape, rng), sample_state(m, g.shape, rng)
+    assert eval_primal_residual(m, g, ops, U, V).flux_sign == -2.0
+    assert eval_dual_residual(m, g, ops, U, V).flux_sign == 2.0
+    assert eval_standard_linearised_residual(m, g, ops, U, V).flux_sign == -2.0
+
+
 def test_decomposition_closes_with_the_remainder():
     # total spatial operator at mean+pert = mean part + linearised part + H
     for kind in ("burgers1d", "euler2d", "euler3d_cyl", "swe2d"):
@@ -315,6 +334,25 @@ def test_standard_transport_matrices_stay_on_the_swe_pattern():
                 # M = mean and N = d_x mean: u_bar u'_x + u_bar_x u'
                 assert np.array_equal(M[0][(0, 0)], qbar[0])
                 assert np.array_equal(N[(0, 0)], apply_derivative(ops[0], qbar, 0)[0])
+
+
+def test_swe_standard_linearisation_takes_its_mean_in_state_variables():
+    # a uniform mean (phi, u, v) = (4, 1, 0.5) without Coriolis leaves the
+    # transport terms M1 q'_x + M2 q'_y at the primitive mean; read as
+    # primitive, its state form (4, 2, 1) would give other speeds
+    m = make_model("swe2d")
+    g = make_grid(((0.0, 1.0), (0.0, 1.0)), (9, 8), periodic=(False, True))
+    ops = build_operators(g, (4, 2))
+    rng = np.random.default_rng(55)
+    q = rng.normal(size=(3,) + g.shape)
+    phi, u, v = 4.0, 1.0, 0.5
+    V = sk.swe_transform(*(np.array([phi, u, v])[:, None, None] * np.ones((3,) + g.shape)))
+    r = eval_standard_linearised_residual(m, g, ops, q, V)
+    qx, qy = (apply_derivative(ops[ax], q, ax) for ax in range(2))
+    manual = np.stack([u * qx[0] + phi * qx[1] + v * qy[0] + phi * qy[2],
+                       qx[0] + u * qx[1] + v * qy[1],
+                       u * qx[2] + qy[0] + v * qy[2]])
+    assert np.max(np.abs(r.spatial - manual)) <= 1e-13 * (1 + np.max(np.abs(manual)))
 
 
 def test_standard_linearisation_refuses_the_models_it_does_not_cover():

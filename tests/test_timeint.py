@@ -8,7 +8,7 @@ from skewform import energy, timeint
 from skewform.boundary import make_sat_config
 from skewform.energy import energy_report, report_from_residual
 from skewform.models import make_model, sample_state, swe_transform
-from skewform.sbp_core import build_operators, make_grid
+from skewform.sbp_core import ArgumentError, build_operators, make_grid
 from skewform.spatial_op import eval_standard_linearised_residual
 from skewform.timeint import MODES, Scenario, march, rk4_step, validate_scenario
 
@@ -217,16 +217,14 @@ def test_march_reports_equal_energy_report_at_the_same_state(monkeypatch, mode):
     reps, final = march(sc)
     assert [round(r.t, 6) for r in reps] == [0.0, 0.006, 0.012, 0.014]
     for r in reps:
-        y = starts.get(r.t)
-        if y is None:
-            y = np.stack(final) if isinstance(final, tuple) else final
+        y = starts.get(r.t, final)
         if mode == "new_linearised_coupled":
             want = energy_report(sc.model, sc.grid, sc.ops, y[1],
                                  y[0], sat=None, t=r.t)
         elif mode == "standard_linearised":
             res = eval_standard_linearised_residual(sc.model, sc.grid, sc.ops, y,
                                                     sc.mean, sat=sc.sat)
-            want = report_from_residual(sc.model, sc.grid, sc.ops, y, res, False, r.t)
+            want = report_from_residual(sc.model, res, r.t)
         else:
             want = energy_report(sc.model, sc.grid, sc.ops, y, sc.mean,
                                  mode == "dual", sat=sc.sat, t=r.t)
@@ -274,14 +272,13 @@ def test_cfl_guard_uses_the_burgers_speed_u():
 @pytest.mark.parametrize("mode", ["standard_linearised", "new_linearised_coupled"])
 def test_swe_linearised_cfl_guard_takes_the_speed_of_the_transformed_mean(mode):
     # mean phi = 4, u = 2, v = 0: the speed |u| + sqrt(phi) = 4 exceeds
-    # 0.2 h / dt = 3.5; the primitive mean read as a transformed state gives
-    # |u| / sqrt(phi) + sqrt(phi) = 3, which would let the standard run march
+    # 0.2 h / dt = 3.5; the primitive mean read as a transformed state would
+    # give |u| / sqrt(phi) + sqrt(phi) = 3, which would let the run march
     m = make_model("swe2d")
     g = make_grid(((0.0, 1.0), (0.0, 1.0)), (16, 16), periodic=(True, True))
     ops = build_operators(g, (2, 1))
     ones = np.ones((3, 16, 16))
-    primitive = np.array([4.0, 2.0, 0.0])[:, None, None] * ones
-    mean = primitive if mode == "standard_linearised" else swe_transform(*primitive)
+    mean = swe_transform(*(np.array([4.0, 2.0, 0.0])[:, None, None] * ones))
     dt = 0.2 * g.spacings[0] / 3.5
     sc = Scenario(model=m, grid=g, ops=ops, mode=mode, initial=1e-3 * ones, mean=mean,
                   dt=dt, t_final=dt)
@@ -367,11 +364,34 @@ def test_validate_scenario_rejects_bad_setups():
     assert "nonlinear" in MODES and "dual" in MODES
 
 
+def test_nonlinear_scenario_refuses_a_mean_it_would_not_read():
+    m, g, ops = burgers_setup()
+    u0 = (0.2 * np.sin(2 * np.pi * g.coords[0]))[None]
+    sc = Scenario(model=m, grid=g, ops=ops, mode="nonlinear", initial=u0,
+                  mean=np.ones_like(u0), dt=0.01, t_final=0.1)
+    with pytest.raises(ValueError, match="'nonlinear' takes no mean field"):
+        march(sc)
+
+
+@pytest.mark.parametrize("field, value", [("dt", 0.0), ("dt", -0.01), ("t_final", 0.001),
+                                          ("t_final", 0.105), ("stride", 0), ("cfl", -1.0),
+                                          ("cfl", np.inf)])
+def test_refused_march_settings_name_their_field(field, value):
+    m, g, ops = burgers_setup()
+    setup = dict(model=m, grid=g, ops=ops, mode="nonlinear", initial=np.zeros((1, 32)),
+                 dt=0.01, t_final=0.1)
+    sc = Scenario(**{**setup, field: value})
+    with pytest.raises(ArgumentError) as info:
+        validate_scenario(sc)
+    assert info.value.arg == field
+
+
 def test_singular_norm_models_are_refused_by_the_marcher():
     m = make_model("euler2d")
     g = make_grid(((0.0, 1.0), (0.0, 1.0)), (8, 8), periodic=(True, True))
     ops = build_operators(g, (2, 1))
     sc = Scenario(model=m, grid=g, ops=ops, mode="nonlinear",
                   initial=np.zeros((3, 8, 8)), dt=0.01, t_final=0.1)
-    with pytest.raises(ValueError, match="singular"):
+    with pytest.raises(ArgumentError, match="singular") as info:
         validate_scenario(sc)
+    assert info.value.arg == "mode"

@@ -32,6 +32,20 @@ def test_duality_check_passes():
     assert rep.max_residual <= 1e-12
 
 
+def test_duality_check_evaluates_each_dual_residual_once(monkeypatch):
+    from skewform import energy, verify
+    calls = []
+    for module in (verify, energy):
+        def counted(*args, _fn=module.eval_dual_residual, **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, "eval_dual_residual", counted)
+    rep = check_duality(kinds=("burgers1d",), trials=3, seed=2, orders=((2, 1),))
+    assert rep.passed
+    # per trial: the dual at frozen coefficients V and at the dual state
+    assert len(calls) == 2 * 3
+
+
 def test_ansatz_check_passes():
     rep = check_swe_ansatz(levels=(12, 24, 48), seed=1)
     assert rep.passed
