@@ -55,7 +55,10 @@ the periodic burgers config with `cfl = -1`, with `dt = 0`, with a
 `convergence` on the swe2d `standard_vs_new` config; `run` on the bounded
 burgers config with 6 nodes, and `convergence --levels 5,9,17` on it, both
 below the 8 nodes of (4,2); and `run` on the swe2d `standard_vs_new` config
-with a primitive `[coefficient]` whose depth reaches 0.
+with a primitive `[coefficient]` whose depth reaches 0.  Last, two refusals
+that cite the header of the section at fault: `run` on the periodic burgers
+config whose `[initial]` has no `family`, and on the swe2d
+`standard_vs_new` config whose mean + perturbation has a negative depth.
 
 Some cases differ by design against older trees.  The swe2d
 `standard_linearised` refusal: a tree from before it marches and fails with
@@ -83,7 +86,8 @@ prints `<cfg>:` without a line for the march settings, the euler2d march,
 the convergence mode and the `[grid]` values (whose axis-count message also
 named `[grid]` where this one names the key), and `error:` without the file
 for the grid below the operators' minimum and the primitive depth, or
-without naming `--levels`.
+without naming `--levels`.  The two refusals that cite a section header: a
+tree from before they did prints `<cfg>:` without a line.
 """
 
 from __future__ import annotations
@@ -482,6 +486,8 @@ FIXED_CASES = {
     "refuse_levels_below_order": ["convergence", "--config", "burgers_bounded_8.cfg",
                                   "--levels", "5,9,17"],
     "refuse_primitive_dry": ["run", "--config", "primitive_dry.cfg"],
+    "refuse_missing_family": ["run", "--config", "missing_family.cfg"],
+    "refuse_standard_past_depth_floor": ["run", "--config", "standard_dry.cfg"],
 }
 
 # Files written into a case's working directory before it runs.
@@ -542,6 +548,10 @@ CASE_FILES = {
     "refuse_primitive_dry": {"primitive_dry.cfg": SWE_STANDARD_VS_NEW_CFG.replace(
         "family = trig\ncomp0 = 1.0 0.1 sin:1 cos:1",
         "family = trig\nvariables = primitive\ncomp0 = 0.0 0.1 sin:1 cos:1")},
+    "refuse_missing_family": {"missing_family.cfg": BURGERS_NONLINEAR_CFG.replace(
+        "family = trig\n", "")},
+    "refuse_standard_past_depth_floor": {"standard_dry.cfg": SWE_STANDARD_VS_NEW_CFG.replace(
+        "comp0 = 0.0 0.01 cos:1 sin:1", "comp0 = -2.0 0.01 cos:1 sin:1")},
 }
 
 

@@ -142,7 +142,8 @@ def _need(cfg, section, key, path):
     try:
         return cfg[section][key][0]
     except KeyError:
-        raise ConfigError(f"{path}: missing required key '{key}' in [{section}]")
+        where = f"{path}:{cfg[section].line}" if section in cfg else path
+        raise ConfigError(f"{where}: missing required key '{key}' in [{section}]")
 
 
 def _get(cfg, section, key, default=None):
@@ -456,8 +457,8 @@ def build_scenarios(cfg, path, mode, prefix, model, grid, ops, **scheme):
     fields = {section: build_field(cfg, section, model, grid, path) for section in _SCHEMA
               if section in required or section in means and section in cfg}
     scenarios = []
-    for suffix, run_mode, state, mean in runs:
-        initial, mean = fields[state], fields.get(mean)
+    for suffix, run_mode, state, mean_section in runs:
+        initial, mean = fields[state], fields.get(mean_section)
         if run_mode == "standard_linearised" and model.kind == "swe2d":
             # its operator acts on a primitive (phi, u, v) perturbation: the
             # configured one, taken to primitive variables about the mean
@@ -465,7 +466,8 @@ def build_scenarios(cfg, path, mode, prefix, model, grid, ops, **scheme):
                 primitive = np.stack(swe_inverse(mean))
                 initial = np.stack(swe_inverse(mean + initial)) - primitive
             except ValueError as exc:
-                raise ConfigError(f"{path}: primitive mean or mean + perturbation: {exc}")
+                raise ConfigError(f"{path}:{cfg[mean_section].line}: primitive mean"
+                                  f" or mean + perturbation: {exc}")
         sc = Scenario(model=model, grid=grid, ops=ops, mode=run_mode,
                       initial=initial, mean=mean, **scheme)
         try:

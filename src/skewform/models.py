@@ -130,6 +130,21 @@ def check_admissible(model: ModelSpec, V) -> None:
         raise ValueError("state contains non-finite entries")
 
 
+# Per kind, the keys of the entries of A_1 .. A_dim and C that can be
+# nonzero, each table row-major.
+_PATTERNS = {
+    "burgers1d": (((0, 0),), ()),
+    "euler2d": (((0, 0), (0, 2), (1, 1), (2, 0)), ((0, 0), (1, 1), (1, 2), (2, 1)), ()),
+    "euler3d_cyl": (((0, 0), (0, 3), (1, 1), (2, 2), (3, 0)),
+                    ((0, 0), (1, 1), (1, 3), (2, 2), (3, 1)),
+                    ((0, 0), (1, 1), (2, 2), (2, 3), (3, 2)),
+                    ((0, 1), (0, 3), (1, 0), (3, 0))),
+    "swe2d": (((0, 0), (0, 1), (1, 0), (1, 1), (2, 2)),
+              ((0, 0), (0, 2), (1, 1), (2, 0), (2, 2)),
+              ((1, 2), (2, 1))),
+}
+
+
 def coeff_matrices(model: ModelSpec, V, pos=None):
     """Coefficient entry tables at the state V, which must be admissible.
 
@@ -143,18 +158,21 @@ def coeff_matrices(model: ModelSpec, V, pos=None):
         (A, C): A is a tuple of dim tables {(row, col): field} for A_i and C
         one table, keys row-major, every field of shape s (0-d for a point);
         C is skew per node.  The fields are views into one packed block.
+
+    The block is allocated first and each entry is computed straight into
+    its view (ufunc out=).  A full-size temporary per entry, copied into
+    the block, would cost a second pass and fresh pages that the kernel
+    faults in on every call.  One block rather than one array per entry:
+    freeing it lifts glibc's mmap threshold above the field size, so the
+    residual's per-field temporaries reuse the heap instead of faulting.
     """
     V = _as_state(model, V)
     check_admissible(model, V)
-    A, C = _coefficients(model, V, pos)
-    tables = [dict(sorted(entries.items())) for entries in (*A, C)]
-    # One block, not one per entry: glibc then keeps its heap, not trims and refaults it.
-    block = np.empty((sum(map(len, tables)),) + V.shape[1:])
+    pattern = _PATTERNS[model.kind]
+    block = np.empty((sum(map(len, pattern)),) + V.shape[1:])
     views = (block[k, ...] for k in range(len(block)))
-    for entries in tables:
-        for key, value in entries.items():
-            entries[key] = view = next(views)
-            view[...] = value
+    tables = [{key: next(views) for key in keys} for keys in pattern]
+    _WRITERS[model.kind](model, V, pos, *tables)
     return tuple(tables[:-1]), tables[-1]
 
 
@@ -166,41 +184,66 @@ def dense_matrix(entries, n_comp: int) -> np.ndarray:
     return M
 
 
-def _coefficients(model: ModelSpec, V: np.ndarray, pos):
-    """The entries of A and C that can be nonzero: per axis a dict
-    {(row, col): value} for A_i, then one for C."""
-    if model.kind == "burgers1d":
-        return ({(0, 0): V[0] / 3.0},), {}
+# The writers fill every entry of a kind's tables in place; the tables share
+# one packed block, so an entry already written serves as an operand.
 
-    if model.kind == "euler2d":
-        u, v = V[0] / 2.0, V[1] / 2.0
-        return ({(0, 0): u, (1, 1): u, (0, 2): 0.5, (2, 0): 0.5},
-                {(0, 0): v, (1, 1): v, (1, 2): 0.5, (2, 1): 0.5}), {}
+def _write_burgers1d(model, V, pos, A, C):
+    np.divide(V[0], 3.0, out=A[0, 0])
 
-    if model.kind == "euler3d_cyl":
-        if pos is None:
-            raise ValueError("euler3d_cyl needs pos with the radius array")
-        hr = np.asarray(pos[0], dtype=np.float64) / 2.0
-        u, v, w = hr * V[0], V[1] / 2.0, hr * V[2]
-        A = ({(0, 0): u, (1, 1): u, (2, 2): u, (0, 3): hr, (3, 0): hr},
-             {(0, 0): v, (1, 1): v, (2, 2): v, (1, 3): 0.5, (3, 1): 0.5},
-             {(0, 0): w, (1, 1): w, (2, 2): w, (2, 3): hr, (3, 2): hr})
-        return A, {(0, 1): -V[1], (1, 0): V[1], (0, 3): -0.5, (3, 0): 0.5}
 
-    # swe2d
+def _write_euler2d(model, V, pos, A1, A2, C):
+    for ax, M in enumerate((A1, A2)):
+        np.divide(V[ax], 2.0, out=M[0, 0])
+        np.copyto(M[1, 1], M[0, 0])
+        M[ax, 2].fill(0.5)
+        M[2, ax].fill(0.5)
+
+
+def _write_euler3d_cyl(model, V, pos, Ar, Ath, Az, C):
+    if pos is None:
+        raise ValueError("euler3d_cyl needs pos with the radius array")
+    hr = Ar[0, 3]
+    np.divide(np.asarray(pos[0], dtype=np.float64), 2.0, out=hr)
+    np.multiply(hr, V[0], out=Ar[0, 0])
+    np.divide(V[1], 2.0, out=Ath[0, 0])
+    np.multiply(hr, V[2], out=Az[0, 0])
+    for M in (Ar, Ath, Az):
+        np.copyto(M[1, 1], M[0, 0])
+        np.copyto(M[2, 2], M[0, 0])
+    for key, M in (((3, 0), Ar), ((2, 3), Az), ((3, 2), Az)):
+        np.copyto(M[key], hr)
+    Ath[1, 3].fill(0.5)
+    Ath[3, 1].fill(0.5)
+    np.negative(V[1], out=C[0, 1])
+    np.copyto(C[1, 0], V[1])
+    C[0, 3].fill(-0.5)
+    C[3, 0].fill(0.5)
+
+
+def _write_swe2d(model, V, pos, A1, A2, C):
     root = np.sqrt(V[0])
-    a, b = model.alpha, model.beta
-    ux, uy = V[1] / (2.0 * root), V[2] / (2.0 * root)
-    A = ({(0, 0): a * V[1] / root, (0, 1): (1.0 - 3.0 * a) * root,
-          (1, 0): 2.0 * a * root, (1, 1): ux, (2, 2): ux},
-         {(0, 0): b * V[2] / root, (0, 2): (1.0 - 3.0 * b) * root,
-          (2, 0): 2.0 * b * root, (1, 1): uy, (2, 2): uy})
-    f = model.f0
-    if model.f1 != 0.0:
+    for ax, s, M in ((1, model.alpha, A1), (2, model.beta, A2)):
+        np.multiply(s, V[ax], out=M[0, 0])
+        np.divide(M[0, 0], root, out=M[0, 0])
+        np.multiply(1.0 - 3.0 * s, root, out=M[0, ax])
+        np.multiply(2.0 * s, root, out=M[ax, 0])
+        u = M[1, 1]
+        np.multiply(2.0, root, out=u)
+        np.divide(V[ax], u, out=u)
+        np.copyto(M[2, 2], u)
+    f = C[2, 1]
+    if model.f1 == 0.0:
+        f.fill(model.f0)
+    else:
         if pos is None:
             raise ValueError("swe2d with f1 != 0 needs pos with the y array")
-        f = model.f0 + model.f1 * np.asarray(pos[1], dtype=np.float64)
-    return A, {(1, 2): -f, (2, 1): f}
+        np.multiply(model.f1, np.asarray(pos[1], dtype=np.float64), out=f)
+        np.add(model.f0, f, out=f)
+    np.negative(f, out=C[1, 2])
+
+
+_WRITERS = {"burgers1d": _write_burgers1d, "euler2d": _write_euler2d,
+            "euler3d_cyl": _write_euler3d_cyl, "swe2d": _write_swe2d}
 
 
 def norm_weight(model: ModelSpec, grid: Grid) -> np.ndarray:
@@ -277,11 +320,13 @@ def coeff_split(model: ModelSpec, U_bar, U_prime, pos=None) -> tuple:
     if model.kind == "burgers1d":
         check_admissible(model, U_bar)
         return coeff_matrices(model, U_prime, pos)
-    A_bar, C_bar = coeff_matrices(model, U_bar, pos)
+    A_bar, _ = coeff_matrices(model, U_bar, pos)
     A_tot, C_tot = coeff_matrices(model, U_bar + U_prime, pos)
-    A_prime = tuple({key: tot[key] - bar[key] for key in tot}
-                    for tot, bar in zip(A_tot, A_bar))
-    return A_prime, {key: C_tot[key] - C_bar[key] for key in C_tot}
+    # Every field is a view of its call's block: one subtraction of the
+    # mean's block turns the total's tables into the increments.
+    bar, tot = (next(iter(A[0].values())).base for A in (A_bar, A_tot))
+    np.subtract(tot, bar, out=tot)
+    return A_tot, C_tot
 
 
 def wavespeeds(model: ModelSpec, V) -> tuple[float, ...]:

@@ -380,6 +380,8 @@ def identity_with(extra):
 @pytest.mark.parametrize("edit, line", [
     # frozen mode without a [coefficient] section
     (lambda text: text.replace("mode = nonlinear", "mode = frozen"), None),
+    # a required key missing from its section cites the section's header
+    (lambda text: text.replace("family = trig\n", ""), 17),
     # t_final shorter than one step
     (lambda text: text.replace("t_final = 0.1", "t_final = 0.001"), 14),
     # non-finite scheme values
@@ -457,7 +459,7 @@ def identity_with(extra):
     (lambda text: text.replace("mode = nonlinear", "mode = standard_linearised")
      + "\n[coefficient]\nfamily = constant\ncomp0 = 1.0\n"
      "\n[perturbation]\nfamily = trig\ncomp0 = 0.0 0.01 sin:1\n", 18),
-], ids=["frozen_without_coefficient", "t_final_below_dt", "t_final_nan",
+], ids=["frozen_without_coefficient", "missing_family", "t_final_below_dt", "t_final_nan",
         "t_final_inf", "cfl_inf", "t_final_not_whole_steps", "steps_overflow",
         "cfl_negative", "dt_zero", "extents_empty", "shape_one", "extents_two_axes",
         "shape_two_axes", "periodic_two_axes", "primitive_burgers",
@@ -736,7 +738,8 @@ def test_swe_standard_run_refuses_a_perturbation_past_the_depth_floor(tmp_path):
     out_dir = tmp_path / "o"
     code, out, err = run_main(["run", "--config", str(cfg), "--out", str(out_dir)])
     assert code == 2
-    assert f"config error: {cfg}: primitive mean" in err and "depth" in err
+    # cited at the header of the mean's section, [coefficient]
+    assert f"config error: {cfg}:16: primitive mean" in err and "depth" in err
     assert out == ""
     assert not out_dir.exists()
 

@@ -1,5 +1,7 @@
 """Tests for the model coefficient matrices and state utilities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -336,3 +338,127 @@ def test_point_state_tables_match_the_grid_at_that_node(kind):
             assert field.tobytes() == M[key][node].tobytes()
         at_node = dense(M, m.n_comp, shape)[(Ellipsis,) + node]
         assert np.array_equal(dense_matrix(Mp, m.n_comp), at_node)
+
+
+# Reference: every entry as its own expression, evaluated apart from the
+# packed block; the in-place tables must hold the same bits.
+def reference_coefficients(model, V, pos):
+    if model.kind == "burgers1d":
+        return ({(0, 0): V[0] / 3.0},), {}
+    if model.kind == "euler2d":
+        u, v = V[0] / 2.0, V[1] / 2.0
+        return ({(0, 0): u, (1, 1): u, (0, 2): 0.5, (2, 0): 0.5},
+                {(0, 0): v, (1, 1): v, (1, 2): 0.5, (2, 1): 0.5}), {}
+    if model.kind == "euler3d_cyl":
+        hr = np.asarray(pos[0], dtype=np.float64) / 2.0
+        u, v, w = hr * V[0], V[1] / 2.0, hr * V[2]
+        A = ({(0, 0): u, (1, 1): u, (2, 2): u, (0, 3): hr, (3, 0): hr},
+             {(0, 0): v, (1, 1): v, (2, 2): v, (1, 3): 0.5, (3, 1): 0.5},
+             {(0, 0): w, (1, 1): w, (2, 2): w, (2, 3): hr, (3, 2): hr})
+        return A, {(0, 1): -V[1], (1, 0): V[1], (0, 3): -0.5, (3, 0): 0.5}
+    root = np.sqrt(V[0])
+    a, b = model.alpha, model.beta
+    ux, uy = V[1] / (2.0 * root), V[2] / (2.0 * root)
+    A = ({(0, 0): a * V[1] / root, (0, 1): (1.0 - 3.0 * a) * root,
+          (1, 0): 2.0 * a * root, (1, 1): ux, (2, 2): ux},
+         {(0, 0): b * V[2] / root, (0, 2): (1.0 - 3.0 * b) * root,
+          (2, 0): 2.0 * b * root, (1, 1): uy, (2, 2): uy})
+    f = model.f0
+    if model.f1 != 0.0:
+        f = model.f0 + model.f1 * np.asarray(pos[1], dtype=np.float64)
+    return A, {(1, 2): -f, (2, 1): f}
+
+
+def reference_bytes(tables, s):
+    """Each table as {key: bytes of its field broadcast to s}, keys sorted."""
+    return [{key: np.broadcast_to(np.asarray(value, dtype=np.float64), s).tobytes()
+             for key, value in sorted(table.items())} for table in tables]
+
+
+def table_bytes(tables):
+    return [{key: field.tobytes() for key, field in table.items()} for table in tables]
+
+
+# Velocity-like components, which take signed zeros below.
+_VELOCITIES = {"burgers1d": (0,), "euler2d": (0, 1), "euler3d_cyl": (0, 1, 2),
+               "swe2d": (1, 2)}
+
+_BIT_MODELS = [("burgers1d", {}), ("euler2d", {}), ("euler3d_cyl", {}),
+               ("swe2d", {"alpha": 0.4, "beta": 0.7, "f0": 0.7}),
+               ("swe2d", {"alpha": 0.4, "beta": 0.7, "f0": -0.2, "f1": 0.3})]
+_BIT_IDS = [kind + ("_f1" if "f1" in params else "") for kind, params in _BIT_MODELS]
+
+
+def bit_test_state(m, rng):
+    """A grid, and on it a state whose velocities hold +0.0 and -0.0."""
+    shape = {1: (11,), 2: (7, 6), 3: (5, 4, 3)}[m.dim]
+    extents = ((0.3, 1.3),) + ((0.0, 1.0),) * (m.dim - 1)
+    g = make_grid(extents, shape, axis_names=m.axis_names)
+    V = sample_state(m, shape, rng)
+    for c in _VELOCITIES[m.kind]:
+        flat = V[c].reshape(-1)
+        flat[::4] = -0.0
+        flat[1::4] = 0.0
+    return g, V
+
+
+@pytest.mark.parametrize("kind, params", _BIT_MODELS, ids=_BIT_IDS)
+def test_tables_keep_the_reference_bits(kind, params):
+    m = make_model(kind, **params)
+    g, V = bit_test_state(m, np.random.default_rng(43))
+    pos = g.positions
+    A, C = coeff_matrices(m, V, pos)
+    A_ref, C_ref = reference_coefficients(m, V, pos)
+    assert table_bytes((*A, C)) == reference_bytes((*A_ref, C_ref), g.shape)
+    # 0-d point states, one of them at a signed zero of every velocity
+    for node in ((0,) * m.dim, (1,) * m.dim, tuple(n - 1 for n in g.shape)):
+        Vp = V[(slice(None),) + node]
+        pos_p = tuple(p[node] for p in pos)
+        Ap, Cp = coeff_matrices(m, Vp, pos_p)
+        A_ref, C_ref = reference_coefficients(m, Vp, pos_p)
+        assert table_bytes((*Ap, Cp)) == reference_bytes((*A_ref, C_ref), ())
+
+
+@pytest.mark.parametrize("kind, params", _BIT_MODELS, ids=_BIT_IDS)
+def test_split_increments_keep_the_reference_bits(kind, params):
+    # A' = A(mean + pert) - A(mean) per entry (burgers1d: A(pert)), as one
+    # subtraction per entry of the reference tables
+    m = make_model(kind, **params)
+    rng = np.random.default_rng(44)
+    g, Ub = bit_test_state(m, rng)
+    _, Up = bit_test_state(m, rng)
+    Up *= 0.05
+    pos = g.positions
+    A_split, C_split = coeff_split(m, Ub, Up, pos)
+    if kind == "burgers1d":
+        A_ref, C_ref = reference_coefficients(m, Up, pos)
+    else:
+        (A_bar, C_bar), (A_tot, C_tot) = (reference_coefficients(m, W, pos)
+                                          for W in (Ub, Ub + Up))
+        A_ref = tuple({key: tot[key] - bar[key] for key in tot}
+                      for tot, bar in zip(A_tot, A_bar))
+        C_ref = {key: C_tot[key] - C_bar[key] for key in C_tot}
+    assert table_bytes((*A_split, C_split)) == reference_bytes((*A_ref, C_ref), g.shape)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_coeff_matrices_peak_memory_is_its_block_and_little_more(kind):
+    # Each entry is written straight into its block view, so one call holds
+    # at most its block plus 2.25 fields (swe2d holds the square root of
+    # the depth beside it), on about 2^16 nodes.
+    m = make_model("swe2d", alpha=0.4, beta=0.7, f0=0.7, f1=0.3) \
+        if kind == "swe2d" else make_model(kind)
+    shape = {1: (1 << 16,), 2: (256, 256), 3: (16, 64, 64)}[m.dim]
+    extents = ((0.3, 1.3),) + ((0.0, 1.0),) * (m.dim - 1)
+    g = make_grid(extents, shape, axis_names=m.axis_names)
+    pos = g.positions
+    V = sample_state(m, shape, np.random.default_rng(45))
+    field = V[0].nbytes
+    tracemalloc.start()
+    try:
+        A, C = coeff_matrices(m, V, pos)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_entries = sum(len(M) for M in (*A, C))
+    assert peak <= (n_entries + 2.25) * field, (peak / field, n_entries)
