@@ -59,6 +59,9 @@ with a primitive `[coefficient]` whose depth reaches 0.  Last, two refusals
 that cite the header of the section at fault: `run` on the periodic burgers
 config whose `[initial]` has no `family`, and on the swe2d
 `standard_vs_new` config whose mean + perturbation has a negative depth.
+Then `run` on the (4,2) two-condition config on a 129 x 129 grid, bounded
+in x, for 5 steps: its derivative applies take their interior runs in
+several pieces, whose boundaries fall inside a line.
 
 Some cases differ by design against older trees.  The swe2d
 `standard_linearised` refusal: a tree from before it marches and fails with
@@ -232,6 +235,14 @@ x_high = none
 [output]
 prefix = swe_two_condition_42
 """
+
+# The two-condition march on a 129 x 129 grid, bounded in x: each apply's
+# interior run spans several of sbp_core's pieces, whose boundaries fall
+# inside a line (the benchmark's 257 x 257 march is periodic).
+SWE_BOUNDED_129_CFG = SWE_TWO_CONDITION_42_CFG.replace(
+    "shape = 17 / 17", "shape = 129 / 129").replace(
+    "dt = 0.002\nt_final = 0.06", "dt = 0.001\nt_final = 0.005").replace(
+    "prefix = swe_two_condition_42", "prefix = swe_bounded_129")
 
 # The fewest nodes of a bounded (4,2) grid: every row of D is a boundary
 # row.  An inflow penalty at x_low keeps the march bounded.
@@ -488,6 +499,7 @@ FIXED_CASES = {
     "refuse_primitive_dry": ["run", "--config", "primitive_dry.cfg"],
     "refuse_missing_family": ["run", "--config", "missing_family.cfg"],
     "refuse_standard_past_depth_floor": ["run", "--config", "standard_dry.cfg"],
+    "run_swe_bounded_129": ["run", "--config", "swe_bounded_129.cfg"],
 }
 
 # Files written into a case's working directory before it runs.
@@ -552,6 +564,7 @@ CASE_FILES = {
         "family = trig\n", "")},
     "refuse_standard_past_depth_floor": {"standard_dry.cfg": SWE_STANDARD_VS_NEW_CFG.replace(
         "comp0 = 0.0 0.01 cos:1 sin:1", "comp0 = -2.0 0.01 cos:1 sin:1")},
+    "run_swe_bounded_129": {"swe_bounded_129.cfg": SWE_BOUNDED_129_CFG},
 }
 
 

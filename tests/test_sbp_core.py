@@ -301,7 +301,10 @@ def test_apply_derivative_adds_columns_in_increasing_order(order, periodic, n):
     # increasing column order, at small and large sizes, along each axis,
     # on contiguous fields and on views that are not.  Exact zeros of both
     # signs, scattered and filling a whole component, pin that skipping D's
-    # zero entries changes no bit.
+    # zero entries changes no bit.  The interior runs are taken in pieces of
+    # 16384 values: at n = 257 the run of each of the last five fields
+    # holds four pieces and a remainder, and their boundaries fall inside a
+    # line (16384 is no multiple of 97, 257 or 13).
     if n == "min":
         n = SMALLEST[order, periodic]
     op = build_sbp_operator(order, n, 1.0 / n, periodic=periodic)
@@ -312,6 +315,11 @@ def test_apply_derivative_adds_columns_in_increasing_order(order, periodic, n):
         (1, rng.normal(size=(2, 4, n, 3))),
         (0, rng.normal(size=(7, n, 3)).transpose(2, 1, 0)),
         (1, rng.normal(size=(4, 5, 2 * n))[1:, :, ::2]),
+        (0, rng.normal(size=(3, n, 97))),
+        (1, rng.normal(size=(3, 97, n))),
+        (1, rng.normal(size=(2, 11, n, 13))),
+        (0, rng.normal(size=(97, n, 3)).transpose(2, 1, 0)),
+        (1, rng.normal(size=(4, 97, 2 * n))[1:, :, ::2]),
     ]
     for ax, f in cases:
         f[rng.random(f.shape) < 0.2] = 0.0

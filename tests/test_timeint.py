@@ -1,10 +1,12 @@
 """Tests for the time marching driver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import skewform as sk
-from skewform import energy, timeint
+from skewform import energy, models, timeint
 from skewform.boundary import make_sat_config
 from skewform.energy import energy_report, report_from_residual
 from skewform.models import make_model, sample_state, swe_transform
@@ -247,6 +249,30 @@ def test_march_evaluates_four_residuals_per_step_plus_the_last_report(
     reps, _ = march(sc)
     assert len(reps) == 8
     assert len(calls) == 4 * 7 + 1
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_cfl_guard_checks_a_fixed_coefficient_state_once(monkeypatch, mode):
+    # frozen, dual with a mean and standard_linearised take their speeds at
+    # the fixed mean, so one check before the first step covers the march;
+    # nonlinear and coupled take them at the marched state before every step
+    calls = []
+
+    def counted(model, V):
+        calls.append(1)
+        return models.wavespeeds(model, V)
+
+    monkeypatch.setattr(timeint, "wavespeeds", counted)
+    march(sat_forced_scenario(mode, stride=1, t_final=0.02))
+    assert len(calls) == (10 if mode in ("nonlinear", "new_linearised_coupled") else 1)
+
+
+@pytest.mark.parametrize("mode", ["frozen", "dual", "standard_linearised"])
+def test_a_fixed_coefficient_state_refuses_a_too_large_dt_at_t0(mode):
+    # the mean's max|u| = 0.65 on h = 1/32 allows dt up to 0.2 h / 0.65 = 0.0096
+    sc = replace(sat_forced_scenario(mode, stride=1, t_final=0.02), dt=0.01, t_final=0.1)
+    with pytest.raises(RuntimeError, match=r"^CFL violation at t=0: dt=0.01 exceeds"):
+        march(sc)
 
 
 def test_cfl_violation_raises():
