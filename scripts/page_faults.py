@@ -1,20 +1,25 @@
-"""Minor page faults and wall time of the benchmark's march jobs, per tree.
+"""Minor page faults and wall time of the benchmark's jobs, per tree and phase.
 
     python3 scripts/page_faults.py PARENT_SRC CHANGE_SRC
 
 PARENT_SRC and CHANGE_SRC are checkouts (or their src/ directories).  For
-each march workload of perfbench/workloads.py, the seed-0 job runs once per
-tree, parent first, in a fresh python process pinned to one CPU (the
-lowest of this process's affinity set) that calls `skewform.cli.main` in
-process.  The child prints the job's exit code, its wall time, the minor
-page faults (`ru_minflt`) the job took and the process's peak resident
-memory; the imports before the job are not counted.
+each workload of perfbench/workloads.py, the seed-0 job runs once per tree,
+parent first, in a fresh python process pinned to one CPU (the lowest of
+this process's affinity set) that calls `skewform.cli.main` in process.
+The child prints the job's exit code, its wall time, the minor page faults
+(`ru_minflt`) the whole job took, those taken inside the march and inside
+the final-state write, and the process's peak resident memory; the imports
+before the job are not counted.  The phases are counted by rebinding
+`cli.march` and `cli.write_final_state` in the child, as the light hooks of
+perfbench/child.py rebind the functions they time; verify_all has neither
+phase, so it reports the whole job only.
 
 Minor faults show how often the allocator hands pages back to the kernel
 and faults them in again: glibc raises its mmap threshold to the largest
-mmapped block that is freed, so removing one large array can move every
-residual's temporaries from a kept heap to fresh pages.  The exit code is
-0 when every job exited 0.
+mmapped block that is freed, and trims the heap top when more than twice
+that is free, so a march that frees and regrows its fields every step can
+fault in fresh pages at each step.  The exit code is 0 when every job
+exited 0.
 """
 
 from __future__ import annotations
@@ -35,15 +40,38 @@ from compare_cli_outputs import package_root  # noqa: E402
 CHILD = """\
 import json, os, resource, sys, time
 os.sched_setaffinity(0, {int(sys.argv[1])})
-from skewform.cli import main
+from skewform import cli
+
+
+def minflt():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+phases = {}
+
+
+def counted(phase, fn):
+    phases[phase] = None
+
+    def wrapper(*args, **kwargs):
+        before = minflt()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            phases[phase] = (phases[phase] or 0) + minflt() - before
+    return wrapper
+
+
+cli.march = counted("march", cli.march)
+cli.write_final_state = counted("write", cli.write_final_state)
 argv = json.loads(sys.argv[2])
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+before = minflt()
 start = time.perf_counter()
-code = main(argv)
+code = cli.main(argv)
 wall = time.perf_counter() - start
 usage = resource.getrusage(resource.RUSAGE_SELF)
 print(json.dumps({"exit": code, "wall_s": wall, "minflt": usage.ru_minflt - before,
-                  "peak_rss_mb": usage.ru_maxrss / 1024.0}))
+                  **phases, "peak_rss_mb": usage.ru_maxrss / 1024.0}))
 """
 
 
@@ -65,13 +93,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     roots = {"parent": package_root(args.parent), "change": package_root(args.change)}
     cpu = min(os.sched_getaffinity(0))
-    marches = [make_job(name, DEFAULT_SEED) for name in WORKLOADS]
-    marches = [job for job in marches if job.nodes]
+    jobs = [make_job(name, DEFAULT_SEED) for name in WORKLOADS]
     bad = 0
-    print(f"{'workload':<18} {'tree':<7} {'exit':>4} {'wall_s':>8}"
-          f" {'minflt':>9} {'peak_rss_mb':>11}")
+    print(f"{'workload':<18} {'tree':<7} {'exit':>4} {'wall_s':>8} {'march':>8}"
+          f" {'write':>8} {'job':>8} {'peak_rss_mb':>11}")
     with tempfile.TemporaryDirectory() as tmp:
-        for job in marches:
+        for job in jobs:
             for tree, root in roots.items():
                 got = run_job(root, job, Path(tmp) / tree / job.workload, cpu)
                 if got["exit"] != 0:
@@ -79,9 +106,11 @@ def main(argv=None) -> int:
                     print(f"{job.workload:<18} {tree:<7} {got['exit']:>4}"
                           f"  {got.get('error', '')}")
                     continue
+                march, write = (("-" if got[phase] is None else got[phase])
+                                for phase in ("march", "write"))
                 print(f"{job.workload:<18} {tree:<7} {got['exit']:>4}"
-                      f" {got['wall_s']:>8.3f} {got['minflt']:>9d}"
-                      f" {got['peak_rss_mb']:>11.1f}")
+                      f" {got['wall_s']:>8.3f} {march:>8} {write:>8}"
+                      f" {got['minflt']:>8d} {got['peak_rss_mb']:>11.1f}")
     return 1 if bad else 0
 
 

@@ -420,6 +420,10 @@ def write_reports_csv(out_dir, name, grid, reports) -> Path:
                       for rep in reports))
 
 
+# Nodes per block of the final-state writer.
+_STATE_BLOCK = 4096
+
+
 def write_final_state(target, model, grid, state) -> None:
     idx_cols = " ".join(f"i_{name}" for name in grid.axis_names)
     with open(target, "w") as fh:
@@ -433,10 +437,16 @@ def write_final_state(target, model, grid, state) -> None:
             )
         fh.write(f"# layout: one node per line, C order; columns: {idx_cols} "
                  + " ".join(model.components) + "\n")
-        # One node per line in C order; str of a float is its repr.
-        columns = np.asarray(state, dtype=np.float64).reshape(model.n_comp, -1).tolist()
-        nodes = zip(itertools.product(*map(range, grid.shape)), zip(*columns))
-        fh.writelines(" ".join(map(str, index + values)) + "\n" for index, values in nodes)
+        # One node per line in C order, written a block of nodes at a time so
+        # that the Python floats do not grow with the grid; %r of a float is
+        # its str.  Each block is zipped ahead of the shared index iterator,
+        # so the index of the node after a block is not drawn and dropped.
+        line = " ".join(["%d"] * grid.dim + ["%r"] * model.n_comp) + "\n"
+        columns = np.asarray(state, dtype=np.float64).reshape(model.n_comp, -1)
+        indices = itertools.product(*map(range, grid.shape))
+        for start in range(0, columns.shape[1], _STATE_BLOCK):
+            block = zip(*columns[:, start:start + _STATE_BLOCK].tolist())
+            fh.writelines(line % (index + values) for values, index in zip(block, indices))
 
 
 def build_scenarios(cfg, path, mode, prefix, model, grid, ops, **scheme):
@@ -751,6 +761,12 @@ def main(argv=None) -> int:
     p.add_argument("--out-dir", default=None)
 
     args = parser.parse_args(argv)
+    # Allocate and free one 16 MiB block.  By glibc's dynamic thresholds
+    # (mallopt(3)) this raises the mmap threshold to 16 MiB and the trim
+    # threshold to 32 MiB for the rest of the process, so a march that frees
+    # and regrows its fields every step reuses the heap instead of faulting
+    # in fresh pages.  The block is never written; other allocators ignore it.
+    np.empty(16 << 20, np.uint8)
     handlers = {
         "verify": cmd_verify,
         "run": cmd_run,

@@ -30,6 +30,7 @@ build.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -206,7 +207,7 @@ def apply_derivative(op: SbpOperator1D, field: np.ndarray, axis: int = 0) -> np.
             f"axis {axis} has {field.shape[ax]} nodes, operator expects {op.n}"
         )
     out = np.empty(field.shape)
-    post = int(np.prod(field.shape[ax + 1:]))
+    post = math.prod(field.shape[ax + 1:])
     fl = field.reshape(-1)
     flat = out.reshape(-1)
     lo, hi, ((k0, c0), *terms) = op.interior

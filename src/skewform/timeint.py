@@ -51,12 +51,24 @@ BLOWUP_FACTOR = 1e3
 
 
 def rk4_step(rhs, u, t: float, dt: float):
-    """One classical fourth-order Runge-Kutta step of u_t = rhs(u, t)."""
+    """One classical fourth-order Runge-Kutta step of u_t = rhs(u, t).
+
+    Each stage is folded into one accumulator k as soon as the next stage
+    input is formed, so a stage's tendency is freed before the next rhs
+    call: the additions are those of u + (dt/6) (k1 + 2 k2 + 2 k3 + k4),
+    in the same order, with three fields live in stage 4 instead of five.
+    """
     k1 = rhs(u, t)
     k2 = rhs(u + (0.5 * dt) * k1, t + 0.5 * dt)
-    k3 = rhs(u + (0.5 * dt) * k2, t + 0.5 * dt)
-    k4 = rhs(u + dt * k3, t + dt)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    y = u + (0.5 * dt) * k2
+    k = k1 + 2.0 * k2
+    del k1, k2
+    k3 = rhs(y, t + 0.5 * dt)
+    y = u + dt * k3
+    k += 2.0 * k3
+    del k3
+    k += rhs(y, t + dt)
+    return u + (dt / 6.0) * k
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,8 +200,13 @@ def march(sc: Scenario) -> tuple[list[EnergyReport], np.ndarray]:
             return -res.R, res
 
     def rhs(u, s):
-        # rk4_step evaluates stage 1 at the state it was handed: k1 holds it
-        return k1 if u is state else evaluate(u, s)[0]
+        # rk4_step evaluates stage 1 at the state it was handed: k1 holds it,
+        # and is handed over, so that rk4_step can free it after stage 2
+        nonlocal k1
+        if u is state:
+            k, k1 = k1, None
+            return k
+        return evaluate(u, s)[0]
 
     # a fixed coefficient state gives fixed speeds: one check before the march
     fixed_speeds = V is not None and not coupled

@@ -2,15 +2,23 @@
 
 import csv
 import io
+import itertools
+import math
 import os
+import platform
+import subprocess
+import sys
 from contextlib import redirect_stdout, redirect_stderr
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import skewform
 from skewform import cli
 from skewform.cli import ConfigError, bundled_scenarios, main, parse_config_text
-from skewform.models import swe_inverse, swe_transform
+from skewform.models import make_model, swe_inverse, swe_transform
+from skewform.sbp_core import make_grid
 
 BURGERS_CFG = """
 [model]
@@ -180,6 +188,128 @@ def test_final_state_file_round_trips(tmp_path):
     first = data[0].split()
     assert first[0] == "0"
     float(first[1])
+
+
+def reference_final_state(target, model, grid, state):
+    """The final-state writer as it was first written: one join of str per
+    node.  Kept as the reference for the bytes of the block writer."""
+    idx_cols = " ".join(f"i_{name}" for name in grid.axis_names)
+    with open(target, "w") as fh:
+        fh.write("# skewform final state\n")
+        fh.write(f"# model: {model.kind}\n")
+        for ax in range(grid.dim):
+            lo, hi = grid.extents[ax]
+            fh.write(
+                f"# axis {grid.axis_names[ax]}: [{lo!r}, {hi!r}]"
+                f" n={grid.shape[ax]} periodic={str(grid.periodic[ax]).lower()}\n"
+            )
+        fh.write(f"# layout: one node per line, C order; columns: {idx_cols} "
+                 + " ".join(model.components) + "\n")
+        columns = np.asarray(state, dtype=np.float64).reshape(model.n_comp, -1).tolist()
+        nodes = zip(itertools.product(*map(range, grid.shape)), zip(*columns))
+        fh.writelines(" ".join(map(str, index + values)) + "\n" for index, values in nodes)
+
+
+# Values whose text is easy to get wrong: signed zero, infinities, nan, the
+# least subnormal and exponents near the ends of the double range.
+AWKWARD = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                    1.2345678901234567e300, -9.87654321e-300, 1e-310, 0.1, 1.0 / 3.0])
+
+
+@pytest.mark.parametrize("kind, shape", [
+    ("burgers1d", (3 * cli._STATE_BLOCK + 7,)),
+    ("swe2d", (97, 131)),
+    ("euler2d", (3 * cli._STATE_BLOCK // 64, 64)),
+    ("euler3d_cyl", (17, 23, 29)),
+])
+def test_final_state_writer_keeps_the_bytes_of_one_join_per_node(tmp_path, kind, shape):
+    model = make_model(kind)
+    dim = len(shape)
+    grid = make_grid(((0.0, 1.0),) * dim, shape, periodic=(True,) + (False,) * (dim - 1))
+    # every grid spans several blocks, one of them a whole number of blocks
+    assert math.prod(shape) > 2 * cli._STATE_BLOCK
+    rng = np.random.default_rng(7)
+    state = rng.standard_normal((model.n_comp,) + shape) * 10.0 ** rng.integers(
+        -300, 301, (model.n_comp,) + shape)
+    flat = state.reshape(-1)
+    flat[:AWKWARD.size] = AWKWARD
+    flat[-AWKWARD.size:] = AWKWARD
+    flat[rng.choice(flat.size, 200, replace=False)] = np.resize(AWKWARD, 200)
+    cli.write_final_state(tmp_path / "got.txt", model, grid, state)
+    reference_final_state(tmp_path / "want.txt", model, grid, state)
+    got = (tmp_path / "got.txt").read_bytes()
+    assert got == (tmp_path / "want.txt").read_bytes()
+    assert got.count(b"\n") == 3 + dim + math.prod(shape)
+
+
+INFLOW_65_CFG = """
+[model]
+kind = swe2d
+alpha = 0.3329
+beta = 0.6942
+f0 = 0.7457
+f1 = 0.2184
+
+[grid]
+extents = 0,1 / 0,1
+shape = 65 / 65
+periodic = false / true
+
+[scheme]
+order = 4,2
+mode = nonlinear
+dt = 0.001
+t_final = {t_final}
+stride = 1
+
+[initial]
+family = trig
+variables = primitive
+comp0 = 1.1374 0.0604 cos:1 cos:3
+comp1 = 0.8367 0.0198 sin:1 sin:2
+comp2 = 0.1715 0.0074 cos:1 cos:1
+
+[sat]
+x_low = swe_two_condition g2=1.4456606934844705 g3=0.40399273814017994 scale=1.0
+x_high = none
+
+[output]
+prefix = inflow
+"""
+
+# Runs one CLI job in this fresh process and prints the minor page faults
+# the job took, the imports before it not counted.
+FAULTS_CHILD = """\
+import resource, sys
+from skewform.cli import main
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+code = main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def job_minor_faults(tmp_path, steps):
+    cfg = tmp_path / f"inflow_{steps}.cfg"
+    cfg.write_text(INFLOW_65_CFG.format(t_final=repr(steps * 0.001)))
+    out = tmp_path / f"out_{steps}"
+    src = str(Path(skewform.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", FAULTS_CHILD, "run", "--config", str(cfg),
+                           "--out-dir", str(out)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
+    code, faults = map(int, proc.stdout.splitlines()[-1].split())
+    assert code == 0
+    return faults
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the mmap and trim thresholds are glibc's")
+def test_march_steps_reuse_the_heap_instead_of_faulting_in_pages(tmp_path):
+    # A march frees and regrows its fields every step.  With glibc's heap
+    # primed by cli.main, the extra steps of a longer march take its pages
+    # from the kept heap, not from the kernel.
+    short, long = (job_minor_faults(tmp_path, steps) for steps in (20, 60))
+    assert (long - short) / 40 < 5, (short, long)
 
 
 def test_verify_subcommand_exit_codes(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for the time marching driver."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -43,6 +44,60 @@ def test_rk4_time_dependence_enters_through_the_stages():
         u = rk4_step(lambda u, t: np.array([np.cos(t)]), u, t, dt)
         t += dt
     assert abs(u[0] - np.sin(1.0)) <= 1e-7
+
+
+def test_rk4_equals_the_textbook_combination_bit_for_bit():
+    rng = np.random.default_rng(11)
+    u = rng.standard_normal((3, 17, 19))
+    a, b = rng.standard_normal((2, 3, 17, 19))
+
+    def rhs(y, t):
+        return np.sin(a * y + t) * b - 0.3 * y * y
+
+    t, dt = 0.37, 0.0123
+    k1 = rhs(u, t)
+    k2 = rhs(u + (0.5 * dt) * k1, t + 0.5 * dt)
+    k3 = rhs(u + (0.5 * dt) * k2, t + 0.5 * dt)
+    k4 = rhs(u + dt * k3, t + dt)
+    want = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert rk4_step(rhs, u, t, dt).tobytes() == want.tobytes()
+
+
+def test_rk4_frees_the_first_three_tendencies_before_the_last_stage():
+    refs = []
+    alive = []
+
+    def rhs(y, t):
+        if len(refs) == 3:
+            alive.extend(ref() is not None for ref in refs)
+        k = -y
+        refs.append(weakref.ref(k))
+        return k
+
+    rk4_step(rhs, np.ones((3, 8, 8)), 0.0, 0.1)
+    assert len(refs) == 4 and alive == [False, False, False]
+
+
+def test_march_hands_its_stage_one_tendency_over_to_the_step(monkeypatch):
+    # march evaluates stage 1 itself; the step must hold the only reference
+    refs = []
+    step = timeint.rk4_step
+
+    def recording_step(rhs, u, t, dt):
+        def watched(y, s):
+            k = rhs(y, s)
+            refs.append(weakref.ref(k))
+            if len(refs) % 4 == 0:
+                assert all(ref() is None for ref in refs[-4:-1])
+            return k
+        return step(watched, u, t, dt)
+
+    monkeypatch.setattr(timeint, "rk4_step", recording_step)
+    m, g, ops = burgers_setup()
+    u0 = (0.2 * np.sin(2 * np.pi * g.coords[0]))[None]
+    march(Scenario(model=m, grid=g, ops=ops, mode="nonlinear", initial=u0,
+                   dt=0.002, t_final=0.01))
+    assert len(refs) == 20
 
 
 def test_march_emits_reports_on_the_stride_and_always_at_the_end():
