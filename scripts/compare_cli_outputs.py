@@ -55,10 +55,11 @@ the periodic burgers config with `cfl = -1`, with `dt = 0`, with a
 `convergence` on the swe2d `standard_vs_new` config; `run` on the bounded
 burgers config with 6 nodes, and `convergence --levels 5,9,17` on it, both
 below the 8 nodes of (4,2); and `run` on the swe2d `standard_vs_new` config
-with a primitive `[coefficient]` whose depth reaches 0.  Last, two refusals
+with a primitive `[coefficient]` whose depth reaches 0.  Last, four refusals
 that cite the header of the section at fault: `run` on the periodic burgers
-config whose `[initial]` has no `family`, and on the swe2d
-`standard_vs_new` config whose mean + perturbation has a negative depth.
+config whose `[initial]` has no `family` and on it without `dt`, and on the
+swe2d `standard_vs_new` config whose mean + perturbation has a negative
+depth and on it without the `comp2` of `[perturbation]`.
 Then `run` on the (4,2) two-condition config on a 129 x 129 grid, bounded
 in x, for 5 steps: its derivative applies take their interior runs in
 several pieces, whose boundaries fall inside a line.
@@ -74,7 +75,9 @@ marches both with exit 0.  The `_standard` files of
 `run_swe_standard_vs_new`: a tree from before the swe2d standard run took
 primitive variables (its mean swe_inverse(mean), its perturbation
 swe_inverse(mean + pert) - swe_inverse(mean)) reads the transformed fields
-as primitive ones.  The four refusals of input the job never reads (the
+as primitive ones, and a tree from before the standard scenario named its
+primitive columns heads `_standard_final.txt` with `U1 U2 U3` where this
+one writes `phi u v`.  The four refusals of input the job never reads (the
 identity `[sat]`, the nonlinear `[identity]`, the swe2d `--radius` and
 `verify --seed -1`): a tree from before they were refused ignores the
 `[sat]`, the `[identity]` and the `--radius` and exits 0, and fails on the
@@ -89,8 +92,10 @@ prints `<cfg>:` without a line for the march settings, the euler2d march,
 the convergence mode and the `[grid]` values (whose axis-count message also
 named `[grid]` where this one names the key), and `error:` without the file
 for the grid below the operators' minimum and the primitive depth, or
-without naming `--levels`.  The two refusals that cite a section header: a
-tree from before they did prints `<cfg>:` without a line.
+without naming `--levels`.  The four refusals that cite a section header: a
+tree from before they did prints `<cfg>:` without a line, for the missing
+`dt` and `comp2` in words of its own (`[scheme] requires 'dt' for marching
+modes`, `[perturbation] is missing 'comp2' for model ...`).
 """
 
 from __future__ import annotations
@@ -498,6 +503,8 @@ FIXED_CASES = {
                                   "--levels", "5,9,17"],
     "refuse_primitive_dry": ["run", "--config", "primitive_dry.cfg"],
     "refuse_missing_family": ["run", "--config", "missing_family.cfg"],
+    "refuse_missing_dt": ["run", "--config", "nodt.cfg"],
+    "refuse_missing_comp": ["run", "--config", "nocomp.cfg"],
     "refuse_standard_past_depth_floor": ["run", "--config", "standard_dry.cfg"],
     "run_swe_bounded_129": ["run", "--config", "swe_bounded_129.cfg"],
 }
@@ -562,6 +569,9 @@ CASE_FILES = {
         "family = trig\nvariables = primitive\ncomp0 = 0.0 0.1 sin:1 cos:1")},
     "refuse_missing_family": {"missing_family.cfg": BURGERS_NONLINEAR_CFG.replace(
         "family = trig\n", "")},
+    "refuse_missing_dt": {"nodt.cfg": BURGERS_NONLINEAR_CFG.replace("dt = 0.005\n", "")},
+    "refuse_missing_comp": {"nocomp.cfg": SWE_STANDARD_VS_NEW_CFG.replace(
+        "comp2 = 0.0 0.01 one cos:1\n", "")},
     "refuse_standard_past_depth_floor": {"standard_dry.cfg": SWE_STANDARD_VS_NEW_CFG.replace(
         "comp0 = 0.0 0.01 cos:1 sin:1", "comp0 = -2.0 0.01 cos:1 sin:1")},
     "run_swe_bounded_129": {"swe_bounded_129.cfg": SWE_BOUNDED_129_CFG},

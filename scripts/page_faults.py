@@ -14,6 +14,13 @@ before the job are not counted.  The phases are counted by rebinding
 perfbench/child.py rebind the functions they time; verify_all has neither
 phase, so it reports the whole job only.
 
+The children read bytecode, whether or not a checkout holds `__pycache__`:
+before any job, each tree's modules, and the modules of python and numpy
+that its jobs import, are compiled once into that tree's own
+PYTHONPYCACHEPREFIX under the temporary directory, and the tree's children
+run with it.  The checkouts stay untouched.  A child that compiled its
+imports itself would count that work in its peak resident memory.
+
 Minor faults show how often the allocator hands pages back to the kernel
 and faults them in again: glibc raises its mmap threshold to the largest
 mmapped block that is freed, and trims the heap top when more than twice
@@ -75,9 +82,22 @@ print(json.dumps({"exit": code, "wall_s": wall, "minflt": usage.ru_minflt - befo
 """
 
 
-def run_job(root: Path, job, workdir: Path, cpu: int) -> dict:
+# What a child imports before and during its job: the march's text files
+# need locale, and verify's generators numpy.random.
+IMPORTS = "import json, locale, os, resource, sys, time, numpy.random\nfrom skewform import cli"
+
+
+def tree_env(root: Path, pycache: Path) -> dict:
+    """The environment of root's children, with its imports compiled into
+    pycache by one process first."""
+    env = dict(os.environ, PYTHONPATH=str(root), PYTHONPYCACHEPREFIX=str(pycache))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    subprocess.run([sys.executable, "-c", IMPORTS], env=env, capture_output=True)
+    return env
+
+
+def run_job(env: dict, job, workdir: Path, cpu: int) -> dict:
     argv, _ = materialise(job, workdir)
-    env = dict(os.environ, PYTHONPATH=str(root), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "-c", CHILD, str(cpu), json.dumps(argv)],
                           cwd=workdir, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -98,9 +118,11 @@ def main(argv=None) -> int:
     print(f"{'workload':<18} {'tree':<7} {'exit':>4} {'wall_s':>8} {'march':>8}"
           f" {'write':>8} {'job':>8} {'peak_rss_mb':>11}")
     with tempfile.TemporaryDirectory() as tmp:
+        envs = {tree: tree_env(root, Path(tmp) / "pycache" / tree)
+                for tree, root in roots.items()}
         for job in jobs:
-            for tree, root in roots.items():
-                got = run_job(root, job, Path(tmp) / tree / job.workload, cpu)
+            for tree, env in envs.items():
+                got = run_job(env, job, Path(tmp) / tree / job.workload, cpu)
                 if got["exit"] != 0:
                     bad += 1
                     print(f"{job.workload:<18} {tree:<7} {got['exit']:>4}"

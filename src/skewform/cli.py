@@ -25,6 +25,7 @@ import csv
 import itertools
 import math
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -175,11 +176,8 @@ def _number(text, where, kind=float, error=ConfigError):
 
 def _config_number(cfg, section, key, path, default=None, kind=float, least=None):
     """[section] key through _number, default when absent, and refused below
-    least.  A key without a default is required: the [scheme] dt and t_final,
-    which only marching modes read."""
-    text = _get(cfg, section, key, default)
-    if text is None:
-        raise ConfigError(f"{path}: [{section}] requires '{key}' for marching modes")
+    least.  A key without a default is required (see _need)."""
+    text = _get(cfg, section, key, default) or _need(cfg, section, key, path)
     value = _number(text, _at(cfg, section, key, path), kind)
     if least is not None and value < least:
         raise ConfigError(f"{_at(cfg, section, key, path)} must be at least {least},"
@@ -259,13 +257,8 @@ def build_field(cfg, section, model, grid, path):
     comps = []
     for c in range(model.n_comp):
         key = f"comp{c}"
-        value = _get(cfg, section, key)
+        value = _need(cfg, section, key, path)
         where = _at(cfg, section, key, path)
-        if value is None:
-            raise ConfigError(
-                f"{path}: [{section}] is missing '{key}' for model"
-                f" '{model.kind}' ({model.n_comp} components)"
-            )
         if family == "constant":
             comps.append(np.full(grid.shape, _number(value, where)))
         elif family == "trig":
@@ -468,17 +461,18 @@ def build_scenarios(cfg, path, mode, prefix, model, grid, ops, **scheme):
               if section in required or section in means and section in cfg}
     scenarios = []
     for suffix, run_mode, state, mean_section in runs:
-        initial, mean = fields[state], fields.get(mean_section)
+        initial, mean, run_model = fields[state], fields.get(mean_section), model
         if run_mode == "standard_linearised" and model.kind == "swe2d":
-            # its operator acts on a primitive (phi, u, v) perturbation: the
+            # it marches and writes a primitive (phi, u, v) perturbation: the
             # configured one, taken to primitive variables about the mean
+            run_model = replace(model, components=("phi", "u", "v"))
             try:
                 primitive = np.stack(swe_inverse(mean))
                 initial = np.stack(swe_inverse(mean + initial)) - primitive
             except ValueError as exc:
                 raise ConfigError(f"{path}:{cfg[mean_section].line}: primitive mean"
                                   f" or mean + perturbation: {exc}")
-        sc = Scenario(model=model, grid=grid, ops=ops, mode=run_mode,
+        sc = Scenario(model=run_model, grid=grid, ops=ops, mode=run_mode,
                       initial=initial, mean=mean, **scheme)
         try:
             validate_scenario(sc)
@@ -552,7 +546,7 @@ def cmd_run(args) -> int:
         coupled = sc.mode == "new_linearised_coupled"
         for tag, state in zip(("_mean", "_pert"), final) if coupled else [("", final)]:
             statefile = out_dir / f"{name}{tag}_final.txt"
-            write_final_state(statefile, model, grid, state)
+            write_final_state(statefile, sc.model, grid, state)
             print(f"wrote {statefile}")
     return 0
 

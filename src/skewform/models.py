@@ -33,16 +33,6 @@ import numpy as np
 
 from .sbp_core import Grid
 
-# Per kind: the state component names (final-state file headers) and the
-# axis names; n_comp and dim are their lengths.
-_CATALOGUE = {
-    "burgers1d": (("u",), ("x",)),
-    "euler2d": (("u", "v", "p"), ("x", "y")),
-    "euler3d_cyl": (("u", "v", "w", "p"), ("r", "theta", "z")),
-    "swe2d": (("U1", "U2", "U3"), ("x", "y")),
-}
-MODEL_KINDS = tuple(_CATALOGUE)
-
 # Depth floor for the shallow water transform; sqrt and 1/sqrt must stay
 # well conditioned.
 _DEPTH_FLOOR = 1e-10
@@ -82,7 +72,7 @@ def make_model(kind: str, **params) -> ModelSpec:
     unknown = set(params) - allowed
     if unknown:
         raise ValueError(f"model '{kind}' does not accept parameters {sorted(unknown)}")
-    components, axis_names = _CATALOGUE[kind]
+    components, axis_names, *_ = _KINDS[kind]
     return with_params(ModelSpec(kind, components, axis_names), **params)
 
 
@@ -130,21 +120,6 @@ def check_admissible(model: ModelSpec, V) -> None:
         raise ValueError("state contains non-finite entries")
 
 
-# Per kind, the keys of the entries of A_1 .. A_dim and C that can be
-# nonzero, each table row-major.
-_PATTERNS = {
-    "burgers1d": (((0, 0),), ()),
-    "euler2d": (((0, 0), (0, 2), (1, 1), (2, 0)), ((0, 0), (1, 1), (1, 2), (2, 1)), ()),
-    "euler3d_cyl": (((0, 0), (0, 3), (1, 1), (2, 2), (3, 0)),
-                    ((0, 0), (1, 1), (1, 3), (2, 2), (3, 1)),
-                    ((0, 0), (1, 1), (2, 2), (2, 3), (3, 2)),
-                    ((0, 1), (0, 3), (1, 0), (3, 0))),
-    "swe2d": (((0, 0), (0, 1), (1, 0), (1, 1), (2, 2)),
-              ((0, 0), (0, 2), (1, 1), (2, 0), (2, 2)),
-              ((1, 2), (2, 1))),
-}
-
-
 def coeff_matrices(model: ModelSpec, V, pos=None):
     """Coefficient entry tables at the state V, which must be admissible.
 
@@ -163,16 +138,18 @@ def coeff_matrices(model: ModelSpec, V, pos=None):
     its view (ufunc out=).  A full-size temporary per entry, copied into
     the block, would cost a second pass and fresh pages that the kernel
     faults in on every call.  One block rather than one array per entry:
-    freeing it lifts glibc's mmap threshold above the field size, so the
-    residual's per-field temporaries reuse the heap instead of faulting.
+    it is one allocation, coeff_split needs one subtraction, and a block
+    above the 16 MiB that cli.main primes glibc's mmap threshold to (the
+    513^2 swe2d block is 25.3 MB) still lifts the threshold above the field
+    size when freed, so the residual's per-field temporaries reuse the heap.
     """
     V = _as_state(model, V)
     check_admissible(model, V)
-    pattern = _PATTERNS[model.kind]
+    *_, pattern, writer = _KINDS[model.kind]
     block = np.empty((sum(map(len, pattern)),) + V.shape[1:])
     views = (block[k, ...] for k in range(len(block)))
     tables = [{key: next(views) for key in keys} for keys in pattern]
-    _WRITERS[model.kind](model, V, pos, *tables)
+    writer(model, V, pos, *tables)
     return tuple(tables[:-1]), tables[-1]
 
 
@@ -242,8 +219,28 @@ def _write_swe2d(model, V, pos, A1, A2, C):
     np.negative(f, out=C[1, 2])
 
 
-_WRITERS = {"burgers1d": _write_burgers1d, "euler2d": _write_euler2d,
-            "euler3d_cyl": _write_euler3d_cyl, "swe2d": _write_swe2d}
+# One row per kind: the state component names (final-state file headers),
+# the axis names (n_comp and dim are their lengths), the keys of the entries
+# of A_1 .. A_dim and C that can be nonzero, each table row-major, and the
+# writer of those entries.
+_KINDS = {
+    "burgers1d": (("u",), ("x",), (((0, 0),), ()), _write_burgers1d),
+    "euler2d": (("u", "v", "p"), ("x", "y"),
+                (((0, 0), (0, 2), (1, 1), (2, 0)), ((0, 0), (1, 1), (1, 2), (2, 1)), ()),
+                _write_euler2d),
+    "euler3d_cyl": (("u", "v", "w", "p"), ("r", "theta", "z"),
+                    (((0, 0), (0, 3), (1, 1), (2, 2), (3, 0)),
+                     ((0, 0), (1, 1), (1, 3), (2, 2), (3, 1)),
+                     ((0, 0), (1, 1), (2, 2), (2, 3), (3, 2)),
+                     ((0, 1), (0, 3), (1, 0), (3, 0))),
+                    _write_euler3d_cyl),
+    "swe2d": (("U1", "U2", "U3"), ("x", "y"),
+              (((0, 0), (0, 1), (1, 0), (1, 1), (2, 2)),
+               ((0, 0), (0, 2), (1, 1), (2, 0), (2, 2)),
+               ((1, 2), (2, 1))),
+              _write_swe2d),
+}
+MODEL_KINDS = tuple(_KINDS)
 
 
 def norm_weight(model: ModelSpec, grid: Grid) -> np.ndarray:

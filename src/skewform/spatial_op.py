@@ -290,7 +290,7 @@ def bilinear_face_functional(
     ip(Phi, R_primal(U; V)) - ip(U, R_dual_spatial(Phi; V)) up to roundoff
     and collapses to twice the energy-identity flux at Phi = U.
     """
-    A, _ = coeff_matrices(model, V, grid.positions)
+    A, _ = coeff_matrices(model, _coeff_state(U, V), grid.positions)
     total = 0.0
     # bq is symmetric bit for bit, so bq(A_ax Phi, U) = bq(U, A_ax Phi)
     for phi_au, u_aphi in zip(_face_terms(grid, ops, A, Phi, U).values(),

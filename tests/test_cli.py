@@ -512,6 +512,8 @@ def identity_with(extra):
     (lambda text: text.replace("mode = nonlinear", "mode = frozen"), None),
     # a required key missing from its section cites the section's header
     (lambda text: text.replace("family = trig\n", ""), 17),
+    (lambda text: text.replace("dt = 0.004\n", ""), 10),
+    (lambda text: text.replace("comp0 = 0.0 0.1 sin:1\n", ""), 17),
     # t_final shorter than one step
     (lambda text: text.replace("t_final = 0.1", "t_final = 0.001"), 14),
     # non-finite scheme values
@@ -589,7 +591,8 @@ def identity_with(extra):
     (lambda text: text.replace("mode = nonlinear", "mode = standard_linearised")
      + "\n[coefficient]\nfamily = constant\ncomp0 = 1.0\n"
      "\n[perturbation]\nfamily = trig\ncomp0 = 0.0 0.01 sin:1\n", 18),
-], ids=["frozen_without_coefficient", "missing_family", "t_final_below_dt", "t_final_nan",
+], ids=["frozen_without_coefficient", "missing_family", "missing_dt", "missing_comp",
+        "t_final_below_dt", "t_final_nan",
         "t_final_inf", "cfl_inf", "t_final_not_whole_steps", "steps_overflow",
         "cfl_negative", "dt_zero", "extents_empty", "shape_one", "extents_two_axes",
         "shape_two_axes", "periodic_two_axes", "primitive_burgers",
@@ -879,6 +882,21 @@ def test_swe_standard_linearisation_marches_with_open_faces(tmp_path):
     cfg.write_text(SWE_STANDARD_CFG.replace("swe_two_condition g2=1.0 g3=0.2", "none"))
     code, out, err = run_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 0, err
+
+
+def test_swe_standard_final_state_names_its_primitive_columns(tmp_path):
+    # the standard run marches a primitive (phi, u, v) perturbation; the
+    # coupled run next to it marches transformed variables
+    cfg = tmp_path / "std.cfg"
+    cfg.write_text(SWE_STANDARD_CFG.replace("mode = standard_linearised", "mode = standard_vs_new")
+                   .replace("swe_two_condition g2=1.0 g3=0.2", "none"))
+    code, out, err = run_main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 0, err
+    columns = {name: (tmp_path / f"run_{name}_final.txt").read_text().splitlines()[4]
+               for name in ("standard", "new_mean", "new_pert")}
+    assert columns["standard"].endswith("columns: i_x i_y phi u v")
+    assert columns["new_mean"].endswith("columns: i_x i_y U1 U2 U3")
+    assert columns["new_pert"].endswith("columns: i_x i_y U1 U2 U3")
 
 
 IDENTITY_CFG = """

@@ -196,7 +196,8 @@ def test_mode_objects_validate_their_inputs():
     # where it would broadcast (periodic) or index past its end (bounded)
     evaluators = (eval_primal_residual, eval_dual_residual,
                   eval_standard_linearised_residual,
-                  sk.energy_report, lambda *a: sk.energy_report(*a, dual=True))
+                  sk.energy_report, lambda *a: sk.energy_report(*a, dual=True),
+                  lambda m, g, ops, U, V: bilinear_face_functional(m, g, ops, U, U, V))
     for periodic in (True, False):
         g = make_grid(((0.0, 1.0),), (32,), periodic=(periodic,))
         ops = build_operators(g, (2, 1))
