@@ -10,6 +10,16 @@ k = 1 .. N runs `python3 perfbench/run.py --workload W --seed k-1
 the change first in even-numbered ones, so a drift of the host's speed
 falls on both sides alike.
 
+Both checkouts import alike, whatever they hold in `__pycache__` and
+whatever PYTHONDONTWRITEBYTECODE says: before the first pair, each
+checkout's package and the python and numpy modules that perfbench and its
+jobs import are compiled once into that checkout's own PYTHONPYCACHEPREFIX
+under a temporary directory (page_faults.tree_env, as scripts/page_faults.py
+does), and every perfbench run of the checkout, with its jobs, reads its
+bytecode from there.  A job that compiled a module itself would count the
+compiler in its wall time and peak resident memory.  The checkouts stay
+untouched.
+
 A run counts when it exits 0 and prints perfbench's JSON line.  Every run
 keeps its exit code, its elapsed time and the tail of its stderr, so a
 run that dies leaves its reason.  A pair with a run that does not count
@@ -35,10 +45,14 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
+
+from compare_cli_outputs import package_root
+from page_faults import tree_env
 
 STDERR_TAIL = 2000  # characters of stderr kept per run
 
@@ -65,14 +79,15 @@ def identify(root: Path) -> dict:
     return ident
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run in the checkout: its exit code, elapsed time,
-    stderr tail and, when it printed one, its JSON result."""
+def run_once(root: Path, env: dict, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run in the checkout, in its environment env: its exit
+    code, elapsed time, stderr tail and, when it printed one, its JSON
+    result."""
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=root, capture_output=True, text=True)
+        cwd=root, env=env, capture_output=True, text=True)
     run = {"exit_code": proc.returncode,
            "elapsed_s": round(time.perf_counter() - start, 1),
            "stderr_tail": proc.stderr[-STDERR_TAIL:]}
@@ -107,7 +122,7 @@ def summarise(spec: dict, parent: list, change: list) -> dict:
     }
 
 
-def bench_workload(roots: dict, workload: str, pairs: int, seconds: float,
+def bench_workload(roots: dict, envs: dict, workload: str, pairs: int, seconds: float,
                    metrics: list, stray: list) -> dict:
     kept = []
     attempts = 0
@@ -117,7 +132,7 @@ def bench_workload(roots: dict, workload: str, pairs: int, seconds: float,
         order = ("parent", "change") if k % 2 else ("change", "parent")
         runs = {}
         for side in order:
-            runs[side] = run_once(roots[side], workload, k - 1, seconds)
+            runs[side] = run_once(roots[side], envs[side], workload, k - 1, seconds)
             print(f"{workload} pair {k} {side}: exit {runs[side]['exit_code']},"
                   f" {runs[side]['elapsed_s']} s", file=sys.stderr, flush=True)
         if all(counts(run) for run in runs.values()):
@@ -175,10 +190,12 @@ def main(argv=None) -> int:
             f"Paired benchmark of the parent against the change: {args.pairs}"
             " alternating pairs per workload; pair k runs `python3 perfbench/run.py"
             f" --workload W --seed k-1 --seconds {seconds:g}` in each checkout, the"
-            " parent first in odd-numbered pairs.  Per end-to-end metric: each"
-            " side's values in pair order, medians, quartiles, the pairs the change"
-            " won and the relative worsening against the BENCHMARK.json bound"
-            " (negative is better).  Written by scripts/bench_pairs.py."),
+            " parent first in odd-numbered pairs, and each checkout reads bytecode"
+            " compiled once into its own PYTHONPYCACHEPREFIX.  Per end-to-end"
+            " metric: each side's values in pair order, medians, quartiles, the"
+            " pairs the change won and the relative worsening against the"
+            " BENCHMARK.json bound (negative is better).  Written by"
+            " scripts/bench_pairs.py."),
         "parent": identify(roots["parent"]),
         "change": identify(roots["change"]),
         "run_seconds": seconds,
@@ -188,16 +205,20 @@ def main(argv=None) -> int:
         "runs_not_in_pairs": stray,
     }
     complete = True
-    for workload in workloads:
-        got = bench_workload(roots, workload, args.pairs, seconds,
-                             spec["end_to_end"], stray)
-        report["workloads"][workload] = got
-        complete &= len(got["pairs"]) == args.pairs
-        Path(args.json).write_text(json.dumps(report, indent=1) + "\n")
-        for name, m in got["metrics"].items():
-            print(f"{workload:18s} {name:18s} {m['parent_median']:12.6g}"
-                  f" -> {m['change_median']:12.6g}  wins {m['change_wins']}/{m['pairs']}"
-                  f"  over bound {m['worsening_over_bound']:+.3f}")
+    with tempfile.TemporaryDirectory() as tmp:
+        envs = {side: tree_env(package_root(str(root)), Path(tmp) / "pycache" / side)
+                for side, root in roots.items()}
+        for workload in workloads:
+            got = bench_workload(roots, envs, workload, args.pairs, seconds,
+                                 spec["end_to_end"], stray)
+            report["workloads"][workload] = got
+            complete &= len(got["pairs"]) == args.pairs
+            Path(args.json).write_text(json.dumps(report, indent=1) + "\n")
+            for name, m in got["metrics"].items():
+                print(f"{workload:18s} {name:18s} {m['parent_median']:12.6g}"
+                      f" -> {m['change_median']:12.6g}"
+                      f"  wins {m['change_wins']}/{m['pairs']}"
+                      f"  over bound {m['worsening_over_bound']:+.3f}")
     return 0 if complete else 1
 
 

@@ -83,8 +83,12 @@ print(json.dumps({"exit": code, "wall_s": wall, "minflt": usage.ru_minflt - befo
 
 
 # What a child imports before and during its job: the march's text files
-# need locale, and verify's generators numpy.random.
-IMPORTS = "import json, locale, os, resource, sys, time, numpy.random\nfrom skewform import cli"
+# need locale, and verify's generators numpy.random.  The rest is what
+# perfbench/run.py and its job script perfbench/child.py import, so that
+# scripts/bench_pairs.py can give perfbench the same compiled tree.
+IMPORTS = ("import argparse, compileall, csv, dataclasses, hashlib, importlib, json,"
+           " locale, math, os, pathlib, random, resource, shutil, subprocess, sys,"
+           " tempfile, threading, time, numpy.random\nfrom skewform import cli")
 
 
 def tree_env(root: Path, pycache: Path) -> dict:

@@ -164,7 +164,7 @@ def build_sat(model: ModelSpec, grid: Grid, ops, U: np.ndarray,
     if sat is None:
         return None
     U = np.asarray(U, dtype=np.float64)
-    field = np.zeros_like(U)
+    field = np.zeros(U.shape)
     for (ax, side), closure in sat.items():
         idx = 0 if side == "low" else grid.shape[ax] - 1
         penalty = _CLOSURES[closure.kind][2]

@@ -21,14 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelSpec, coeff_matrices, dense_matrix, norm_weight, with_params
+from .models import (ModelSpec, coeff_matrices, dense_matrix, has_invertible_norm,
+                     norm_weight, validate_grid, with_params)
 from .sbp_core import Grid, inner_product
 from .spatial_op import Residual, eval_dual_residual, eval_primal_residual
 
 
 def total_energy(model: ModelSpec, grid: Grid, ops, U: np.ndarray) -> float:
-    """E = <U, P U> in the model norm (a semi-norm for the euler models)."""
-    return inner_product(grid, ops, U, U, weight=norm_weight(model, grid))
+    """E = <U, P U> in the model norm (a semi-norm for the euler models).  An
+    invertible P is I (burgers1d, swe2d): u 1.0 v = u v, so no weight field."""
+    validate_grid(model, grid)
+    weight = None if has_invertible_norm(model) else norm_weight(model, grid)
+    return inner_product(grid, ops, U, U, weight=weight)
 
 
 @dataclass(frozen=True, eq=False)

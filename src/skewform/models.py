@@ -111,12 +111,12 @@ def check_admissible(model: ModelSpec, V) -> None:
     """Raises if V leaves the model's admissible set (swe2d depth floor)."""
     V = _as_state(model, V)
     if model.kind == "swe2d":
-        dmin = float(np.min(V[0]))
+        dmin = float(V[0].min())
         if not dmin > _DEPTH_FLOOR:
             raise ValueError(
                 f"shallow water depth variable must exceed {_DEPTH_FLOOR}, min is {dmin}"
             )
-    if not np.all(np.isfinite(V)):
+    if not np.isfinite(V).all():
         raise ValueError("state contains non-finite entries")
 
 

@@ -76,7 +76,7 @@ def matfield_apply(M: dict, W: np.ndarray, transpose: bool = False) -> np.ndarra
     not, so on finite fields the result equals the loop over every entry of
     the dense matrix bit for bit.
     """
-    out = np.zeros_like(W)
+    out = np.zeros(W.shape)
     for (i, j), field in M.items():
         row, col = (j, i) if transpose else (i, j)
         out[row] += field * W[col]
@@ -85,7 +85,7 @@ def matfield_apply(M: dict, W: np.ndarray, transpose: bool = False) -> np.ndarra
 
 def _assemble(grid: Grid, ops, A: tuple, C: dict, W: np.ndarray) -> np.ndarray:
     """sum_ax [ D_ax(A_ax W) + A_ax^T D_ax W ] + C W over the tables' entries."""
-    out = np.zeros_like(W)
+    out = np.zeros(W.shape)
     for ax in range(grid.dim):
         out += apply_derivative(ops[ax], matfield_apply(A[ax], W), ax)
         out += matfield_apply(A[ax], apply_derivative(ops[ax], W, ax), transpose=True)
@@ -241,7 +241,7 @@ def eval_standard_linearised_residual(
     if V is None:
         raise ValueError("standard linearisation needs a mean field")
     M, N = _standard_matrices(model, grid, ops, _coeff_state(U_prime, V))
-    spatial = np.zeros_like(U_prime)
+    spatial = np.zeros(U_prime.shape)
     for ax in range(grid.dim):
         spatial += matfield_apply(M[ax], apply_derivative(ops[ax], U_prime, ax))
     spatial += matfield_apply(N, U_prime)
@@ -290,6 +290,7 @@ def bilinear_face_functional(
     ip(Phi, R_primal(U; V)) - ip(U, R_dual_spatial(Phi; V)) up to roundoff
     and collapses to twice the energy-identity flux at Phi = U.
     """
+    U, Phi = (np.asarray(X, dtype=np.float64) for X in (U, Phi))
     A, _ = coeff_matrices(model, _coeff_state(U, V), grid.positions)
     total = 0.0
     # bq is symmetric bit for bit, so bq(A_ax Phi, U) = bq(U, A_ax Phi)

@@ -18,6 +18,32 @@ def test_energy_has_no_half_factor():
     assert abs(total_energy(m, g, ops, u) - 1.0) <= 1e-14
 
 
+@pytest.mark.parametrize("kind", ["burgers1d", "swe2d"])
+def test_identity_norm_energy_equals_the_weighted_inner_product(kind):
+    # P = I for these kinds, so total_energy builds no weight field; u 1.0 u
+    # = u u, so the energy keeps every bit of the weighted form, and a grid
+    # of the wrong dimension is still refused.
+    m = make_model(kind)
+    if kind == "burgers1d":
+        g = make_grid(((0.0, 1.0),), (17,))
+        wrong = make_grid(((0.0, 1.0), (0.0, 1.0)), (9, 9))
+    else:
+        g = make_grid(((0.0, 1.0), (0.0, 2.0)), (13, 16), periodic=(False, True))
+        wrong = make_grid(((0.0, 1.0),), (17,))
+    rng = np.random.default_rng(47)
+    for order in ((2, 1), (4, 2)):
+        ops = build_operators(g, order)
+        for _ in range(5):
+            U = sample_state(m, g.shape, rng)
+            U[0, 1] = -0.0
+            want = inner_product(g, ops, U, U, weight=norm_weight(m, g))
+            assert np.float64(total_energy(m, g, ops, U)).tobytes() == \
+                np.float64(want).tobytes()
+    with pytest.raises(ValueError, match="grid is"):
+        total_energy(m, wrong, build_operators(wrong, (2, 1)),
+                     np.ones((m.n_comp,) + wrong.shape))
+
+
 def test_euler_energy_is_a_seminorm_in_the_pressure():
     m = make_model("euler2d")
     g = make_grid(((0.0, 1.0), (0.0, 1.0)), (9, 9))

@@ -1,9 +1,12 @@
 """Tests for the one-dimensional operators, grids, and quadratures."""
 
+import itertools
+
 import numpy as np
 import pytest
 import sympy
 
+from skewform import sbp_core
 from skewform.sbp_core import (
     apply_derivative,
     boundary_quadrature,
@@ -181,6 +184,28 @@ def test_quadrature_weights_sum_to_the_measure():
     assert abs(w.sum() - 1.0 * 2.0 * 0.5) <= 1e-13
 
 
+def test_quadrature_weights_are_the_ones_product_bit_for_bit():
+    # The weights of every axis subset that inner_product and
+    # boundary_quadrature contract with, the empty one (a 1D grid's face)
+    # included, equal the product of a ones array by each P in axis order.
+    g = make_grid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5)), (9, 10, 8),
+                  periodic=(False, True, False))
+    for order in ORDERS:
+        ops = build_operators(g, order)
+        for k in range(len(ops) + 1):
+            for subset in itertools.combinations(ops, k):
+                want = np.ones(tuple(op.n for op in subset))
+                for ax, op in enumerate(subset):
+                    want = want * op.P.reshape((-1,) + (1,) * (k - 1 - ax))
+                got = quadrature_weights(subset)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+    # a fresh array, not a view of an operator's weights
+    got = quadrature_weights(ops[:1])
+    got[0] = -1.0
+    assert ops[0].P[0] > 0.0
+
+
 def test_inner_product_of_x_with_itself():
     # The (4,2) norm integrates cubics exactly; the (2,1) norm is the
     # trapezoidal rule, whose error on x^2 is exactly h^2/6.
@@ -291,6 +316,29 @@ def column_walk(D, v):
 # The fewest nodes each closure takes; bounded (4, 2) leaves no interior row.
 SMALLEST = {((2, 1), False): 4, ((2, 1), True): 3,
             ((4, 2), False): 8, ((4, 2), True): 5}
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("n", ["min", 257])
+def test_edge_rows_hold_fewer_than_8_nonzeros(order, periodic, n):
+    # numpy sums a reduction of 8 or more terms pairwise, so the single
+    # reduction over an edge block is in column order only below 8.
+    if n == "min":
+        n = SMALLEST[order, periodic]
+    rows, cols, coefs = build_sbp_operator(order, n, 1.0 / n, periodic=periodic).edge
+    assert cols.shape == coefs.shape == (len(rows), cols.shape[1])
+    assert cols.shape[1] < 8
+
+
+def test_an_edge_row_of_8_nonzeros_is_refused(monkeypatch):
+    # A forged (2,1) closure whose first row has 8 nonzero entries.
+    row = tuple(float(j + 1) for j in range(8))
+    monkeypatch.setitem(sbp_core._Q_BLOCK, (2, 1), (row,))
+    with pytest.raises(ValueError, match="edge rows of 8 nonzeros"):
+        build_sbp_operator((2, 1), 20, 0.1)
+    monkeypatch.setitem(sbp_core._Q_BLOCK, (2, 1), (row[:7],))
+    assert build_sbp_operator((2, 1), 20, 0.1).edge[1].shape[1] == 7
 
 
 @pytest.mark.parametrize("order", ORDERS)

@@ -94,6 +94,20 @@ def test_duality_gap_equals_the_face_functional():
                 assert abs(gap - bf) <= 1e-12 * scale, (kind, order, trial)
 
 
+def test_face_functional_takes_nested_lists_like_the_residuals():
+    # Every evaluator reads its states through np.asarray, so nested lists
+    # give the bits of the arrays they hold.
+    for kind in ("burgers1d", "swe2d"):
+        m, g, ops, rng = small_setup(kind, (4, 2), 26)
+        U, V = sample_state(m, g.shape, rng), sample_state(m, g.shape, rng)
+        Phi = rng.normal(size=U.shape)
+        want = bilinear_face_functional(m, g, ops, U, Phi, V)
+        got = bilinear_face_functional(m, g, ops, U.tolist(), Phi.tolist(), V.tolist())
+        assert got == want, kind
+        assert np.array_equal(eval_primal_residual(m, g, ops, U.tolist(), V.tolist()).R,
+                              eval_primal_residual(m, g, ops, U, V).R), kind
+
+
 def test_face_functional_vanishes_on_fully_periodic_grids():
     m = sk.make_model("burgers1d")
     g = make_grid(((0.0, 1.0),), (16,), periodic=(True,))
