@@ -13,7 +13,11 @@ wrote or the bytes of any of them differ.  Each difference is printed; the
 exit code is 0 when every case matched and 1 otherwise.
 
 The matrix: `run` on every bundled scenario; `verify all --seed 3
---trials 7`; `convergence` on burgers_periodic (24,48,96) and
+--trials 7`, `verify all --seed 5 --trials 1` (one trial: each sweep group
+holds one state) and `verify all --seed 1 --trials 249` (above the largest
+sweep group, the 248 trials of a burgers1d state, and a multiple of no
+group size, 248, 9 and 2, so every kind's last group is partial);
+`convergence` on burgers_periodic (24,48,96) and
 swe_coriolis_periodic (16,32,64); `analyze-boundary` for swe2d
 nonlinear_rewritten, swe2d linearised with --alpha 0.3, euler2d, euler2d
 linearised at a state with a zero eigenvalue (whose printed digits would
@@ -437,6 +441,8 @@ x_low = bogus g=1
 
 FIXED_CASES = {
     "verify_all": ["verify", "all", "--seed", "3", "--trials", "7"],
+    "verify_all_one_trial": ["verify", "all", "--seed", "5", "--trials", "1"],
+    "verify_all_partial_groups": ["verify", "all", "--seed", "1", "--trials", "249"],
     "convergence_burgers_periodic": ["convergence", "--config", "burgers_periodic",
                                      "--levels", "24,48,96"],
     "convergence_swe_coriolis_periodic": ["convergence", "--config",

@@ -27,9 +27,10 @@ from .sbp_core import Grid, inner_product
 from .spatial_op import Residual, eval_dual_residual, eval_primal_residual
 
 
-def total_energy(model: ModelSpec, grid: Grid, ops, U: np.ndarray) -> float:
-    """E = <U, P U> in the model norm (a semi-norm for the euler models).  An
-    invertible P is I (burgers1d, swe2d): u 1.0 v = u v, so no weight field."""
+def total_energy(model: ModelSpec, grid: Grid, ops, U: np.ndarray):
+    """E = <U, P U> in the model norm (a semi-norm for the euler models), one
+    value per batch element of a stacked U.  An invertible P is I
+    (burgers1d, swe2d): u 1.0 v = u v, so no weight field."""
     validate_grid(model, grid)
     weight = None if has_invertible_norm(model) else norm_weight(model, grid)
     return inner_product(grid, ops, U, U, weight=weight)
@@ -43,7 +44,8 @@ class EnergyReport:
     contractions (-2 sum_faces bq(U, n.A U) for a primal evaluation, +2 for
     the dual, whose flux enters with the opposite sign); sat_contribution
     is 2 <U, SAT>; volume_residual is rate minus both, the conservation
-    defect.
+    defect.  The values are floats, or one array entry per batch element
+    when the state stacks several.
     """
 
     t: float

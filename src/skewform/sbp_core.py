@@ -8,26 +8,34 @@ B = 0 and uniform weights over a half-open interval.
 States on tensor-product grids are plain numpy arrays of shape
 (n_comp, n_x[, n_y[, n_z]]).  Flattening such an array in C order gives the
 component-major vector layout in which the last spatial axis varies fastest,
-matching the Kronecker ordering I_comp (x) D_x (x) I_y used throughout.
+matching the Kronecker ordering I_comp (x) D_x (x) I_y used throughout.  A
+stack of states carries batch axes between the component and grid axes,
+(n_comp, *batch, *grid); every kernel treats each batch element as the state
+it holds, with the same bits.
 
 All reductions (inner products, boundary quadratures) accumulate
-left-to-right over lexicographic node order.  Operator application follows a
-plan built once per operator: the interior stencil takes one flat run over
-the C-contiguous field per nonzero stencil offset, shifted by the offset
-times the axis stride, with a scalar coefficient; the boundary-block and
-periodic wrap rows, which those runs cross, are then overwritten from one
-gathered block of their nonzero columns.  The runs are taken in pieces of
-_CHUNK values, every offset's pass over one piece before the next piece, so
-a piece's input, output and product temporary stay in a core's L2 cache
-where whole (3, 257, 257) fields would stream from L3 once per pass; each
-value still gets the same products in the same order.  Every row sum starts
-as its first product plus +0.0 and adds the other products in increasing
-column order, so it never becomes -0.0; the skipped exact zero products
-therefore change nothing for finite fields, and every result equals the
-walk over all matrix columns bit for bit and is reproducible for a given
-build.  The edge rows take one np.add.reduce from +0.0: numpy adds fewer than 8
-terms in sequence whichever axis it puts inner, so it differs from that sum at
-most in the sign of a zero neither ends with; wider rows are refused at build.
+left-to-right over lexicographic node order, each batch element on its own,
+and return one value per element (a float for an unbatched state).
+
+Operator application follows a plan built once per operator: the interior
+stencil takes one flat run over the C-contiguous field per nonzero stencil
+offset, shifted by the offset times the axis stride, with a scalar
+coefficient; the boundary-block and periodic wrap rows, which those runs
+cross, are then overwritten from one gathered block of their nonzero
+columns.  The runs are taken in pieces of _CHUNK values, every offset's
+pass over one piece before the next piece, so a piece's input, output and
+product temporary stay in a core's L2 cache where whole (3, 257, 257)
+fields would stream from L3 once per pass; each value still gets the same
+products in the same order.  Every row sum starts as its first product plus
++0.0 and adds the other products in increasing column order, so it never
+becomes -0.0; the skipped exact zero products therefore change nothing for
+finite fields, and every result equals the walk over all matrix columns bit
+for bit and is reproducible for a given build.  The edge rows take one
+np.add.reduce from +0.0: numpy adds fewer than 8 terms in sequence whichever
+axis it puts inner, so it differs from that sum at most in the sign of a
+zero neither ends with; wider rows are refused at build.  A batch axis is
+one more axis of lines: the runs and the edge rows treat each element's
+lines as they treat a single state's.
 """
 
 from __future__ import annotations
@@ -190,8 +198,10 @@ def apply_derivative(op: SbpOperator1D, field: np.ndarray, axis: int = 0) -> np.
 
     Args:
         op: operator for that axis.
-        field: array of shape (n_comp, *spatial).
-        axis: spatial axis index (0 for x, 1 for y, ...).
+        field: array of shape (n_comp, *axes).
+        axis: index into axes (0 for x, 1 for y, ... on a plain state; a
+            state with batch axes before its grid axes offsets the grid
+            axis by their number).
 
     Returns:
         Array of the same shape.  A field not in C order is copied first;
@@ -349,13 +359,19 @@ def quadrature_weights(ops) -> np.ndarray:
     return reduce(np.multiply.outer, ws[1:], ws[0].copy()) if ws else np.ones(())
 
 
-def _contract(ops, u: np.ndarray, v: np.ndarray, weight=None) -> float:
+def _contract(ops, u: np.ndarray, v: np.ndarray, weight=None):
     """sum_nodes quad * sum_c u_c weight_c v_c: the components in index
-    order, then the nodes left to right in C order (no reassociation)."""
+    order, then the nodes left to right in C order (no reassociation), one
+    sequential accumulation per batch element.  u is (n_comp, *batch, *axes)
+    over the len(ops) axes of the ops; returns a float without batch axes,
+    else an array of shape batch."""
     s = np.zeros(u.shape[1:])
     for c in range(u.shape[0]):
         s += u[c] * v[c] if weight is None else u[c] * weight[c] * v[c]
-    return float(np.add.accumulate(np.ravel(s * quadrature_weights(ops)))[-1])
+    batch = s.shape[:s.ndim - len(ops)]
+    rows = (s * quadrature_weights(ops)).reshape(batch + (-1,))
+    sums = np.add.accumulate(rows, axis=-1)[..., -1]
+    return sums if batch else float(sums)
 
 
 def inner_product(grid: Grid, ops, u: np.ndarray, v: np.ndarray,
@@ -363,20 +379,22 @@ def inner_product(grid: Grid, ops, u: np.ndarray, v: np.ndarray,
     """Discrete inner product sum_nodes quad * u^T W v.
 
     Args:
-        u, v: state fields of shape (n_comp, *grid.shape).
-        weight: per-node diagonal of W, shape (n_comp, *grid.shape), or
-            None for the identity component weight.
+        u, v: state fields of shape (n_comp, *batch, *grid.shape), batch
+            possibly empty.
+        weight: per-node diagonal of W, of u's shape or (n_comp,
+            *grid.shape), or None for the identity component weight.
 
     The component contraction runs in fixed index order and the node
-    reduction is sequential over lexicographic order.
+    reduction is sequential over lexicographic order.  Returns a float, or
+    one value per batch element.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"mismatched state shapes {u.shape} and {v.shape}")
-    if u.shape[1:] != grid.shape:
+    if u.ndim <= grid.dim or u.shape[-grid.dim:] != grid.shape:
         raise ValueError(f"state shape {u.shape} does not match grid {grid.shape}")
-    if weight is not None and np.shape(weight) != u.shape:
+    if weight is not None and np.shape(weight) not in (u.shape, u.shape[:1] + grid.shape):
         raise ValueError(f"weight shape {np.shape(weight)} does not match {u.shape}")
     return _contract(ops, u, v, weight)
 
@@ -390,14 +408,14 @@ def face_layer(grid: Grid, field: np.ndarray, face: tuple[int, str]) -> np.ndarr
 
 
 def boundary_quadrature(grid: Grid, ops, uf: np.ndarray, vf: np.ndarray,
-                        face: tuple[int, str]) -> float:
+                        face: tuple[int, str]):
     """Signed face term of the SBP identity, outward positive.
 
     Contracts two states given by their face layers (face_layer)
-    componentwise, weighted by the transverse quadrature.  The low face
-    carries sign -1 and the high face +1, so for a 1D grid the right face
-    returns u(b) v(b) and the left face -u(a) v(a).  Periodic axes have no
-    faces.
+    componentwise, weighted by the transverse quadrature; a float, or one
+    value per batch element of a stacked state.  The low face carries sign
+    -1 and the high face +1, so for a 1D grid the right face returns u(b)
+    v(b) and the left face -u(a) v(a).  Periodic axes have no faces.
     """
     ax, side = face
     if grid.periodic[ax]:
@@ -407,7 +425,8 @@ def boundary_quadrature(grid: Grid, ops, uf: np.ndarray, vf: np.ndarray,
     uf = np.asarray(uf, dtype=np.float64)
     vf = np.asarray(vf, dtype=np.float64)
     tshape = grid.shape[:ax] + grid.shape[ax + 1:]
-    if uf.shape != vf.shape or uf.shape[1:] != tshape:
+    lead = uf.ndim - len(tshape)
+    if uf.shape != vf.shape or lead < 1 or uf.shape[lead:] != tshape:
         raise ValueError("face layers must share the face's shape")
     sign = -1.0 if side == "low" else 1.0
     return sign * _contract([op for a, op in enumerate(ops) if a != ax], uf, vf)

@@ -22,6 +22,11 @@ zero perturbation reproduces the nonlinear evaluation bit for bit.
 
 Coefficient matrices arrive as entry tables {(row, col): field} in row-major
 order (models.coeff_matrices); every kernel walks the table's entries only.
+
+A state may stack several states along batch axes between its component and
+grid axes, (n_comp, *batch, *grid).  Every evaluator, the face terms and
+the SAT-free residual then hold each element's own result bit for bit, and
+the face functionals give one value per element.
 """
 
 from __future__ import annotations
@@ -83,12 +88,19 @@ def matfield_apply(M: dict, W: np.ndarray, transpose: bool = False) -> np.ndarra
     return out
 
 
+def _lead(grid: Grid, W: np.ndarray) -> int:
+    """The number of batch axes of a state W on the grid."""
+    return W.ndim - 1 - grid.dim
+
+
 def _assemble(grid: Grid, ops, A: tuple, C: dict, W: np.ndarray) -> np.ndarray:
     """sum_ax [ D_ax(A_ax W) + A_ax^T D_ax W ] + C W over the tables' entries."""
+    lead = _lead(grid, W)
     out = np.zeros(W.shape)
     for ax in range(grid.dim):
-        out += apply_derivative(ops[ax], matfield_apply(A[ax], W), ax)
-        out += matfield_apply(A[ax], apply_derivative(ops[ax], W, ax), transpose=True)
+        out += apply_derivative(ops[ax], matfield_apply(A[ax], W), lead + ax)
+        out += matfield_apply(A[ax], apply_derivative(ops[ax], W, lead + ax),
+                              transpose=True)
     out += matfield_apply(C, W)
     return out
 
@@ -241,9 +253,10 @@ def eval_standard_linearised_residual(
     if V is None:
         raise ValueError("standard linearisation needs a mean field")
     M, N = _standard_matrices(model, grid, ops, _coeff_state(U_prime, V))
+    lead = _lead(grid, U_prime)
     spatial = np.zeros(U_prime.shape)
     for ax in range(grid.dim):
-        spatial += matfield_apply(M[ax], apply_derivative(ops[ax], U_prime, ax))
+        spatial += matfield_apply(M[ax], apply_derivative(ops[ax], U_prime, lead + ax))
     spatial += matfield_apply(N, U_prime)
     half = tuple({key: 0.5 * field for key, field in M_ax.items()} for M_ax in M)
     return _residual(model, grid, ops, spatial, half, U_prime, sat, forcing)
@@ -257,10 +270,11 @@ def _standard_matrices(model: ModelSpec, grid: Grid, ops, V: np.ndarray):
         raise ValueError(
             f"standard linearisation covers burgers1d and swe2d, not '{model.kind}'"
         )
+    lead = _lead(grid, V)
     if model.kind == "burgers1d":
-        return ({(0, 0): V[0]},), {(0, 0): apply_derivative(ops[0], V, 0)[0]}
+        return ({(0, 0): V[0]},), {(0, 0): apply_derivative(ops[0], V, lead)[0]}
     qbar = np.stack(swe_inverse(V))
-    dqx, dqy = (apply_derivative(ops[ax], qbar, ax) for ax in range(grid.dim))
+    dqx, dqy = (apply_derivative(ops[ax], qbar, lead + ax) for ax in range(grid.dim))
     phib, ub, vb = qbar
     one = np.ones(grid.shape)
     M = ({(0, 0): ub, (0, 1): phib, (1, 0): one, (1, 1): ub, (2, 2): ub},
@@ -282,8 +296,9 @@ def bilinear_face_functional(
     U: np.ndarray,
     Phi: np.ndarray,
     V: np.ndarray,
-) -> float:
-    """Boundary functional pairing primal and dual solutions.
+):
+    """Boundary functional pairing primal and dual solutions (a float, or
+    one value per batch element).
 
     Returns sum over axes and faces of
     bq(Phi, A_ax U) + bq(A_ax Phi, U) with coefficients at V, which equals

@@ -7,6 +7,10 @@ worst normalised residual.  Tolerances are relative: each check defines a
 scale of the form 1 + (magnitudes of the computed terms) so a residual of
 1e-12*scale means the identity holds to rounding.
 
+The sweeps stack the trials of one model kind and order into groups and
+evaluate each group as one batched state; every trial's residual has the
+bits of its own evaluation.
+
 Order-of-accuracy checks encode "observed order >= required" as the
 residual (required - observed), with tolerance zero.
 """
@@ -14,6 +18,7 @@ residual (required - observed), with tolerance zero.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +48,13 @@ from .spatial_op import (
 )
 
 ORDERS = ((2, 1), (4, 2))
+
+# Values per stacked state of a sweep group, as _CHUNK bounds the pieces of
+# an apply; a group holds as many trials as fit, at least one.  A group's
+# suite peaks at 13-21 times the 64 KiB of such a state (traced), below the
+# ansatz suite's 2.0 MB at 64^2, so verify's peak memory does not rise;
+# twice the budget raised the process's peak resident memory by 0.5 MB.
+_GROUP_VALUES = 8192
 
 # Desk-scale default grids per model kind: (extents, shape).
 _DESK_GRIDS = {
@@ -87,34 +99,65 @@ def _state_hash(U: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(U).tobytes()).hexdigest()[:16]
 
 
-def _sweep(kinds, orders, trials: int, seed: int, salt: int, one) -> list:
-    """Concatenated (residual, meta) samples of one(model, grid, ops, rng,
-    meta) over every kind, order and trial, in that nesting order.
+def _hashes(U: np.ndarray) -> list[str]:
+    """_state_hash of each trial of a stacked state (trials on axis 1)."""
+    return [_state_hash(U[:, t]) for t in range(U.shape[1])]
 
-    Each trial draws from its own generator keyed by
-    (seed, salt + kind index, order index, trial); meta starts with the
-    model and order entries.
+
+def _sup(X: np.ndarray) -> np.ndarray:
+    """max |X| of each trial of a stacked field (trials on axis 1)."""
+    return np.abs(X).max(axis=(0, *range(2, X.ndim)))
+
+
+def _cases(residuals, metas, **extra) -> list:
+    """One case's (residual, meta) samples, one per trial."""
+    return [(r, dict(meta, **extra)) for r, meta in zip(residuals, metas)]
+
+
+def _sweep(kinds, orders, trials: int, seed: int, salt: int, draws: int, one) -> list:
+    """Concatenated (residual, meta) samples over every kind, order and
+    trial, in that nesting order, each trial's cases in the order one lists
+    them.
+
+    Each trial draws `draws` states in turn from its own generator keyed by
+    (seed, salt + kind index, order index, trial).  The trials of a kind and
+    order run in groups of at most _GROUP_VALUES values per state:
+    one(model, grid, ops, states, meta) gets the group's states stacked as
+    (n_comp, group, *grid), one array per draw, and meta with the model and
+    order entries, and returns a list of cases, each a list of (residual,
+    meta) samples in trial order.
     """
     samples = []
     for mi, kind in enumerate(kinds):
         for oi, order in enumerate(orders):
             model, grid, ops = default_setup(kind, order)
             meta = {"model": kind, "order": f"{order[0]},{order[1]}"}
-            for trial in range(trials):
-                rng = np.random.default_rng((seed, salt + mi, oi, trial))
-                samples.extend(one(model, grid, ops, rng, meta))
+            group = max(1, _GROUP_VALUES // (model.n_comp * math.prod(grid.shape)))
+            for first in range(0, trials, group):
+                drawn = []
+                for trial in range(first, min(first + group, trials)):
+                    rng = np.random.default_rng((seed, salt + mi, oi, trial))
+                    drawn.append([sample_state(model, grid.shape, rng)
+                                  for _ in range(draws)])
+                states = [np.stack(trial_states, axis=1) for trial_states in zip(*drawn)]
+                cases = one(model, grid, ops, states, meta)
+                samples.extend(sample for trial in zip(*cases) for sample in trial)
     return samples
 
 
 def _finish(name, trials, seed, tolerance, samples) -> CheckReport:
-    """Aggregates (residual, meta) samples; ties keep the earliest.  A check
-    that drew no sample has shown nothing and raises ValueError."""
+    """Aggregates (residual, meta) samples; ties keep the earliest, and the
+    first NaN residual is the worst and fails the check.  A check that drew
+    no sample has shown nothing and raises ValueError."""
     if not samples:
         raise ValueError(f"check '{name}' drew no samples; it needs at least"
                          " one trial, model kind and operator order")
     max_residual = -np.inf
     worst = {}
     for residual, meta in samples:
+        if np.isnan(residual):
+            max_residual, worst = residual, meta
+            break
         if residual > max_residual:
             max_residual = residual
             worst = meta
@@ -134,22 +177,20 @@ def check_energy_identity(kinds=MODEL_KINDS, trials: int = 100,
     """volume_residual <= 1e-12*scale for random admissible states, all
     models, both operator orders, nonlinear/frozen/dual coefficients."""
 
-    def one(model, grid, ops, rng, meta):
-        U = sample_state(model, grid.shape, rng)
+    def one(model, grid, ops, states, meta):
+        U, V_frozen = states
+        shape = "x".join(map(str, grid.shape))
+        hashes = _hashes(U)
         out = []
-        for mode_kind in ("nonlinear", "frozen", "dual"):
-            V = sample_state(model, grid.shape, rng) if mode_kind == "frozen" else None
+        for mode_kind, V in (("nonlinear", None), ("frozen", V_frozen), ("dual", None)):
             rep = energy_report(model, grid, ops, U, V, mode_kind == "dual")
             scale = 1.0 + abs(rep.rate) + abs(rep.boundary_flux) \
                 + abs(rep.sat_contribution)
-            out.append((
-                abs(rep.volume_residual) / scale,
-                dict(meta, mode=mode_kind, grid="x".join(map(str, grid.shape)),
-                     state_hash=_state_hash(U)),
-            ))
+            out.append([(r, dict(meta, mode=mode_kind, grid=shape, state_hash=h))
+                        for r, h in zip(abs(rep.volume_residual) / scale, hashes)])
         return out
 
-    samples = _sweep(kinds, orders, trials, seed, 0, one)
+    samples = _sweep(kinds, orders, trials, seed, 0, 2, one)
     return _finish("energy_identity", trials, seed, 1e-12, samples)
 
 
@@ -158,47 +199,42 @@ def check_duality(kinds=MODEL_KINDS, trials: int = 50,
     """The discrete bilinear boundary identity, exact spatial
     self-adjointness, and the dual energy identity."""
 
-    def one(model, grid, ops, rng, meta):
-        U = sample_state(model, grid.shape, rng)
-        Phi = sample_state(model, grid.shape, rng)
-        V = sample_state(model, grid.shape, rng)
-        meta = dict(meta, grid="x".join(map(str, grid.shape)),
-                    state_hash=_state_hash(U))
+    def one(model, grid, ops, states, meta):
+        U, Phi, V = states
+        shape = "x".join(map(str, grid.shape))
+        metas = [dict(meta, grid=shape, state_hash=h) for h in _hashes(U)]
         out = []
 
         # Bilinear identity at frozen coefficients V (C terms cancel
-        # pairwise; Coriolis included for swe2d).
-        res_p = eval_primal_residual(model, grid, ops, U, V)
-        res_d = eval_dual_residual(model, grid, ops, Phi, V)
-        lhs = inner_product(grid, ops, Phi, res_p.spatial) \
-            - inner_product(grid, ops, U, res_d.spatial)
+        # pairwise; Coriolis included for swe2d).  Only the spatial parts
+        # are kept, so the coefficient tables of a group go with each call.
+        primal = eval_primal_residual(model, grid, ops, U, V).spatial
+        dual = eval_dual_residual(model, grid, ops, Phi, V).spatial
+        lhs = inner_product(grid, ops, Phi, primal) - inner_product(grid, ops, U, dual)
         rhs = bilinear_face_functional(model, grid, ops, U, Phi, V)
         scale = 1.0 + abs(lhs) + abs(rhs)
-        out.append((abs(lhs - rhs) / scale,
-                    dict(meta, case="bilinear_frozen")))
+        out.append(_cases(abs(lhs - rhs) / scale, metas, case="bilinear_frozen"))
 
         # Specialisation Phi = U halves to the energy identity.
-        lhs_e = 2.0 * inner_product(grid, ops, U, res_p.spatial)
+        lhs_e = 2.0 * inner_product(grid, ops, U, primal)
         rhs_e = bilinear_face_functional(model, grid, ops, U, U, V)
         scale_e = 1.0 + abs(lhs_e) + abs(rhs_e)
-        out.append((abs(lhs_e - rhs_e) / scale_e,
-                    dict(meta, case="bilinear_diagonal")))
+        out.append(_cases(abs(lhs_e - rhs_e) / scale_e, metas, case="bilinear_diagonal"))
 
         # Strict self-adjointness: the dual spatial residual at coefficients
         # Phi is exactly the negated primal one.
-        res_sp = eval_primal_residual(model, grid, ops, Phi)
+        self_primal = eval_primal_residual(model, grid, ops, Phi).spatial
         res_sd = eval_dual_residual(model, grid, ops, Phi)
-        exact = float(np.max(np.abs(res_sd.spatial + res_sp.spatial)))
-        out.append((exact, dict(meta, case="self_adjoint_exact")))
+        exact = _sup(res_sd.spatial + self_primal)
+        out.append(_cases(exact, metas, case="self_adjoint_exact"))
 
         # Dual energy identity: the dual volume residual vanishes.
         rep = report_from_residual(model, res_sd, 0.0)
         scale_d = 1.0 + abs(rep.rate) + abs(rep.boundary_flux)
-        out.append((abs(rep.volume_residual) / scale_d,
-                    dict(meta, case="dual_energy")))
+        out.append(_cases(abs(rep.volume_residual) / scale_d, metas, case="dual_energy"))
         return out
 
-    samples = _sweep(kinds, orders, trials, seed, 17, one)
+    samples = _sweep(kinds, orders, trials, seed, 17, 3, one)
     return _finish("duality", trials, seed, 1e-12, samples)
 
 
@@ -304,43 +340,39 @@ def check_decomposition(kinds=MODEL_KINDS, trials: int = 50,
     is exactly quadratic for burgers1d (linear coefficients, power-of-two
     scaling) and near-quadratic in an epsilon sweep for swe2d."""
 
-    def one(model, grid, ops, rng, meta):
-        U_bar = sample_state(model, grid.shape, rng)
-        U_prime = 0.1 * sample_state(model, grid.shape, rng)
-        meta = dict(meta, state_hash=_state_hash(U_bar))
+    def one(model, grid, ops, states, meta):
+        U_bar, U_prime = states
+        U_prime = 0.1 * U_prime
+        metas = [dict(meta, state_hash=h) for h in _hashes(U_bar)]
         out = []
 
         full = eval_primal_residual(model, grid, ops, U_bar + U_prime).spatial
-        res_m, res_p = eval_new_linearised_pair(model, grid, ops, U_bar, U_prime)
+        mean, pert = (res.spatial for res in eval_new_linearised_pair(
+            model, grid, ops, U_bar, U_prime))
         H = eval_remainder_H(model, grid, ops, U_bar, U_prime)
-        defect = float(np.max(np.abs(full - res_m.spatial - res_p.spatial - H)))
-        scale = 1.0 + float(np.max(np.abs(full))) \
-            + float(np.max(np.abs(res_m.spatial))) \
-            + float(np.max(np.abs(res_p.spatial))) \
-            + float(np.max(np.abs(H)))
-        out.append((defect / scale, dict(meta, case="decomposition")))
+        defect = _sup(full - mean - pert - H)
+        scale = 1.0 + _sup(full) + _sup(mean) + _sup(pert) + _sup(H)
+        out.append(_cases(defect / scale, metas, case="decomposition"))
 
         if model.kind == "burgers1d":
             eps = 2.0 ** -3
-            h1 = float(np.max(np.abs(H)))
-            h2 = float(np.max(np.abs(eval_remainder_H(
-                model, grid, ops, U_bar, eps * U_prime))))
-            ratio = h2 / (eps * eps * h1)
-            out.append((abs(ratio - 1.0),
-                        dict(meta, case="quadratic_exact", ratio=repr(ratio))))
+            h1 = _sup(H)
+            h2 = _sup(eval_remainder_H(model, grid, ops, U_bar, eps * U_prime))
+            ratios = [float(r) for r in h2 / (eps * eps * h1)]
+            out.append([(abs(ratio - 1.0), dict(m, case="quadratic_exact", ratio=repr(ratio)))
+                        for ratio, m in zip(ratios, metas)])
         if model.kind == "swe2d" and ops[0].order == (4, 2):
             exps = (-2, -6)
-            hs = [float(np.max(np.abs(eval_remainder_H(
-                model, grid, ops, U_bar, (2.0 ** e) * U_prime))))
-                for e in exps]
-            slope = np.log2(hs[0] / hs[1]) / (exps[0] - exps[1])
-            inside = 1.9 <= slope <= 2.1
-            out.append((0.0 if inside else np.inf,
-                        dict(meta, case="quadratic_slope",
-                             slope=round(float(slope), 4))))
+            hs = [_sup(eval_remainder_H(model, grid, ops, U_bar, (2.0 ** e) * U_prime))
+                  for e in exps]
+            slopes = [np.log2(float(h0) / float(h1)) / (exps[0] - exps[1])
+                      for h0, h1 in zip(*hs)]
+            out.append([(0.0 if 1.9 <= slope <= 2.1 else np.inf,
+                         dict(m, case="quadratic_slope", slope=round(float(slope), 4)))
+                        for slope, m in zip(slopes, metas)])
         return out
 
-    samples = _sweep(kinds, orders, trials, seed, 31, one)
+    samples = _sweep(kinds, orders, trials, seed, 31, 2, one)
     return _finish("decomposition", trials, seed, 1e-12, samples)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import skewform as sk
+from skewform.energy import report_from_residual
 from skewform.models import MODEL_KINDS, coeff_matrices, make_model, sample_state
 from skewform.sbp_core import (
     apply_derivative,
@@ -376,3 +377,104 @@ def test_standard_linearisation_refuses_the_models_it_does_not_cover():
     with pytest.raises(ValueError, match="covers burgers1d and swe2d, not 'euler2d'"):
         eval_standard_linearised_residual(m, g, ops, U, V)
 
+
+
+# Velocity components per kind, which take signed zeros in the batched test.
+_VELOCITIES = {"burgers1d": (0,), "euler2d": (0, 1), "euler3d_cyl": (0, 1, 2),
+               "swe2d": (1, 2)}
+_BATCH_GRIDS = {"burgers1d": (((0.0, 1.0),), (14,)),
+                "euler2d": (((0.0, 1.0), (0.0, 1.0)), (9, 8)),
+                "euler3d_cyl": (((0.3, 1.3), (0.0, 1.0), (0.0, 1.0)), (8, 9, 8)),
+                "swe2d": (((0.0, 1.0), (0.0, 1.0)), (8, 9))}
+
+
+def _same_bits(per_trial, batched):
+    """Each trial's value or field has the bits of its batch element."""
+    batched = np.asarray(batched)
+    for t, value in enumerate(per_trial):
+        element = batched[:, t] if batched.ndim > 1 else batched[t]
+        assert np.asarray(value, dtype=np.float64).tobytes() \
+            == np.ascontiguousarray(element).tobytes(), t
+
+
+def _same_residual(per_trial, batched):
+    _same_bits([r.R for r in per_trial], batched.R)
+    _same_bits([r.spatial for r in per_trial], batched.spatial)
+    for label, value in batched.face_terms.items():
+        _same_bits([r.face_terms[label] for r in per_trial], value)
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["bounded", "periodic"])
+@pytest.mark.parametrize("order", ORDERS, ids=["21", "42"])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_a_stack_of_trials_gives_each_trials_bits(kind, order, periodic):
+    m = make_model(kind) if kind != "swe2d" else make_model(
+        "swe2d", alpha=0.4, beta=0.7, f0=0.7, f1=0.3)
+    extents, shape = _BATCH_GRIDS[kind]
+    g = make_grid(extents, shape, periodic=(periodic,) * len(shape),
+                  axis_names=m.axis_names)
+    ops = build_operators(g, order)
+    rng = np.random.default_rng(61)
+    draws = [[sample_state(m, g.shape, rng) for _ in range(5)] for _ in range(3)]
+    vel = list(_VELOCITIES[kind])
+    # signed zeros: trial 1 all -0.0 velocities, trial 3 +0.0 on one half
+    # and -0.0 on the other
+    draws[0][1][vel] = -0.0
+    draws[0][3][vel] = 0.0
+    draws[0][3][(vel,) + np.s_[..., : shape[-1] // 2]] = -0.0
+    Us, Phis, Vs = draws
+    U, Phi, V = (np.stack(trials, axis=1) for trials in draws)
+    P = 0.1 * Phi
+
+    for coeff, per_V in ((None, [None] * 5), (V, Vs)):
+        res = eval_primal_residual(m, g, ops, U, coeff)
+        per = [eval_primal_residual(m, g, ops, u, v) for u, v in zip(Us, per_V)]
+        _same_residual(per, res)
+        rep = report_from_residual(m, res, 0.0)
+        reps = [report_from_residual(m, r, 0.0) for r in per]
+        for field in ("energy", "rate", "boundary_flux", "sat_contribution",
+                      "volume_residual"):
+            _same_bits([getattr(r, field) for r in reps], np.broadcast_to(
+                getattr(rep, field), (5,)))
+        for label, value in rep.face_fluxes.items():
+            _same_bits([r.face_fluxes[label] for r in reps], value)
+        res = eval_dual_residual(m, g, ops, Phi, coeff)
+        _same_residual([eval_dual_residual(m, g, ops, p, v)
+                        for p, v in zip(Phis, per_V)], res)
+
+    pair = eval_new_linearised_pair(m, g, ops, U, P)
+    pairs = [eval_new_linearised_pair(m, g, ops, u, 0.1 * p) for u, p in zip(Us, Phis)]
+    for k in range(2):
+        _same_residual([p[k] for p in pairs], pair[k])
+    _same_bits([eval_remainder_H(m, g, ops, u, 0.1 * p) for u, p in zip(Us, Phis)],
+               eval_remainder_H(m, g, ops, U, P))
+    if kind in ("burgers1d", "swe2d"):
+        _same_residual([eval_standard_linearised_residual(m, g, ops, 0.1 * p, u)
+                        for u, p in zip(Us, Phis)],
+                       eval_standard_linearised_residual(m, g, ops, P, U))
+    _same_bits([bilinear_face_functional(m, g, ops, u, p, v)
+                for u, p, v in zip(Us, Phis, Vs)],
+               np.broadcast_to(bilinear_face_functional(m, g, ops, U, Phi, V), (5,)))
+    _same_bits([inner_product(g, ops, u, p) for u, p in zip(Us, Phis)],
+               inner_product(g, ops, U, Phi))
+    W = np.abs(Vs[0])
+    _same_bits([inner_product(g, ops, u, p, weight=W) for u, p in zip(Us, Phis)],
+               inner_product(g, ops, U, Phi, weight=W))
+    for face in faces(g):
+        _same_bits([boundary_quadrature(g, ops, face_layer(g, u, face),
+                                        face_layer(g, p, face), face)
+                    for u, p in zip(Us, Phis)],
+                   boundary_quadrature(g, ops, face_layer(g, U, face),
+                                       face_layer(g, Phi, face), face))
+
+    # a stack whose trailing axes are not the grid's is refused
+    last = np.moveaxis(U, 1, -1)
+    for evaluate in (lambda X: inner_product(g, ops, X, X),
+                     lambda X: eval_primal_residual(m, g, ops, X),
+                     lambda X: sk.energy_report(m, g, ops, X)):
+        with pytest.raises(ValueError):
+            evaluate(last)
+    for face in faces(g) if g.dim > 1 else ():  # a 1D face has no trailing axes
+        with pytest.raises(ValueError, match="face layers"):
+            layer = face_layer(g, U, face)[..., None]
+            boundary_quadrature(g, ops, layer, layer, face)

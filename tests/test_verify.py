@@ -1,8 +1,13 @@
 """Tests for the built-in verification checks."""
 
+import dataclasses
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from skewform import verify
 from skewform.verify import (
     ansatz_defect,
     check_alpha_independence,
@@ -33,17 +38,74 @@ def test_duality_check_passes():
 
 
 def test_duality_check_evaluates_each_dual_residual_once(monkeypatch):
-    from skewform import energy, verify
+    from skewform import energy
     calls = []
     for module in (verify, energy):
         def counted(*args, _fn=module.eval_dual_residual, **kwargs):
-            calls.append(1)
+            calls.append(np.shape(args[3])[1])
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, "eval_dual_residual", counted)
+    # two burgers1d states of 33 nodes per group: 3 trials run as 2 groups
+    monkeypatch.setattr(verify, "_GROUP_VALUES", 2 * 33)
     rep = check_duality(kinds=("burgers1d",), trials=3, seed=2, orders=((2, 1),))
     assert rep.passed
-    # per trial: the dual at frozen coefficients V and at the dual state
-    assert len(calls) == 2 * 3
+    # per group: the dual at frozen coefficients V and at the dual state,
+    # which the dual energy report reuses
+    assert calls == [2, 2, 1, 1]
+
+
+def test_a_nan_residual_is_the_worst_and_fails_the_check():
+    nan = float("nan")
+    rep = verify._finish("x", 1, 0, 1e-12, [(nan, {"at": 0}), (nan, {"at": 1})])
+    assert math.isnan(rep.max_residual) and not rep.passed
+    assert rep.worst == {"at": 0}
+    mixed = [(1e-15, {"at": 0}), (nan, {"at": 1}), (5.0, {"at": 2}), (nan, {"at": 3})]
+    rep = verify._finish("x", 1, 0, 1e-12, mixed)
+    assert math.isnan(rep.max_residual) and not rep.passed
+    assert rep.worst == {"at": 1}
+    # finite residuals: the largest, ties keeping the earliest
+    rep = verify._finish("x", 1, 0, 1e-12, [(1e-15, {"at": 0}), (2e-15, {"at": 1}),
+                                             (2e-15, {"at": 2})])
+    assert rep.max_residual == 2e-15 and rep.passed and rep.worst == {"at": 1}
+
+
+def test_a_nan_in_one_trial_of_a_group_fails_the_sweep(monkeypatch):
+    # the batched report of a group carries one trial's NaN to that trial
+    report = verify.energy_report
+
+    def one_nan(*args, **kwargs):
+        rep = report(*args, **kwargs)
+        vr = np.array(rep.volume_residual)
+        vr[2] = np.nan
+        return dataclasses.replace(rep, volume_residual=vr)
+
+    monkeypatch.setattr(verify, "energy_report", one_nan)
+    rep = check_energy_identity(kinds=("euler2d",), trials=5, seed=4, orders=((2, 1),))
+    assert math.isnan(rep.max_residual) and not rep.passed
+    model, grid, ops = default_setup("euler2d", (2, 1))
+    U = verify.sample_state(model, grid.shape, np.random.default_rng((4, 0, 0, 2)))
+    assert rep.worst == {"model": "euler2d", "order": "2,1", "mode": "nonlinear",
+                         "grid": "17x17", "state_hash": verify._state_hash(U)}
+
+
+@pytest.mark.parametrize("check", [check_energy_identity, check_duality,
+                                   check_decomposition],
+                         ids=["energy", "duality", "decomposition"])
+def test_a_batched_sweep_holds_its_group_budget(check):
+    # the peak is set by the group's budget, not by the trial count: four
+    # groups peak at 13-21 times the budget's bytes, swe2d (4,2) the highest
+    kind, order = "swe2d", (4, 2)
+    model, grid, _ = default_setup(kind, order)
+    group = verify._GROUP_VALUES // (model.n_comp * math.prod(grid.shape))
+    budget = 8 * verify._GROUP_VALUES
+    check(kinds=(kind,), trials=1, orders=(order,))  # first-call allocations
+    tracemalloc.start()
+    try:
+        check(kinds=(kind,), trials=4 * group, orders=(order,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * budget, peak / budget
 
 
 def test_ansatz_check_passes():
