@@ -24,9 +24,9 @@ Coefficient matrices arrive as entry tables {(row, col): field} in row-major
 order (models.coeff_matrices); every kernel walks the table's entries only.
 
 A state may stack several states along batch axes between its component and
-grid axes, (n_comp, *batch, *grid).  Every evaluator, the face terms and
-the SAT-free residual then hold each element's own result bit for bit, and
-the face functionals give one value per element.
+grid axes, (n_comp, *batch, *grid).  Every evaluator, its SAT and its face
+terms then give each element the bits of its own evaluation, and the face
+functionals give one value per element.
 """
 
 from __future__ import annotations

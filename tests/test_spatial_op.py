@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import skewform as sk
+from skewform.boundary import make_sat_config
 from skewform.energy import report_from_residual
 from skewform.models import MODEL_KINDS, coeff_matrices, make_model, sample_state
 from skewform.sbp_core import (
@@ -382,6 +383,10 @@ def test_standard_linearisation_refuses_the_models_it_does_not_cover():
 # Velocity components per kind, which take signed zeros in the batched test.
 _VELOCITIES = {"burgers1d": (0,), "euler2d": (0, 1), "euler3d_cyl": (0, 1, 2),
                "swe2d": (1, 2)}
+_BATCH_CLOSURES = {"burgers1d": {"x_low": {"kind": "characteristic", "g": 0.1},
+                                 "x_high": {"kind": "characteristic"}},
+                   "swe2d": {"x_low": {"kind": "swe_two_condition"},
+                             "x_high": {"kind": "swe_two_condition"}}}
 _BATCH_GRIDS = {"burgers1d": (((0.0, 1.0),), (14,)),
                 "euler2d": (((0.0, 1.0), (0.0, 1.0)), (9, 8)),
                 "euler3d_cyl": (((0.3, 1.3), (0.0, 1.0), (0.0, 1.0)), (8, 9, 8)),
@@ -400,6 +405,8 @@ def _same_bits(per_trial, batched):
 def _same_residual(per_trial, batched):
     _same_bits([r.R for r in per_trial], batched.R)
     _same_bits([r.spatial for r in per_trial], batched.spatial)
+    if batched.sat is not None:
+        _same_bits([r.sat for r in per_trial], batched.sat)
     for label, value in batched.face_terms.items():
         _same_bits([r.face_terms[label] for r in per_trial], value)
 
@@ -426,9 +433,12 @@ def test_a_stack_of_trials_gives_each_trials_bits(kind, order, periodic):
     U, Phi, V = (np.stack(trials, axis=1) for trials in draws)
     P = 0.1 * Phi
 
-    for coeff, per_V in ((None, [None] * 5), (V, Vs)):
-        res = eval_primal_residual(m, g, ops, U, coeff)
-        per = [eval_primal_residual(m, g, ops, u, v) for u, v in zip(Us, per_V)]
+    closed = not periodic and kind in _BATCH_CLOSURES
+    sat = make_sat_config(m, g, _BATCH_CLOSURES[kind]) if closed else None
+    for coeff, per_V, closure in ((None, [None] * 5, None), (V, Vs, None),
+                                  (None, [None] * 5, sat)):
+        res = eval_primal_residual(m, g, ops, U, coeff, closure)
+        per = [eval_primal_residual(m, g, ops, u, v, closure) for u, v in zip(Us, per_V)]
         _same_residual(per, res)
         rep = report_from_residual(m, res, 0.0)
         reps = [report_from_residual(m, r, 0.0) for r in per]
