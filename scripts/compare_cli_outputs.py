@@ -14,9 +14,11 @@ exit code is 0 when every case matched and 1 otherwise.
 
 The matrix: `run` on every bundled scenario; `verify all --seed 3
 --trials 7`, `verify all --seed 5 --trials 1` (one trial: each sweep group
-holds one state) and `verify all --seed 1 --trials 249` (above the largest
-sweep group, the 248 trials of a burgers1d state, and a multiple of no
-group size, 248, 9 and 2, so every kind's last group is partial);
+holds one state), `verify all --seed 1 --trials 249` (a multiple of no
+group size, 496, 18 and 5 trials of a burgers1d, euler2d or swe2d, and
+euler3d_cyl state: 249 = 13*18 + 15 = 49*5 + 4, so every kind's last group
+is partial) and `verify all --seed 4 --trials 18` (one full euler2d and
+swe2d group, and three full euler3d_cyl groups before a partial one);
 `convergence` on burgers_periodic (24,48,96) and
 swe_coriolis_periodic (16,32,64); `analyze-boundary` for swe2d
 nonlinear_rewritten, swe2d linearised with --alpha 0.3, euler2d, euler2d
@@ -443,6 +445,7 @@ FIXED_CASES = {
     "verify_all": ["verify", "all", "--seed", "3", "--trials", "7"],
     "verify_all_one_trial": ["verify", "all", "--seed", "5", "--trials", "1"],
     "verify_all_partial_groups": ["verify", "all", "--seed", "1", "--trials", "249"],
+    "verify_all_full_groups": ["verify", "all", "--seed", "4", "--trials", "18"],
     "convergence_burgers_periodic": ["convergence", "--config", "burgers_periodic",
                                      "--levels", "24,48,96"],
     "convergence_swe_coriolis_periodic": ["convergence", "--config",

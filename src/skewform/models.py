@@ -22,7 +22,9 @@ all produce the same boundary contraction.
 A coefficient matrix is an entry table: a dict {(row, col): field} of the
 entries that can be nonzero, keys in row-major order.  Every other entry is
 zero at every state, so no dense tensor is built; dense_matrix expands one
-point's table where a linear-algebra routine needs the whole matrix.
+point's table where a linear-algebra routine needs the whole matrix.  A
+table stores each distinct field once: keys that repeat a field share its
+view, and a constant entry is a 0-d float64 that broadcasts to every node.
 """
 
 from __future__ import annotations
@@ -131,26 +133,29 @@ def coeff_matrices(model: ModelSpec, V, pos=None):
 
     Returns:
         (A, C): A is a tuple of dim tables {(row, col): field} for A_i and C
-        one table, keys row-major, every field of shape s (0-d for a point);
-        C is skew per node.  The fields are views into one packed block.
+        one table, keys row-major; C is skew per node.  Each distinct field
+        of shape s is a view of one slot of a packed block, and a key that
+        repeats a field holds the same view (the euler (1,1) and (2,2),
+        swe2d's (2,2), euler3d_cyl's r/2 at four keys).  A constant entry is
+        a 0-d float64 (the euler +-0.5, swe2d's f0 when f1 = 0).  The block
+        holds 1, 2, 6 and 10 slots for burgers1d, euler2d, euler3d_cyl and
+        swe2d (8 with f1 = 0), where the tables hold 1, 8, 19 and 12 entries.
 
-    The block is allocated first and each entry is computed straight into
-    its view (ufunc out=).  A full-size temporary per entry, copied into
-    the block, would cost a second pass and fresh pages that the kernel
-    faults in on every call.  One block rather than one array per entry:
-    it is one allocation, coeff_split needs one subtraction, and a block
-    above the 16 MiB that cli.main primes glibc's mmap threshold to (the
-    513^2 swe2d block is 25.3 MB) still lifts the threshold above the field
-    size when freed, so the residual's per-field temporaries reuse the heap.
+    A product by a 0-d constant or a shared view equals the product by a
+    filled field bit for bit, so the kernels give the same bytes as with
+    one field per entry.  The block is allocated first and each slot is
+    computed straight into its view (ufunc out=).  A full-size temporary
+    per entry, copied into the block, would cost a second pass and fresh
+    pages that the kernel faults in on every call.  One block rather than
+    one array per slot: it is one allocation, coeff_split needs one
+    subtraction, and a block above the 16 MiB that cli.main primes glibc's
+    mmap threshold to still lifts the threshold above the field size when
+    freed, so the residual's per-field temporaries reuse the heap.
     """
     V = _as_state(model, V)
     check_admissible(model, V)
-    *_, pattern, writer = _KINDS[model.kind]
-    block = np.empty((sum(map(len, pattern)),) + V.shape[1:])
-    views = (block[k, ...] for k in range(len(block)))
-    tables = [{key: next(views) for key in keys} for keys in pattern]
-    writer(model, V, pos, *tables)
-    return tuple(tables[:-1]), tables[-1]
+    *_, writer = _KINDS[model.kind]
+    return writer(model, V, pos)
 
 
 def dense_matrix(entries, n_comp: int) -> np.ndarray:
@@ -161,84 +166,85 @@ def dense_matrix(entries, n_comp: int) -> np.ndarray:
     return M
 
 
-# The writers fill every entry of a kind's tables in place; the tables share
-# one packed block, so an entry already written serves as an operand.
+# The writers compute each distinct field of a kind's tables into a slot of
+# one fresh block and return the tables, keys row-major.
 
-def _write_burgers1d(model, V, pos, A, C):
-    np.divide(V[0], 3.0, out=A[0, 0])
-
-
-def _write_euler2d(model, V, pos, A1, A2, C):
-    for ax, M in enumerate((A1, A2)):
-        np.divide(V[ax], 2.0, out=M[0, 0])
-        np.copyto(M[1, 1], M[0, 0])
-        M[ax, 2].fill(0.5)
-        M[2, ax].fill(0.5)
+def _slots(V, n: int) -> list:
+    """n slot views of one packed (n, *s) block, s the node shape of V."""
+    block = np.empty((n,) + V.shape[1:])
+    return [block[k, ...] for k in range(n)]
 
 
-def _write_euler3d_cyl(model, V, pos, Ar, Ath, Az, C):
+def _const(value: float) -> np.ndarray:
+    """A constant entry: one 0-d float64 for every node."""
+    return np.asarray(value, dtype=np.float64)
+
+
+def _write_burgers1d(model, V, pos):
+    (u,) = _slots(V, 1)
+    np.divide(V[0], 3.0, out=u)
+    return ({(0, 0): u},), {}
+
+
+def _write_euler2d(model, V, pos):
+    ux, uy = _slots(V, 2)
+    np.divide(V[0], 2.0, out=ux)
+    np.divide(V[1], 2.0, out=uy)
+    half = _const(0.5)
+    return ({(0, 0): ux, (0, 2): half, (1, 1): ux, (2, 0): half},
+            {(0, 0): uy, (1, 1): uy, (1, 2): half, (2, 1): half}), {}
+
+
+def _write_euler3d_cyl(model, V, pos):
     if pos is None:
         raise ValueError("euler3d_cyl needs pos with the radius array")
-    hr = Ar[0, 3]
+    u, hr, v, w, c01, c10 = _slots(V, 6)
     np.divide(np.asarray(pos[0], dtype=np.float64), 2.0, out=hr)
-    np.multiply(hr, V[0], out=Ar[0, 0])
-    np.divide(V[1], 2.0, out=Ath[0, 0])
-    np.multiply(hr, V[2], out=Az[0, 0])
-    for M in (Ar, Ath, Az):
-        np.copyto(M[1, 1], M[0, 0])
-        np.copyto(M[2, 2], M[0, 0])
-    for key, M in (((3, 0), Ar), ((2, 3), Az), ((3, 2), Az)):
-        np.copyto(M[key], hr)
-    Ath[1, 3].fill(0.5)
-    Ath[3, 1].fill(0.5)
-    np.negative(V[1], out=C[0, 1])
-    np.copyto(C[1, 0], V[1])
-    C[0, 3].fill(-0.5)
-    C[3, 0].fill(0.5)
+    np.multiply(hr, V[0], out=u)
+    np.divide(V[1], 2.0, out=v)
+    np.multiply(hr, V[2], out=w)
+    np.negative(V[1], out=c01)
+    np.copyto(c10, V[1])
+    half = _const(0.5)
+    return (({(0, 0): u, (0, 3): hr, (1, 1): u, (2, 2): u, (3, 0): hr},
+             {(0, 0): v, (1, 1): v, (1, 3): half, (2, 2): v, (3, 1): half},
+             {(0, 0): w, (1, 1): w, (2, 2): w, (2, 3): hr, (3, 2): hr}),
+            {(0, 1): c01, (0, 3): _const(-0.5), (1, 0): c10, (3, 0): half})
 
 
-def _write_swe2d(model, V, pos, A1, A2, C):
+def _write_swe2d(model, V, pos):
+    if model.f1 != 0.0 and pos is None:
+        raise ValueError("swe2d with f1 != 0 needs pos with the y array")
+    slots = _slots(V, 8 if model.f1 == 0.0 else 10)
     root = np.sqrt(V[0])
-    for ax, s, M in ((1, model.alpha, A1), (2, model.beta, A2)):
-        np.multiply(s, V[ax], out=M[0, 0])
-        np.divide(M[0, 0], root, out=M[0, 0])
-        np.multiply(1.0 - 3.0 * s, root, out=M[0, ax])
-        np.multiply(2.0 * s, root, out=M[ax, 0])
-        u = M[1, 1]
+    for ax, s, (a, b, c, u) in ((1, model.alpha, slots[0:4]), (2, model.beta, slots[4:8])):
+        np.multiply(s, V[ax], out=a)
+        np.divide(a, root, out=a)
+        np.multiply(1.0 - 3.0 * s, root, out=b)
+        np.multiply(2.0 * s, root, out=c)
         np.multiply(2.0, root, out=u)
         np.divide(V[ax], u, out=u)
-        np.copyto(M[2, 2], u)
-    f = C[2, 1]
+    a1, b1, c1, ux, a2, b2, c2, uy = slots[:8]
     if model.f1 == 0.0:
-        f.fill(model.f0)
+        f, minus_f = _const(model.f0), _const(-model.f0)
     else:
-        if pos is None:
-            raise ValueError("swe2d with f1 != 0 needs pos with the y array")
+        f, minus_f = slots[8:]
         np.multiply(model.f1, np.asarray(pos[1], dtype=np.float64), out=f)
         np.add(model.f0, f, out=f)
-    np.negative(f, out=C[1, 2])
+        np.negative(f, out=minus_f)
+    return (({(0, 0): a1, (0, 1): b1, (1, 0): c1, (1, 1): ux, (2, 2): ux},
+             {(0, 0): a2, (0, 2): b2, (1, 1): uy, (2, 0): c2, (2, 2): uy}),
+            {(1, 2): minus_f, (2, 1): f})
 
 
 # One row per kind: the state component names (final-state file headers),
-# the axis names (n_comp and dim are their lengths), the keys of the entries
-# of A_1 .. A_dim and C that can be nonzero, each table row-major, and the
-# writer of those entries.
+# the axis names (n_comp and dim are their lengths) and the writer of the
+# kind's coefficient tables.
 _KINDS = {
-    "burgers1d": (("u",), ("x",), (((0, 0),), ()), _write_burgers1d),
-    "euler2d": (("u", "v", "p"), ("x", "y"),
-                (((0, 0), (0, 2), (1, 1), (2, 0)), ((0, 0), (1, 1), (1, 2), (2, 1)), ()),
-                _write_euler2d),
-    "euler3d_cyl": (("u", "v", "w", "p"), ("r", "theta", "z"),
-                    (((0, 0), (0, 3), (1, 1), (2, 2), (3, 0)),
-                     ((0, 0), (1, 1), (1, 3), (2, 2), (3, 1)),
-                     ((0, 0), (1, 1), (2, 2), (2, 3), (3, 2)),
-                     ((0, 1), (0, 3), (1, 0), (3, 0))),
-                    _write_euler3d_cyl),
-    "swe2d": (("U1", "U2", "U3"), ("x", "y"),
-              (((0, 0), (0, 1), (1, 0), (1, 1), (2, 2)),
-               ((0, 0), (0, 2), (1, 1), (2, 0), (2, 2)),
-               ((1, 2), (2, 1))),
-              _write_swe2d),
+    "burgers1d": (("u",), ("x",), _write_burgers1d),
+    "euler2d": (("u", "v", "p"), ("x", "y"), _write_euler2d),
+    "euler3d_cyl": (("u", "v", "w", "p"), ("r", "theta", "z"), _write_euler3d_cyl),
+    "swe2d": (("U1", "U2", "U3"), ("x", "y"), _write_swe2d),
 }
 MODEL_KINDS = tuple(_KINDS)
 
@@ -319,11 +325,15 @@ def coeff_split(model: ModelSpec, U_bar, U_prime, pos=None) -> tuple:
         return coeff_matrices(model, U_prime, pos)
     A_bar, _ = coeff_matrices(model, U_bar, pos)
     A_tot, C_tot = coeff_matrices(model, U_bar + U_prime, pos)
-    # Every field is a view of its call's block: one subtraction of the
-    # mean's block turns the total's tables into the increments.
-    bar, tot = (next(iter(A[0].values())).base for A in (A_bar, A_tot))
+    # A field is a slot of its call's block or a 0-d constant: one
+    # subtraction of the mean's block turns the total's slots into the
+    # increments, and a constant's increment c - c is an exact +0.0.
+    bar, tot = (A[0][0, 0].base for A in (A_bar, A_tot))
     np.subtract(tot, bar, out=tot)
-    return A_tot, C_tot
+    zero = np.zeros(())
+    *A_prime, C_prime = ({key: field if field.base is tot else zero
+                          for key, field in M.items()} for M in (*A_tot, C_tot))
+    return tuple(A_prime), C_prime
 
 
 def wavespeeds(model: ModelSpec, V) -> tuple[float, ...]:

@@ -21,7 +21,8 @@ Because the paths share code, the coupled mean/perturbation system with a
 zero perturbation reproduces the nonlinear evaluation bit for bit.
 
 Coefficient matrices arrive as entry tables {(row, col): field} in row-major
-order (models.coeff_matrices); every kernel walks the table's entries only.
+order (models.coeff_matrices); every kernel walks the table's entries only,
+and a field may be a 0-d constant that broadcasts to every node.
 
 A state may stack several states along batch axes between its component and
 grid axes, (n_comp, *batch, *grid).  Every evaluator, its SAT and its face
@@ -37,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .boundary import build_sat
-from .models import ModelSpec, coeff_matrices, coeff_split, swe_inverse
+from .models import ModelSpec, check_admissible, coeff_matrices, coeff_split, swe_inverse
 from .sbp_core import (
     Grid,
     apply_derivative,
@@ -107,14 +108,19 @@ def _assemble(grid: Grid, ops, A: tuple, C: dict, W: np.ndarray) -> np.ndarray:
 
 def _face_terms(grid: Grid, ops, A: tuple, X: np.ndarray, Y: np.ndarray) -> dict:
     """bq(X, A_ax Y) per face label, with A_ax Y formed on the face layer
-    only."""
+    only; a 0-d constant entry serves every layer as it is."""
     terms = {}
     for face in faces(grid):
-        Af = {key: face_layer(grid, field, face) for key, field in A[face[0]].items()}
-        AYf = matfield_apply(Af, face_layer(grid, Y, face))
-        terms[face_label(grid, face)] = boundary_quadrature(
-            grid, ops, face_layer(grid, X, face), AYf, face)
+        Af = {key: field if np.ndim(field) == 0 else face_layer(grid, field, face)
+              for key, field in A[face[0]].items()}
+        terms[face_label(grid, face)] = _face_term(grid, ops, Af, X, Y, face)
     return terms
+
+
+def _face_term(grid: Grid, ops, Mf: dict, X: np.ndarray, Y: np.ndarray, face):
+    """bq(X, M Y) on one face, Mf the table on that face's layer."""
+    return boundary_quadrature(grid, ops, face_layer(grid, X, face),
+                               matfield_apply(Mf, face_layer(grid, Y, face)), face)
 
 
 def _coeff_state(U: np.ndarray, V) -> np.ndarray:
@@ -276,7 +282,7 @@ def _standard_matrices(model: ModelSpec, grid: Grid, ops, V: np.ndarray):
     qbar = np.stack(swe_inverse(V))
     dqx, dqy = (apply_derivative(ops[ax], qbar, lead + ax) for ax in range(grid.dim))
     phib, ub, vb = qbar
-    one = np.ones(grid.shape)
+    one = np.ones(())
     M = ({(0, 0): ub, (0, 1): phib, (1, 0): one, (1, 1): ub, (2, 2): ub},
          {(0, 0): vb, (0, 2): phib, (1, 1): vb, (2, 0): one, (2, 2): vb})
 
@@ -303,14 +309,19 @@ def bilinear_face_functional(
     Returns sum over axes and faces of
     bq(Phi, A_ax U) + bq(A_ax Phi, U) with coefficients at V, which equals
     ip(Phi, R_primal(U; V)) - ip(U, R_dual_spatial(Phi; V)) up to roundoff
-    and collapses to twice the energy-identity flux at Phi = U.
+    and collapses to twice the energy-identity flux at Phi = U.  The
+    tables are evaluated on the face layers of V only, after V is checked
+    on every node.
     """
     U, Phi = (np.asarray(X, dtype=np.float64) for X in (U, Phi))
-    A, _ = coeff_matrices(model, _coeff_state(U, V), grid.positions)
+    V = _coeff_state(U, V)
+    check_admissible(model, V)
     total = 0.0
-    # bq is symmetric bit for bit, so bq(A_ax Phi, U) = bq(U, A_ax Phi)
-    for phi_au, u_aphi in zip(_face_terms(grid, ops, A, Phi, U).values(),
-                              _face_terms(grid, ops, A, U, Phi).values()):
-        total += phi_au
-        total += u_aphi
+    # One face's tables serve both terms; bq is symmetric bit for bit, so
+    # bq(A_ax Phi, U) = bq(U, A_ax Phi).
+    for face in faces(grid):
+        A, _ = coeff_matrices(model, face_layer(grid, V, face),
+                              tuple(face_layer(grid, p, face) for p in grid.positions))
+        total += _face_term(grid, ops, A[face[0]], Phi, U, face)
+        total += _face_term(grid, ops, A[face[0]], U, Phi, face)
     return total

@@ -50,11 +50,14 @@ from .spatial_op import (
 ORDERS = ((2, 1), (4, 2))
 
 # Values per stacked state of a sweep group, as _CHUNK bounds the pieces of
-# an apply; a group holds as many trials as fit, at least one.  A group's
-# suite peaks at 13-21 times the 64 KiB of such a state (traced), below the
-# ansatz suite's 2.0 MB at 64^2, so verify's peak memory does not rise;
-# twice the budget raised the process's peak resident memory by 0.5 MB.
-_GROUP_VALUES = 8192
+# an apply; a group holds as many trials as fit, at least one.  Traced, four
+# groups of one kind peak at 7-16 times the 128 KiB of such a state, and a
+# whole 50-trial suite at 1.7-2.2 MiB, near the ansatz suite's 1.8 MiB at
+# 64^2, so the peak resident memory of verify all does not rise.  That
+# rests on the coefficient tables' one block slot per distinct field and on
+# each trial's draws being freed once stacked: with one slot per entry,
+# this budget raised the peak by 0.5 MB.
+_GROUP_VALUES = 16384
 
 # Desk-scale default grids per model kind: (extents, shape).
 _DESK_GRIDS = {
@@ -134,15 +137,22 @@ def _sweep(kinds, orders, trials: int, seed: int, salt: int, draws: int, one) ->
             meta = {"model": kind, "order": f"{order[0]},{order[1]}"}
             group = max(1, _GROUP_VALUES // (model.n_comp * math.prod(grid.shape)))
             for first in range(0, trials, group):
-                drawn = []
-                for trial in range(first, min(first + group, trials)):
-                    rng = np.random.default_rng((seed, salt + mi, oi, trial))
-                    drawn.append([sample_state(model, grid.shape, rng)
-                                  for _ in range(draws)])
-                states = [np.stack(trial_states, axis=1) for trial_states in zip(*drawn)]
-                cases = one(model, grid, ops, states, meta)
+                # The states live only as long as the call that reads them.
+                cases = one(model, grid, ops,
+                            _draw(model, grid, draws, (seed, salt + mi, oi),
+                                  range(first, min(first + group, trials))), meta)
                 samples.extend(sample for trial in zip(*cases) for sample in trial)
     return samples
+
+
+def _draw(model, grid, draws: int, key: tuple, trials) -> list:
+    """The group's states, one (n_comp, group, *grid) array per draw; each
+    trial's draws are freed once stacked."""
+    drawn = []
+    for trial in trials:
+        rng = np.random.default_rng((*key, trial))
+        drawn.append([sample_state(model, grid.shape, rng) for _ in range(draws)])
+    return [np.stack(trial_states, axis=1) for trial_states in zip(*drawn)]
 
 
 def _finish(name, trials, seed, tolerance, samples) -> CheckReport:
@@ -342,7 +352,7 @@ def check_decomposition(kinds=MODEL_KINDS, trials: int = 50,
 
     def one(model, grid, ops, states, meta):
         U_bar, U_prime = states
-        U_prime = 0.1 * U_prime
+        U_prime *= 0.1  # in place: the unscaled draw is not kept
         metas = [dict(meta, state_hash=h) for h in _hashes(U_bar)]
         out = []
 

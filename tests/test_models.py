@@ -295,49 +295,106 @@ def test_validate_grid_checks_dimension_and_cylindrical_radius():
     validate_grid(mc, gok)
 
 
+# The layout of each kind's tables, entries named (table, key) with table
+# dim for C: the slots of the packed block, the entries that share one
+# slot's view, and the constant entries with their values.  swe2d is
+# pinned with a linear Coriolis profile and, as "swe2d_f0", with f1 = 0.
+_SWE_SHARED = [[(0, (1, 1)), (0, (2, 2))], [(1, (1, 1)), (1, (2, 2))]]
+_LAYOUTS = {
+    "burgers1d": (1, [], {}),
+    "euler2d": (2, [[(0, (0, 0)), (0, (1, 1))], [(1, (0, 0)), (1, (1, 1))]],
+                {(0, (0, 2)): 0.5, (0, (2, 0)): 0.5, (1, (1, 2)): 0.5, (1, (2, 1)): 0.5}),
+    "euler3d_cyl": (6, [[(0, (0, 0)), (0, (1, 1)), (0, (2, 2))],
+                        [(0, (0, 3)), (0, (3, 0)), (2, (2, 3)), (2, (3, 2))],
+                        [(1, (0, 0)), (1, (1, 1)), (1, (2, 2))],
+                        [(2, (0, 0)), (2, (1, 1)), (2, (2, 2))]],
+                    {(1, (1, 3)): 0.5, (1, (3, 1)): 0.5, (3, (0, 3)): -0.5,
+                     (3, (3, 0)): 0.5}),
+    "swe2d": (10, _SWE_SHARED, {}),
+    "swe2d_f0": (8, _SWE_SHARED, {(2, (1, 2)): -0.7, (2, (2, 1)): 0.7}),
+}
+
+
+def layout_model(name):
+    if name == "swe2d":
+        return make_model("swe2d", alpha=0.4, beta=0.7, f0=0.7, f1=0.3)
+    if name == "swe2d_f0":
+        return make_model("swe2d", alpha=0.4, beta=0.7, f0=0.7)
+    return make_model(name)
+
+
+def table_layout(A, C):
+    """(slot views, groups of entries sharing a view, constants) of tables
+    on a grid, where only a constant is 0-d."""
+    views, constants = {}, {}
+    for t, M in enumerate((*A, C)):
+        for key, field in M.items():
+            assert isinstance(field, np.ndarray) and field.dtype == np.float64
+            if field.ndim == 0:
+                constants[t, key] = float(field)
+            else:
+                views.setdefault(id(field), (field, []))[1].append((t, key))
+    shared = sorted(entries for _, entries in views.values() if len(entries) > 1)
+    return [field for field, _ in views.values()], shared, constants
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_pattern_covers_every_coefficient_entry(kind):
     # The kernels walk the entry tables in key order, so the keys must be
-    # row-major and the same at every state; the fields share one block.
-    m = make_model("swe2d", alpha=0.4, beta=0.7, f0=0.7, f1=0.3) \
-        if kind == "swe2d" else make_model(kind)
-    shape = (5,) * m.dim
-    pos = tuple(np.full(shape, 0.3 + 0.2 * ax) for ax in range(m.dim))
-    rng = np.random.default_rng(41)
-    first = None
-    for trial in range(20):
-        A, C = coeff_matrices(m, sample_state(m, shape, rng), pos)
-        assert len(A) == m.dim
-        keys = [list(M) for M in (*A, C)]
-        for table in keys:
-            assert table == sorted(set(table))
-        first = first or keys
-        assert keys == first
-        fields = [field for M in (*A, C) for field in M.values()]
-        block = fields[0].base
-        assert block.shape == (len(fields),) + shape
-        assert all(field.base is block and field.shape == shape for field in fields)
+    # row-major and the same at every state.  Each distinct field is one
+    # slot of a packed block, held as one view by every key that repeats
+    # it, and a constant entry is a 0-d float64.
+    for name in (kind, "swe2d_f0") if kind == "swe2d" else (kind,):
+        m = layout_model(name)
+        slots, want_shared, want_constants = _LAYOUTS[name]
+        shape = (5,) * m.dim
+        pos = tuple(np.full(shape, 0.3 + 0.2 * ax) for ax in range(m.dim))
+        rng = np.random.default_rng(41)
+        first = None
+        for trial in range(20):
+            A, C = coeff_matrices(m, sample_state(m, shape, rng), pos)
+            assert len(A) == m.dim
+            keys = [list(M) for M in (*A, C)]
+            for table in keys:
+                assert table == sorted(set(table))
+            first = first or keys
+            assert keys == first
+            views, shared, constants = table_layout(A, C)
+            block = views[0].base
+            assert block.shape == (slots,) + shape
+            assert all(v.base is block and v.shape == shape for v in views)
+            # distinct views are distinct slots
+            assert len({v.__array_interface__["data"][0] for v in views}) == slots
+            assert shared == sorted(want_shared)
+            assert constants == want_constants
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_point_state_tables_match_the_grid_at_that_node(kind):
-    # s = (): every field is a 0-d view of the block, and the tables and
-    # their dense matrices equal the grid tables at the node.
-    m = make_model("swe2d", alpha=0.4, beta=0.7, f0=0.7, f1=0.3) \
-        if kind == "swe2d" else make_model(kind)
+    # s = (): every field is 0-d, the point tables keep the grid tables'
+    # shared views and constants, and each field and the dense matrices
+    # equal the grid tables broadcast to the grid at the node.
+    m = layout_model(kind)
     shape = (4,) * m.dim
     pos = tuple(np.full(shape, 0.3 + 0.2 * ax) for ax in range(m.dim))
     V = sample_state(m, shape, np.random.default_rng(42))
     node = (1,) * m.dim
     A, C = coeff_matrices(m, V, pos)
     Ap, Cp = coeff_matrices(m, V[(slice(None),) + node], tuple(p[node] for p in pos))
-    for M, Mp in [*zip(A, Ap), (C, Cp)]:
+    constants = table_layout(A, C)[2]
+    entries = {}
+    for t, (M, Mp) in enumerate([*zip(A, Ap), (C, Cp)]):
         assert list(Mp) == list(M)
         for key, field in Mp.items():
             assert isinstance(field, np.ndarray) and field.shape == ()
-            assert field.tobytes() == M[key][node].tobytes()
+            assert field.tobytes() == np.broadcast_to(M[key], shape)[node].tobytes()
+            if (t, key) in constants:
+                assert field.base is None and float(field) == constants[t, key]
+            else:
+                entries.setdefault(id(field), []).append((t, key))
         at_node = dense(M, m.n_comp, shape)[(Ellipsis,) + node]
         assert np.array_equal(dense_matrix(Mp, m.n_comp), at_node)
+    assert sorted(e for e in entries.values() if len(e) > 1) == table_layout(A, C)[1]
 
 
 # Reference: every entry as its own expression, evaluated apart from the
@@ -375,8 +432,11 @@ def reference_bytes(tables, s):
              for key, value in sorted(table.items())} for table in tables]
 
 
-def table_bytes(tables):
-    return [{key: field.tobytes() for key, field in table.items()} for table in tables]
+def table_bytes(tables, s):
+    """Each table as {key: bytes of its field broadcast to s}: a 0-d constant
+    or a shared view reads as the filled field it stands for."""
+    return [{key: np.broadcast_to(field, s).tobytes() for key, field in table.items()}
+            for table in tables]
 
 
 # Velocity-like components, which take signed zeros below.
@@ -409,14 +469,14 @@ def test_tables_keep_the_reference_bits(kind, params):
     pos = g.positions
     A, C = coeff_matrices(m, V, pos)
     A_ref, C_ref = reference_coefficients(m, V, pos)
-    assert table_bytes((*A, C)) == reference_bytes((*A_ref, C_ref), g.shape)
+    assert table_bytes((*A, C), g.shape) == reference_bytes((*A_ref, C_ref), g.shape)
     # 0-d point states, one of them at a signed zero of every velocity
     for node in ((0,) * m.dim, (1,) * m.dim, tuple(n - 1 for n in g.shape)):
         Vp = V[(slice(None),) + node]
         pos_p = tuple(p[node] for p in pos)
         Ap, Cp = coeff_matrices(m, Vp, pos_p)
         A_ref, C_ref = reference_coefficients(m, Vp, pos_p)
-        assert table_bytes((*Ap, Cp)) == reference_bytes((*A_ref, C_ref), ())
+        assert table_bytes((*Ap, Cp), ()) == reference_bytes((*A_ref, C_ref), ())
 
 
 @pytest.mark.parametrize("kind, params", _BIT_MODELS, ids=_BIT_IDS)
@@ -438,16 +498,21 @@ def test_split_increments_keep_the_reference_bits(kind, params):
         A_ref = tuple({key: tot[key] - bar[key] for key in tot}
                       for tot, bar in zip(A_tot, A_bar))
         C_ref = {key: C_tot[key] - C_bar[key] for key in C_tot}
-    assert table_bytes((*A_split, C_split)) == reference_bytes((*A_ref, C_ref), g.shape)
+    assert table_bytes((*A_split, C_split), g.shape) == \
+        reference_bytes((*A_ref, C_ref), g.shape)
+    # a constant entry's increment stays a 0-d exact zero
+    if kind != "burgers1d":
+        constants = table_layout(*coeff_matrices(m, Ub, pos))[2]
+        assert table_layout(A_split, C_split)[2] == dict.fromkeys(constants, 0.0)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_coeff_matrices_peak_memory_is_its_block_and_little_more(kind):
-    # Each entry is written straight into its block view, so one call holds
-    # at most its block plus 2.25 fields (swe2d holds the square root of
-    # the depth beside it), on about 2^16 nodes.
-    m = make_model("swe2d", alpha=0.4, beta=0.7, f0=0.7, f1=0.3) \
-        if kind == "swe2d" else make_model(kind)
+    # Each distinct field is written straight into its slot of the block,
+    # so one call holds at most its block of one slot per distinct field
+    # plus 2.25 fields (swe2d holds the square root of the depth beside
+    # it), on about 2^16 nodes.
+    m = layout_model(kind)
     shape = {1: (1 << 16,), 2: (256, 256), 3: (16, 64, 64)}[m.dim]
     extents = ((0.3, 1.3),) + ((0.0, 1.0),) * (m.dim - 1)
     g = make_grid(extents, shape, axis_names=m.axis_names)
@@ -460,5 +525,5 @@ def test_coeff_matrices_peak_memory_is_its_block_and_little_more(kind):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    n_entries = sum(len(M) for M in (*A, C))
-    assert peak <= (n_entries + 2.25) * field, (peak / field, n_entries)
+    slots = _LAYOUTS[kind][0]
+    assert peak <= (slots + 2.25) * field, (peak / field, slots)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import skewform as sk
+from skewform import spatial_op
 from skewform.boundary import make_sat_config
 from skewform.energy import report_from_residual
 from skewform.models import MODEL_KINDS, coeff_matrices, make_model, sample_state
@@ -488,3 +489,51 @@ def test_a_stack_of_trials_gives_each_trials_bits(kind, order, periodic):
         with pytest.raises(ValueError, match="face layers"):
             layer = face_layer(g, U, face)[..., None]
             boundary_quadrature(g, ops, layer, layer, face)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=["21", "42"])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_face_functional_builds_its_tables_on_the_face_layers(kind, order, monkeypatch):
+    # One coeff_matrices call per face, handed that face's layer of V and of
+    # the positions; the value keeps the bits of full-grid tables whose
+    # products are read at the faces, for a single state and a stack of two.
+    m = make_model(kind) if kind != "swe2d" else make_model(
+        "swe2d", alpha=0.4, beta=0.7, f0=0.7, f1=0.3)
+    extents, shape = _BATCH_GRIDS[kind]
+    g = make_grid(extents, shape, axis_names=m.axis_names)
+    ops = build_operators(g, order)
+    rng = np.random.default_rng(63)
+    calls = []
+
+    def recorded(model, V, pos=None):
+        calls.append((V.shape, [p.shape for p in pos]))
+        return coeff_matrices(model, V, pos)
+
+    monkeypatch.setattr(spatial_op, "coeff_matrices", recorded)
+    for batch in ((), (2,)):
+        U, V = (sample_state(m, batch + shape, rng) for _ in range(2))
+        Phi = rng.normal(size=U.shape)
+        A, _ = coeff_matrices(m, V, g.positions)
+        want = 0.0
+        for face in faces(g):
+            A_ax = densify(A[face[0]], m.n_comp, batch + shape)
+            for X, Y in ((Phi, U), (U, Phi)):
+                want += boundary_quadrature(g, ops, face_layer(g, X, face),
+                                            face_layer(g, dense_matfield(A_ax, Y), face), face)
+        calls.clear()
+        got = bilinear_face_functional(m, g, ops, U, Phi, V)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert calls == [(face_layer(g, V, face).shape, [face_layer(g, p, face).shape
+                                                         for p in g.positions])
+                         for face in faces(g)]
+
+    # no faces, no tables; an inadmissible V is refused on any node
+    gp = make_grid(extents, shape, periodic=(True,) * g.dim, axis_names=m.axis_names)
+    U, V = (sample_state(m, shape, rng) for _ in range(2))
+    calls.clear()
+    assert bilinear_face_functional(m, gp, build_operators(gp, order), U, U, V) == 0.0
+    assert calls == []
+    V[(0,) + (2,) * g.dim] = 0.0 if kind == "swe2d" else np.nan
+    for grid in (g, gp):
+        with pytest.raises(ValueError, match="depth|non-finite"):
+            bilinear_face_functional(m, grid, build_operators(grid, order), U, U, V)
