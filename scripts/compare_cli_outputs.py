@@ -68,7 +68,9 @@ swe2d `standard_vs_new` config whose mean + perturbation has a negative
 depth and on it without the `comp2` of `[perturbation]`.
 Then `run` on the (4,2) two-condition config on a 129 x 129 grid, bounded
 in x, for 5 steps: its derivative applies take their interior runs in
-several pieces, whose boundaries fall inside a line.
+several pieces, whose boundaries fall inside a line.  Then `run` on a
+frozen (4,2) swe2d config, periodic on 17 x 17, whose marched state has
+negative depth about an admissible primitive `[coefficient]`.
 
 Some cases differ by design against older trees.  The swe2d
 `standard_linearised` refusal: a tree from before it marches and fails with
@@ -101,7 +103,11 @@ for the grid below the operators' minimum and the primitive depth, or
 without naming `--levels`.  The four refusals that cite a section header: a
 tree from before they did prints `<cfg>:` without a line, for the missing
 `dt` and `comp2` in words of its own (`[scheme] requires 'dt' for marching
-modes`, `[perturbation] is missing 'comp2' for model ...`).
+modes`, `[perturbation] is missing 'comp2' for model ...`).  The frozen
+swe2d march of a negative depth: a tree from before a frozen march checked
+admissibility only at its coefficient state refuses it after the first
+step, exiting 1 with `min is -0.4986...`, where this one marches it and
+exits 0.
 """
 
 from __future__ import annotations
@@ -394,6 +400,46 @@ SWE_STANDARD_PERIODIC_CFG = SWE_STANDARD_VS_NEW_CFG.replace(
     "mode = standard_vs_new", "mode = standard_linearised").replace(
     "periodic = false / true", "periodic = true / true")
 
+# A frozen swe2d march whose marched state has negative depth (down to
+# -0.5) about an admissible primitive coefficient field: the frozen operator
+# is linear in the marched state and reads admissibility at the coefficient.
+SWE_FROZEN_DRY_CFG = """\
+[model]
+kind = swe2d
+alpha = 0.3
+beta = 0.6
+f0 = 0.5
+f1 = 0.4
+
+[grid]
+extents = 0,1 / 0,1
+shape = 17 / 17
+periodic = true / true
+
+[scheme]
+order = 4,2
+mode = frozen
+dt = 0.002
+t_final = 0.02
+stride = 5
+
+[coefficient]
+family = trig
+variables = primitive
+comp0 = 1.0 0.2 sin:1 cos:1
+comp1 = 0.3 0.1 cos:1 one
+comp2 = -0.2 0.1 one sin:1
+
+[initial]
+family = trig
+comp0 = 0.0 0.5 sin:1 cos:1
+comp1 = 0.0 0.1 cos:1 one
+comp2 = 0.0 0.1 one sin:1
+
+[output]
+prefix = swe_frozen_dry
+"""
+
 # The periodic burgers march of the stride typo case with a valid stride, the
 # base of the march-setting refusals.
 BURGERS_NONLINEAR_CFG = STRIDE_TYPO_CFG.replace("stride = ten", "stride = 5")
@@ -516,6 +562,7 @@ FIXED_CASES = {
     "refuse_missing_comp": ["run", "--config", "nocomp.cfg"],
     "refuse_standard_past_depth_floor": ["run", "--config", "standard_dry.cfg"],
     "run_swe_bounded_129": ["run", "--config", "swe_bounded_129.cfg"],
+    "run_swe_frozen_dry": ["run", "--config", "swe_frozen_dry.cfg"],
 }
 
 # Files written into a case's working directory before it runs.
@@ -584,6 +631,7 @@ CASE_FILES = {
     "refuse_standard_past_depth_floor": {"standard_dry.cfg": SWE_STANDARD_VS_NEW_CFG.replace(
         "comp0 = 0.0 0.01 cos:1 sin:1", "comp0 = -2.0 0.01 cos:1 sin:1")},
     "run_swe_bounded_129": {"swe_bounded_129.cfg": SWE_BOUNDED_129_CFG},
+    "run_swe_frozen_dry": {"swe_frozen_dry.cfg": SWE_FROZEN_DRY_CFG},
 }
 
 

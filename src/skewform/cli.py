@@ -84,18 +84,63 @@ class ConfigError(Exception):
     """Config parse or consistency error, message carries file:line."""
 
 
-class _Section(dict):
-    """One section's {key: (value, lineno)} entries; line is its header's."""
-    line = 0
+def _number(text, where, kind=float, error=ConfigError):
+    """text as a finite float, or an int for kind=int.  Anything else
+    raises error, naming where (see Config.at, or a command line option)."""
+    try:
+        value = kind(text)
+        if kind is int or math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    noun = "an integer" if kind is int else "a finite number"
+    raise error(f"{where} must be {noun}, got {text!r}")
 
 
-def parse_config_text(text: str, path: str = "<config>") -> dict:
+class Config(dict):
+    """A parsed config, {section: {key: (value, lineno)}}, that says where each
+    value came from: path is the config's name in messages, and headers maps
+    each section to its header's line."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.path = path
+        self.headers = {}
+
+    def line(self, section, key):
+        """<cfg>:<line> of [section] key, line 0 when the key is absent."""
+        return f"{self.path}:{self.get(section, {}).get(key, ('', 0))[1]}"
+
+    def at(self, section, key):
+        """Where a config key is, for messages: <cfg>:<line>: 'key'."""
+        return f"{self.line(section, key)}: '{key}'"
+
+    def value(self, section, key, default=None):
+        """[section] key, default when absent; without a default the key is
+        required, and its absence is refused at the section header."""
+        value = self.get(section, {}).get(key, (default,))[0]
+        if value is not None:
+            return value
+        where = f"{self.path}:{self.headers[section]}" if section in self else self.path
+        raise ConfigError(f"{where}: missing required key '{key}' in [{section}]")
+
+    def number(self, section, key, default=None, kind=float, least=None):
+        """[section] key through _number, default when absent (see value), and
+        refused below least."""
+        value = _number(self.value(section, key, default), self.at(section, key), kind)
+        if least is not None and value < least:
+            raise ConfigError(f"{self.at(section, key)} must be at least {least},"
+                              f" got {value}")
+        return value
+
+
+def parse_config_text(text: str, path: str = "<config>") -> Config:
     """Parses the line-oriented config format.
 
-    Returns {section: _Section}; rejects unknown sections,
-    unknown keys, duplicates, and malformed lines, citing line numbers.
+    Rejects unknown sections, unknown keys, duplicates, and malformed lines,
+    citing line numbers.
     """
-    sections: dict = {}
+    sections = Config(path)
     current = None
     current_name = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -111,8 +156,8 @@ def parse_config_text(text: str, path: str = "<config>") -> dict:
                 )
             if name in sections:
                 raise ConfigError(f"{path}:{lineno}: duplicate section [{name}]")
-            current = sections[name] = _Section()
-            current.line = lineno
+            current = sections[name] = {}
+            sections.headers[name] = lineno
             current_name = name
             continue
         if "=" not in line:
@@ -139,72 +184,26 @@ def parse_config_text(text: str, path: str = "<config>") -> dict:
     return sections
 
 
-def _need(cfg, section, key, path):
-    try:
-        return cfg[section][key][0]
-    except KeyError:
-        where = f"{path}:{cfg[section].line}" if section in cfg else path
-        raise ConfigError(f"{where}: missing required key '{key}' in [{section}]")
-
-
-def _get(cfg, section, key, default=None):
-    entry = cfg.get(section, {}).get(key)
-    return default if entry is None else entry[0]
-
-
-def _line(cfg, section, key):
-    return cfg.get(section, {}).get(key, ("", 0))[1]
-
-
-def _at(cfg, section, key, path):
-    """Where a config key is, for messages: <cfg>:<line>: 'key'."""
-    return f"{path}:{_line(cfg, section, key)}: '{key}'"
-
-
-def _number(text, where, kind=float, error=ConfigError):
-    """text as a finite float, or an int for kind=int.  Anything else
-    raises error, naming where (see _at, or a command line option)."""
-    try:
-        value = kind(text)
-        if kind is int or math.isfinite(value):
-            return value
-    except ValueError:
-        pass
-    noun = "an integer" if kind is int else "a finite number"
-    raise error(f"{where} must be {noun}, got {text!r}")
-
-
-def _config_number(cfg, section, key, path, default=None, kind=float, least=None):
-    """[section] key through _number, default when absent, and refused below
-    least.  A key without a default is required (see _need)."""
-    text = _get(cfg, section, key, default) or _need(cfg, section, key, path)
-    value = _number(text, _at(cfg, section, key, path), kind)
-    if least is not None and value < least:
-        raise ConfigError(f"{_at(cfg, section, key, path)} must be at least {least},"
-                          f" got {value}")
-    return value
-
-
 def _parse_axes(value: str):
     return [part.strip() for part in value.split("/")]
 
 
-def build_model(cfg, path):
-    kind = _need(cfg, "model", "kind", path)
-    params = {key: _config_number(cfg, "model", key, path)
+def build_model(cfg):
+    kind = cfg.value("model", "kind")
+    params = {key: cfg.number("model", key)
               for key in ("alpha", "beta", "f0", "f1") if key in cfg["model"]}
     try:
         return make_model(kind, **params)
     except ValueError as exc:
-        raise ConfigError(f"{path}:{_line(cfg, 'model', 'kind')}: [model] {exc}")
+        raise ConfigError(f"{cfg.line('model', 'kind')}: [model] {exc}")
 
 
-def build_grid(cfg, model, path):
+def build_grid(cfg, model):
     def axes(key):
         """[grid] key, one '/'-separated entry per model axis."""
-        parts = _parse_axes(_need(cfg, "grid", key, path))
+        parts = _parse_axes(cfg.value("grid", key))
         if len(parts) != model.dim:
-            raise ConfigError(f"{_at(cfg, 'grid', key, path)} needs {model.dim}"
+            raise ConfigError(f"{cfg.at('grid', key)} needs {model.dim}"
                               f" '/'-separated axis entries for model '{model.kind}'")
         return parts
 
@@ -212,28 +211,28 @@ def build_grid(cfg, model, path):
     for part in axes("extents"):
         pieces = part.split(",")
         if len(pieces) != 2:
-            raise ConfigError(f"{path}:{_line(cfg, 'grid', 'extents')}: each axis extent"
+            raise ConfigError(f"{cfg.line('grid', 'extents')}: each axis extent"
                               f" is 'lo,hi', got {part!r}")
-        extents.append(tuple(_number(piece, _at(cfg, "grid", "extents", path))
+        extents.append(tuple(_number(piece, cfg.at("grid", "extents"))
                              for piece in pieces))
-    shape = tuple(_number(part, _at(cfg, "grid", "shape", path), int)
+    shape = tuple(_number(part, cfg.at("grid", "shape"), int)
                   for part in axes("shape"))
     periodic = None
     if "periodic" in cfg["grid"]:
         periodic = []
         for part in axes("periodic"):
             if part.lower() not in ("true", "false"):
-                raise ConfigError(f"{path}:{_line(cfg, 'grid', 'periodic')}: periodic"
+                raise ConfigError(f"{cfg.line('grid', 'periodic')}: periodic"
                                   f" entries are 'true' or 'false', got {part!r}")
             periodic.append(part.lower() == "true")
     try:
         return make_grid(tuple(extents), shape, periodic=periodic,
                          axis_names=model.axis_names)
     except ArgumentError as exc:
-        raise ConfigError(f"{path}:{_line(cfg, 'grid', exc.arg)}: [grid] {exc}")
+        raise ConfigError(f"{cfg.line('grid', exc.arg)}: [grid] {exc}")
 
 
-def build_field(cfg, section, model, grid, path):
+def build_field(cfg, section, model, grid):
     """Evaluates a configured field on the grid.
 
     Families: 'constant' (compI = value) and 'trig'
@@ -243,29 +242,29 @@ def build_field(cfg, section, model, grid, path):
     variables (phi, sqrt(phi) u, sqrt(phi) v).
     """
     if section not in cfg:
-        raise ConfigError(f"{path}: missing required section [{section}]")
-    family = _need(cfg, section, "family", path)
-    variables = _get(cfg, section, "variables", "state")
+        raise ConfigError(f"{cfg.path}: missing required section [{section}]")
+    family = cfg.value(section, "family")
+    variables = cfg.value(section, "variables", "state")
     if variables not in ("state", "primitive"):
         raise ConfigError(
-            f"{path}:{_line(cfg, section, 'variables')}: variables is 'state'"
+            f"{cfg.line(section, 'variables')}: variables is 'state'"
             f" or 'primitive', got {variables!r}"
         )
     if variables == "primitive" and model.kind != "swe2d":
-        raise ConfigError(f"{path}:{_line(cfg, section, 'variables')}: primitive"
+        raise ConfigError(f"{cfg.line(section, 'variables')}: primitive"
                           " variables apply to swe2d only")
     comps = []
     for c in range(model.n_comp):
         key = f"comp{c}"
-        value = _need(cfg, section, key, path)
-        where = _at(cfg, section, key, path)
+        value = cfg.value(section, key)
+        where = cfg.at(section, key)
         if family == "constant":
             comps.append(np.full(grid.shape, _number(value, where)))
         elif family == "trig":
             tokens = value.split()
             if len(tokens) != 2 + grid.dim:
                 raise ConfigError(
-                    f"{path}:{_line(cfg, section, key)}: trig components are"
+                    f"{cfg.line(section, key)}: trig components are"
                     f" 'offset amp' plus {grid.dim} axis factors,"
                     f" got {value!r}"
                 )
@@ -278,7 +277,7 @@ def build_field(cfg, section, model, grid, path):
                 name, _, k = token.partition(":")
                 if name not in ("sin", "cos") or not k:
                     raise ConfigError(
-                        f"{path}:{_line(cfg, section, key)}: axis factors are"
+                        f"{cfg.line(section, key)}: axis factors are"
                         f" 'one', 'sin:k', or 'cos:k', got {token!r}"
                     )
                 fn = np.sin if name == "sin" else np.cos
@@ -287,58 +286,59 @@ def build_field(cfg, section, model, grid, path):
             comps.append(offset + amp * wave)
         else:
             raise ConfigError(
-                f"{path}:{_line(cfg, section, 'family')}: family is 'constant'"
+                f"{cfg.line(section, 'family')}: family is 'constant'"
                 f" or 'trig', got {family!r}"
             )
     if variables == "primitive":
         try:
             return swe_transform(*comps)
         except ValueError as exc:
-            raise ConfigError(f"{path}:{_line(cfg, section, 'comp0')}: [{section}] {exc}")
+            raise ConfigError(f"{cfg.line(section, 'comp0')}: [{section}] {exc}")
     return np.stack(comps)
 
 
-def build_sat_from_config(cfg, model, grid, path):
+def build_sat_from_config(cfg, model, grid):
     """The [sat] entries, each the dict of options it writes, resolved by
     boundary.make_sat_config; a refused entry is a config error at its line."""
     if "sat" not in cfg:
         return None
     entries = {}
-    for key, (value, lineno) in cfg["sat"].items():
+    for key, (value, _) in cfg["sat"].items():
+        where = cfg.line("sat", key)
         tokens = value.split()
         if not tokens:
-            raise ConfigError(f"{path}:{lineno}: empty closure for '{key}'")
+            raise ConfigError(f"{where}: empty closure for '{key}'")
         entries[key] = {"kind": tokens[0]}
         for token in tokens[1:]:
             name, eq, val = token.partition("=")
             if not eq or name in entries[key]:
-                raise ConfigError(f"{path}:{lineno}: options are name=value, each name"
+                raise ConfigError(f"{where}: options are name=value, each name"
                                   f" once, got {token!r}")
-            entries[key][name] = _number(val, f"{path}:{lineno}: '{name}'")
+            entries[key][name] = _number(val, f"{where}: '{name}'")
     try:
         return make_sat_config(model, grid, entries, where=lambda label:
-                               f"{path}:{cfg['sat'][label][1]}: [sat] '{label}'")
+                               f"{cfg.line('sat', label)}: [sat] '{label}'")
     except ValueError as exc:
         raise ConfigError(str(exc))
 
 
-def build_scheme(cfg, path):
-    order_raw = _need(cfg, "scheme", "order", path)
+def build_scheme(cfg):
+    order_raw = cfg.value("scheme", "order")
     pieces = order_raw.replace(",", " ").split()
     if len(pieces) != 2:
         raise ConfigError(
-            f"{path}:{_line(cfg, 'scheme', 'order')}: order is two integers"
+            f"{cfg.line('scheme', 'order')}: order is two integers"
             f" like '4,2', got {order_raw!r}"
         )
-    order = tuple(_number(piece, _at(cfg, "scheme", "order", path), int)
+    order = tuple(_number(piece, cfg.at("scheme", "order"), int)
                   for piece in pieces)
     if order not in ACCURACIES:
-        raise ConfigError(f"{_at(cfg, 'scheme', 'order', path)} must be one of"
+        raise ConfigError(f"{cfg.at('scheme', 'order')} must be one of"
                           f" {ACCURACIES}, got {order}")
-    mode = _need(cfg, "scheme", "mode", path)
+    mode = cfg.value("scheme", "mode")
     if mode not in RUN_MODES:
         raise ConfigError(
-            f"{path}:{_line(cfg, 'scheme', 'mode')}: unknown mode '{mode}';"
+            f"{cfg.line('scheme', 'mode')}: unknown mode '{mode}';"
             f" expected one of {RUN_MODES}"
         )
     # A marching mode reads its runs' fields, [sat] and the march keys.  The first
@@ -349,23 +349,23 @@ def build_scheme(cfg, path):
     unread_keys = () if runs else _SCHEMA["scheme"] - {"order", "mode"}
     for section, keys in cfg.items():
         if section not in reads and not keys:
-            raise ConfigError(f"{path}:{keys.line}: empty [{section}] is not read"
-                              f" by mode '{mode}'")
+            raise ConfigError(f"{cfg.path}:{cfg.headers[section]}: empty [{section}] is"
+                              f" not read by mode '{mode}'")
         for key in keys:
             if section not in reads or section == "scheme" and key in unread_keys:
-                raise ConfigError(f"{_at(cfg, section, key, path)} in [{section}] is"
+                raise ConfigError(f"{cfg.at(section, key)} in [{section}] is"
                                   f" not read by mode '{mode}'")
     return order, mode
 
 
-def _march_fields(cfg, model, grid, path) -> dict:
+def _march_fields(cfg, model, grid) -> dict:
     """The Scenario fields a marching config sets: dt, t_final, cfl,
     stride and sat."""
-    return dict(stride=_config_number(cfg, "scheme", "stride", path, "1", int, 1),
-                dt=_config_number(cfg, "scheme", "dt", path),
-                t_final=_config_number(cfg, "scheme", "t_final", path),
-                cfl=_config_number(cfg, "scheme", "cfl", path, "0.2"),
-                sat=build_sat_from_config(cfg, model, grid, path))
+    return dict(stride=cfg.number("scheme", "stride", "1", int, 1),
+                dt=cfg.number("scheme", "dt"),
+                t_final=cfg.number("scheme", "t_final"),
+                cfl=cfg.number("scheme", "cfl", "0.2"),
+                sat=build_sat_from_config(cfg, model, grid))
 
 
 def _load_config(spec: str) -> tuple[str, str]:
@@ -442,7 +442,7 @@ def write_final_state(target, model, grid, state) -> None:
             fh.writelines(line % (index + values) for values, index in zip(block, indices))
 
 
-def build_scenarios(cfg, path, mode, prefix, model, grid, ops, **scheme):
+def build_scenarios(cfg, mode, prefix, model, grid, ops, **scheme):
     """The named scenarios a marching config describes on one grid, one per
     row of _RUNS[mode], named prefix + suffix.
 
@@ -457,7 +457,7 @@ def build_scenarios(cfg, path, mode, prefix, model, grid, ops, **scheme):
     required = {state for _, _, state, _ in runs} | {
         mean for _, run_mode, _, mean in runs if run_mode in MEAN_MODES}
     means = {mean for *_, mean in runs}
-    fields = {section: build_field(cfg, section, model, grid, path) for section in _SCHEMA
+    fields = {section: build_field(cfg, section, model, grid) for section in _SCHEMA
               if section in required or section in means and section in cfg}
     scenarios = []
     for suffix, run_mode, state, mean_section in runs:
@@ -470,26 +470,26 @@ def build_scenarios(cfg, path, mode, prefix, model, grid, ops, **scheme):
                 primitive = np.stack(swe_inverse(mean))
                 initial = np.stack(swe_inverse(mean + initial)) - primitive
             except ValueError as exc:
-                raise ConfigError(f"{path}:{cfg[mean_section].line}: primitive mean"
+                raise ConfigError(f"{cfg.path}:{cfg.headers[mean_section]}: primitive mean"
                                   f" or mean + perturbation: {exc}")
         sc = Scenario(model=run_model, grid=grid, ops=ops, mode=run_mode,
                       initial=initial, mean=mean, **scheme)
         try:
             validate_scenario(sc)
         except ArgumentError as exc:
-            raise ConfigError(f"{path}:{_line(cfg, 'scheme', exc.arg)}: {exc}")
+            raise ConfigError(f"{cfg.line('scheme', exc.arg)}: {exc}")
         except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}")
+            raise ConfigError(f"{cfg.path}: {exc}")
         scenarios.append((prefix + suffix, sc))
     return scenarios
 
 
-def run_identity(cfg, model, grid, ops, path):
-    trials = _config_number(cfg, "identity", "trials", path, "50", int, 1)
-    seed = _config_number(cfg, "identity", "seed", path, "0", int, 0)
-    mode_kind = _get(cfg, "identity", "mode", "nonlinear")
+def run_identity(cfg, model, grid, ops):
+    trials = cfg.number("identity", "trials", "50", int, 1)
+    seed = cfg.number("identity", "seed", "0", int, 0)
+    mode_kind = cfg.value("identity", "mode", "nonlinear")
     if mode_kind not in ("nonlinear", "frozen", "dual"):
-        raise ConfigError(f"{_at(cfg, 'identity', 'mode', path)} must be nonlinear,"
+        raise ConfigError(f"{cfg.at('identity', 'mode')} must be nonlinear,"
                           f" frozen or dual, got {mode_kind!r}")
     reports = []
     for trial in range(trials):
@@ -502,33 +502,32 @@ def run_identity(cfg, model, grid, ops, path):
 
 
 def _load_scheme(spec):
-    """A config's (cfg, path, model, grid, order, mode), each checked."""
-    text, path = _load_config(spec)
-    cfg = parse_config_text(text, path)
-    model = build_model(cfg, path)
-    grid = build_grid(cfg, model, path)
-    return (cfg, path, model, grid, *build_scheme(cfg, path))
+    """A config's (cfg, model, grid, order, mode), each checked."""
+    cfg = parse_config_text(*_load_config(spec))
+    model = build_model(cfg)
+    grid = build_grid(cfg, model)
+    return (cfg, model, grid, *build_scheme(cfg))
 
 
 def cmd_run(args) -> int:
-    cfg, display, model, grid, order, mode = _load_scheme(args.config)
+    cfg, model, grid, order, mode = _load_scheme(args.config)
     try:
         ops = build_operators(grid, order)
     except ValueError as exc:
-        raise ConfigError(f"{display}:{_line(cfg, 'grid', 'shape')}: [grid] {exc}")
-    prefix = _get(cfg, "output", "prefix", "run")
+        raise ConfigError(f"{cfg.line('grid', 'shape')}: [grid] {exc}")
+    prefix = cfg.value("output", "prefix", "run")
     out_dir = Path(args.out_dir)
 
     if mode == "identity":
-        reports = run_identity(cfg, model, grid, ops, display)
+        reports = run_identity(cfg, model, grid, ops)
         target = write_reports_csv(out_dir, f"{prefix}.csv", grid, reports)
         worst = max(abs(r.volume_residual) for r in reports)
         print(f"wrote {target} ({len(reports)} sampled states,"
               f" max |volume_residual| {worst:.3e})")
         return 0
 
-    runs = build_scenarios(cfg, display, mode, prefix, model, grid, ops,
-                           **_march_fields(cfg, model, grid, display))
+    runs = build_scenarios(cfg, mode, prefix, model, grid, ops,
+                           **_march_fields(cfg, model, grid))
     results = []
     try:
         for name, sc in runs:
@@ -619,12 +618,12 @@ def cmd_convergence(args) -> int:
               for v in args.levels.split(",")]
     if len(levels) < 3:
         raise ValueError("need at least 3 refinement levels")
-    cfg, display, model, base_grid, order, mode = _load_scheme(args.config)
+    cfg, model, base_grid, order, mode = _load_scheme(args.config)
     if len(_RUNS[mode]) != 1:
-        raise ConfigError(f"{display}:{_line(cfg, 'scheme', 'mode')}: convergence studies"
+        raise ConfigError(f"{cfg.line('scheme', 'mode')}: convergence studies"
                           " need a single marching mode")
     # The config's stride is checked but unused: only the final states count.
-    fields = _march_fields(cfg, model, base_grid, display) | {"stride": 10 ** 9}
+    fields = _march_fields(cfg, model, base_grid) | {"stride": 10 ** 9}
     dt0 = fields.pop("dt")
 
     # Every level is built and validated before any is marched.
@@ -645,7 +644,7 @@ def cmd_convergence(args) -> int:
             raise ValueError(f"--levels: {exc}")
         # h halves per level and dt = dt0 / 4^k falls with h^2: the RK4 error
         # stays below the spatial error and t_final a whole number of steps.
-        [(_, sc)] = build_scenarios(cfg, display, mode, "", model, grid, ops,
+        [(_, sc)] = build_scenarios(cfg, mode, "", model, grid, ops,
                                     dt=dt0 * 0.25 ** k, **fields)
         scenarios.append(sc)
 

@@ -11,8 +11,8 @@ from skewform import energy, models, timeint
 from skewform.boundary import make_sat_config
 from skewform.energy import energy_report, report_from_residual
 from skewform.models import make_model, sample_state, swe_transform
-from skewform.sbp_core import ArgumentError, build_operators, make_grid
-from skewform.spatial_op import eval_standard_linearised_residual
+from skewform.sbp_core import ArgumentError, build_operators, inner_product, make_grid
+from skewform.spatial_op import eval_primal_residual, eval_standard_linearised_residual
 from skewform.timeint import MODES, Scenario, march, rk4_step, validate_scenario
 
 
@@ -21,6 +21,12 @@ def burgers_setup(n=32, periodic=True, order=(4, 2)):
     g = make_grid(((0.0, 1.0),), (n,), periodic=(periodic,))
     ops = build_operators(g, order)
     return m, g, ops
+
+
+def swe_setup(n=24, periodic=True, order=(4, 2)):
+    m = make_model("swe2d", alpha=0.3, beta=0.6, f0=0.5, f1=0.4)
+    g = make_grid(((0.0, 1.0), (0.0, 1.0)), (n, n), periodic=(periodic, periodic))
+    return m, g, build_operators(g, order)
 
 
 def test_rk4_pinned_single_step():
@@ -76,6 +82,69 @@ def test_rk4_frees_the_first_three_tendencies_before_the_last_stage():
 
     rk4_step(rhs, np.ones((3, 8, 8)), 0.0, 0.1)
     assert len(refs) == 4 and alive == [False, False, False]
+
+
+# The Butcher tableau of the classical RK4 step.
+RK4_A = np.array([[0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0],
+                  [0.0, 0.5, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+RK4_B = np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
+
+
+def nonlinear_burgers_bounded():
+    m, g, ops = burgers_setup(n=65, periodic=False)
+    sat = make_sat_config(m, g, {"x_low": {"kind": "characteristic", "g": 1.0}})
+    u0 = (1.0 + 0.1 * np.sin(2 * np.pi * g.coords[0]))[None]
+    return g, ops, u0, lambda u: eval_primal_residual(m, g, ops, u, sat=sat)
+
+
+def frozen_burgers_periodic():
+    m, g, ops = burgers_setup(n=64)
+    rng = np.random.default_rng(4)
+    V, u0 = sample_state(m, g.shape, rng), sample_state(m, g.shape, rng)
+    return g, ops, u0, lambda u: eval_primal_residual(m, g, ops, u, V)
+
+
+def nonlinear_swe_periodic():
+    m, g, ops = swe_setup()
+    u0 = sample_state(m, g.shape, np.random.default_rng(5))
+    return g, ops, u0, lambda u: eval_primal_residual(m, g, ops, u)
+
+
+def frozen_swe_bounded():
+    m, g, ops = swe_setup(n=17, periodic=False, order=(2, 1))
+    rng = np.random.default_rng(6)
+    V, u0 = sample_state(m, g.shape, rng), sample_state(m, g.shape, rng)
+    return g, ops, u0, lambda u: eval_primal_residual(m, g, ops, u, V)
+
+
+@pytest.mark.parametrize("setup", [nonlinear_burgers_bounded, frozen_burgers_periodic,
+                                   nonlinear_swe_periodic, frozen_swe_bounded])
+@pytest.mark.parametrize("dt", [2e-3, 1e-3, 5e-4])
+def test_one_rk4_step_changes_the_energy_by_its_stage_budget(setup, dt):
+    # for u1 = u0 + dt sum_i b_i F_i with stages U_i = u0 + dt sum_j a_ij F_j,
+    # exactly: |u1|^2 - |u0|^2 = 2 dt sum_i b_i <U_i, F_i>
+    #                           - dt^2 sum_ij m_ij <F_i, F_j>, m = bA + (bA)^T - bb^T
+    g, ops, u0, residual = setup()
+    stages = []
+
+    def rhs(u, t):
+        F = -residual(u).R
+        stages.append((u, F))
+        return F
+
+    u1 = rk4_step(rhs, u0, 0.0, dt)
+    assert len(stages) == 4
+
+    def ip(a, b):
+        return inner_product(g, ops, a, b)
+
+    bA = RK4_B[:, None] * RK4_A
+    M = bA + bA.T - np.outer(RK4_B, RK4_B)
+    work = 2.0 * dt * sum(b * ip(U, F) for b, (U, F) in zip(RK4_B, stages))
+    remainder = dt ** 2 * sum(M[i, j] * ip(stages[i][1], stages[j][1])
+                              for i in range(4) for j in range(4))
+    E0 = ip(u0, u0)
+    assert abs(ip(u1, u1) - E0 - (work - remainder)) <= 1e-14 * E0
 
 
 def test_march_hands_its_stage_one_tendency_over_to_the_step(monkeypatch):
@@ -168,6 +237,26 @@ def test_dual_march_retraces_the_primal_trajectory():
                     dt=1e-3, t_final=0.16, stride=10 ** 9)
     u0_again = march(back)[1]
     assert np.max(np.abs(u0_again - u0)) <= 1e-12
+
+
+@pytest.mark.parametrize("order", [(4, 2), (2, 1)])
+@pytest.mark.parametrize("kind", ["burgers1d", "swe2d"])
+def test_primal_and_dual_marches_pair_to_rounding_on_periodic_grids(kind, order):
+    # the dual operator at V is the H-adjoint of the frozen one, and RK4 of the
+    # adjoint is the adjoint of RK4: with no data and no forcing, marching U and
+    # Phi N steps each gives (Phi_0, U_N)_H = (Phi_N, U_0)_H
+    m, g, ops = (burgers_setup(n=64, order=order) if kind == "burgers1d"
+                 else swe_setup(order=order))
+    rng = np.random.default_rng(11)
+    U0, Phi0, V = (sample_state(m, g.shape, rng) for _ in range(3))
+
+    def final(mode, initial):
+        return march(Scenario(model=m, grid=g, ops=ops, mode=mode, initial=initial,
+                              mean=V, dt=1e-3, t_final=0.02, stride=10 ** 9))[1]
+
+    forward = inner_product(g, ops, Phi0, final("frozen", U0))
+    backward = inner_product(g, ops, final("dual", Phi0), U0)
+    assert abs(forward - backward) <= 1e-14 * abs(forward)
 
 
 def test_coupled_march_with_zero_perturbation_matches_nonlinear_bitwise():
@@ -422,6 +511,22 @@ def test_losing_admissibility_raises_in_a_coupled_march():
                   dt=0.004, t_final=0.2, stride=10 ** 9)
     with pytest.raises(ValueError, match="depth"):
         march(sc)
+
+
+def test_a_frozen_march_is_odd_in_its_marched_state():
+    # the frozen operator is linear in U and checks admissibility at V, where
+    # it reads it, so a state of negative depth marches, and -U gives -U_N
+    m, g, ops = swe_setup()
+    rng = np.random.default_rng(5)
+    V = sample_state(m, g.shape, rng)
+    U = sample_state(m, g.shape, rng) - 0.9 * V
+    assert U[0].min() < -1.0
+
+    def final(initial):
+        return march(Scenario(model=m, grid=g, ops=ops, mode="frozen", initial=initial,
+                              mean=V, dt=1e-3, t_final=0.02, stride=10 ** 9))[1]
+
+    assert np.array_equal(final(-U), -final(U))
 
 
 def test_validate_scenario_rejects_bad_setups():
