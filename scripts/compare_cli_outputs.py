@@ -70,7 +70,9 @@ Then `run` on the (4,2) two-condition config on a 129 x 129 grid, bounded
 in x, for 5 steps: its derivative applies take their interior runs in
 several pieces, whose boundaries fall inside a line.  Then `run` on a
 frozen (4,2) swe2d config, periodic on 17 x 17, whose marched state has
-negative depth about an admissible primitive `[coefficient]`.
+negative depth about an admissible primitive `[coefficient]`, and `run` on
+the same config in dual mode, the one swe2d dual march with a fixed
+coefficient state.
 
 Some cases differ by design against older trees.  The swe2d
 `standard_linearised` refusal: a tree from before it marches and fails with
@@ -440,6 +442,10 @@ comp2 = 0.0 0.1 one sin:1
 prefix = swe_frozen_dry
 """
 
+# The dual march of the same swe2d coefficient state and initial field.
+SWE_DUAL_MEAN_CFG = SWE_FROZEN_DRY_CFG.replace("mode = frozen", "mode = dual").replace(
+    "prefix = swe_frozen_dry", "prefix = swe_dual_mean")
+
 # The periodic burgers march of the stride typo case with a valid stride, the
 # base of the march-setting refusals.
 BURGERS_NONLINEAR_CFG = STRIDE_TYPO_CFG.replace("stride = ten", "stride = 5")
@@ -563,6 +569,7 @@ FIXED_CASES = {
     "refuse_standard_past_depth_floor": ["run", "--config", "standard_dry.cfg"],
     "run_swe_bounded_129": ["run", "--config", "swe_bounded_129.cfg"],
     "run_swe_frozen_dry": ["run", "--config", "swe_frozen_dry.cfg"],
+    "run_swe_dual_mean": ["run", "--config", "swe_dual_mean.cfg"],
 }
 
 # Files written into a case's working directory before it runs.
@@ -632,6 +639,7 @@ CASE_FILES = {
         "comp0 = 0.0 0.01 cos:1 sin:1", "comp0 = -2.0 0.01 cos:1 sin:1")},
     "run_swe_bounded_129": {"swe_bounded_129.cfg": SWE_BOUNDED_129_CFG},
     "run_swe_frozen_dry": {"swe_frozen_dry.cfg": SWE_FROZEN_DRY_CFG},
+    "run_swe_dual_mean": {"swe_dual_mean.cfg": SWE_DUAL_MEAN_CFG},
 }
 
 

@@ -14,8 +14,8 @@ with the offending line number.  All outputs are plain CSV / text so runs
 diff cleanly; identical config and seed give identical bytes per build
 configuration.
 
-Exit status: 0 success, 1 failing checks or a failed run, 2 usage or
-config errors.
+Exit status: 0 success, 1 failing checks, a failed run or a closed stdout
+(every file is written before a job prints), 2 usage or config errors.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import argparse
 import csv
 import itertools
 import math
+import os
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -536,17 +537,19 @@ def cmd_run(args) -> int:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
 
+    lines = []
     for name, sc, reports, final in results:
         target = write_reports_csv(out_dir, f"{name}.csv", grid, reports)
         worst = max(abs(r.volume_residual) for r in reports)
         drift = reports[-1].energy - reports[0].energy
-        print(f"wrote {target} ({len(reports)} reports, max"
-              f" |volume_residual| {worst:.3e}, energy drift {drift:.3e})")
+        lines.append(f"wrote {target} ({len(reports)} reports, max"
+                     f" |volume_residual| {worst:.3e}, energy drift {drift:.3e})")
         coupled = sc.mode == "new_linearised_coupled"
         for tag, state in zip(("_mean", "_pert"), final) if coupled else [("", final)]:
             statefile = out_dir / f"{name}{tag}_final.txt"
             write_final_state(statefile, sc.model, grid, state)
-            print(f"wrote {statefile}")
+            lines.append(f"wrote {statefile}")
+    print(*lines, sep="\n")
     return 0
 
 
@@ -556,21 +559,17 @@ def cmd_verify(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be at least 0, got {args.seed}")
     names = list(CHECKS) if args.suite == "all" else [args.suite]
-    reports = []
-    for name in names:
-        fn = CHECKS[name]
-        if name == "ansatz":
-            reports.append(fn(seed=args.seed))
-        else:
-            reports.append(fn(trials=args.trials, seed=args.seed))
-    for report in reports:
-        print(format_check_line(report))
+    # the ansatz suite refines grids instead of drawing trials
+    reports = [CHECKS[name](seed=args.seed) if name == "ansatz"
+               else CHECKS[name](trials=args.trials, seed=args.seed) for name in names]
+    lines = [format_check_line(report) for report in reports]
     passed = sum(1 for r in reports if r.passed)
-    print(f"{passed}/{len(reports)} suites passed")
+    lines.append(f"{passed}/{len(reports)} suites passed")
     if args.out_dir is not None:
         target = write_csv(args.out_dir, "checks.csv", CHECK_CSV_HEADER,
                            map(check_csv_row, reports))
-        print(f"wrote {target}")
+        lines.append(f"wrote {target}")
+    print(*lines, sep="\n")
     return 0 if passed == len(reports) else 1
 
 
@@ -599,11 +598,12 @@ def cmd_analyze_boundary(args) -> int:
         face=args.face,
         pos=pos,
     )
-    print(analysis_table(analysis))
+    lines = [analysis_table(analysis)]
     if args.out_dir is not None:
         target = write_csv(args.out_dir, "boundary.csv", ANALYSIS_CSV_HEADER,
                            [analysis_csv_row(analysis)])
-        print(f"wrote {target}")
+        lines.append(f"wrote {target}")
+    print(*lines, sep="\n")
     return 0
 
 
@@ -659,8 +659,8 @@ def cmd_convergence(args) -> int:
         finals.append(final[1] if mode == "new_linearised_coupled" else final)
         vr_initial.append(reports[0].volume_residual)
 
-    print(f"solution self-convergence ({order[0]},{order[1]}), final time"
-          f" {fields['t_final']}:")
+    lines = [f"solution self-convergence ({order[0]},{order[1]}), final time"
+             f" {fields['t_final']}:"]
     rows = []
     errors = [_shared_nodes_error(coarse, fine) for coarse, fine in zip(finals, finals[1:])]
     scale = 1.0 + float(np.max(np.abs(finals[-1])))
@@ -673,10 +673,10 @@ def cmd_convergence(args) -> int:
         else:
             order_txt = f"{np.log2(errors[k - 1] / err):.3f}"
         rows.append((pair, err, order_txt))
-        print(f"  {pair:>12s}   error {err:.6e}   order {order_txt}")
+        lines.append(f"  {pair:>12s}   error {err:.6e}   order {order_txt}")
 
     if model.kind == "swe2d":
-        print("quasilinear ansatz defect on the initial/mean field:")
+        lines.append("quasilinear ansatz defect on the initial/mean field:")
         defects = [ansatz_defect(model, sc.grid, sc.ops,
                                  sc.initial if sc.mean is None else sc.mean)
                    for sc in scenarios]
@@ -684,11 +684,11 @@ def cmd_convergence(args) -> int:
             line = f"  n={levels[k]:<5d} defect {d:.6e}"
             if k > 0 and d > 0.0:
                 line += f"   order {np.log2(defects[k - 1] / d):.3f}"
-            print(line)
+            lines.append(line)
 
     if mode == "standard_linearised":
-        print("standard-linearisation volume residual (t = 0), converging to"
-              " its continuum quadrature limit:")
+        lines.append("standard-linearisation volume residual (t = 0), converging to"
+                     " its continuum quadrature limit:")
         for k, vr in enumerate(vr_initial):
             line = f"  n={levels[k]:<5d} volume_residual {vr!r}"
             if k >= 2:
@@ -696,12 +696,13 @@ def cmd_convergence(args) -> int:
                 den = vr_initial[k - 1] - vr_initial[k]
                 if den != 0.0:
                     line += f"   order {np.log2(abs(num / den)):.3f}"
-            print(line)
+            lines.append(line)
 
     if args.out_dir is not None:
         target = write_csv(args.out_dir, "convergence.csv", ("levels", "error", "order"),
                            [(pair, repr(err), order_txt) for pair, err, order_txt in rows])
-        print(f"wrote {target}")
+        lines.append(f"wrote {target}")
+    print(*lines, sep="\n")
     return 0
 
 
@@ -767,13 +768,19 @@ def main(argv=None) -> int:
         "convergence": cmd_convergence,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed stdout raises here at the latest
+    except BrokenPipeError:
+        # no traceback; the flush at exit goes to devnull (Python docs, SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

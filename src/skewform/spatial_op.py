@@ -6,16 +6,18 @@ The residual convention is
 
 so SAT penalties and forcing enter the tendency with a plus sign.  One
 shared assembler produces every skew-form operator from a (coefficient
-state, acted-on state) pair.  eval_primal_residual(U, V) and
-eval_dual_residual(Phi, V) take the pair as arguments, the acted-on state
-first; V = None evaluates the coefficients at the acted-on state:
+state, acted-on state) pair.  skew_evaluator(V) and standard_evaluator(V)
+build the tables of a fixed V once and return the residual evaluator of
+that state; eval_primal_residual(U, V) and eval_dual_residual(Phi, V) build
+one per call, V = None evaluating the coefficients at the acted-on state:
 
     nonlinear            (U, U)              V = None
-    frozen               (V_fixed, U)        V = V_fixed
+    frozen               (V_fixed, U)        skew_evaluator(V_fixed)(U)
     perturbation eq      (mean, U')          which is the new linearisation
     mean eq              (mean + pert, mean)
     remainder H          increment matrices acting on U'
-    dual                 minus the assembler output
+    dual                 minus the assembler output (dual=True)
+    standard             standard_evaluator(mean)(U'), not in skew form
 
 Because the paths share code, the coupled mean/perturbation system with a
 zero perturbation reproduces the nonlinear evaluation bit for bit.
@@ -123,11 +125,12 @@ def _face_term(grid: Grid, ops, Mf: dict, X: np.ndarray, Y: np.ndarray, face):
                                matfield_apply(Mf, face_layer(grid, Y, face)), face)
 
 
-def _coeff_state(U: np.ndarray, V) -> np.ndarray:
+def _coeff_state(U, V):
     """The coefficient state V of the acted-on state U (U when V is None)."""
     V = U if V is None else np.asarray(V, dtype=np.float64)
-    if V.shape != U.shape:
-        raise ValueError(f"coefficient state has shape {V.shape}, acted-on state {U.shape}")
+    if np.shape(V) != np.shape(U):
+        raise ValueError(f"coefficient state has shape {np.shape(V)},"
+                         f" acted-on state {np.shape(U)}")
     return V
 
 
@@ -145,15 +148,24 @@ def _residual(model: ModelSpec, grid: Grid, ops, spatial: np.ndarray, A: tuple,
     return Residual(R, spatial, sat_field, grid, ops, A, S, flux_sign)
 
 
-def eval_primal_residual(
-    model: ModelSpec,
-    grid: Grid,
-    ops,
-    U: np.ndarray,
-    V: np.ndarray | None = None,
-    sat=None,
-    forcing=None,
-) -> Residual:
+def skew_evaluator(model: ModelSpec, grid: Grid, ops, V: np.ndarray):
+    """The residual evaluator residual(U, sat=None, forcing=None, dual=False)
+    of the skew form with coefficients at the fixed state V, whose tables
+    are built here, once.  With dual it evaluates the dual residual
+    -[ (A_i U)_{x_i} + A_i^T U_{x_i} + C U ], whose flux sign is +2."""
+    A, C = coeff_matrices(model, np.asarray(V, dtype=np.float64), grid.positions)
+
+    def residual(U, sat=None, forcing=None, dual=False) -> Residual:
+        U = np.asarray(U, dtype=np.float64)
+        spatial = _assemble(grid, ops, A, C, U)
+        return _residual(model, grid, ops, -spatial if dual else spatial, A, U, sat,
+                         forcing, 2.0 if dual else -2.0)
+
+    return residual
+
+
+def eval_primal_residual(model: ModelSpec, grid: Grid, ops, U: np.ndarray,
+                         V: np.ndarray | None = None, sat=None, forcing=None) -> Residual:
     """Evaluates the primal residual of the skew form acting on U with the
     coefficients evaluated at V.
 
@@ -164,30 +176,18 @@ def eval_primal_residual(
         sat: optional faces resolved by boundary.make_sat_config.
         forcing: optional forcing field F.
     """
-    U = np.asarray(U, dtype=np.float64)
-    A, C = coeff_matrices(model, _coeff_state(U, V), grid.positions)
-    return _residual(model, grid, ops, _assemble(grid, ops, A, C, U), A, U, sat, forcing)
+    return skew_evaluator(model, grid, ops, _coeff_state(U, V))(U, sat, forcing)
 
 
-def eval_dual_residual(
-    model: ModelSpec,
-    grid: Grid,
-    ops,
-    Phi: np.ndarray,
-    V: np.ndarray | None = None,
-    sat=None,
-    forcing=None,
-) -> Residual:
+def eval_dual_residual(model: ModelSpec, grid: Grid, ops, Phi: np.ndarray,
+                       V: np.ndarray | None = None, sat=None, forcing=None) -> Residual:
     """Evaluates the dual residual -[ (A_i Phi)_{x_i} + A_i^T Phi_{x_i} + C Phi ].
 
     The coefficients are evaluated at V.  With V None they are evaluated at
     Phi itself (the self-adjoint case), and the spatial part is exactly the
     negated primal spatial part at the same state.
     """
-    Phi = np.asarray(Phi, dtype=np.float64)
-    A, C = coeff_matrices(model, _coeff_state(Phi, V), grid.positions)
-    return _residual(model, grid, ops, -_assemble(grid, ops, A, C, Phi), A, Phi,
-                     sat, forcing, flux_sign=2.0)
+    return skew_evaluator(model, grid, ops, _coeff_state(Phi, V))(Phi, sat, forcing, True)
 
 
 def eval_new_linearised_pair(
@@ -236,36 +236,42 @@ def eval_remainder_H(
     return _assemble(grid, ops, A_prime, C_prime, U_prime)
 
 
-def eval_standard_linearised_residual(
-    model: ModelSpec,
-    grid: Grid,
-    ops,
-    U_prime: np.ndarray,
-    V: np.ndarray,
-    sat=None,
-    forcing=None,
-) -> Residual:
-    """The textbook advective linearisation about a frozen mean V.
+def standard_evaluator(model: ModelSpec, grid: Grid, ops, V: np.ndarray):
+    """The residual evaluator residual(U_prime, sat=None, forcing=None) of
+    the textbook advective linearisation about the fixed mean V, whose
+    tables M, N and M_ax / 2 are built here, once.
 
     Supported for burgers1d and swe2d only.  V is in state variables, as
     for every residual.  For swe2d the perturbation q' is primitive
     (phi, u, v) and the operator is M1 d_x q' + M2 d_y q' + N q' at the
     primitive mean swe_inverse(V), N collecting the mean-gradient and
-    Coriolis zero-order terms.  This operator is not in
-    skew form; its face_terms use the transport matrices M_ax / 2 and are
-    bookkeeping only.
+    Coriolis zero-order terms.  This operator is not in skew form; its
+    face_terms use the transport matrices M_ax / 2 and are bookkeeping only.
     """
-    U_prime = np.asarray(U_prime, dtype=np.float64)
+    M, N = _standard_matrices(model, grid, ops, np.asarray(V, dtype=np.float64))
+    half = tuple({key: 0.5 * field for key, field in M_ax.items()} for M_ax in M)
+
+    def residual(U_prime, sat=None, forcing=None) -> Residual:
+        U_prime = np.asarray(U_prime, dtype=np.float64)
+        lead = _lead(grid, U_prime)
+        spatial = np.zeros(U_prime.shape)
+        for ax in range(grid.dim):
+            spatial += matfield_apply(M[ax], apply_derivative(ops[ax], U_prime, lead + ax))
+        spatial += matfield_apply(N, U_prime)
+        return _residual(model, grid, ops, spatial, half, U_prime, sat, forcing)
+
+    return residual
+
+
+def eval_standard_linearised_residual(model: ModelSpec, grid: Grid, ops,
+                                      U_prime: np.ndarray, V: np.ndarray, sat=None,
+                                      forcing=None) -> Residual:
+    """The textbook advective linearisation about a frozen mean V acting on
+    U_prime; see standard_evaluator."""
     if V is None:
         raise ValueError("standard linearisation needs a mean field")
-    M, N = _standard_matrices(model, grid, ops, _coeff_state(U_prime, V))
-    lead = _lead(grid, U_prime)
-    spatial = np.zeros(U_prime.shape)
-    for ax in range(grid.dim):
-        spatial += matfield_apply(M[ax], apply_derivative(ops[ax], U_prime, lead + ax))
-    spatial += matfield_apply(N, U_prime)
-    half = tuple({key: 0.5 * field for key, field in M_ax.items()} for M_ax in M)
-    return _residual(model, grid, ops, spatial, half, U_prime, sat, forcing)
+    return standard_evaluator(model, grid, ops, _coeff_state(U_prime, V))(U_prime, sat,
+                                                                          forcing)
 
 
 def _standard_matrices(model: ModelSpec, grid: Grid, ops, V: np.ndarray):

@@ -8,7 +8,8 @@ norm matrices and are verified statically instead.
 Each uncoupled mode marches one residual of the marched state U with
 coefficients at V: the primal (nonlinear, frozen), the dual, or the
 standard linearisation.  V is the mean, in state variables, when one is
-given; the coupled mode marches the mean/perturbation pair.
+given, and the operator of that fixed V is built once per march; the
+coupled mode marches the mean/perturbation pair.
 
 Conservation claims are always asserted through the per-step
 volume_residual of the energy reports, never through E(T) - E(0): the
@@ -20,6 +21,7 @@ there, so only the final report costs an evaluation of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -30,7 +32,8 @@ from .spatial_op import (
     eval_dual_residual,
     eval_new_linearised_pair,
     eval_primal_residual,
-    eval_standard_linearised_residual,
+    skew_evaluator,
+    standard_evaluator,
 )
 
 MODES = (
@@ -179,6 +182,16 @@ def march(sc: Scenario) -> tuple[list[EnergyReport], np.ndarray]:
     # the coefficient state, which also gives a frozen-coefficient run its speeds
     V = None if sc.mean is None else np.asarray(sc.mean, dtype=np.float64)
 
+    # A fixed coefficient state gives fixed speeds, checked once before the
+    # march, and one operator, built once.
+    fixed = None
+    if V is not None and not coupled:
+        _check_cfl(sc, V, 0.0)
+        if sc.mode == "standard_linearised":
+            fixed = standard_evaluator(model, grid, ops, V)
+        else:
+            fixed = partial(skew_evaluator(model, grid, ops, V), dual=sc.mode == "dual")
+
     # evaluate(y, t) -> (tendency, the residual a report reads)
     if coupled:
         state = np.stack([V, np.array(sc.initial, dtype=np.float64)])
@@ -191,14 +204,13 @@ def march(sc: Scenario) -> tuple[list[EnergyReport], np.ndarray]:
 
     else:
         state = np.array(sc.initial, dtype=np.float64)
-        # the residual each uncoupled mode marches, called as (U, V, sat, forcing)
-        evaluator = {"nonlinear": eval_primal_residual, "frozen": eval_primal_residual,
-                     "standard_linearised": eval_standard_linearised_residual,
-                     "dual": eval_dual_residual}[sc.mode]
+        # without a fixed operator the coefficients are at the marched state
+        residual = fixed or partial(
+            eval_dual_residual if sc.mode == "dual" else eval_primal_residual,
+            model, grid, ops)
 
         def evaluate(y, t):
-            res = evaluator(model, grid, ops, y, V, sat=sc.sat,
-                            forcing=_forcing_at(sc.forcing, t))
+            res = residual(y, sat=sc.sat, forcing=_forcing_at(sc.forcing, t))
             return -res.R, res
 
     def rhs(u, s):
@@ -210,18 +222,13 @@ def march(sc: Scenario) -> tuple[list[EnergyReport], np.ndarray]:
             return k
         return evaluate(u, s)[0]
 
-    # a fixed coefficient state gives fixed speeds: one check before the march
-    fixed_speeds = V is not None and not coupled
-    if fixed_speeds:
-        _check_cfl(sc, V, 0.0)
-
     sup0 = max(float(np.max(np.abs(state))), 1.0)
     nsteps = round(sc.t_final / sc.dt)
     reports: list[EnergyReport] = []
 
     t = 0.0
     for k in range(1, nsteps + 1):
-        if not fixed_speeds:
+        if fixed is None:
             _check_cfl(sc, state[0] + state[1] if coupled else state, t)
         # Stage 1 feeds the report at t and then rk4_step; the residual is
         # released first, so its fields do not live through the later stages.

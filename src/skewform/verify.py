@@ -40,11 +40,11 @@ from .sbp_core import (
 )
 from .spatial_op import (
     bilinear_face_functional,
-    eval_dual_residual,
     eval_new_linearised_pair,
     eval_primal_residual,
     eval_remainder_H,
     matfield_apply,
+    skew_evaluator,
 )
 
 ORDERS = ((2, 1), (4, 2))
@@ -216,10 +216,12 @@ def check_duality(kinds=MODEL_KINDS, trials: int = 50,
         out = []
 
         # Bilinear identity at frozen coefficients V (C terms cancel
-        # pairwise; Coriolis included for swe2d).  Only the spatial parts
-        # are kept, so the coefficient tables of a group go with each call.
-        primal = eval_primal_residual(model, grid, ops, U, V).spatial
-        dual = eval_dual_residual(model, grid, ops, Phi, V).spatial
+        # pairwise; Coriolis included for swe2d): one operator at V gives the
+        # primal at U and the dual at Phi.  Only the spatial parts are kept,
+        # so the group's tables at V go with the operator.
+        at_V = skew_evaluator(model, grid, ops, V)
+        primal, dual = at_V(U).spatial, at_V(Phi, dual=True).spatial
+        del at_V
         lhs = inner_product(grid, ops, Phi, primal) - inner_product(grid, ops, U, dual)
         rhs = bilinear_face_functional(model, grid, ops, U, Phi, V)
         scale = 1.0 + abs(lhs) + abs(rhs)
@@ -232,9 +234,10 @@ def check_duality(kinds=MODEL_KINDS, trials: int = 50,
         out.append(_cases(abs(lhs_e - rhs_e) / scale_e, metas, case="bilinear_diagonal"))
 
         # Strict self-adjointness: the dual spatial residual at coefficients
-        # Phi is exactly the negated primal one.
-        self_primal = eval_primal_residual(model, grid, ops, Phi).spatial
-        res_sd = eval_dual_residual(model, grid, ops, Phi)
+        # Phi is exactly the negated primal one, both from one operator.
+        at_Phi = skew_evaluator(model, grid, ops, Phi)
+        self_primal = at_Phi(Phi).spatial
+        res_sd = at_Phi(Phi, dual=True)
         exact = _sup(res_sd.spatial + self_primal)
         out.append(_cases(exact, metas, case="self_adjoint_exact"))
 

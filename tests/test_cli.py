@@ -312,6 +312,34 @@ def test_march_steps_reuse_the_heap_instead_of_faulting_in_pages(tmp_path):
     assert (long - short) / 40 < 5, (short, long)
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv, files", [
+    (["run", "--config", "burgers_periodic"],
+     ["burgers_periodic.csv", "burgers_periodic_final.txt"]),
+    (["verify", "alpha", "--trials", "2"], ["checks.csv"]),
+], ids=["run", "verify"])
+def test_a_closed_stdout_exits_1_after_writing_every_file(tmp_path, argv, files,
+                                                          unbuffered):
+    # the reader of stdout is gone before the job prints its first line; an
+    # unbuffered stdout fails at that print, a buffered one at its flush
+    src = str(Path(skewform.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "skewform.cli", *argv,
+                               "--out-dir", "out"], cwd=tmp_path, env=env, stdout=write,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == files
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
+    assert proc.returncode == 1
+
+
 def test_verify_subcommand_exit_codes(tmp_path):
     code, out, _ = run_main(["verify", "alpha", "--trials", "5", "--seed", "2"])
     assert code == 0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import skewform as sk
-from skewform import energy, models, timeint
+from skewform import energy, models, spatial_op, timeint
 from skewform.boundary import make_sat_config
 from skewform.energy import energy_report, report_from_residual
 from skewform.models import make_model, sample_state, swe_transform
@@ -377,22 +377,54 @@ def test_march_reports_equal_energy_report_at_the_same_state(monkeypatch, mode):
         assert vars(r) == vars(want), r.t
 
 
+def counted_calls(monkeypatch, module, name, calls):
+    """Rebinds module.name to a wrapper that appends 1 to calls per call."""
+    def counted(*args, _fn=getattr(module, name), **kwargs):
+        calls.append(1)
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_march_evaluates_four_residuals_per_step_plus_the_last_report(
         monkeypatch, mode):
+    # a nonlinear march evaluates by name, a fixed-coefficient one through
+    # the operator it built, and the coupled one through the pair
     calls = []
     for module in (timeint, energy):
         for name in ("eval_primal_residual", "eval_dual_residual",
-                     "eval_new_linearised_pair", "eval_standard_linearised_residual"):
+                     "eval_new_linearised_pair"):
             if hasattr(module, name):
-                def counted(*args, _fn=getattr(module, name), **kwargs):
-                    calls.append(1)
-                    return _fn(*args, **kwargs)
-                monkeypatch.setattr(module, name, counted)
+                counted_calls(monkeypatch, module, name, calls)
+    for name in ("skew_evaluator", "standard_evaluator"):
+        def counted_operator(model, grid, ops, V, _build=getattr(timeint, name)):
+            operator = _build(model, grid, ops, V)
+            def counted(*args, **kwargs):
+                calls.append(1)
+                return operator(*args, **kwargs)
+            return counted
+        monkeypatch.setattr(timeint, name, counted_operator)
     sc = sat_forced_scenario(mode, stride=1, t_final=0.014)
     reps, _ = march(sc)
     assert len(reps) == 8
     assert len(calls) == 4 * 7 + 1
+
+
+@pytest.mark.parametrize("mode, tables, builds", [
+    ("nonlinear", "coeff_matrices", 41),
+    ("frozen", "coeff_matrices", 1),
+    ("dual", "coeff_matrices", 1),
+    ("standard_linearised", "_standard_matrices", 1),
+])
+def test_a_fixed_coefficient_march_builds_its_tables_once(monkeypatch, mode, tables, builds):
+    # 10 steps of 4 residuals and the last report: a march whose
+    # coefficients are at its marched state builds them for each of the 41,
+    # one about a fixed mean (the dual one here has a mean) only once
+    calls = []
+    counted_calls(monkeypatch, spatial_op, tables, calls)
+    reps, _ = march(sat_forced_scenario(mode, stride=1, t_final=0.02))
+    assert len(reps) == 11
+    assert len(calls) == builds
 
 
 @pytest.mark.parametrize("mode", MODES)

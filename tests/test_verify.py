@@ -42,11 +42,20 @@ def test_duality_check_passes():
 def test_duality_check_evaluates_each_dual_residual_once(monkeypatch):
     from skewform import energy
     calls = []
-    for module in (verify, energy):
-        def counted(*args, _fn=module.eval_dual_residual, **kwargs):
-            calls.append(np.shape(args[3])[1])
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(module, "eval_dual_residual", counted)
+
+    def counted(*args, _fn=energy.eval_dual_residual, **kwargs):
+        calls.append(np.shape(args[3])[1])
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(energy, "eval_dual_residual", counted)
+
+    def counted_operator(model, grid, ops, V, _build=verify.skew_evaluator):
+        operator = _build(model, grid, ops, V)
+        def residual(U, *args, dual=False, **kwargs):
+            if dual:
+                calls.append(np.shape(U)[1])
+            return operator(U, *args, dual=dual, **kwargs)
+        return residual
+    monkeypatch.setattr(verify, "skew_evaluator", counted_operator)
     # two burgers1d states of 33 nodes per group: 3 trials run as 2 groups
     monkeypatch.setattr(verify, "_GROUP_VALUES", 2 * 33)
     rep = check_duality(kinds=("burgers1d",), trials=3, seed=2, orders=((2, 1),))
@@ -54,6 +63,24 @@ def test_duality_check_evaluates_each_dual_residual_once(monkeypatch):
     # per group: the dual at frozen coefficients V and at the dual state,
     # which the dual energy report reuses
     assert calls == [2, 2, 1, 1]
+
+
+def test_duality_check_builds_one_operator_per_coefficient_state(monkeypatch):
+    # per group one full-grid table build at V and one at Phi, where each
+    # of the four residuals used to build its own; 9 trials make one group
+    # per kind and order here (the face functional's face-layer tables aside)
+    from skewform import spatial_op
+    shapes = []
+    build = spatial_op.coeff_matrices
+
+    def recorded(model, V, pos=None):
+        shapes.append(np.shape(V))
+        return build(model, V, pos)
+    monkeypatch.setattr(spatial_op, "coeff_matrices", recorded)
+    rep = check_duality(kinds=("burgers1d", "euler2d"), trials=9, seed=0)
+    assert rep.passed
+    full = [s for s in shapes if s[-1] == 33 or s[-2:] == (17, 17)]
+    assert full == [(1, 9, 33)] * 2 * 2 + [(3, 9, 17, 17)] * 2 * 2
 
 
 def test_a_nan_residual_is_the_worst_and_fails_the_check():
