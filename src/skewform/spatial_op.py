@@ -26,6 +26,13 @@ Coefficient matrices arrive as entry tables {(row, col): field} in row-major
 order (models.coeff_matrices); every kernel walks the table's entries only,
 and a field may be a 0-d constant that broadcasts to every node.
 
+Sums accumulate in place: a skew-form spatial part starts as its first
+flux D_0(A_0 W), and matfield_apply adds each row's sum into the field it
+is given.  The bits are those of a sum from a +0.0 field: no
+apply_derivative output is -0.0 (sbp_core), x + y is -0.0 only when x and
+y both are, so no accumulator is -0.0, and adding s to such a value equals
+adding +0.0 + s, which differs from s only when s is -0.0.
+
 A state may stack several states along batch axes between its component and
 grid axes, (n_comp, *batch, *grid).  Every evaluator, its SAT and its face
 terms then give each element the bits of its own evaluation, and the face
@@ -36,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -75,19 +83,30 @@ class Residual:
         return _face_terms(self.grid, self.ops, self.A, self.state, self.state)
 
 
-def matfield_apply(M: dict, W: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Pointwise product M W (M^T W with transpose) over the grid.
+def matfield_apply(M: dict, W: np.ndarray, transpose: bool = False,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Adds the pointwise product M W (M^T W with transpose) over the grid
+    into out, a fresh +0.0 field when None, and returns out.
 
     M is an entry table {(i, j): field} with keys in row-major order; the
-    entries it leaves out are zero.  Row-major order makes each output row
-    add its products in increasing column order from +0.0, transposed or
-    not, so on finite fields the result equals the loop over every entry of
-    the dense matrix bit for bit.
+    entries it leaves out are zero.  Each output row sums its products in
+    increasing column order into one temporary, then adds it to out[row].
+    On finite fields and an out without -0.0 the result is out plus the
+    loop over every dense entry from +0.0, bit for bit (module docstring).
     """
-    out = np.zeros(W.shape)
-    for (i, j), field in M.items():
-        row, col = (j, i) if transpose else (i, j)
-        out[row] += field * W[col]
+    if out is None:
+        out = np.zeros(W.shape)
+    row = total = None
+    for key in sorted(M, key=itemgetter(1, 0)) if transpose else M:
+        i, j = key[::-1] if transpose else key
+        if i == row:
+            total += M[key] * W[j]
+            continue
+        if total is not None:
+            out[row] += total
+        row, total = i, M[key] * W[j]
+    if total is not None:
+        out[row] += total
     return out
 
 
@@ -97,15 +116,16 @@ def _lead(grid: Grid, W: np.ndarray) -> int:
 
 
 def _assemble(grid: Grid, ops, A: tuple, C: dict, W: np.ndarray) -> np.ndarray:
-    """sum_ax [ D_ax(A_ax W) + A_ax^T D_ax W ] + C W over the tables' entries."""
+    """sum_ax [ D_ax(A_ax W) + A_ax^T D_ax W ] + C W over the tables' entries,
+    added in this order into the first flux D_0(A_0 W) (module docstring).
+    No name holds a flux while D_ax W is formed: it would keep a field alive."""
     lead = _lead(grid, W)
-    out = np.zeros(W.shape)
+    out = apply_derivative(ops[0], matfield_apply(A[0], W), lead)
     for ax in range(grid.dim):
-        out += apply_derivative(ops[ax], matfield_apply(A[ax], W), lead + ax)
-        out += matfield_apply(A[ax], apply_derivative(ops[ax], W, lead + ax),
-                              transpose=True)
-    out += matfield_apply(C, W)
-    return out
+        if ax:
+            out += apply_derivative(ops[ax], matfield_apply(A[ax], W), lead + ax)
+        matfield_apply(A[ax], apply_derivative(ops[ax], W, lead + ax), True, out)
+    return matfield_apply(C, W, out=out)
 
 
 def _face_terms(grid: Grid, ops, A: tuple, X: np.ndarray, Y: np.ndarray) -> dict:
@@ -256,8 +276,8 @@ def standard_evaluator(model: ModelSpec, grid: Grid, ops, V: np.ndarray):
         lead = _lead(grid, U_prime)
         spatial = np.zeros(U_prime.shape)
         for ax in range(grid.dim):
-            spatial += matfield_apply(M[ax], apply_derivative(ops[ax], U_prime, lead + ax))
-        spatial += matfield_apply(N, U_prime)
+            matfield_apply(M[ax], apply_derivative(ops[ax], U_prime, lead + ax), out=spatial)
+        matfield_apply(N, U_prime, out=spatial)
         return _residual(model, grid, ops, spatial, half, U_prime, sat, forcing)
 
     return residual

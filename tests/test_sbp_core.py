@@ -352,12 +352,15 @@ def test_apply_derivative_adds_columns_in_increasing_order(order, periodic, n):
     # zero entries changes no bit.  The interior runs are taken in pieces of
     # 16384 values: at n = 257 the run of each of the last five fields
     # holds four pieces and a remainder, and their boundaries fall inside a
-    # line (16384 is no multiple of 97, 257 or 13).
+    # line (16384 is no multiple of 97, 257 or 13).  No output is -0.0, not
+    # even on fields of zeros only, which spatial_op's in-place sums rely on.
     if n == "min":
         n = SMALLEST[order, periodic]
     op = build_sbp_operator(order, n, 1.0 / n, periodic=periodic)
     rng = np.random.default_rng(n)
     cases = [
+        (1, np.full((2, 3, n, 2), -0.0)),
+        (2, np.where(rng.random((3, 2, 5, n)) < 0.5, 0.0, -0.0)),
         (0, rng.normal(size=(3, n, 7))),
         (1, rng.normal(size=(3, 7, n))),
         (1, rng.normal(size=(2, 4, n, 3))),
@@ -379,6 +382,7 @@ def test_apply_derivative_adds_columns_in_increasing_order(order, periodic, n):
         assert got.shape == want.shape
         assert np.ascontiguousarray(got).tobytes() == \
             np.ascontiguousarray(want).tobytes()
+        assert not np.signbit(got[got == 0.0]).any()
 
 
 @pytest.mark.parametrize("order", ORDERS)

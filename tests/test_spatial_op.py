@@ -300,12 +300,20 @@ def test_matfield_apply_on_the_pattern_matches_the_dense_loop_bitwise(kind):
             # sum depends on the order they are added in
             full = signed_zeros(rng.normal(size=(m.n_comp,) + W.shape), rng)
             full_table = {key: full[key] for key in np.ndindex(m.n_comp, m.n_comp)}
+            # an accumulator holding +0.0 but no -0.0, as in spatial_op's sums
+            X = rng.normal(size=W.shape)
+            X[rng.random(X.shape) < 0.3] = 0.0
             for M in (*A, C, full_table):
                 for transpose in (False, True):
                     got = matfield_apply(M, W, transpose=transpose)
                     want = dense_matfield(densify(M, m.n_comp, g.shape), W,
                                           transpose=transpose)
                     assert got.tobytes() == want.tobytes()
+                    # each row's sum is added to out once: X + (p1 + p2),
+                    # not (X + p1) + p2
+                    out = X.copy()
+                    assert matfield_apply(M, W, transpose, out) is out
+                    assert out.tobytes() == (X + got).tobytes()
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -330,6 +338,27 @@ def test_residual_matches_the_dense_assembly_bitwise(kind):
             AW = face_layer(g, dense_matfield(A[face[0]], W), face)
             bq = boundary_quadrature(g, ops, face_layer(g, W, face), AW, face)
             assert res.face_terms[face_label(g, face)] == bq
+
+
+@pytest.mark.parametrize("kind", ["burgers1d", "swe2d"])
+@pytest.mark.parametrize("order", ORDERS)
+def test_standard_residual_matches_the_dense_assembly_bitwise(kind, order):
+    # sum_ax M_ax D_ax W + N W against every entry of M and N, on a mean and
+    # a state holding zeros of both signs
+    m, g, ops, rng = small_setup(kind, order, 57)
+    first = 1 if kind == "swe2d" else 0  # the depth stays admissible
+    for trial in range(3):
+        V = sample_state(m, g.shape, rng)
+        V[first:] = signed_zeros(V[first:], rng)
+        W = signed_zeros(sample_state(m, g.shape, rng), rng)
+        M, N = _standard_matrices(m, g, ops, V)
+        want = np.zeros_like(W)
+        for ax in range(g.dim):
+            want += dense_matfield(densify(M[ax], m.n_comp, g.shape),
+                                   apply_derivative(ops[ax], W, ax))
+        want += dense_matfield(densify(N, m.n_comp, g.shape), W)
+        got = eval_standard_linearised_residual(m, g, ops, W, V).spatial
+        assert got.tobytes() == want.tobytes()
 
 
 def test_standard_transport_matrices_stay_on_the_swe_pattern():
