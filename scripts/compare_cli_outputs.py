@@ -2,114 +2,19 @@
 
     python3 scripts/compare_cli_outputs.py PARENT_SRC CHANGE_SRC [--work DIR]
 
-PARENT_SRC and CHANGE_SRC are checkouts (or their src/ directories).  Each
-case of the matrix below runs once per tree, as `python -m skewform.cli`
-with that tree on PYTHONPATH, from a fresh working directory at the same
-relative path under DIR (a temporary directory by default), so printed
-paths agree.  Every case writes its files into `out/` of that directory.
+PARENT_SRC and CHANGE_SRC are checkouts (or their src/ directories).  A case
+is one command line of `python -m skewform.cli` and the configs written into
+its working directory before it runs: `run` on each bundled scenario of
+either tree, then one case per row of CASES, whose comment says what the
+case checks and, after "By design:", how it differs against older trees.
 
-A case differs when its exit code, stdout, stderr, the set of files it
-wrote or the bytes of any of them differ.  Each difference is printed; the
-exit code is 0 when every case matched and 1 otherwise.
-
-The matrix: `run` on every bundled scenario; `verify all --seed 3
---trials 7`, `verify all --seed 5 --trials 1` (one trial: each sweep group
-holds one state), `verify all --seed 1 --trials 249` (a multiple of no
-group size, 496, 18 and 5 trials of a burgers1d, euler2d or swe2d, and
-euler3d_cyl state: 249 = 13*18 + 15 = 49*5 + 4, so every kind's last group
-is partial) and `verify all --seed 4 --trials 18` (one full euler2d and
-swe2d group, and three full euler3d_cyl groups before a partial one);
-`convergence` on burgers_periodic (24,48,96) and
-swe_coriolis_periodic (16,32,64); `analyze-boundary` for swe2d
-nonlinear_rewritten, swe2d linearised with --alpha 0.3, euler2d, euler2d
-linearised at a state with a zero eigenvalue (whose printed digits would
-otherwise show the eigensolver's rounding) and euler3d_cyl at radius 0.8;
-`run` on a swe2d `standard_vs_new` config bounded in x with a linear
-Coriolis profile, which no bundled scenario marches (written into the
-case's directory first); `run` on a bounded burgers config with inflow at
-both faces, each closed by a `characteristic` penalty (no bundled scenario
-marches that closure); `run` on a swe2d config whose two-condition closure
-is active at inflow on a (4,2) grid, where the boundary weight 17h/48 is no
-power of two (the bundled swe_inflow_twocond weighs h/2 = 1/32, by which a
-reordered division is exact); `run` on burgers (4,2) grids of the fewest
-nodes each closure takes, 8 bounded, where no row is left to the interior
-stencil, and 5 periodic (each written into the case's directory first);
-`run` on a nonlinear (4,2) swe2d config bounded in both axes on a 17 x 13
-grid with `none` closures, the one march of a multi-line field bounded
-along its last axis (the burgers marches have one line and the swe2d
-cases are periodic in y); `run` on a bounded (4,2) burgers grid with a
-`characteristic g=1.0` inflow closure at x_low in each march mode no other
-case runs alone: frozen, dual with a `[coefficient]` and without one,
-`new_linearised_coupled` and `standard_linearised`, and `convergence`
-(17,33,65) on its coupled config; and thirteen refusals, so the bytes of the
-refusal path are checked too: `run` on a config with `stride = ten`
-(written into the case's directory first), `analyze-boundary --alpha nan`,
-`run` on the swe2d `standard_vs_new` config with a two-condition closure on
-x_low, and `run` on the burgers config with a swe2d closure on x_low, with
-a `characteristic` closure given the `g2=` it does not read, with
-`characteristic g2=0` and with `none scale=1.0`; `run` on an identity
-config with a `[sat]` section and on a nonlinear config with an
-`[identity]` section, neither of which the mode reads, and on the identity
-config with an empty `[sat]` header; `run` on the frozen burgers config
-without its `[coefficient]`; `analyze-boundary
---radius` for swe2d; and `verify --seed -1`.  Then `convergence`
-(16,32,64) on a swe2d `standard_linearised` config periodic in both axes,
-and eleven refusals that cite where the refused value came from: `run` on
-the periodic burgers config with `cfl = -1`, with `dt = 0`, with a
-`t_final` that is not a whole number of steps, with `extents = 1,0`, with
-`shape = 1` and with two axes of extents; `run` on an euler2d march;
-`convergence` on the swe2d `standard_vs_new` config; `run` on the bounded
-burgers config with 6 nodes, and `convergence --levels 5,9,17` on it, both
-below the 8 nodes of (4,2); and `run` on the swe2d `standard_vs_new` config
-with a primitive `[coefficient]` whose depth reaches 0.  Last, four refusals
-that cite the header of the section at fault: `run` on the periodic burgers
-config whose `[initial]` has no `family` and on it without `dt`, and on the
-swe2d `standard_vs_new` config whose mean + perturbation has a negative
-depth and on it without the `comp2` of `[perturbation]`.
-Then `run` on the (4,2) two-condition config on a 129 x 129 grid, bounded
-in x, for 5 steps: its derivative applies take their interior runs in
-several pieces, whose boundaries fall inside a line.  Then `run` on a
-frozen (4,2) swe2d config, periodic on 17 x 17, whose marched state has
-negative depth about an admissible primitive `[coefficient]`, and `run` on
-the same config in dual mode, the one swe2d dual march with a fixed
-coefficient state.
-
-Some cases differ by design against older trees.  The swe2d
-`standard_linearised` refusal: a tree from before it marches and fails with
-exit 1.  The two burgers closure refusals: a tree from before make_sat_config
-checked closures against the model marches them, failing with exit 1 on the
-swe2d closure and exiting 0 on the unread option.  The `characteristic g2=0`
-and `none scale=1.0` refusals: a tree from before make_sat_config took the
-options an entry writes tells an unread option by its value only, and
-marches both with exit 0.  The `_standard` files of
-`run_swe_standard_vs_new`: a tree from before the swe2d standard run took
-primitive variables (its mean swe_inverse(mean), its perturbation
-swe_inverse(mean + pert) - swe_inverse(mean)) reads the transformed fields
-as primitive ones, and a tree from before the standard scenario named its
-primitive columns heads `_standard_final.txt` with `U1 U2 U3` where this
-one writes `phi u v`.  The four refusals of input the job never reads (the
-identity `[sat]`, the nonlinear `[identity]`, the swe2d `--radius` and
-`verify --seed -1`): a tree from before they were refused ignores the
-`[sat]`, the `[identity]` and the `--radius` and exits 0, and fails on the
-negative seed inside numpy with a message that does not name `--seed`.
-The empty `[sat]` refusal of the identity config: a tree from before empty
-sections were refused exits 0 and writes `run.csv`.  The frozen refusal
-without `[coefficient]`: a tree from before the scheme modes were one table
-says `frozen mode needs a [coefficient] section` where this one says
-`missing required section [coefficient]`, as coupled and standard configs do.
-The eleven refusals that cite their source: a tree from before they did
-prints `<cfg>:` without a line for the march settings, the euler2d march,
-the convergence mode and the `[grid]` values (whose axis-count message also
-named `[grid]` where this one names the key), and `error:` without the file
-for the grid below the operators' minimum and the primitive depth, or
-without naming `--levels`.  The four refusals that cite a section header: a
-tree from before they did prints `<cfg>:` without a line, for the missing
-`dt` and `comp2` in words of its own (`[scheme] requires 'dt' for marching
-modes`, `[perturbation] is missing 'comp2' for model ...`).  The frozen
-swe2d march of a negative depth: a tree from before a frozen march checked
-admissibility only at its coefficient state refuses it after the first
-step, exiting 1 with `min is -0.4986...`, where this one marches it and
-exits 0.
+Each case runs once per tree, with that tree on PYTHONPATH, from a fresh
+working directory at the same relative path under DIR (a temporary
+directory by default), so printed paths agree.  Every case writes its
+files into `out/` of that directory.  A case differs when its exit code,
+stdout, stderr, the set of files it wrote or the bytes of any of them
+differ.  Each difference is printed; the exit code is 0 when every case
+matched and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -218,9 +123,8 @@ x_high = characteristic g=-0.2 scale=2.0
 prefix = burgers_characteristic
 """
 
-# The two-condition closure with active inflow on a (4,2) grid, whose
-# boundary weight P0 = 17h/48 is no power of two, so a reordered division
-# by it shows in the bytes.  The data g2, g3 differ from the inflow state.
+# The two-condition closure with active inflow on a (4,2) grid.  The data
+# g2, g3 differ from the inflow state.
 SWE_TWO_CONDITION_42_CFG = """\
 [model]
 kind = swe2d
@@ -255,9 +159,7 @@ x_high = none
 prefix = swe_two_condition_42
 """
 
-# The two-condition march on a 129 x 129 grid, bounded in x: each apply's
-# interior run spans several of sbp_core's pieces, whose boundaries fall
-# inside a line (the benchmark's 257 x 257 march is periodic).
+# The two-condition march on a 129 x 129 grid, bounded in x, for 5 steps.
 SWE_BOUNDED_129_CFG = SWE_TWO_CONDITION_42_CFG.replace(
     "shape = 17 / 17", "shape = 129 / 129").replace(
     "dt = 0.002\nt_final = 0.06", "dt = 0.001\nt_final = 0.005").replace(
@@ -396,6 +298,8 @@ def burgers_mode_cfg(mode, *sections):
         f"\n[{section}]\n{BURGERS_FIELDS[section]}" for section in sections)
 
 
+BURGERS_COUPLED_CFG = burgers_mode_cfg("new_linearised_coupled", "initial", "perturbation")
+
 # The swe2d standard linearisation on a grid periodic in both axes, which
 # convergence can refine (the SAT-free faces it takes are all periodic).
 SWE_STANDARD_PERIODIC_CFG = SWE_STANDARD_VS_NEW_CFG.replace(
@@ -493,153 +397,196 @@ trials = 2
 x_low = bogus g=1
 """
 
-FIXED_CASES = {
-    "verify_all": ["verify", "all", "--seed", "3", "--trials", "7"],
-    "verify_all_one_trial": ["verify", "all", "--seed", "5", "--trials", "1"],
-    "verify_all_partial_groups": ["verify", "all", "--seed", "1", "--trials", "249"],
-    "verify_all_full_groups": ["verify", "all", "--seed", "4", "--trials", "18"],
-    "convergence_burgers_periodic": ["convergence", "--config", "burgers_periodic",
-                                     "--levels", "24,48,96"],
-    "convergence_swe_coriolis_periodic": ["convergence", "--config",
-                                          "swe_coriolis_periodic",
-                                          "--levels", "16,32,64"],
-    "boundary_swe2d_rewritten": ["analyze-boundary", "--model", "swe2d",
-                                 "--state", "4,2,0", "--normal=-1,0",
-                                 "--formulation", "nonlinear_rewritten"],
-    "boundary_swe2d_linearised": ["analyze-boundary", "--model", "swe2d",
-                                  "--state", "1,-1,0", "--normal", "1,0",
-                                  "--formulation", "linearised", "--alpha", "0.3"],
-    "boundary_euler2d": ["analyze-boundary", "--model", "euler2d",
-                         "--state", "1,0.5,1", "--normal", "1,0"],
-    "boundary_euler2d_zero_eigenvalue": ["analyze-boundary", "--model", "euler2d",
-                                         "--state", "0,0,1", "--normal", "0.6,0.8",
-                                         "--formulation", "linearised"],
-    "boundary_euler3d_cyl": ["analyze-boundary", "--model", "euler3d_cyl",
-                             "--state", "1,0,0,1", "--normal", "1,0,0",
-                             "--radius", "0.8"],
-    "run_swe_standard_vs_new": ["run", "--config", "swe_standard_vs_new.cfg"],
-    "refuse_stride_typo": ["run", "--config", "stride_typo.cfg"],
-    "refuse_alpha_nan": ["analyze-boundary", "--model", "swe2d",
-                         "--state", "1,0.5,0", "--normal", "1,0",
-                         "--alpha", "nan", "--formulation", "linearised"],
-    "refuse_swe_standard_sat": ["run", "--config", "swe_standard_sat.cfg"],
-    "run_burgers_characteristic": ["run", "--config", "burgers_characteristic.cfg"],
-    "refuse_sat_model_mismatch": ["run", "--config", "sat_model_mismatch.cfg"],
-    "refuse_sat_unread_option": ["run", "--config", "sat_unread_option.cfg"],
-    "run_swe_two_condition_42": ["run", "--config", "swe_two_condition_42.cfg"],
-    "refuse_sat_unread_zero": ["run", "--config", "sat_unread_zero.cfg"],
-    "refuse_sat_unread_default_scale": ["run", "--config", "sat_unread_default_scale.cfg"],
-    "run_burgers_bounded_8": ["run", "--config", "burgers_bounded_8.cfg"],
-    "run_burgers_periodic_5": ["run", "--config", "burgers_periodic_5.cfg"],
-    "run_swe_bounded_17x13": ["run", "--config", "swe_bounded_17x13.cfg"],
-    "run_burgers_frozen": ["run", "--config", "burgers_frozen.cfg"],
-    "run_burgers_dual": ["run", "--config", "burgers_dual.cfg"],
-    "run_burgers_dual_self": ["run", "--config", "burgers_dual_self.cfg"],
-    "run_burgers_coupled": ["run", "--config", "burgers_coupled.cfg"],
-    "run_burgers_standard": ["run", "--config", "burgers_standard.cfg"],
-    "convergence_burgers_coupled": ["convergence", "--config", "burgers_coupled.cfg",
-                                    "--levels", "17,33,65"],
-    "refuse_frozen_without_coefficient": ["run", "--config", "burgers_frozen.cfg"],
-    "refuse_identity_sat": ["run", "--config", "identity_sat.cfg"],
-    "refuse_identity_empty_sat": ["run", "--config", "identity_empty_sat.cfg"],
-    "refuse_nonlinear_identity": ["run", "--config", "nonlinear_identity.cfg"],
-    "refuse_swe2d_radius": ["analyze-boundary", "--model", "swe2d",
-                            "--state", "1,0.5,0", "--normal", "1,0", "--radius", "-3"],
-    "refuse_verify_seed_negative": ["verify", "energy", "--seed", "-1", "--trials", "2"],
-    "convergence_swe_standard_periodic": ["convergence", "--config",
-                                          "swe_standard_periodic.cfg",
-                                          "--levels", "16,32,64"],
-    "refuse_cfl_negative": ["run", "--config", "cfl_negative.cfg"],
-    "refuse_dt_zero": ["run", "--config", "dt_zero.cfg"],
-    "refuse_t_final_not_whole_steps": ["run", "--config", "t_final_steps.cfg"],
-    "refuse_euler2d_march": ["run", "--config", "euler2d_march.cfg"],
-    "refuse_convergence_standard_vs_new": ["convergence", "--config",
-                                           "swe_standard_vs_new.cfg",
-                                           "--levels", "17,33,65"],
-    "refuse_extents_empty": ["run", "--config", "extents_empty.cfg"],
-    "refuse_shape_one": ["run", "--config", "shape_one.cfg"],
-    "refuse_grid_axes": ["run", "--config", "grid_axes.cfg"],
-    "refuse_shape_below_order": ["run", "--config", "shape_below_order.cfg"],
-    "refuse_levels_below_order": ["convergence", "--config", "burgers_bounded_8.cfg",
-                                  "--levels", "5,9,17"],
-    "refuse_primitive_dry": ["run", "--config", "primitive_dry.cfg"],
-    "refuse_missing_family": ["run", "--config", "missing_family.cfg"],
-    "refuse_missing_dt": ["run", "--config", "nodt.cfg"],
-    "refuse_missing_comp": ["run", "--config", "nocomp.cfg"],
-    "refuse_standard_past_depth_floor": ["run", "--config", "standard_dry.cfg"],
-    "run_swe_bounded_129": ["run", "--config", "swe_bounded_129.cfg"],
-    "run_swe_frozen_dry": ["run", "--config", "swe_frozen_dry.cfg"],
-    "run_swe_dual_mean": ["run", "--config", "swe_dual_mean.cfg"],
-}
 
-# Files written into a case's working directory before it runs.
-CASE_FILES = {
-    "run_swe_standard_vs_new": {"swe_standard_vs_new.cfg": SWE_STANDARD_VS_NEW_CFG},
-    "refuse_stride_typo": {"stride_typo.cfg": STRIDE_TYPO_CFG},
-    "refuse_swe_standard_sat": {"swe_standard_sat.cfg": SWE_STANDARD_SAT_CFG},
-    "run_burgers_characteristic": {"burgers_characteristic.cfg": BURGERS_CHARACTERISTIC_CFG},
-    "refuse_sat_model_mismatch": {"sat_model_mismatch.cfg": BURGERS_CHARACTERISTIC_CFG.replace(
-        "x_low = characteristic g=0.1", "x_low = swe_two_condition g2=1.0")},
-    "refuse_sat_unread_option": {"sat_unread_option.cfg": BURGERS_CHARACTERISTIC_CFG.replace(
-        "x_low = characteristic g=0.1", "x_low = characteristic g2=0.1")},
-    "run_swe_two_condition_42": {"swe_two_condition_42.cfg": SWE_TWO_CONDITION_42_CFG},
-    "refuse_sat_unread_zero": {"sat_unread_zero.cfg": BURGERS_CHARACTERISTIC_CFG.replace(
-        "x_low = characteristic g=0.1", "x_low = characteristic g2=0")},
-    "refuse_sat_unread_default_scale": {"sat_unread_default_scale.cfg":
-                                        BURGERS_CHARACTERISTIC_CFG.replace(
-        "x_low = characteristic g=0.1", "x_low = none scale=1.0")},
-    "run_burgers_bounded_8": {"burgers_bounded_8.cfg": BURGERS_BOUNDED_8_CFG},
-    "run_burgers_periodic_5": {"burgers_periodic_5.cfg": BURGERS_PERIODIC_5_CFG},
-    "run_swe_bounded_17x13": {"swe_bounded_17x13.cfg": SWE_BOUNDED_17X13_CFG},
-    "run_burgers_frozen": {"burgers_frozen.cfg":
-                           burgers_mode_cfg("frozen", "initial", "coefficient")},
-    "run_burgers_dual": {"burgers_dual.cfg": burgers_mode_cfg("dual", "initial", "coefficient")},
-    "run_burgers_dual_self": {"burgers_dual_self.cfg": burgers_mode_cfg("dual", "initial")},
-    "run_burgers_coupled": {"burgers_coupled.cfg": burgers_mode_cfg(
-        "new_linearised_coupled", "initial", "perturbation")},
-    "run_burgers_standard": {"burgers_standard.cfg": burgers_mode_cfg(
-        "standard_linearised", "coefficient", "perturbation")},
-    "convergence_burgers_coupled": {"burgers_coupled.cfg": burgers_mode_cfg(
-        "new_linearised_coupled", "initial", "perturbation")},
-    "refuse_frozen_without_coefficient": {"burgers_frozen.cfg":
-                                          burgers_mode_cfg("frozen", "initial")},
-    "refuse_identity_sat": {"identity_sat.cfg": IDENTITY_SAT_CFG},
-    "refuse_identity_empty_sat": {"identity_empty_sat.cfg":
-                                  IDENTITY_SAT_CFG.replace("x_low = bogus g=1\n", "")},
-    "refuse_nonlinear_identity": {"nonlinear_identity.cfg": STRIDE_TYPO_CFG.replace(
-        "stride = ten", "stride = 5") + "\n[identity]\ntrials = -5\n"},
-    "convergence_swe_standard_periodic": {"swe_standard_periodic.cfg":
-                                          SWE_STANDARD_PERIODIC_CFG},
-    "refuse_cfl_negative": {"cfl_negative.cfg": BURGERS_NONLINEAR_CFG.replace(
-        "stride = 5", "stride = 5\ncfl = -1")},
-    "refuse_dt_zero": {"dt_zero.cfg": BURGERS_NONLINEAR_CFG.replace("dt = 0.005", "dt = 0")},
-    "refuse_t_final_not_whole_steps": {"t_final_steps.cfg": BURGERS_NONLINEAR_CFG.replace(
-        "t_final = 0.5", "t_final = 0.5025")},
-    "refuse_euler2d_march": {"euler2d_march.cfg": EULER2D_MARCH_CFG},
-    "refuse_convergence_standard_vs_new": {"swe_standard_vs_new.cfg":
-                                           SWE_STANDARD_VS_NEW_CFG},
-    "refuse_extents_empty": {"extents_empty.cfg": BURGERS_NONLINEAR_CFG.replace(
-        "extents = 0,1", "extents = 1,0")},
-    "refuse_shape_one": {"shape_one.cfg": BURGERS_NONLINEAR_CFG.replace(
-        "shape = 64", "shape = 1")},
-    "refuse_grid_axes": {"grid_axes.cfg": BURGERS_NONLINEAR_CFG.replace(
-        "extents = 0,1", "extents = 0,1 / 0,1")},
-    "refuse_shape_below_order": {"shape_below_order.cfg": BURGERS_BOUNDED_8_CFG.replace(
-        "shape = 8", "shape = 6")},
-    "refuse_levels_below_order": {"burgers_bounded_8.cfg": BURGERS_BOUNDED_8_CFG},
-    "refuse_primitive_dry": {"primitive_dry.cfg": SWE_STANDARD_VS_NEW_CFG.replace(
+def _run(name: str, text: str) -> tuple:
+    """The row of a case that runs the config text, written as name.cfg."""
+    return ["run", "--config", f"{name}.cfg"], {f"{name}.cfg": text}
+
+
+def _burgers_x_low(entry: str) -> str:
+    """BURGERS_CHARACTERISTIC_CFG with entry as its x_low closure."""
+    return BURGERS_CHARACTERISTIC_CFG.replace("x_low = characteristic g=0.1",
+                                              f"x_low = {entry}")
+
+
+# The cases after the bundled scenarios, in the order they run: each row is
+# a command line and the configs written into the case's directory first.
+# A refuse_ case checks the bytes of a refusal path.
+CASES = {
+    "verify_all": (["verify", "all", "--seed", "3", "--trials", "7"], {}),
+    # One trial: each sweep group holds one state.
+    "verify_all_one_trial": (["verify", "all", "--seed", "5", "--trials", "1"], {}),
+    # A multiple of no group size (496, 18 and 5 trials of a burgers1d,
+    # euler2d or swe2d, and euler3d_cyl state): 249 = 13*18 + 15 = 49*5 + 4,
+    # so every kind's last group is partial.
+    "verify_all_partial_groups": (["verify", "all", "--seed", "1", "--trials", "249"], {}),
+    # One full euler2d and swe2d group, and three full euler3d_cyl groups
+    # before a partial one.
+    "verify_all_full_groups": (["verify", "all", "--seed", "4", "--trials", "18"], {}),
+    "convergence_burgers_periodic": (["convergence", "--config", "burgers_periodic",
+                                      "--levels", "24,48,96"], {}),
+    "convergence_swe_coriolis_periodic": (["convergence", "--config", "swe_coriolis_periodic",
+                                           "--levels", "16,32,64"], {}),
+    "boundary_swe2d_rewritten": (["analyze-boundary", "--model", "swe2d",
+                                  "--state", "4,2,0", "--normal=-1,0",
+                                  "--formulation", "nonlinear_rewritten"], {}),
+    "boundary_swe2d_linearised": (["analyze-boundary", "--model", "swe2d",
+                                   "--state", "1,-1,0", "--normal", "1,0",
+                                   "--formulation", "linearised", "--alpha", "0.3"], {}),
+    "boundary_euler2d": (["analyze-boundary", "--model", "euler2d",
+                          "--state", "1,0.5,1", "--normal", "1,0"], {}),
+    # A state with a zero eigenvalue, whose printed digits would otherwise
+    # show the eigensolver's rounding.
+    "boundary_euler2d_zero_eigenvalue": (["analyze-boundary", "--model", "euler2d",
+                                          "--state", "0,0,1", "--normal", "0.6,0.8",
+                                          "--formulation", "linearised"], {}),
+    "boundary_euler3d_cyl": (["analyze-boundary", "--model", "euler3d_cyl",
+                              "--state", "1,0,0,1", "--normal", "1,0,0",
+                              "--radius", "0.8"], {}),
+    # A swe2d standard_vs_new march bounded in x with a linear Coriolis
+    # profile, which no bundled scenario marches.  By design: a tree from
+    # before the swe2d standard run took primitive variables (its mean
+    # swe_inverse(mean), its perturbation swe_inverse(mean + pert) -
+    # swe_inverse(mean)) reads the transformed fields as primitive ones in
+    # the `_standard` files, and a tree from before the standard scenario
+    # named its primitive columns heads `_standard_final.txt` with `U1 U2 U3`
+    # where this one writes `phi u v`.
+    "run_swe_standard_vs_new": _run("swe_standard_vs_new", SWE_STANDARD_VS_NEW_CFG),
+    "refuse_stride_typo": _run("stride_typo", STRIDE_TYPO_CFG),
+    "refuse_alpha_nan": (["analyze-boundary", "--model", "swe2d",
+                          "--state", "1,0.5,0", "--normal", "1,0",
+                          "--alpha", "nan", "--formulation", "linearised"], {}),
+    # A two-condition closure on x_low of the standard_vs_new config.  By
+    # design: a tree from before this refusal marches and fails with exit 1.
+    "refuse_swe_standard_sat": _run("swe_standard_sat", SWE_STANDARD_SAT_CFG),
+    # No bundled scenario marches the characteristic closure.
+    "run_burgers_characteristic": _run("burgers_characteristic",
+                                       BURGERS_CHARACTERISTIC_CFG),
+    # A swe2d closure on burgers.  By design: a tree from before
+    # make_sat_config checked closures against the model marches it and
+    # fails with exit 1.
+    "refuse_sat_model_mismatch": _run("sat_model_mismatch",
+                                      _burgers_x_low("swe_two_condition g2=1.0")),
+    # An option the closure does not read.  By design: the same older tree
+    # marches it with exit 0.
+    "refuse_sat_unread_option": _run("sat_unread_option",
+                                     _burgers_x_low("characteristic g2=0.1")),
+    # The boundary weight 17h/48 of a (4,2) grid is no power of two, so a
+    # reordered division by it shows in the bytes; the bundled
+    # swe_inflow_twocond weighs h/2 = 1/32, by which such a division is exact.
+    "run_swe_two_condition_42": _run("swe_two_condition_42", SWE_TWO_CONDITION_42_CFG),
+    # Two unread options of the default value.  By design: a tree from
+    # before make_sat_config took the options an entry writes tells an
+    # unread option by its value only, and marches both with exit 0.
+    "refuse_sat_unread_zero": _run("sat_unread_zero", _burgers_x_low("characteristic g2=0")),
+    "refuse_sat_unread_default_scale": _run("sat_unread_default_scale",
+                                            _burgers_x_low("none scale=1.0")),
+    # The fewest nodes each closure takes: 8 bounded, where no row is left to
+    # the interior stencil, and 5 periodic.
+    "run_burgers_bounded_8": _run("burgers_bounded_8", BURGERS_BOUNDED_8_CFG),
+    "run_burgers_periodic_5": _run("burgers_periodic_5", BURGERS_PERIODIC_5_CFG),
+    # The one march of a multi-line field bounded along its last axis: the
+    # burgers marches have one line and the other swe2d cases are periodic
+    # in y.
+    "run_swe_bounded_17x13": _run("swe_bounded_17x13", SWE_BOUNDED_17X13_CFG),
+    # Each march mode no other case runs alone: frozen, dual with a
+    # [coefficient] and without one, coupled and standard; then convergence
+    # on the coupled config.
+    "run_burgers_frozen": _run("burgers_frozen",
+                               burgers_mode_cfg("frozen", "initial", "coefficient")),
+    "run_burgers_dual": _run("burgers_dual", burgers_mode_cfg("dual", "initial", "coefficient")),
+    "run_burgers_dual_self": _run("burgers_dual_self", burgers_mode_cfg("dual", "initial")),
+    "run_burgers_coupled": _run("burgers_coupled", BURGERS_COUPLED_CFG),
+    "run_burgers_standard": _run("burgers_standard", burgers_mode_cfg(
+        "standard_linearised", "coefficient", "perturbation")),
+    "convergence_burgers_coupled": (["convergence", "--config", "burgers_coupled.cfg",
+                                     "--levels", "17,33,65"],
+                                    {"burgers_coupled.cfg": BURGERS_COUPLED_CFG}),
+    # By design: a tree from before the scheme modes were one table says
+    # `frozen mode needs a [coefficient] section` where this one says
+    # `missing required section [coefficient]`, as coupled and standard
+    # configs do.
+    "refuse_frozen_without_coefficient": _run("burgers_frozen",
+                                              burgers_mode_cfg("frozen", "initial")),
+    # A [sat] that an identity run does not read.  By design: a tree from
+    # before this refusal ignores the [sat] and exits 0.
+    "refuse_identity_sat": _run("identity_sat", IDENTITY_SAT_CFG),
+    # By design: a tree from before empty sections were refused exits 0 and
+    # writes `run.csv`.
+    "refuse_identity_empty_sat": _run("identity_empty_sat",
+                                      IDENTITY_SAT_CFG.replace("x_low = bogus g=1\n", "")),
+    # An [identity] that a nonlinear run does not read.  By design: a tree
+    # from before this refusal ignores it and exits 0.
+    "refuse_nonlinear_identity": _run("nonlinear_identity",
+                                      BURGERS_NONLINEAR_CFG + "\n[identity]\ntrials = -5\n"),
+    # By design: a tree from before this refusal ignores the --radius and
+    # exits 0.
+    "refuse_swe2d_radius": (["analyze-boundary", "--model", "swe2d", "--state", "1,0.5,0",
+                             "--normal", "1,0", "--radius", "-3"], {}),
+    # By design: a tree from before this refusal fails inside numpy with a
+    # message that does not name --seed.
+    "refuse_verify_seed_negative": (["verify", "energy", "--seed", "-1", "--trials", "2"], {}),
+    "convergence_swe_standard_periodic": (
+        ["convergence", "--config", "swe_standard_periodic.cfg", "--levels", "16,32,64"],
+        {"swe_standard_periodic.cfg": SWE_STANDARD_PERIODIC_CFG}),
+    # Eleven refusals that cite where the refused value came from: the march
+    # settings, the euler2d march, the convergence mode, the [grid] values,
+    # a grid below the 8 nodes of (4,2) in run and in --levels, and a
+    # primitive [coefficient] whose depth reaches 0.  By design: a tree from
+    # before they did prints `<cfg>:` without a line for the march settings,
+    # the euler2d march, the convergence mode and the [grid] values (whose
+    # axis-count message also named [grid] where this one names the key),
+    # and `error:` without the file for the grid below the operators'
+    # minimum and the primitive depth, or without naming --levels.
+    "refuse_cfl_negative": _run("cfl_negative", BURGERS_NONLINEAR_CFG.replace(
+        "stride = 5", "stride = 5\ncfl = -1")),
+    "refuse_dt_zero": _run("dt_zero", BURGERS_NONLINEAR_CFG.replace("dt = 0.005", "dt = 0")),
+    "refuse_t_final_not_whole_steps": _run("t_final_steps", BURGERS_NONLINEAR_CFG.replace(
+        "t_final = 0.5", "t_final = 0.5025")),
+    "refuse_euler2d_march": _run("euler2d_march", EULER2D_MARCH_CFG),
+    "refuse_convergence_standard_vs_new": (
+        ["convergence", "--config", "swe_standard_vs_new.cfg", "--levels", "17,33,65"],
+        {"swe_standard_vs_new.cfg": SWE_STANDARD_VS_NEW_CFG}),
+    "refuse_extents_empty": _run("extents_empty", BURGERS_NONLINEAR_CFG.replace(
+        "extents = 0,1", "extents = 1,0")),
+    "refuse_shape_one": _run("shape_one", BURGERS_NONLINEAR_CFG.replace(
+        "shape = 64", "shape = 1")),
+    "refuse_grid_axes": _run("grid_axes", BURGERS_NONLINEAR_CFG.replace(
+        "extents = 0,1", "extents = 0,1 / 0,1")),
+    "refuse_shape_below_order": _run("shape_below_order", BURGERS_BOUNDED_8_CFG.replace(
+        "shape = 8", "shape = 6")),
+    "refuse_levels_below_order": (["convergence", "--config", "burgers_bounded_8.cfg",
+                                   "--levels", "5,9,17"],
+                                  {"burgers_bounded_8.cfg": BURGERS_BOUNDED_8_CFG}),
+    "refuse_primitive_dry": _run("primitive_dry", SWE_STANDARD_VS_NEW_CFG.replace(
         "family = trig\ncomp0 = 1.0 0.1 sin:1 cos:1",
-        "family = trig\nvariables = primitive\ncomp0 = 0.0 0.1 sin:1 cos:1")},
-    "refuse_missing_family": {"missing_family.cfg": BURGERS_NONLINEAR_CFG.replace(
-        "family = trig\n", "")},
-    "refuse_missing_dt": {"nodt.cfg": BURGERS_NONLINEAR_CFG.replace("dt = 0.005\n", "")},
-    "refuse_missing_comp": {"nocomp.cfg": SWE_STANDARD_VS_NEW_CFG.replace(
-        "comp2 = 0.0 0.01 one cos:1\n", "")},
-    "refuse_standard_past_depth_floor": {"standard_dry.cfg": SWE_STANDARD_VS_NEW_CFG.replace(
-        "comp0 = 0.0 0.01 cos:1 sin:1", "comp0 = -2.0 0.01 cos:1 sin:1")},
-    "run_swe_bounded_129": {"swe_bounded_129.cfg": SWE_BOUNDED_129_CFG},
-    "run_swe_frozen_dry": {"swe_frozen_dry.cfg": SWE_FROZEN_DRY_CFG},
-    "run_swe_dual_mean": {"swe_dual_mean.cfg": SWE_DUAL_MEAN_CFG},
+        "family = trig\nvariables = primitive\ncomp0 = 0.0 0.1 sin:1 cos:1")),
+    # Four refusals that cite the header of the section at fault: the
+    # [initial] without a family, the [scheme] without dt, the
+    # [perturbation] without comp2, and a mean + perturbation of negative
+    # depth.  By design: a tree from before they did prints `<cfg>:` without
+    # a line, for the missing dt and comp2 in words of its own (`[scheme]
+    # requires 'dt' for marching modes`, `[perturbation] is missing 'comp2'
+    # for model ...`).
+    "refuse_missing_family": _run("missing_family", BURGERS_NONLINEAR_CFG.replace(
+        "family = trig\n", "")),
+    "refuse_missing_dt": _run("nodt", BURGERS_NONLINEAR_CFG.replace("dt = 0.005\n", "")),
+    "refuse_missing_comp": _run("nocomp", SWE_STANDARD_VS_NEW_CFG.replace(
+        "comp2 = 0.0 0.01 one cos:1\n", "")),
+    "refuse_standard_past_depth_floor": _run("standard_dry", SWE_STANDARD_VS_NEW_CFG.replace(
+        "comp0 = 0.0 0.01 cos:1 sin:1", "comp0 = -2.0 0.01 cos:1 sin:1")),
+    # Each derivative apply takes its interior run in several of sbp_core's
+    # pieces, whose boundaries fall inside a line (the benchmark's 257 x 257
+    # march is periodic).
+    "run_swe_bounded_129": _run("swe_bounded_129", SWE_BOUNDED_129_CFG),
+    # A marched state of negative depth about an admissible coefficient
+    # state.  By design: a tree from before a frozen march checked
+    # admissibility only at its coefficient state refuses it after the first
+    # step, exiting 1 with `min is -0.4986...`, where this one marches it and
+    # exits 0.
+    "run_swe_frozen_dry": _run("swe_frozen_dry", SWE_FROZEN_DRY_CFG),
+    # The one swe2d dual march with a fixed coefficient state.
+    "run_swe_dual_mean": _run("swe_dual_mean", SWE_DUAL_MEAN_CFG),
 }
 
 
@@ -654,12 +601,13 @@ def package_root(path: str) -> Path:
 
 
 def cases(roots) -> dict:
-    """Every case of the matrix, with the bundled scenarios of both trees."""
+    """Every case as {name: (command line, written configs)}: `run` on the
+    bundled scenarios of both trees, then CASES."""
     names = set()
     for root in roots:
         names.update(p.stem for p in (root / "skewform" / "scenarios").glob("*.cfg"))
-    out = {f"run_{name}": ["run", "--config", name] for name in sorted(names)}
-    out.update(FIXED_CASES)
+    out = {f"run_{name}": (["run", "--config", name], {}) for name in sorted(names)}
+    out.update(CASES)
     return out
 
 
@@ -701,9 +649,8 @@ def main(argv=None) -> int:
         work = Path(args.work or tmp)
         matrix = cases(roots.values())
         bad = 0
-        for case, cli_args in matrix.items():
-            got = {tree: run_case(root, cli_args, work / tree / case,
-                                  CASE_FILES.get(case, {}))
+        for case, (cli_args, written) in matrix.items():
+            got = {tree: run_case(root, cli_args, work / tree / case, written)
                    for tree, root in roots.items()}
             found = differences(got["parent"], got["change"])
             print(f"{case}: {'differs' if found else 'identical'}"

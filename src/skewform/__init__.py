@@ -54,7 +54,6 @@ from .spatial_op import (
     eval_new_linearised_pair,
     eval_primal_residual,
     eval_remainder_H,
-    eval_standard_linearised_residual,
 )
 from .timeint import Scenario, march, rk4_step
 from .verify import (
@@ -99,7 +98,6 @@ __all__ = [
     "eval_new_linearised_pair",
     "eval_primal_residual",
     "eval_remainder_H",
-    "eval_standard_linearised_residual",
     "faces",
     "inner_product",
     "make_grid",

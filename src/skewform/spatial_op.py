@@ -154,6 +154,17 @@ def _coeff_state(U, V):
     return V
 
 
+def _coeff_grid_state(model: ModelSpec, grid: Grid, V) -> np.ndarray:
+    """V as the coefficient state of an operator on the grid, refused unless
+    its shape is (n_comp, *batch, *grid.shape)."""
+    V = np.asarray(V, dtype=np.float64)
+    if V.shape[:1] != (model.n_comp,) or V.shape[max(1, V.ndim - grid.dim):] != grid.shape:
+        raise ValueError(f"coefficient state has shape {V.shape}; the grid takes"
+                         f" {(model.n_comp,) + grid.shape}, with any batch axes after"
+                         " the first")
+    return V
+
+
 def _residual(model: ModelSpec, grid: Grid, ops, spatial: np.ndarray, A: tuple,
               S: np.ndarray, sat=None, forcing=None, flux_sign=-2.0) -> Residual:
     """Completes the spatial part acting on S: the SAT on S, the forcing,
@@ -173,7 +184,7 @@ def skew_evaluator(model: ModelSpec, grid: Grid, ops, V: np.ndarray):
     of the skew form with coefficients at the fixed state V, whose tables
     are built here, once.  With dual it evaluates the dual residual
     -[ (A_i U)_{x_i} + A_i^T U_{x_i} + C U ], whose flux sign is +2."""
-    A, C = coeff_matrices(model, np.asarray(V, dtype=np.float64), grid.positions)
+    A, C = coeff_matrices(model, _coeff_grid_state(model, grid, V), grid.positions)
 
     def residual(U, sat=None, forcing=None, dual=False) -> Residual:
         U = np.asarray(U, dtype=np.float64)
@@ -268,7 +279,7 @@ def standard_evaluator(model: ModelSpec, grid: Grid, ops, V: np.ndarray):
     Coriolis zero-order terms.  This operator is not in skew form; its
     face_terms use the transport matrices M_ax / 2 and are bookkeeping only.
     """
-    M, N = _standard_matrices(model, grid, ops, np.asarray(V, dtype=np.float64))
+    M, N = _standard_matrices(model, grid, ops, _coeff_grid_state(model, grid, V))
     half = tuple({key: 0.5 * field for key, field in M_ax.items()} for M_ax in M)
 
     def residual(U_prime, sat=None, forcing=None) -> Residual:
@@ -281,17 +292,6 @@ def standard_evaluator(model: ModelSpec, grid: Grid, ops, V: np.ndarray):
         return _residual(model, grid, ops, spatial, half, U_prime, sat, forcing)
 
     return residual
-
-
-def eval_standard_linearised_residual(model: ModelSpec, grid: Grid, ops,
-                                      U_prime: np.ndarray, V: np.ndarray, sat=None,
-                                      forcing=None) -> Residual:
-    """The textbook advective linearisation about a frozen mean V acting on
-    U_prime; see standard_evaluator."""
-    if V is None:
-        raise ValueError("standard linearisation needs a mean field")
-    return standard_evaluator(model, grid, ops, _coeff_state(U_prime, V))(U_prime, sat,
-                                                                          forcing)
 
 
 def _standard_matrices(model: ModelSpec, grid: Grid, ops, V: np.ndarray):

@@ -23,7 +23,7 @@ from skewform.spatial_op import (
     eval_dual_residual,
     eval_primal_residual,
     eval_remainder_H,
-    eval_standard_linearised_residual,
+    standard_evaluator,
 )
 from skewform.timeint import Scenario, march
 from skewform.verify import (
@@ -118,7 +118,7 @@ def test_criterion_3_linearisation_contradiction_resolved():
             x = g.coords[0]
             mean = np.sin(2 * np.pi * x)[None]
             up = uprime(x)[None]
-            res_std = eval_standard_linearised_residual(m, g, ops, up, mean)
+            res_std = standard_evaluator(m, g, ops, mean)(up)
             rep_std = report_from_residual(m, res_std, 0.0)
             errs.append(abs(rep_std.volume_residual - ref))
             rep_new = energy_report(m, g, ops, up, mean)

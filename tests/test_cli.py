@@ -927,6 +927,47 @@ def test_swe_standard_final_state_names_its_primitive_columns(tmp_path):
     assert columns["new_pert"].endswith("columns: i_x i_y U1 U2 U3")
 
 
+def _block(lines, header):
+    """The lines after header up to the next line without indent."""
+    rest = lines[lines.index(header) + 1:]
+    return list(itertools.takewhile(lambda line: line.startswith("  "), rest))
+
+
+@pytest.mark.parametrize("mode", ["nonlinear", "standard_linearised"])
+def test_swe_convergence_prints_the_ansatz_defect_and_the_standard_volume_residual(
+        tmp_path, mode):
+    # the swe2d blocks of convergence: the ansatz defect of the initial or
+    # mean field, which converges at the interior order as `verify ansatz`
+    # demands (p - 0.2 on the finest pair), and a standard run's t = 0
+    # volume residual on each level
+    if mode == "nonlinear":
+        scenario = Path(skewform.__file__).with_name("scenarios") / "swe_coriolis_periodic.cfg"
+        text, p = scenario.read_text().replace("t_final = 0.2", "t_final = 0.02"), 4
+    else:
+        text = (SWE_STANDARD_CFG.split("[sat]")[0]
+                .replace("periodic = false / true", "periodic = true / true")
+                .replace("t_final = 0.01", "t_final = 0.008"))
+        p = 2
+    cfg = tmp_path / "swe.cfg"
+    cfg.write_text(text)
+    code, out, err = run_main(["convergence", "--config", str(cfg), "--levels", "8,16,32"])
+    assert code == 0, err
+    lines = out.splitlines()
+    defects = _block(lines, "quasilinear ansatz defect on the initial/mean field:")
+    assert [line.split()[0] for line in defects] == ["n=8", "n=16", "n=32"]
+    assert "order" not in defects[0]
+    assert float(defects[-1].rsplit("order", 1)[1]) >= p - 0.2
+    header = ("standard-linearisation volume residual (t = 0), converging to its"
+              " continuum quadrature limit:")
+    if mode == "nonlinear":
+        assert header not in lines
+        return
+    residuals = _block(lines, header)
+    assert [line.split()[0] for line in residuals] == ["n=8", "n=16", "n=32"]
+    assert all(float(line.split()[2]) != 0.0 for line in residuals)
+    assert ["order" in line for line in residuals] == [False, False, True]
+
+
 IDENTITY_CFG = """
 [model]
 kind = euler2d

@@ -27,9 +27,12 @@ from skewform.spatial_op import (
     eval_new_linearised_pair,
     eval_primal_residual,
     eval_remainder_H,
-    eval_standard_linearised_residual,
     matfield_apply,
+    skew_evaluator,
+    standard_evaluator,
 )
+
+from dense_probe import dense_operator, norm_weights, periodic_frozen_setup
 
 ORDERS = [(2, 1), (4, 2)]
 
@@ -156,7 +159,7 @@ def test_residuals_record_the_flux_sign_of_their_energy_balance():
     U, V = sample_state(m, g.shape, rng), sample_state(m, g.shape, rng)
     assert eval_primal_residual(m, g, ops, U, V).flux_sign == -2.0
     assert eval_dual_residual(m, g, ops, U, V).flux_sign == 2.0
-    assert eval_standard_linearised_residual(m, g, ops, U, V).flux_sign == -2.0
+    assert standard_evaluator(m, g, ops, V)(U).flux_sign == -2.0
 
 
 def test_decomposition_closes_with_the_remainder():
@@ -189,7 +192,7 @@ def test_standard_linearised_burgers_matches_the_textbook_formula():
     m, g, ops, rng = small_setup("burgers1d", (4, 2), 35)
     mean = sample_state(m, g.shape, rng)
     up = rng.normal(size=mean.shape)
-    r = eval_standard_linearised_residual(m, g, ops, up, mean)
+    r = standard_evaluator(m, g, ops, mean)(up)
     manual = mean * apply_derivative(ops[0], up, axis=0) + apply_derivative(
         ops[0], mean, axis=0) * up
     assert np.max(np.abs(r.spatial - manual)) <= 1e-13 * (1 + np.max(np.abs(manual)))
@@ -212,7 +215,8 @@ def test_mode_objects_validate_their_inputs():
     # a coefficient state of another shape is refused, naming both shapes,
     # where it would broadcast (periodic) or index past its end (bounded)
     evaluators = (eval_primal_residual, eval_dual_residual,
-                  eval_standard_linearised_residual,
+                  lambda m, g, ops, U, V: skew_evaluator(m, g, ops, V)(U),
+                  lambda m, g, ops, U, V: standard_evaluator(m, g, ops, V)(U),
                   sk.energy_report, lambda *a: sk.energy_report(*a, dual=True),
                   lambda m, g, ops, U, V: bilinear_face_functional(m, g, ops, U, U, V))
     for periodic in (True, False):
@@ -224,6 +228,10 @@ def test_mode_objects_validate_their_inputs():
             for evaluate in evaluators:
                 with pytest.raises(ValueError, match=shapes):
                     evaluate(m, g, ops, U, V)
+        # an operator's V without batch axes acts on a stack of states
+        stack = np.stack([U, -U], axis=1)
+        for build in (skew_evaluator, standard_evaluator):
+            assert build(m, g, ops, U)(stack).R.shape == stack.shape
 
 
 def test_shape_mismatch_is_rejected():
@@ -357,7 +365,7 @@ def test_standard_residual_matches_the_dense_assembly_bitwise(kind, order):
             want += dense_matfield(densify(M[ax], m.n_comp, g.shape),
                                    apply_derivative(ops[ax], W, ax))
         want += dense_matfield(densify(N, m.n_comp, g.shape), W)
-        got = eval_standard_linearised_residual(m, g, ops, W, V).spatial
+        got = standard_evaluator(m, g, ops, V)(W).spatial
         assert got.tobytes() == want.tobytes()
 
 
@@ -394,7 +402,7 @@ def test_swe_standard_linearisation_takes_its_mean_in_state_variables():
     q = rng.normal(size=(3,) + g.shape)
     phi, u, v = 4.0, 1.0, 0.5
     V = sk.swe_transform(*(np.array([phi, u, v])[:, None, None] * np.ones((3,) + g.shape)))
-    r = eval_standard_linearised_residual(m, g, ops, q, V)
+    r = standard_evaluator(m, g, ops, V)(q)
     qx, qy = (apply_derivative(ops[ax], q, ax) for ax in range(2))
     manual = np.stack([u * qx[0] + phi * qx[1] + v * qy[0] + phi * qy[2],
                        qx[0] + u * qx[1] + v * qy[1],
@@ -406,7 +414,7 @@ def test_standard_linearisation_refuses_the_models_it_does_not_cover():
     m, g, ops, rng = small_setup("euler2d", (2, 1), 54)
     U, V = sample_state(m, g.shape, rng), sample_state(m, g.shape, rng)
     with pytest.raises(ValueError, match="covers burgers1d and swe2d, not 'euler2d'"):
-        eval_standard_linearised_residual(m, g, ops, U, V)
+        standard_evaluator(m, g, ops, V)(U)
 
 
 
@@ -489,9 +497,8 @@ def test_a_stack_of_trials_gives_each_trials_bits(kind, order, periodic):
     _same_bits([eval_remainder_H(m, g, ops, u, 0.1 * p) for u, p in zip(Us, Phis)],
                eval_remainder_H(m, g, ops, U, P))
     if kind in ("burgers1d", "swe2d"):
-        _same_residual([eval_standard_linearised_residual(m, g, ops, 0.1 * p, u)
-                        for u, p in zip(Us, Phis)],
-                       eval_standard_linearised_residual(m, g, ops, P, U))
+        _same_residual([standard_evaluator(m, g, ops, u)(0.1 * p)
+                        for u, p in zip(Us, Phis)], standard_evaluator(m, g, ops, U)(P))
     _same_bits([bilinear_face_functional(m, g, ops, u, p, v)
                 for u, p, v in zip(Us, Phis, Vs)],
                np.broadcast_to(bilinear_face_functional(m, g, ops, U, Phi, V), (5,)))
@@ -566,3 +573,23 @@ def test_face_functional_builds_its_tables_on_the_face_layers(kind, order, monke
     for grid in (g, gp):
         with pytest.raises(ValueError, match="depth|non-finite"):
             bilinear_face_functional(m, grid, build_operators(grid, order), U, U, V)
+
+
+@pytest.mark.parametrize("kind", ["burgers1d", "swe2d"])
+def test_periodic_frozen_operator_is_h_skew_and_its_dual_is_its_h_adjoint(kind):
+    # the dense certificate of the semi-discrete claims: with no faces, HL is
+    # skew, so d|u|_H^2/dt = 0 for every state, and the dual operator at the
+    # same V is H^-1 L^T H
+    m, g, ops, V = periodic_frozen_setup(kind)
+    operator = skew_evaluator(m, g, ops, V)
+    L = dense_operator(operator, m.n_comp, g)
+    L_dual = dense_operator(lambda E: operator(E, dual=True), m.n_comp, g)
+    # each column keeps the bits of its own evaluation
+    unit = np.zeros(L.shape[0])
+    unit[7] = 1.0
+    assert np.array_equal(-operator(unit.reshape(V.shape)).R.ravel(), L[:, 7])
+    h = norm_weights(ops, m.n_comp)
+    HL = h[:, None] * L
+    assert np.max(np.abs(HL + HL.T)) <= 1e-14 * np.max(np.abs(HL))
+    adjoint = L.T * h[None, :] / h[:, None]
+    assert np.max(np.abs(L_dual - adjoint)) <= 1e-13 * np.max(np.abs(L))

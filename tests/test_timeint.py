@@ -12,8 +12,15 @@ from skewform.boundary import make_sat_config
 from skewform.energy import energy_report, report_from_residual
 from skewform.models import make_model, sample_state, swe_transform
 from skewform.sbp_core import ArgumentError, build_operators, inner_product, make_grid
-from skewform.spatial_op import eval_primal_residual, eval_standard_linearised_residual
+from skewform.spatial_op import (
+    eval_dual_residual,
+    eval_primal_residual,
+    skew_evaluator,
+    standard_evaluator,
+)
 from skewform.timeint import MODES, Scenario, march, rk4_step, validate_scenario
+
+from dense_probe import dense_operator, norm_weights, periodic_frozen_setup
 
 
 def burgers_setup(n=32, periodic=True, order=(4, 2)):
@@ -117,8 +124,39 @@ def frozen_swe_bounded():
     return g, ops, u0, lambda u: eval_primal_residual(m, g, ops, u, V)
 
 
+def dual_burgers_bounded():
+    # the dual with a mean, whose inflow penalty reads the acted-on state
+    m, g, ops = burgers_setup(n=33, periodic=False)
+    sat = make_sat_config(m, g, {"x_high": {"kind": "characteristic", "g": 0.2}})
+    rng = np.random.default_rng(7)
+    V, u0 = sample_state(m, g.shape, rng), sample_state(m, g.shape, rng)
+    return g, ops, u0, lambda u: eval_dual_residual(m, g, ops, u, V, sat)
+
+
+def standard_burgers_bounded():
+    m, g, ops = burgers_setup(n=33, periodic=False)
+    sat = make_sat_config(m, g, {"x_low": {"kind": "characteristic", "g": 0.1},
+                                 "x_high": {"kind": "characteristic"}})
+    rng = np.random.default_rng(8)
+    V, u0 = sample_state(m, g.shape, rng), 0.1 * sample_state(m, g.shape, rng)
+    operator = standard_evaluator(m, g, ops, V)
+    return g, ops, u0, lambda u: operator(u, sat=sat)
+
+
+def two_condition_swe_bounded():
+    m, g, ops = swe_setup(n=17, periodic=False)
+    sat = make_sat_config(m, g, {"x_low": {"kind": "swe_two_condition", "g2": 1.3,
+                                           "g3": 0.2, "scale": 1.5}})
+    x, y = np.meshgrid(*g.coords, indexing="ij")
+    u0 = swe_transform(1.0 + 0.05 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y),
+                       0.8 + 0.1 * np.cos(2 * np.pi * y), 0.1 * np.sin(2 * np.pi * x))
+    return g, ops, u0, lambda u: eval_primal_residual(m, g, ops, u, sat=sat)
+
+
 @pytest.mark.parametrize("setup", [nonlinear_burgers_bounded, frozen_burgers_periodic,
-                                   nonlinear_swe_periodic, frozen_swe_bounded])
+                                   nonlinear_swe_periodic, frozen_swe_bounded,
+                                   dual_burgers_bounded, standard_burgers_bounded,
+                                   two_condition_swe_bounded])
 @pytest.mark.parametrize("dt", [2e-3, 1e-3, 5e-4])
 def test_one_rk4_step_changes_the_energy_by_its_stage_budget(setup, dt):
     # for u1 = u0 + dt sum_i b_i F_i with stages U_i = u0 + dt sum_j a_ij F_j,
@@ -145,6 +183,25 @@ def test_one_rk4_step_changes_the_energy_by_its_stage_budget(setup, dt):
                               for i in range(4) for j in range(4))
     E0 = ip(u0, u0)
     assert abs(ip(u1, u1) - E0 - (work - remainder)) <= 1e-14 * E0
+
+
+@pytest.mark.parametrize("kind", ["burgers1d", "swe2d"])
+@pytest.mark.parametrize("dt", [1e-2, 5e-3, 2e-3])
+def test_one_rk4_step_of_an_h_skew_operator_changes_the_energy_in_closed_form(kind, dt):
+    # for HL skew, RK4's amplification 1 + z + z^2/2 + z^3/6 + z^4/24 at
+    # z = dt L changes |u|_H^2 by exactly
+    # -(dt^6/72) |L^3 u|_H^2 + (dt^8/576) |L^4 u|_H^2
+    m, g, ops, V = periodic_frozen_setup(kind)
+    operator = skew_evaluator(m, g, ops, V)
+    L = dense_operator(operator, m.n_comp, g)
+    h = norm_weights(ops, m.n_comp)
+    u0 = sample_state(m, g.shape, np.random.default_rng(12))
+    u1 = rk4_step(lambda u, t: -operator(u).R, u0, 0.0, dt)
+    L3u = np.linalg.matrix_power(L, 3) @ u0.ravel()
+    L4u = L @ L3u
+    change = -dt ** 6 / 72 * (h * L3u) @ L3u + dt ** 8 / 576 * (h * L4u) @ L4u
+    E0 = inner_product(g, ops, u0, u0)
+    assert abs(inner_product(g, ops, u1, u1) - E0 - change) <= 1e-14 * E0
 
 
 def test_march_hands_its_stage_one_tendency_over_to_the_step(monkeypatch):
@@ -368,8 +425,7 @@ def test_march_reports_equal_energy_report_at_the_same_state(monkeypatch, mode):
             want = energy_report(sc.model, sc.grid, sc.ops, y[1],
                                  y[0], sat=None, t=r.t)
         elif mode == "standard_linearised":
-            res = eval_standard_linearised_residual(sc.model, sc.grid, sc.ops, y,
-                                                    sc.mean, sat=sc.sat)
+            res = standard_evaluator(sc.model, sc.grid, sc.ops, sc.mean)(y, sat=sc.sat)
             want = report_from_residual(sc.model, res, r.t)
         else:
             want = energy_report(sc.model, sc.grid, sc.ops, y, sc.mean,
@@ -579,6 +635,8 @@ def test_validate_scenario_rejects_bad_setups():
         validate_scenario(Scenario(**{**ok, "initial": np.zeros((2, 32))}))
     with pytest.raises(ValueError, match="mean"):
         validate_scenario(Scenario(**{**ok, "mode": "frozen"}))
+    with pytest.raises(ValueError, match="mean field does not match"):
+        validate_scenario(Scenario(**{**ok, "mode": "frozen", "mean": np.zeros((1, 16))}))
     assert "nonlinear" in MODES and "dual" in MODES
 
 
