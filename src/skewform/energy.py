@@ -105,6 +105,20 @@ def report_from_residual(model: ModelSpec, res: Residual, t: float) -> EnergyRep
     )
 
 
+def axis_contractions(model: ModelSpec, state, mean=None, pos=None) -> tuple:
+    """The per-axis face contractions u^T A_ax(V) u, one float per axis, from
+    one build of the coefficient matrices at V (the state itself, or the
+    mean when one is given).
+
+    For swe2d, A_1 reads alpha only and A_2 beta only, so an alpha/beta
+    sweep at alpha = beta = s gives every pairing's terms bit for bit.
+    """
+    state = np.asarray(state, dtype=np.float64)
+    V = state if mean is None else np.asarray(mean, dtype=np.float64)
+    A, _ = coeff_matrices(model, V, pos)
+    return tuple(float(state @ dense_matrix(A_ax, model.n_comp) @ state) for A_ax in A)
+
+
 def boundary_contraction(
     model: ModelSpec,
     state,
@@ -115,20 +129,18 @@ def boundary_contraction(
     pos=None,
 ) -> float:
     """Pointwise face contraction u^T (n . A(V)) u through the actual
-    coefficient matrices.
+    coefficient matrices: the normal-weighted sum of axis_contractions,
+    added from 0.0 in axis order.
 
     V is the state itself, or the mean when one is given (the linearised
     contraction).  For swe2d the value is independent of alpha and beta at
     V = state, and genuinely parameter-dependent about a mean.
     """
-    state = np.asarray(state, dtype=np.float64)
     normal = tuple(float(c) for c in normal)
     if len(normal) != model.dim:
         raise ValueError(f"normal has {len(normal)} components, model is {model.dim}D")
     model = with_params(model, alpha=alpha, beta=beta)
-    V = state if mean is None else np.asarray(mean, dtype=np.float64)
-    A, _ = coeff_matrices(model, V, pos)
     total = 0.0
-    for ax in range(model.dim):
-        total += normal[ax] * float(state @ dense_matrix(A[ax], model.n_comp) @ state)
+    for n_ax, q_ax in zip(normal, axis_contractions(model, state, mean, pos)):
+        total += n_ax * q_ax
     return total

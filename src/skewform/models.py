@@ -217,13 +217,13 @@ def _write_swe2d(model, V, pos):
         raise ValueError("swe2d with f1 != 0 needs pos with the y array")
     slots = _slots(V, 8 if model.f1 == 0.0 else 10)
     root = np.sqrt(V[0])
+    two_root = 2.0 * root  # exact: V[ax] / two_root is V[ax] / (2.0 * root) bit for bit
     for ax, s, (a, b, c, u) in ((1, model.alpha, slots[0:4]), (2, model.beta, slots[4:8])):
         np.multiply(s, V[ax], out=a)
         np.divide(a, root, out=a)
         np.multiply(1.0 - 3.0 * s, root, out=b)
         np.multiply(2.0 * s, root, out=c)
-        np.multiply(2.0, root, out=u)
-        np.divide(V[ax], u, out=u)
+        np.divide(V[ax], two_root, out=u)
     a1, b1, c1, ux, a2, b2, c2, uy = slots[:8]
     if model.f1 == 0.0:
         f, minus_f = _const(model.f0), _const(-model.f0)

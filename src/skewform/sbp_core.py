@@ -33,9 +33,12 @@ finite fields, and every result equals the walk over all matrix columns bit
 for bit and is reproducible for a given build.  The edge rows take one
 np.add.reduce from +0.0: numpy adds fewer than 8 terms in sequence whichever
 axis it puts inner, so it differs from that sum at most in the sign of a
-zero neither ends with; wider rows are refused at build.  A batch axis is
-one more axis of lines: the runs and the edge rows treat each element's
-lines as they treat a single state's.
+zero neither ends with; wider rows are refused at build.  For the same
+reason the output does not depend on the sign of any zero in the input: a
+zero's products are zeros, which a sum that is not -0.0 absorbs whatever
+their sign, so a field that holds -0.0 where another holds +0.0 gives the
+same bytes.  A batch axis is one more axis of lines: the runs and the edge
+rows treat each element's lines as they treat a single state's.
 """
 
 from __future__ import annotations

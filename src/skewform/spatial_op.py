@@ -31,7 +31,13 @@ flux D_0(A_0 W), and matfield_apply adds each row's sum into the field it
 is given.  The bits are those of a sum from a +0.0 field: no
 apply_derivative output is -0.0 (sbp_core), x + y is -0.0 only when x and
 y both are, so no accumulator is -0.0, and adding s to such a value equals
-adding +0.0 + s, which differs from s only when s is -0.0.
+adding +0.0 + s, which differs from s only when s is -0.0.  The fluxes A_ax W
+are written straight into fresh fields, each row from its first product, so
+a flux may hold -0.0 where the sum from +0.0 holds +0.0.  Nothing sees it:
+apply_derivative's output does not depend on the sign of a zero in its
+input (sbp_core), boundary_quadrature sums from +0.0, verify's ansatz
+defect takes the largest absolute value, and the spatial accumulator still
+never holds -0.0.
 
 A state may stack several states along batch axes between its component and
 grid axes, (n_comp, *batch, *grid).  Every evaluator, its SAT and its face
@@ -85,27 +91,34 @@ class Residual:
 
 def matfield_apply(M: dict, W: np.ndarray, transpose: bool = False,
                    out: np.ndarray | None = None) -> np.ndarray:
-    """Adds the pointwise product M W (M^T W with transpose) over the grid
-    into out, a fresh +0.0 field when None, and returns out.
+    """The pointwise product M W (M^T W with transpose) over the grid: added
+    into out and returned, or written into a fresh field when out is None.
 
     M is an entry table {(i, j): field} with keys in row-major order; the
     entries it leaves out are zero.  Each output row sums its products in
-    increasing column order into one temporary, then adds it to out[row].
-    On finite fields and an out without -0.0 the result is out plus the
-    loop over every dense entry from +0.0, bit for bit (module docstring).
+    increasing column order.  Into a given out, the row's sum is formed in
+    one temporary and added to out[row]; on finite fields and an out without
+    -0.0 the result is out plus the loop over every dense entry from +0.0,
+    bit for bit (module docstring).  A fresh field takes each row's sum
+    straight from its first product, and a row without entries is +0.0: its
+    values are those of the dense loop from +0.0, but a zero may be -0.0,
+    so it is for consumers that ignore the sign of zero (module docstring).
     """
-    if out is None:
-        out = np.zeros(W.shape)
+    fresh = out is None
+    if fresh:
+        rows = {key[1] if transpose else key[0] for key in M}
+        out = np.empty(W.shape) if len(rows) == len(W) else np.zeros(W.shape)
     row = total = None
     for key in sorted(M, key=itemgetter(1, 0)) if transpose else M:
         i, j = key[::-1] if transpose else key
         if i == row:
             total += M[key] * W[j]
             continue
-        if total is not None:
+        if total is not None and not fresh:
             out[row] += total
-        row, total = i, M[key] * W[j]
-    if total is not None:
+        row = i
+        total = np.multiply(M[key], W[j], out=out[i, ...]) if fresh else M[key] * W[j]
+    if total is not None and not fresh:
         out[row] += total
     return out
 

@@ -259,12 +259,23 @@ def test_residuals_refuse_non_finite_states(kind, bad):
         eval_new_linearised_pair(m, g, ops, good, broken)
 
 
-def dense_matfield(M, W, transpose=False):
-    """Reference product over every entry of M, rows then columns."""
+def dense_matfield(M, W, transpose=False, stored=None):
+    """Reference product over every entry of M, rows then columns, each row
+    summed from +0.0.  With stored, an (n_comp, n_comp) mask of the entries
+    a table holds, each row sums only those, from its first product, and a
+    row that holds none is +0.0."""
     out = np.zeros_like(W)
     for a in range(W.shape[0]):
+        started = stored is None
         for b in range(W.shape[0]):
-            out[a] += (M[b, a] if transpose else M[a, b]) * W[b]
+            key = (b, a) if transpose else (a, b)
+            if stored is not None and not stored[key]:
+                continue
+            if started:
+                out[a] += M[key] * W[b]
+            else:
+                out[a] = M[key] * W[b]
+                started = True
     return out
 
 
@@ -282,6 +293,14 @@ def densify(M, n_comp, s):
     for key, value in M.items():
         out[key] = value
     return out
+
+
+def stored(M, n_comp):
+    """The (n_comp, n_comp) mask of the entries an entry table holds."""
+    mask = np.zeros((n_comp, n_comp), dtype=bool)
+    for key in M:
+        mask[key] = True
+    return mask
 
 
 def pattern_cases(kind, order, seed):
@@ -313,10 +332,14 @@ def test_matfield_apply_on_the_pattern_matches_the_dense_loop_bitwise(kind):
             X[rng.random(X.shape) < 0.3] = 0.0
             for M in (*A, C, full_table):
                 for transpose in (False, True):
+                    dense = densify(M, m.n_comp, g.shape)
+                    # a fresh field sums each row from its first product, so
+                    # a zero may be -0.0; plus +0.0 it is the sum from +0.0
                     got = matfield_apply(M, W, transpose=transpose)
-                    want = dense_matfield(densify(M, m.n_comp, g.shape), W,
-                                          transpose=transpose)
+                    want = dense_matfield(dense, W, transpose, stored=stored(M, m.n_comp))
                     assert got.tobytes() == want.tobytes()
+                    assert (got + 0.0).tobytes() == \
+                        dense_matfield(dense, W, transpose).tobytes()
                     # each row's sum is added to out once: X + (p1 + p2),
                     # not (X + p1) + p2
                     out = X.copy()

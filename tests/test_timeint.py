@@ -2,6 +2,7 @@
 
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from skewform.models import make_model, sample_state, swe_transform
 from skewform.sbp_core import ArgumentError, build_operators, inner_product, make_grid
 from skewform.spatial_op import (
     eval_dual_residual,
+    eval_new_linearised_pair,
     eval_primal_residual,
     skew_evaluator,
     standard_evaluator,
@@ -153,10 +155,26 @@ def two_condition_swe_bounded():
     return g, ops, u0, lambda u: eval_primal_residual(m, g, ops, u, sat=sat)
 
 
+def coupled_burgers_bounded():
+    # the stacked (mean, perturbation) pair of the coupled mode, the mean
+    # equation closed as march closes it
+    m, g, ops = burgers_setup(n=33, periodic=False)
+    sat = make_sat_config(m, g, {"x_low": {"kind": "characteristic", "g": 1.0}})
+    rng = np.random.default_rng(9)
+    mean = 1.0 + 0.2 * sample_state(m, g.shape, rng)
+    pert = 0.1 * sample_state(m, g.shape, rng)
+
+    def residual(y):
+        res_mean, res_pert = eval_new_linearised_pair(m, g, ops, y[0], y[1], sat_mean=sat)
+        return SimpleNamespace(R=np.stack([res_mean.R, res_pert.R]))
+
+    return g, ops, np.stack([mean, pert]), residual
+
+
 @pytest.mark.parametrize("setup", [nonlinear_burgers_bounded, frozen_burgers_periodic,
                                    nonlinear_swe_periodic, frozen_swe_bounded,
                                    dual_burgers_bounded, standard_burgers_bounded,
-                                   two_condition_swe_bounded])
+                                   two_condition_swe_bounded, coupled_burgers_bounded])
 @pytest.mark.parametrize("dt", [2e-3, 1e-3, 5e-4])
 def test_one_rk4_step_changes_the_energy_by_its_stage_budget(setup, dt):
     # for u1 = u0 + dt sum_i b_i F_i with stages U_i = u0 + dt sum_j a_ij F_j,
@@ -174,7 +192,8 @@ def test_one_rk4_step_changes_the_energy_by_its_stage_budget(setup, dt):
     assert len(stages) == 4
 
     def ip(a, b):
-        return inner_product(g, ops, a, b)
+        # over every component, of both equations of a stacked pair
+        return inner_product(g, ops, a.reshape((-1,) + g.shape), b.reshape((-1,) + g.shape))
 
     bA = RK4_B[:, None] * RK4_A
     M = bA + bA.T - np.outer(RK4_B, RK4_B)

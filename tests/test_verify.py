@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from skewform import verify
-from skewform.models import sample_state
+from skewform.energy import boundary_contraction
+from skewform.models import coeff_matrices, make_model, sample_state, with_params
 from skewform.verify import (
     ansatz_defect,
     check_alpha_independence,
@@ -171,6 +172,49 @@ def test_alpha_independence_check_passes():
     rep = check_alpha_independence(trials=25, seed=7)
     assert rep.passed
     assert rep.max_residual <= 1e-13
+
+
+def test_the_split_sweep_gives_every_pairings_contraction_bitwise():
+    # one coefficient build per sweep value s, at alpha = beta = s, serves
+    # every (alpha, beta) pairing; velocities of +0.0 and -0.0 and normals
+    # with a zero or -0.0 component reach the sign of zero
+    base = make_model("swe2d")
+    sweep = verify._PARAM_SWEEP
+    rng = np.random.default_rng(28)
+    for trial in range(210):
+        U = sample_state(base, (), rng)
+        if trial % 5 == 1:
+            U[1:] = 0.0
+        elif trial % 5 == 2:
+            U[1:] = -0.0
+        elif trial % 5 == 3:
+            U[rng.integers(1, 3)] = rng.choice((0.0, -0.0))
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        normal = ((1.0, 0.0), (-0.0, -1.0), (float(np.cos(theta)), float(np.sin(theta))))[
+            trial % 3]
+        got = verify.split_sweep(base, U, normal)
+        want = [boundary_contraction(base, U, normal, alpha=a, beta=b)
+                for a in sweep for b in sweep]
+        assert np.array(got).tobytes() == np.array(want).tobytes(), trial
+
+
+def test_each_axis_table_reads_only_its_own_splitting_parameter():
+    # on a desk grid, A_1 is the same for every beta and A_2 for every alpha
+    model, grid, _ = default_setup("swe2d", (4, 2))
+    V = sample_state(model, grid.shape, np.random.default_rng(29))
+    sweep = verify._PARAM_SWEEP
+
+    def tables(a, b):
+        return coeff_matrices(with_params(model, alpha=a, beta=b), V, grid.positions)[0]
+
+    same = {s: tables(s, s) for s in sweep}
+    for a in sweep:
+        for b in sweep:
+            A = tables(a, b)
+            for ax, s in ((0, a), (1, b)):
+                assert list(A[ax]) == list(same[s][ax])
+                for key, field in A[ax].items():
+                    assert field.tobytes() == same[s][ax][key].tobytes(), (a, b, ax, key)
 
 
 def test_decomposition_check_passes():
