@@ -40,21 +40,30 @@ DELTA_1 = 1e-8
 @dataclass(frozen=True)
 class FaceClosure:
     """One face's resolved closure: 'characteristic' or 'swe_two_condition',
-    with its boundary data and penalty scale."""
+    with its boundary data and penalty scale (by default the kind's own,
+    from _CLOSURES)."""
 
     kind: str
     g: float = 0.0
     g2: float = 0.0
     g3: float = 0.0
-    scale: float = 1.0
+    scale: float | None = None
+
+    def __post_init__(self):
+        if self.scale is None:
+            object.__setattr__(self, "scale", _CLOSURES[self.kind][3])
 
 
 def _characteristic_penalty(model, Uf, sign, ax, closure, weight):
     """Burgers inflow penalty sigma (u - g) / weight with sigma = scale * u_n / 3.
 
-    Active only where the face is inflow (u_n < 0).  With the default scale
-    the inflow face contributes 2 u^2 g / 3 to the energy rate, zero for
-    homogeneous data, so the rate gains no positive boundary term.
+    Active only where the face is inflow (u_n < 0).  The default scale 3 is
+    the Jacobian's: linearised about u = g, the skew operator's boundary
+    matrix is n g / 2 (not the frozen n g / 3) and the penalty's Jacobian
+    is scale * n g / 3, which equals the dual-consistent twice n g / 2 at
+    scale 3.  The homogeneous inflow face then adds (4/3) u_n u^2 < 0 to the
+    energy rate (strictly dissipative), and (1, u)_P superconverges, at
+    order 4 and above where scale 1 gives 3.
     """
     un = sign * Uf
     sigma = np.where(un < 0.0, closure.scale * un / 3.0, 0.0)
@@ -89,14 +98,14 @@ def _two_condition_penalty(model, Uf, sign, ax, closure, weight):
 
 
 # Each closure kind: the model it closes (None: any model), the options it
-# reads, and its penalty (None: no penalty), which maps (model, face layer of
-# the acted-on state, outward sign, axis, FaceClosure, boundary weight P[idx])
-# to the penalty layer, already divided by the weight.
+# reads, its penalty (None: no penalty), which maps (model, face layer of the
+# acted-on state, outward sign, axis, FaceClosure, boundary weight P[idx]) to
+# the penalty layer, already divided by the weight, and its default scale.
 _CLOSURES = {
-    "none": (None, (), None),
-    "periodic": (None, (), None),
-    "characteristic": ("burgers1d", ("g", "scale"), _characteristic_penalty),
-    "swe_two_condition": ("swe2d", ("g2", "g3", "scale"), _two_condition_penalty),
+    "none": (None, (), None, 1.0),
+    "periodic": (None, (), None, 1.0),
+    "characteristic": ("burgers1d", ("g", "scale"), _characteristic_penalty, 3.0),
+    "swe_two_condition": ("swe2d", ("g2", "g3", "scale"), _two_condition_penalty, 1.0),
 }
 
 
@@ -109,7 +118,7 @@ def _entry_problem(model: ModelSpec, grid: Grid, faces: dict, entries: dict,
         return f"bad face label; expected one of {list(faces)}"
     if kind not in _CLOSURES:
         return f"unknown closure '{kind}'; try one of {tuple(_CLOSURES)}"
-    closes, reads, _ = _CLOSURES[kind]
+    closes, reads, _, _ = _CLOSURES[kind]
     if closes not in (None, model.kind):
         return f"{kind} closure is a {closes} face closure, the model is {model.kind}"
     unread = [key for key in entries[label] if key not in ("kind", *reads)]

@@ -187,15 +187,17 @@ def _finish(name, trials, seed, tolerance, samples) -> CheckReport:
 def check_energy_identity(kinds=MODEL_KINDS, trials: int = 100,
                           seed: int = 0, orders=ORDERS) -> CheckReport:
     """volume_residual <= 1e-12*scale for random admissible states, all
-    models, both operator orders, nonlinear/frozen/dual coefficients."""
+    models, both operator orders, nonlinear and frozen coefficients.  The
+    V = U dual's identity is the nonlinear one negated exactly; the duality
+    suite's dual_energy case checks the dual identity at V = Phi."""
 
     def one(model, grid, ops, states, meta):
         U, V_frozen = states
         shape = "x".join(map(str, grid.shape))
         hashes = _hashes(U)
         out = []
-        for mode_kind, V in (("nonlinear", None), ("frozen", V_frozen), ("dual", None)):
-            rep = energy_report(model, grid, ops, U, V, mode_kind == "dual")
+        for mode_kind, V in (("nonlinear", None), ("frozen", V_frozen)):
+            rep = energy_report(model, grid, ops, U, V)
             scale = 1.0 + abs(rep.rate) + abs(rep.boundary_flux) \
                 + abs(rep.sat_contribution)
             out.append([(r, dict(meta, mode=mode_kind, grid=shape, state_hash=h))

@@ -79,6 +79,17 @@ def test_glancing_flow_is_rejected():
                          formulation="nonlinear_rewritten")
     with pytest.raises(ValueError, match="glancing"):
         swe_rewritten_contraction(np.array([1.0, 0.0, 0.5]), (1.0, 0.0))
+    # the other refusals of analyze_boundary: a normal of the wrong length,
+    # the rewritten form off swe2d, and an unknown formulation
+    with pytest.raises(ValueError, match="^normal has 1 components, model is 2D$"):
+        analyze_boundary(m, np.array([1.0, -1.0, 0.0]), (1.0,))
+    euler = make_model("euler2d")
+    with pytest.raises(ValueError, match="^the rewritten formulation applies to swe2d only$"):
+        analyze_boundary(euler, np.array([1.0, 1.0, 1.0]), (1.0, 0.0),
+                         formulation="nonlinear_rewritten")
+    with pytest.raises(ValueError, match="^formulation must be 'nonlinear', 'linearised', or"
+                                         " 'nonlinear_rewritten'$"):
+        analyze_boundary(m, np.array([1.0, -1.0, 0.0]), (1.0, 0.0), formulation="frozen")
 
 
 def test_euler_analysis_matches_a_direct_eigensolve():
@@ -204,7 +215,8 @@ def test_characteristic_penalty_is_active_only_at_inflow():
     m = make_model("burgers1d")
     g = make_grid(((0.0, 1.0),), (17,))
     ops = build_operators(g, (2, 1))
-    sat = make_sat_config(m, g, {"x_low": {"kind": "characteristic", "g": 0.25}})
+    sat = make_sat_config(m, g, {"x_low": {"kind": "characteristic", "g": 0.25,
+                                           "scale": 1.0}})
     u = np.full((1, 17), 0.9)
     field = build_sat(m, g, ops, u, sat)
     # u(0) = 0.9 > 0 means u_n = -0.9 < 0 at the left face: active
@@ -216,6 +228,10 @@ def test_characteristic_penalty_is_active_only_at_inflow():
     field2 = build_sat(m, g, ops, -u, sat)
     assert field2 is None or not field2.any()
     assert build_sat(m, g, ops, u, None) is None
+    # the default scale is 3, the Jacobian's (_characteristic_penalty)
+    default = make_sat_config(m, g, {"x_low": {"kind": "characteristic", "g": 0.25}})
+    assert default[(0, "low")].scale == FaceClosure("characteristic").scale == 3.0
+    assert abs(build_sat(m, g, ops, u, default)[0, 0] - 3.0 * want) <= 1e-15 * abs(3.0 * want)
 
 
 def test_characteristic_closure_refuses_other_models():

@@ -486,6 +486,26 @@ def test_convergence_reports_the_design_order(tmp_path):
     assert 3.0 <= last <= 4.6
 
 
+def test_a_convergence_march_failing_at_one_level_exits_1_without_output(
+        tmp_path, monkeypatch):
+    # the first two levels march; the last one fails, and no partial
+    # convergence.csv is written
+    real_march = cli.march
+
+    def failing_at_96(sc):
+        if sc.grid.shape == (96,):
+            raise RuntimeError("blow-up at t=0.05")
+        return real_march(sc)
+
+    monkeypatch.setattr(cli, "march", failing_at_96)
+    code, out, err = run_main(["convergence", "--config", "burgers_periodic",
+                               "--levels", "24,48,96", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert out == ""
+    assert "run failed at level 96: blow-up at t=0.05" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_convergence_refuses_unnested_levels_before_marching(monkeypatch):
     def no_march(sc):
         raise AssertionError("convergence marched before checking the levels")
@@ -619,6 +639,19 @@ def identity_with(extra):
     (lambda text: text.replace("mode = nonlinear", "mode = standard_linearised")
      + "\n[coefficient]\nfamily = constant\ncomp0 = 1.0\n"
      "\n[perturbation]\nfamily = trig\ncomp0 = 0.0 0.01 sin:1\n", 18),
+    # malformed sections and values, each refused at its own line
+    (lambda text: text + "\n[output]\nprefix = again\n", 24),
+    (lambda text: text.replace("kind = burgers1d", "kind = burgers2d"), 3),
+    (lambda text: text.replace("extents = 0,1", "extents = 0,1,2"), 6),
+    (lambda text: text.replace("periodic = true", "periodic = yes"), 8),
+    (lambda text: text.replace("comp0 = 0.0 0.1", "variables = conserved\ncomp0 = 0.0 0.1"),
+     19),
+    (lambda text: text.replace("sin:1", "sin:1 sin:1"), 19),
+    (lambda text: text.replace("sin:1", "tan:1"), 19),
+    (lambda text: text.replace("family = trig", "family = bogus"), 18),
+    (with_sat(""), 25),
+    (lambda text: text.replace("order = 4,2", "order = 4"), 11),
+    (lambda text: text.replace("mode = nonlinear", "mode = backwards"), 12),
 ], ids=["frozen_without_coefficient", "missing_family", "missing_dt", "missing_comp",
         "t_final_below_dt", "t_final_nan",
         "t_final_inf", "cfl_inf", "t_final_not_whole_steps", "steps_overflow",
@@ -635,7 +668,10 @@ def identity_with(extra):
         "identity_sat_unread", "identity_empty_sat_unread",
         "nonlinear_coefficient_unread",
         "nonlinear_identity_unread", "coupled_coefficient_unread",
-        "standard_initial_unread"])
+        "standard_initial_unread", "section_twice", "model_kind_unknown",
+        "extent_three_bounds", "periodic_not_bool", "variables_unknown",
+        "trig_token_count", "trig_axis_factor_unknown", "family_unknown",
+        "sat_empty_closure", "order_one_integer", "mode_unknown"])
 def test_malformed_scenarios_exit_2_in_run_and_convergence(tmp_path, edit, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(edit(BURGERS_CFG))

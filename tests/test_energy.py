@@ -8,6 +8,7 @@ from skewform.boundary import build_sat, make_sat_config
 from skewform.energy import boundary_contraction, energy_report, total_energy
 from skewform.models import make_model, norm_weight, sample_state, swe_transform
 from skewform.sbp_core import build_operators, inner_product, make_grid, quadrature_weights
+from skewform.verify import default_setup
 
 
 def test_energy_has_no_half_factor():
@@ -109,16 +110,26 @@ def test_volume_residual_vanishes_for_random_states():
 
 
 def test_dual_report_flips_the_flux_sign():
-    m = make_model("burgers1d")
-    g = make_grid(((0.0, 1.0),), (21,))
-    ops = build_operators(g, (4, 2))
+    # at V = U the dual spatial part is the nonlinear one negated and its
+    # flux sign is +2, so its whole report is the nonlinear one negated
+    # exactly (a -0.0 against +0.0 aside), also for a batched group: the
+    # energy suite checks the nonlinear identity only for that reason
     rng = np.random.default_rng(47)
-    u = rng.normal(size=(1, 21))
-    rp = energy_report(m, g, ops, u)
-    rd = energy_report(m, g, ops, u, dual=True)
-    assert abs(rd.boundary_flux + rp.boundary_flux) <= 1e-13 * (1 + abs(rp.boundary_flux))
-    scale = 1.0 + abs(rd.rate) + abs(rd.boundary_flux)
-    assert abs(rd.volume_residual) <= 1e-12 * scale
+    for kind in ("burgers1d", "euler2d", "euler3d_cyl", "swe2d"):
+        for order in ((2, 1), (4, 2)):
+            m, g, ops = default_setup(kind, order)
+            for U in (sample_state(m, g.shape, rng),
+                      np.stack([sample_state(m, g.shape, rng) for _ in range(3)], axis=1)):
+                rp = energy_report(m, g, ops, U)
+                rd = energy_report(m, g, ops, U, dual=True)
+                at = (kind, order, U.ndim)
+                for name in ("rate", "boundary_flux", "volume_residual"):
+                    assert np.array_equal(getattr(rd, name), -getattr(rp, name)), (name, at)
+                assert list(rd.face_fluxes) == list(rp.face_fluxes)
+                for label, flux in rp.face_fluxes.items():
+                    assert np.array_equal(rd.face_fluxes[label], -flux), (label, at)
+                scale = 1.0 + np.abs(rd.rate) + np.abs(rd.boundary_flux)
+                assert (np.abs(rd.volume_residual) <= 1e-12 * scale).all(), at
 
 
 def test_zero_state_report_is_exactly_zero():
@@ -138,7 +149,8 @@ def test_sat_contribution_enters_the_rate_identity():
     g = make_grid(((0.0, 1.0),), (33,))
     ops = build_operators(g, (4, 2))
     u = (1.0 + 0.3 * np.sin(2 * np.pi * g.coords[0]))[None]
-    sat = make_sat_config(m, g, {"x_low": {"kind": "characteristic", "g": 0.0}})
+    sat = make_sat_config(m, g, {"x_low": {"kind": "characteristic", "g": 0.0,
+                                           "scale": 1.0}})
     rep = energy_report(m, g, ops, u, sat=sat)
     # u(0) = 1 > 0, so the left face is inflow and the penalty is active:
     # with homogeneous data its contribution cancels the inflow flux exactly
@@ -150,6 +162,13 @@ def test_sat_contribution_enters_the_rate_identity():
     assert rep.t == 0.0
     rep2 = energy_report(m, g, ops, u, sat=sat, t=1.5)
     assert rep2.t == 1.5
+    # the default scale is 3: the penalty takes out three times the inflow
+    # flux, so the homogeneous inflow face's rate is strictly negative
+    default = make_sat_config(m, g, {"x_low": {"kind": "characteristic", "g": 0.0}})
+    rep3 = energy_report(m, g, ops, u, sat=default)
+    flux = rep3.face_fluxes["x_low"]
+    assert flux > 0.0
+    assert abs(rep3.sat_contribution + 3.0 * flux) <= 1e-13 * flux
 
 
 def test_swe_boundary_contraction_pinned_and_alpha_free():
@@ -185,3 +204,5 @@ def test_cylindrical_contraction_needs_positions():
     assert abs(got - 0.756) <= 1e-14
     with pytest.raises(ValueError):
         boundary_contraction(m, state, (1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="^normal has 2 components, model is 3D$"):
+        boundary_contraction(m, state, (1.0, 0.0), pos=(0.8, 0.0, 0.0))

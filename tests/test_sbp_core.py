@@ -156,6 +156,9 @@ def test_too_few_nodes_is_rejected(order, n, periodic):
 def test_unsupported_order_is_rejected():
     with pytest.raises(ValueError, match="unsupported accuracy"):
         build_sbp_operator((3, 1), 12, 0.1)
+    for h in (0.0, -0.1):
+        with pytest.raises(ValueError, match=f"^spacing must be positive, got {h}$"):
+            build_sbp_operator((2, 1), 12, h)
 
 
 def test_grid_spacing_conventions():
@@ -173,6 +176,12 @@ def test_grid_rejects_bad_arguments():
         make_grid(((1.0, 0.0),), (8,))
     with pytest.raises(ValueError):
         make_grid(((0.0, 1.0),), (8, 8))
+    with pytest.raises(ValueError, match="^grids are 1 to 3 dimensional, got 4 axes$"):
+        make_grid(((0.0, 1.0),) * 4, (8,) * 4)
+    with pytest.raises(ValueError, match="^per-axis arguments disagree on dimension$"):
+        make_grid(((0.0, 1.0),) * 2, (8, 8), periodic=(True,))
+    with pytest.raises(ValueError, match="^per-axis arguments disagree on dimension$"):
+        make_grid(((0.0, 1.0),) * 2, (8, 8), axis_names=("x", "y", "z"))
 
 
 def test_quadrature_weights_sum_to_the_measure():
@@ -231,6 +240,8 @@ def test_inner_product_accepts_a_component_weight():
     assert abs(inner_product(g, ops, u2, u2, weight=w2) - 3.0) <= 1e-13
     with pytest.raises(ValueError, match="weight shape"):
         inner_product(g, ops, u2, u2, weight=np.ones((2, 2, 17)))
+    with pytest.raises(ValueError, match=r"^mismatched state shapes \(1, 17\) and \(2, 17\)$"):
+        inner_product(g, ops, u, u2)
 
 
 def test_boundary_quadrature_signs_in_1d():
@@ -243,6 +254,8 @@ def test_boundary_quadrature_signs_in_1d():
     lo = boundary_quadrature(g, ops, u[:, 0], v[:, 0], (0, "low"))
     assert hi == u[0, -1] * v[0, -1]
     assert lo == -u[0, 0] * v[0, 0]
+    with pytest.raises(ValueError, match="^face side must be 'low' or 'high', got 'top'$"):
+        boundary_quadrature(g, ops, u[:, 0], v[:, 0], (0, "top"))
 
 
 def test_boundary_quadrature_uses_tangential_weights_in_2d():
@@ -455,6 +468,10 @@ def test_apply_derivative_rejects_a_bad_axis():
     op4 = build_sbp_operator((2, 1), 4, 0.25)
     with pytest.raises(ValueError):
         apply_derivative(op4, np.zeros((4, 4)), axis=-1)
+    with pytest.raises(ValueError, match="^state fields carry a leading component axis$"):
+        apply_derivative(op, np.zeros(10))
+    with pytest.raises(ValueError, match="^axis 0 has 9 nodes, operator expects 10$"):
+        apply_derivative(op, np.zeros((1, 9)))
 
 
 def test_grid_positions():

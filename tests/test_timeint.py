@@ -301,6 +301,45 @@ def test_solution_error_shrinks_at_fourth_order_in_time():
     assert 13.0 <= e1 / e2 <= 19.0
 
 
+def burgers_mms_errors(n):
+    """L2 (P-norm) error of the solution and error of J = (1, u)_P at t = 0.5
+    for the manufactured u = 1 + 0.1 sin(pi x) cos t of nonlinear (4,2)
+    burgers, x_low closed by the default characteristic penalty with g = 1
+    and x_high open."""
+    m, g, ops = burgers_setup(n=n, periodic=False)
+    x = g.coords[0]
+
+    def exact(t):
+        return (1.0 + 0.1 * np.sin(np.pi * x) * np.cos(t))[None]
+
+    def forcing(t):  # u_t + u u_x
+        return (-0.1 * np.sin(np.pi * x) * np.sin(t)
+                + exact(t) * (0.1 * np.pi * np.cos(np.pi * x) * np.cos(t)))
+
+    sat = make_sat_config(m, g, {"x_low": {"kind": "characteristic", "g": 1.0},
+                                 "x_high": {"kind": "none"}})
+    t_final = 0.5
+    dt = t_final / np.ceil(t_final / (0.15 * ops[0].h))
+    final = march(Scenario(model=m, grid=g, ops=ops, mode="nonlinear", initial=exact(0.0),
+                           forcing=forcing, sat=sat, dt=dt, t_final=t_final,
+                           stride=10 ** 9))[1]
+    e = final - exact(t_final)
+    J = inner_product(g, ops, np.ones_like(final), final)
+    return np.sqrt(inner_product(g, ops, e, e)), abs(J - (1.0 + 0.2 * np.cos(t_final) / np.pi))
+
+
+def test_default_characteristic_closure_converges_and_superconverges_its_functional():
+    # The default scale 3 matches the Jacobian of the boundary term (see
+    # _characteristic_penalty), so J converges at orders 4.10 and 4.75 and
+    # the solution at 3.02 and 3.01; scale 1 gave J orders 3.00 and 3.00
+    # (L2 2.99, 2.98).  3.7 sits between 3 and 4.75 on the last pair; 2.8
+    # leaves 0.2 below the (4,2) closure's order 3.
+    l2, J = np.array([burgers_mms_errors(n) for n in (33, 65, 129)]).T
+    l2_orders, J_orders = np.log2(l2[:-1] / l2[1:]), np.log2(J[:-1] / J[1:])
+    assert J_orders[-1] >= 3.7, J_orders
+    assert (l2_orders >= 2.8).all(), l2_orders
+
+
 def test_dual_march_retraces_the_primal_trajectory():
     # the self-adjoint dual tendency is the exact negation of the primal one,
     # so marching the dual from the final state walks the trajectory back

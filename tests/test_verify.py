@@ -1,6 +1,7 @@
 """Tests for the built-in verification checks."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -166,6 +167,8 @@ def test_a_sweep_frees_each_trials_draws_before_its_group_runs(monkeypatch):
 def test_ansatz_check_passes():
     rep = check_swe_ansatz(levels=(12, 24, 48), seed=1)
     assert rep.passed
+    with pytest.raises(ValueError, match="^need at least two refinement levels$"):
+        check_swe_ansatz(levels=(16,))
 
 
 def test_alpha_independence_check_passes():
@@ -282,3 +285,35 @@ def test_a_check_without_samples_is_refused(name, call):
     # a suite that drew nothing has shown nothing: no vacuous pass
     with pytest.raises(ValueError, match=f"check '{name}' drew no samples"):
         call()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_no_case_of_a_sampled_suite_repeats_another_trial_for_trial(monkeypatch, seed):
+    # Two cases of one model kind and order whose residuals agree on every
+    # trial check one thing twice, and the second can never be the worst.
+    # Cases that are 0 on every trial are pass/fail encodings
+    # (quadratic_exact, quadratic_slope) or exact by construction
+    # (self_adjoint_exact), so they may agree.
+    captured = {}
+    finish = verify._finish
+
+    def capture(name, trials, seed, tolerance, samples):
+        captured[name] = samples
+        return finish(name, trials, seed, tolerance, samples)
+
+    monkeypatch.setattr(verify, "_finish", capture)
+    check_energy_identity(trials=3, seed=seed)
+    check_duality(trials=3, seed=seed)
+    check_decomposition(trials=3, seed=seed)
+    check_alpha_independence(trials=3, seed=seed)
+    assert len(captured) == 4
+    for name, samples in captured.items():
+        cases = {}
+        for residual, meta in samples:
+            group = (meta.get("model"), meta.get("order"))
+            case = meta.get("case", meta.get("mode"))
+            cases.setdefault(group, {}).setdefault(case, []).append(residual)
+        for group, by_case in cases.items():
+            for a, b in itertools.combinations(by_case, 2):
+                if by_case[a] == by_case[b]:
+                    assert not any(by_case[a]), (name, group, a, b)
