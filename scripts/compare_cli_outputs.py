@@ -10,11 +10,12 @@ case checks and, after "By design:", how it differs against older trees.
 
 Each case runs once per tree, with that tree on PYTHONPATH, from a fresh
 working directory at the same relative path under DIR (a temporary
-directory by default), so printed paths agree.  Every case writes its
-files into `out/` of that directory.  A case differs when its exit code,
-stdout, stderr, the set of files it wrote or the bytes of any of them
-differ.  Each difference is printed; the exit code is 0 when every case
-matched and 1 otherwise.
+directory by default), so printed paths agree.  A DIR that already holds
+`parent/` or `change/` is refused before any case runs, and nothing in it
+is deleted.  Every case writes its files into `out/` of that directory.
+A case differs when its exit code, stdout, stderr, the set of files it
+wrote or the bytes of any of them differ.  Each difference is printed;
+the exit code is 0 when every case matched and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -655,6 +656,9 @@ def main(argv=None) -> int:
     roots = {"parent": package_root(args.parent), "change": package_root(args.change)}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(args.work or tmp)
+        for tree in roots:
+            if (work / tree).exists():
+                raise SystemExit(f"{work / tree} already exists; give --work a new directory")
         matrix = cases(roots.values())
         bad = 0
         for case, (cli_args, written) in matrix.items():

@@ -49,6 +49,72 @@ def test_linearised_outflow_needs_no_conditions():
     assert a.n_negative == 0
 
 
+AXIS_NORMALS = ((-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0))
+
+
+def flip_alphas(fr):
+    # the 2x2 (depth, normal velocity) block of sym(n . A) at an axis face
+    # is [[a u_n, (1 - a) sqrt(phi) / 2], [.., u_n / 2]]: its determinant
+    # changes sign where 2 a Fr^2 = (1 - a)^2
+    root = fr * np.sqrt(2.0 + fr * fr)
+    return 1.0 + fr * fr - root, 1.0 + fr * fr + root
+
+
+def linearised_axis_count(phi, un, ut, normal, s, other):
+    # the splitting parameter of the face's axis is s (alpha on x faces,
+    # beta on y faces); the other one and the tangential velocity ut should
+    # play no part
+    velocity = un * np.array(normal) + ut * np.array((-normal[1], normal[0]))
+    U = np.array([phi, *(np.sqrt(phi) * velocity)])
+    alpha, beta = (s, other) if normal[0] else (other, s)
+    return analyze_boundary(make_model("swe2d"), U, normal, alpha=alpha, beta=beta,
+                            formulation="linearised").bc_count
+
+
+def characteristic_count(phi, un):
+    c = np.sqrt(phi)
+    return sum(speed < 0.0 for speed in (un - c, un, un + c))
+
+
+def test_linearised_axis_count_flips_at_the_closed_form_alphas():
+    fr = np.array([0.2, 0.5, 0.9, 1.5])
+    lo, hi = flip_alphas(fr)
+    # the thresholds of the alpha scan at phi = 1, normal (-1, 0)
+    assert np.max(np.abs(lo - [0.754343, 0.5, 0.301325, 0.157671])) <= 1e-6
+    assert np.max(np.abs(hi - [1.325657, 2.0, 3.318675, 6.342329])) <= 1e-6
+    for f, a_lo, a_hi in zip(fr, lo, hi):
+        around = (a_lo - 1e-6, a_lo + 1e-6, a_hi - 1e-6, a_hi + 1e-6)
+        for normal in AXIS_NORMALS:
+            for phi, ut, other in ((1.0, 0.0, 0.5), (1.7, 0.3, -0.4)):
+                inflow = [linearised_axis_count(phi, -f * np.sqrt(phi), ut, normal, a, other)
+                          for a in around]
+                outflow = [linearised_axis_count(phi, f * np.sqrt(phi), ut, normal, a, other)
+                           for a in around]
+                # 3 at inflow and 0 at outflow inside (lo, hi), 2 and 1 outside
+                assert inflow == [2, 3, 3, 2], (f, normal, phi)
+                assert outflow == [1, 0, 0, 1], (f, normal, phi)
+
+
+def test_linearised_axis_count_is_the_characteristic_count_only_at_two_pm_sqrt3():
+    # lo(Fr) falls and hi(Fr) rises through 2 -+ sqrt(3) at Fr = 1, so the
+    # count is 3/0 (in/outflow) exactly when Fr > 1 for these two values only
+    rng = np.random.default_rng(71)
+    fr = np.concatenate([rng.uniform(0.01, 4.0, 120), [0.99, 0.999, 1.001, 1.01]])
+    states = [(rng.uniform(0.2, 3.0), sign * f, rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 2.0))
+              for f in fr for sign in (-1.0, 1.0)]
+    for s in (2.0 - np.sqrt(3.0), 2.0 + np.sqrt(3.0)):
+        for phi, f, ut, other in states:
+            for normal in AXIS_NORMALS:
+                un = f * np.sqrt(phi)
+                assert (linearised_axis_count(phi, un, ut, normal, s, other)
+                        == characteristic_count(phi, un)), (s, phi, f, normal)
+    # a hundredth off 2 - sqrt(3) mismatches just below or just above Fr = 1
+    for s in (2.0 - np.sqrt(3.0) - 0.01, 2.0 - np.sqrt(3.0) + 0.01):
+        assert any(linearised_axis_count(1.0, sign * f, 0.0, (-1.0, 0.0), s, 0.5)
+                   != characteristic_count(1.0, sign * f)
+                   for f in (0.99, 1.01) for sign in (-1.0, 1.0)), s
+
+
 def test_nonlinear_diagonal_representation_counts():
     m = make_model("swe2d")
     ain = analyze_boundary(m, np.array([1.0, -0.8, 0.3]), (1.0, 0.0),

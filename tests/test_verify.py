@@ -291,9 +291,9 @@ def test_a_check_without_samples_is_refused(name, call):
 def test_no_case_of_a_sampled_suite_repeats_another_trial_for_trial(monkeypatch, seed):
     # Two cases of one model kind and order whose residuals agree on every
     # trial check one thing twice, and the second can never be the worst.
-    # Cases that are 0 on every trial are pass/fail encodings
-    # (quadratic_exact, quadratic_slope) or exact by construction
-    # (self_adjoint_exact), so they may agree.
+    # A case that is 0 on every trial is true by construction, unless it is
+    # one of the pass/fail encodings (quadratic_exact, quadratic_slope),
+    # which may agree with each other.
     captured = {}
     finish = verify._finish
 
@@ -314,6 +314,9 @@ def test_no_case_of_a_sampled_suite_repeats_another_trial_for_trial(monkeypatch,
             case = meta.get("case", meta.get("mode"))
             cases.setdefault(group, {}).setdefault(case, []).append(residual)
         for group, by_case in cases.items():
+            for case, residuals in by_case.items():
+                if not any(residuals):
+                    assert case in ("quadratic_exact", "quadratic_slope"), (name, group, case)
             for a, b in itertools.combinations(by_case, 2):
                 if by_case[a] == by_case[b]:
                     assert not any(by_case[a]), (name, group, a, b)
