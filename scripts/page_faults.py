@@ -8,11 +8,13 @@ parent first, in a fresh python process pinned to one CPU (the lowest of
 this process's affinity set) that calls `skewform.cli.main` in process.
 The child prints the job's exit code, its wall time, the minor page faults
 (`ru_minflt`) the whole job took, those taken inside the march and inside
-the final-state write, and the process's peak resident memory; the imports
-before the job are not counted.  The phases are counted by rebinding
-`cli.march` and `cli.write_final_state` in the child, as the light hooks of
-perfbench/child.py rebind the functions they time; verify_all has neither
-phase, so it reports the whole job only.
+the final-state write, the peak resident memory (`ru_maxrss`) when the
+march is entered, and the process's peak resident memory; the imports
+before the job are not counted.  The peak at the march's entry is what the
+setup reached, so a peak above it was reached in the march or after it.
+The phases are counted by rebinding `cli.march` and `cli.write_final_state`
+in the child, as the light hooks of perfbench/child.py rebind the functions
+they time; verify_all has neither phase, so it reports the whole job only.
 
 The children read bytecode, whether or not a checkout holds `__pycache__`:
 before any job, each tree's modules, and the modules of python and numpy
@@ -55,12 +57,17 @@ def minflt():
 
 
 phases = {}
+entry_rss_mb = {}
 
 
 def counted(phase, fn):
     phases[phase] = None
+    entry_rss_mb[phase] = None
 
     def wrapper(*args, **kwargs):
+        if entry_rss_mb[phase] is None:
+            entry_rss_mb[phase] = (
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
         before = minflt()
         try:
             return fn(*args, **kwargs)
@@ -78,7 +85,8 @@ code = cli.main(argv)
 wall = time.perf_counter() - start
 usage = resource.getrusage(resource.RUSAGE_SELF)
 print(json.dumps({"exit": code, "wall_s": wall, "minflt": usage.ru_minflt - before,
-                  **phases, "peak_rss_mb": usage.ru_maxrss / 1024.0}))
+                  **phases, "march_entry_rss_mb": entry_rss_mb["march"],
+                  "peak_rss_mb": usage.ru_maxrss / 1024.0}))
 """
 
 
@@ -120,7 +128,7 @@ def main(argv=None) -> int:
     jobs = [make_job(name, DEFAULT_SEED) for name in WORKLOADS]
     bad = 0
     print(f"{'workload':<18} {'tree':<7} {'exit':>4} {'wall_s':>8} {'march':>8}"
-          f" {'write':>8} {'job':>8} {'peak_rss_mb':>11}")
+          f" {'write':>8} {'job':>8} {'march_rss_mb':>12} {'peak_rss_mb':>11}")
     with tempfile.TemporaryDirectory() as tmp:
         envs = {tree: tree_env(root, Path(tmp) / "pycache" / tree)
                 for tree, root in roots.items()}
@@ -134,9 +142,11 @@ def main(argv=None) -> int:
                     continue
                 march, write = (("-" if got[phase] is None else got[phase])
                                 for phase in ("march", "write"))
+                entry = got["march_entry_rss_mb"]
+                entry = "-" if entry is None else f"{entry:.1f}"
                 print(f"{job.workload:<18} {tree:<7} {got['exit']:>4}"
                       f" {got['wall_s']:>8.3f} {march:>8} {write:>8}"
-                      f" {got['minflt']:>8d} {got['peak_rss_mb']:>11.1f}")
+                      f" {got['minflt']:>8d} {entry:>12} {got['peak_rss_mb']:>11.1f}")
     return 1 if bad else 0
 
 

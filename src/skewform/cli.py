@@ -282,8 +282,9 @@ def build_field(cfg, section, model, grid):
                         f" 'one', 'sin:k', or 'cos:k', got {token!r}"
                     )
                 fn = np.sin if name == "sin" else np.cos
-                wave = wave * fn(2.0 * np.pi * _number(k, where, int)
-                                 * grid.positions[ax])
+                # one value per coordinate of the axis, broadcast into wave
+                x = grid.coords[ax].reshape((-1,) + (1,) * (grid.dim - 1 - ax))
+                wave = wave * fn(2.0 * np.pi * _number(k, where, int) * x)
             comps.append(offset + amp * wave)
         else:
             raise ConfigError(

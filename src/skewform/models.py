@@ -24,7 +24,8 @@ entries that can be nonzero, keys in row-major order.  Every other entry is
 zero at every state, so no dense tensor is built; dense_matrix expands one
 point's table where a linear-algebra routine needs the whole matrix.  A
 table stores each distinct field once: keys that repeat a field share its
-view, and a constant entry is a 0-d float64 that broadcasts to every node.
+view, a constant entry is a 0-d float64, and an entry that depends on the
+coordinates only is a compact profile; both broadcast to every node.
 """
 
 from __future__ import annotations
@@ -137,16 +138,20 @@ def coeff_matrices(model: ModelSpec, V, pos=None):
         of shape s is a view of one slot of a packed block, and a key that
         repeats a field holds the same view (the euler (1,1) and (2,2),
         swe2d's (2,2), euler3d_cyl's r/2 at four keys).  A constant entry is
-        a 0-d float64 (the euler +-0.5, swe2d's f0 when f1 = 0).  The block
-        holds 1, 2, 6 and 10 slots for burgers1d, euler2d, euler3d_cyl and
-        swe2d (8 with f1 = 0), where the tables hold 1, 8, 19 and 12 entries.
+        a 0-d float64 (the euler +-0.5, swe2d's f0 when f1 = 0).  swe2d's
+        Coriolis entries f = f0 + f1 y and -f with f1 nonzero depend on the
+        coordinates only: they are y-profiles at the compact shape of pos[1]
+        ((1, n_y) for a Grid.positions view), outside the block.  The block
+        holds 1, 2, 6 and 8 slots for burgers1d, euler2d, euler3d_cyl and
+        swe2d, where the tables hold 1, 8, 19 and 12 entries.  The radius
+        stays a slot: the face terms cut the A tables to face layers.
 
-    A product by a 0-d constant or a shared view equals the product by a
-    filled field bit for bit, so the kernels give the same bytes as with
-    one field per entry.  The block is allocated first and each slot is
-    computed straight into its view (ufunc out=).  A full-size temporary
-    per entry, copied into the block, would cost a second pass and fresh
-    pages that the kernel faults in on every call.  One block rather than
+    A product by a 0-d constant, a profile or a shared view equals the
+    product by a filled field bit for bit, so the kernels give the same
+    bytes as with one field per entry.  The block is allocated first and
+    each slot is computed straight into its view (ufunc out=).  A full-size
+    temporary per entry, copied into the block, would cost a second pass and
+    fresh pages that the kernel faults in on every call.  One block rather than
     one array per slot: it is one allocation, coeff_split needs one
     subtraction, and a block above the 16 MiB that cli.main primes glibc's
     mmap threshold to still lifts the threshold above the field size when
@@ -178,6 +183,14 @@ def _slots(V, n: int) -> list:
 def _const(value: float) -> np.ndarray:
     """A constant entry: one 0-d float64 for every node."""
     return np.asarray(value, dtype=np.float64)
+
+
+def _profile(p) -> np.ndarray:
+    """The coordinates p at their compact shape: the first index of every
+    axis along which p repeats itself with stride 0 (a Grid.positions
+    view), the axis kept, so the profile broadcasts back to p's values."""
+    p = np.asarray(p, dtype=np.float64)
+    return p[(*(slice(None) if st else slice(0, 1) for st in p.strides), ...)]
 
 
 def _write_burgers1d(model, V, pos):
@@ -215,7 +228,7 @@ def _write_euler3d_cyl(model, V, pos):
 def _write_swe2d(model, V, pos):
     if model.f1 != 0.0 and pos is None:
         raise ValueError("swe2d with f1 != 0 needs pos with the y array")
-    slots = _slots(V, 8 if model.f1 == 0.0 else 10)
+    slots = _slots(V, 8)
     root = np.sqrt(V[0])
     two_root = 2.0 * root  # exact: V[ax] / two_root is V[ax] / (2.0 * root) bit for bit
     for ax, s, (a, b, c, u) in ((1, model.alpha, slots[0:4]), (2, model.beta, slots[4:8])):
@@ -224,12 +237,14 @@ def _write_swe2d(model, V, pos):
         np.multiply(1.0 - 3.0 * s, root, out=b)
         np.multiply(2.0 * s, root, out=c)
         np.divide(V[ax], two_root, out=u)
-    a1, b1, c1, ux, a2, b2, c2, uy = slots[:8]
+    a1, b1, c1, ux, a2, b2, c2, uy = slots
     if model.f1 == 0.0:
         f, minus_f = _const(model.f0), _const(-model.f0)
     else:
-        f, minus_f = slots[8:]
-        np.multiply(model.f1, np.asarray(pos[1], dtype=np.float64), out=f)
+        y = _profile(pos[1])
+        profiles = np.empty((2,) + y.shape)
+        f, minus_f = profiles[0, ...], profiles[1, ...]
+        np.multiply(model.f1, y, out=f)
         np.add(model.f0, f, out=f)
         np.negative(f, out=minus_f)
     return (({(0, 0): a1, (0, 1): b1, (1, 0): c1, (1, 1): ux, (2, 2): ux},
@@ -325,9 +340,9 @@ def coeff_split(model: ModelSpec, U_bar, U_prime, pos=None) -> tuple:
         return coeff_matrices(model, U_prime, pos)
     A_bar, _ = coeff_matrices(model, U_bar, pos)
     A_tot, C_tot = coeff_matrices(model, U_bar + U_prime, pos)
-    # A field is a slot of its call's block or a 0-d constant: one
-    # subtraction of the mean's block turns the total's slots into the
-    # increments, and a constant's increment c - c is an exact +0.0.
+    # A field is a slot of its call's block, a 0-d constant or a coordinate
+    # profile: one subtraction of the mean's block turns the total's slots
+    # into the increments, and the others' increment c - c is an exact +0.0.
     bar, tot = (A[0][0, 0].base for A in (A_bar, A_tot))
     np.subtract(tot, bar, out=tot)
     zero = np.zeros(())

@@ -92,14 +92,16 @@ _Q_BLOCK = {
 class SbpOperator1D:
     """A 1D diagonal-norm SBP first-derivative operator.
 
+    It holds O(n) data: the weights, the boundary diagonal and the apply
+    plan.  The dense Q and D are formed on first read, from the closure
+    tables the plan comes from, and kept; apply_derivative never reads them.
+
     Attributes:
         n: number of nodes along the axis.
         h: node spacing (positive).
         order: accuracy pair (interior, boundary).
         periodic: True for the circulant closure on a half-open interval.
         P: quadrature weights, shape (n,), strictly positive.
-        Q: almost-skew matrix, shape (n, n).
-        D: derivative matrix P^{-1} Q, shape (n, n).
         B: diagonal of Q + Q^T, shape (n,); zero for periodic operators.
         interior: (lo, hi, terms), the rows lo..hi-1 that the closure
             leaves to the interior stencil (possibly none) and their
@@ -118,11 +120,41 @@ class SbpOperator1D:
     order: tuple[int, int]
     periodic: bool
     P: np.ndarray
-    Q: np.ndarray
-    D: np.ndarray
     B: np.ndarray
     interior: tuple
     edge: tuple
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        """The almost-skew matrix, shape (n, n), formed on first read."""
+        Q = np.zeros((self.n, self.n))
+        for i in range(self.n):
+            for j, q in _q_row(self.order, self.n, i, self.periodic).items():
+                Q[i, j] = q
+        return Q
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        """The derivative matrix P^{-1} Q, shape (n, n), formed on first read."""
+        return self.Q / self.P[:, None]
+
+
+def _q_row(order: tuple[int, int], n: int, i: int, periodic: bool) -> dict:
+    """Row i of Q as {column: entry}: the interior stencil, wrapped when
+    periodic and clipped at the ends otherwise, then for a bounded closure
+    its boundary block over the first rows and the mirror with flipped sign
+    over the last, so symmetric pairs cancel exactly.  The entries the
+    block writes are kept even where they are zero."""
+    half = _HALF_WIDTH[order]
+    row = {(i + k) % n: c for k, c in enumerate(_INTERIOR[order], -half)
+           if periodic or 0 <= i + k < n}
+    if not periodic:
+        block = _Q_BLOCK[order]
+        if i < len(block):
+            row.update(enumerate(block[i]))
+        elif n - 1 - i < len(block):
+            row.update((n - 1 - j, -q) for j, q in enumerate(block[n - 1 - i]))
+    return row
 
 
 def build_sbp_operator(
@@ -141,7 +173,9 @@ def build_sbp_operator(
         periodic: build the circulant closure (P = h I, B = 0) instead.
 
     Returns:
-        SbpOperator1D with Q + Q^T = B holding entry for entry.
+        SbpOperator1D with Q + Q^T = B holding entry for entry.  The
+        build forms no n x n matrix: each edge row of the plan comes from
+        its own row of Q.
     """
     order = (int(order[0]), int(order[1]))
     if order not in ACCURACIES:
@@ -154,45 +188,34 @@ def build_sbp_operator(
     if n < min_nodes:
         raise ValueError(f"order {order} needs at least {min_nodes} nodes, got {n}")
 
-    # The interior stencil on every row, wrapped when periodic and clipped
-    # at the ends otherwise; a bounded closure then writes its boundary
-    # block over the first rows and the mirror with flipped sign over the
-    # last, so symmetric pairs cancel exactly.
-    Q = np.zeros((n, n))
     P = np.full(n, h)
     B = np.zeros(n)
-    for i in range(n):
-        for k in range(-half, half + 1):
-            if periodic or 0 <= i + k < n:
-                Q[i, (i + k) % n] = stencil[k + half]
     if not periodic:
-        for i, row in enumerate(_Q_BLOCK[order]):
-            for j, val in enumerate(row):
-                Q[i, j] = val
-                Q[n - 1 - i, n - 1 - j] = -val
         for i, w in enumerate(_P_BLOCK[order]):
             P[i] = w * h
             P[n - 1 - i] = w * h
         B[0] = -1.0
         B[-1] = 1.0
 
-    D = Q / P[:, None]
     lo = half if periodic else len(_Q_BLOCK[order])
     hi = n - lo
     # P is h on the interior rows, so D holds stencil / h there
     terms = tuple((k, stencil[k + half] / h) for k in range(-half, half + 1)
                   if stencil[k + half] != 0.0)
+    # The edge rows of D = P^{-1} Q, each from its row of Q alone
     rows = np.r_[0:lo, hi:n]
-    nonzero = [np.flatnonzero(D[i]).tolist() for i in rows]
+    nonzero = [sorted((j, q) for j, q in _q_row(order, n, i, periodic).items() if q != 0.0)
+               for i in rows]
     width = max(map(len, nonzero))
     if width >= 8:  # numpy sums 8 or more reduced terms pairwise, not in order
         raise ValueError(f"edge rows of {width} nonzeros; the apply sums at most 7")
-    pad = [width - len(c) for c in nonzero]
-    cols = np.array([c + c[-1:] * p for c, p in zip(nonzero, pad)])
-    coefs = np.array([D[i, c].tolist() + [0.0] * p for i, c, p in zip(rows, nonzero, pad)])
+    pad = [width - len(r) for r in nonzero]
+    cols = np.array([[j for j, _ in r] + [r[-1][0]] * p for r, p in zip(nonzero, pad)])
+    coefs = np.array([[q / P[i] for _, q in r] + [0.0] * p
+                      for i, r, p in zip(rows, nonzero, pad)])
     return SbpOperator1D(
         n=n, h=float(h), order=order, periodic=periodic,
-        P=P, Q=Q, D=D, B=B, interior=(lo, hi, terms), edge=(rows, cols, coefs),
+        P=P, B=B, interior=(lo, hi, terms), edge=(rows, cols, coefs),
     )
 
 
@@ -268,12 +291,13 @@ class Grid:
 
     @cached_property
     def positions(self) -> tuple[np.ndarray, ...]:
-        """Per-axis coordinate arrays broadcast to the full grid shape,
-        built once per grid and read-only."""
-        pos = tuple(np.meshgrid(*self.coords, indexing="ij"))
-        for arr in pos:
-            arr.flags.writeable = False
-        return pos
+        """Per-axis coordinate arrays of the full grid shape: read-only
+        views of the 1D coords, broadcast with stride 0 along every other
+        axis, so no full-grid array is allocated."""
+        return tuple(
+            np.broadcast_to(c.reshape([-1 if a == ax else 1 for a in range(self.dim)]),
+                            self.shape)
+            for ax, c in enumerate(self.coords))
 
 
 _DEFAULT_AXES = {1: ("x",), 2: ("x", "y"), 3: ("x", "y", "z")}

@@ -326,8 +326,8 @@ def _standard_matrices(model: ModelSpec, grid: Grid, ops, V: np.ndarray):
          {(0, 0): vb, (0, 2): phib, (1, 1): vb, (2, 0): one, (2, 2): vb})
 
     f = model.f0
-    if model.f1 != 0.0:
-        f = model.f0 + model.f1 * grid.positions[1]
+    if model.f1 != 0.0:  # a y-profile, broadcast along x
+        f = model.f0 + model.f1 * grid.coords[1]
     N = {(0, 0): dqx[1] + dqy[2], (0, 1): dqx[0], (0, 2): dqy[0],
          (1, 1): dqx[1], (1, 2): dqy[1] - f,
          (2, 1): dqx[2] + f, (2, 2): dqy[2]}

@@ -166,6 +166,12 @@ def _check_cfl(sc: Scenario, V: np.ndarray, t: float) -> None:
         )
 
 
+def _sup(x: np.ndarray) -> float:
+    """The sup norm max |x|: np.max(np.abs(x)) to the bit, NaN, inf and
+    zeros of either sign included, without a temporary of x's size."""
+    return max(float(x.max()), -float(x.min())) + 0.0
+
+
 def march(sc: Scenario) -> tuple[list[EnergyReport], np.ndarray]:
     """Marches the scenario and reports the energy balance every stride.
 
@@ -175,6 +181,11 @@ def march(sc: Scenario) -> tuple[list[EnergyReport], np.ndarray]:
     Raises on CFL violation, the blow-up guard, or admissibility loss where
     an operator reads it: a fixed-coefficient march is linear in its marched
     state, which may leave the admissible set.
+
+    The march reads sc.initial in place and never writes into it, so it
+    holds no copy of it.  Between steps it holds the state, the
+    coefficient state of a fixed operator and that operator's tables;
+    within a step, rk4_step's fields and one residual's (README, Memory).
     """
     validate_scenario(sc)
     model, grid, ops = sc.model, sc.grid, sc.ops
@@ -194,7 +205,7 @@ def march(sc: Scenario) -> tuple[list[EnergyReport], np.ndarray]:
 
     # evaluate(y, t) -> (tendency, the residual a report reads)
     if coupled:
-        state = np.stack([V, np.array(sc.initial, dtype=np.float64)])
+        state = np.stack([V, np.asarray(sc.initial, dtype=np.float64)])
 
         def evaluate(y, t):
             res_mean, res_pert = eval_new_linearised_pair(
@@ -203,7 +214,7 @@ def march(sc: Scenario) -> tuple[list[EnergyReport], np.ndarray]:
             return np.stack([-res_mean.R, -res_pert.R]), res_pert
 
     else:
-        state = np.array(sc.initial, dtype=np.float64)
+        state = np.asarray(sc.initial, dtype=np.float64)
         # without a fixed operator the coefficients are at the marched state
         residual = fixed or partial(
             eval_dual_residual if sc.mode == "dual" else eval_primal_residual,
@@ -222,7 +233,7 @@ def march(sc: Scenario) -> tuple[list[EnergyReport], np.ndarray]:
             return k
         return evaluate(u, s)[0]
 
-    sup0 = max(float(np.max(np.abs(state))), 1.0)
+    sup0 = max(_sup(state), 1.0)
     nsteps = round(sc.t_final / sc.dt)
     reports: list[EnergyReport] = []
 
@@ -238,7 +249,7 @@ def march(sc: Scenario) -> tuple[list[EnergyReport], np.ndarray]:
         del res
         state = rk4_step(rhs, state, t, sc.dt)
         t = k * sc.dt
-        sup = float(np.max(np.abs(state)))
+        sup = _sup(state)
         if not np.isfinite(sup) or sup > BLOWUP_FACTOR * sup0:
             raise RuntimeError(
                 f"blow-up guard tripped at t={t:.6g}: sup norm {sup:.3g} vs"

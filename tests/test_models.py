@@ -297,21 +297,24 @@ def test_validate_grid_checks_dimension_and_cylindrical_radius():
 
 # The layout of each kind's tables, entries named (table, key) with table
 # dim for C: the slots of the packed block, the entries that share one
-# slot's view, and the constant entries with their values.  swe2d is
-# pinned with a linear Coriolis profile and, as "swe2d_f0", with f1 = 0.
+# slot's view, the constant entries with their values, and the entries that
+# depend on the coordinates only, with the axes along which they vary.
+# swe2d is pinned with a linear Coriolis profile, a y-profile outside the
+# block, and, as "swe2d_f0", with f1 = 0.
 _SWE_SHARED = [[(0, (1, 1)), (0, (2, 2))], [(1, (1, 1)), (1, (2, 2))]]
 _LAYOUTS = {
-    "burgers1d": (1, [], {}),
+    "burgers1d": (1, [], {}, {}),
     "euler2d": (2, [[(0, (0, 0)), (0, (1, 1))], [(1, (0, 0)), (1, (1, 1))]],
-                {(0, (0, 2)): 0.5, (0, (2, 0)): 0.5, (1, (1, 2)): 0.5, (1, (2, 1)): 0.5}),
+                {(0, (0, 2)): 0.5, (0, (2, 0)): 0.5, (1, (1, 2)): 0.5, (1, (2, 1)): 0.5},
+                {}),
     "euler3d_cyl": (6, [[(0, (0, 0)), (0, (1, 1)), (0, (2, 2))],
                         [(0, (0, 3)), (0, (3, 0)), (2, (2, 3)), (2, (3, 2))],
                         [(1, (0, 0)), (1, (1, 1)), (1, (2, 2))],
                         [(2, (0, 0)), (2, (1, 1)), (2, (2, 2))]],
                     {(1, (1, 3)): 0.5, (1, (3, 1)): 0.5, (3, (0, 3)): -0.5,
-                     (3, (3, 0)): 0.5}),
-    "swe2d": (10, _SWE_SHARED, {}),
-    "swe2d_f0": (8, _SWE_SHARED, {(2, (1, 2)): -0.7, (2, (2, 1)): 0.7}),
+                     (3, (3, 0)): 0.5}, {}),
+    "swe2d": (8, _SWE_SHARED, {}, {(2, (1, 2)): (1,), (2, (2, 1)): (1,)}),
+    "swe2d_f0": (8, _SWE_SHARED, {(2, (1, 2)): -0.7, (2, (2, 1)): 0.7}, {}),
 }
 
 
@@ -324,31 +327,36 @@ def layout_model(name):
 
 
 def table_layout(A, C):
-    """(slot views, groups of entries sharing a view, constants) of tables
-    on a grid, where only a constant is 0-d."""
-    views, constants = {}, {}
+    """(slot views, groups of entries sharing a view, constants, profiles)
+    of tables on a grid, where only a constant is 0-d and a profile is a
+    field of some length-1 axes, given as the axes it varies along."""
+    views, constants, profiles = {}, {}, {}
     for t, M in enumerate((*A, C)):
         for key, field in M.items():
             assert isinstance(field, np.ndarray) and field.dtype == np.float64
             if field.ndim == 0:
                 constants[t, key] = float(field)
+            elif 1 in field.shape:
+                profiles[t, key] = tuple(ax for ax, n in enumerate(field.shape) if n > 1)
             else:
                 views.setdefault(id(field), (field, []))[1].append((t, key))
     shared = sorted(entries for _, entries in views.values() if len(entries) > 1)
-    return [field for field, _ in views.values()], shared, constants
+    return [field for field, _ in views.values()], shared, constants, profiles
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_pattern_covers_every_coefficient_entry(kind):
     # The kernels walk the entry tables in key order, so the keys must be
-    # row-major and the same at every state.  Each distinct field is one
-    # slot of a packed block, held as one view by every key that repeats
-    # it, and a constant entry is a 0-d float64.
+    # row-major and the same at every state.  Each distinct field of the
+    # state is one slot of a packed block, held as one view by every key
+    # that repeats it, a constant entry is a 0-d float64, and swe2d's
+    # Coriolis entries are y-profiles of the grid's broadcast positions.
     for name in (kind, "swe2d_f0") if kind == "swe2d" else (kind,):
         m = layout_model(name)
-        slots, want_shared, want_constants = _LAYOUTS[name]
+        slots, want_shared, want_constants, want_profiles = _LAYOUTS[name]
         shape = (5,) * m.dim
-        pos = tuple(np.full(shape, 0.3 + 0.2 * ax) for ax in range(m.dim))
+        pos = make_grid(((0.3, 1.3),) + ((0.0, 1.0),) * (m.dim - 1), shape,
+                        axis_names=m.axis_names).positions
         rng = np.random.default_rng(41)
         first = None
         for trial in range(20):
@@ -359,7 +367,7 @@ def test_pattern_covers_every_coefficient_entry(kind):
                 assert table == sorted(set(table))
             first = first or keys
             assert keys == first
-            views, shared, constants = table_layout(A, C)
+            views, shared, constants, profiles = table_layout(A, C)
             block = views[0].base
             assert block.shape == (slots,) + shape
             assert all(v.base is block and v.shape == shape for v in views)
@@ -367,16 +375,19 @@ def test_pattern_covers_every_coefficient_entry(kind):
             assert len({v.__array_interface__["data"][0] for v in views}) == slots
             assert shared == sorted(want_shared)
             assert constants == want_constants
+            assert profiles == want_profiles
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_point_state_tables_match_the_grid_at_that_node(kind):
     # s = (): every field is 0-d, the point tables keep the grid tables'
     # shared views and constants, and each field and the dense matrices
-    # equal the grid tables broadcast to the grid at the node.
+    # equal the grid tables broadcast to the grid at the node, swe2d's
+    # Coriolis y-profiles included.
     m = layout_model(kind)
     shape = (4,) * m.dim
-    pos = tuple(np.full(shape, 0.3 + 0.2 * ax) for ax in range(m.dim))
+    pos = make_grid(((0.3, 1.3),) + ((0.0, 1.0),) * (m.dim - 1), shape,
+                    axis_names=m.axis_names).positions
     V = sample_state(m, shape, np.random.default_rng(42))
     node = (1,) * m.dim
     A, C = coeff_matrices(m, V, pos)
@@ -500,10 +511,11 @@ def test_split_increments_keep_the_reference_bits(kind, params):
         C_ref = {key: C_tot[key] - C_bar[key] for key in C_tot}
     assert table_bytes((*A_split, C_split), g.shape) == \
         reference_bytes((*A_ref, C_ref), g.shape)
-    # a constant entry's increment stays a 0-d exact zero
+    # the increment of a constant or a coordinate profile is a 0-d exact zero
     if kind != "burgers1d":
-        constants = table_layout(*coeff_matrices(m, Ub, pos))[2]
-        assert table_layout(A_split, C_split)[2] == dict.fromkeys(constants, 0.0)
+        _, _, constants, profiles = table_layout(*coeff_matrices(m, Ub, pos))
+        assert table_layout(A_split, C_split)[2] == \
+            dict.fromkeys([*constants, *profiles], 0.0)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

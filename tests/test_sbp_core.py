@@ -1,6 +1,7 @@
 """Tests for the one-dimensional operators, grids, and quadratures."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,6 +355,77 @@ def test_an_edge_row_of_8_nonzeros_is_refused(monkeypatch):
     assert build_sbp_operator((2, 1), 20, 0.1).edge[1].shape[1] == 7
 
 
+def dense_closure(order, n, h, periodic):
+    """Reference: Q and D = P^{-1} Q as n x n matrices, by the loop that
+    wrote the stencil on every row and then the boundary blocks over it."""
+    half = sbp_core._HALF_WIDTH[order]
+    stencil = sbp_core._INTERIOR[order]
+    Q = np.zeros((n, n))
+    P = np.full(n, h)
+    for i in range(n):
+        for k in range(-half, half + 1):
+            if periodic or 0 <= i + k < n:
+                Q[i, (i + k) % n] = stencil[k + half]
+    if not periodic:
+        for i, row in enumerate(sbp_core._Q_BLOCK[order]):
+            for j, val in enumerate(row):
+                Q[i, j] = val
+                Q[n - 1 - i, n - 1 - j] = -val
+        for i, w in enumerate(sbp_core._P_BLOCK[order]):
+            P[i] = w * h
+            P[n - 1 - i] = w * h
+    return Q, Q / P[:, None]
+
+
+def plan_from_dense(D, lo):
+    """Reference: the edge plan (rows, cols, coefs) read off a dense D."""
+    n = D.shape[0]
+    rows = np.r_[0:lo, n - lo:n]
+    nonzero = [np.flatnonzero(D[i]).tolist() for i in rows]
+    width = max(map(len, nonzero))
+    pad = [width - len(c) for c in nonzero]
+    cols = np.array([c + c[-1:] * p for c, p in zip(nonzero, pad)])
+    coefs = np.array([D[i, c].tolist() + [0.0] * p for i, c, p in zip(rows, nonzero, pad)])
+    return rows, cols, coefs
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("periodic", [False, True])
+def test_plan_and_lazy_matrices_equal_the_dense_closure_bitwise(order, periodic):
+    # The build reads each edge row off its own row of Q; the plan must be
+    # the one read off the dense D, and Q and D, formed on first read, the
+    # dense loop's matrices, bit for bit.
+    for n in [*range(SMALLEST[order, periodic], 41), 65, 257]:
+        h = 0.7 / n
+        op = build_sbp_operator(order, n, h, periodic=periodic)
+        Q, D = dense_closure(order, n, h, periodic)
+        assert "Q" not in vars(op) and "D" not in vars(op)
+        assert op.Q.tobytes() == Q.tobytes() and op.D.tobytes() == D.tobytes()
+        assert op.D is op.D
+        lo = op.interior[0]
+        for got, want in zip(op.edge, plan_from_dense(D, lo)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        hi, terms = op.interior[1:]
+        assert hi == n - lo
+        for i in range(lo, hi):
+            assert np.flatnonzero(D[i]).tolist() == [i + k for k, _ in terms]
+            assert all(D[i, i + k] == c for k, c in terms)
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_a_large_operator_builds_in_linear_memory(periodic):
+    # A dense n x n pair would take 2 x 134 MB at n = 4097.
+    tracemalloc.start()
+    try:
+        op = build_sbp_operator((4, 2), 4097, 1.0 / 4096, periodic=periodic)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert op.edge[1].shape[0] == 2 * op.interior[0]
+
+
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("periodic", [False, True])
 @pytest.mark.parametrize("n", ["min", 13, 64, 65, 257])
@@ -480,3 +552,26 @@ def test_grid_positions():
     assert X.shape == (5, 6) and Y.shape == (5, 6)
     assert X[2, 0] == g.coords[0][2]
     assert Y[0, 3] == g.coords[1][3]
+    want = np.meshgrid(*g.coords, indexing="ij")
+    assert all(p.tobytes() == w.tobytes() for p, w in zip(g.positions, want))
+
+
+def test_grid_positions_are_read_only_views_of_the_coordinates():
+    # No full-grid array: each axis's positions repeat its 1D coordinates
+    # with stride 0 along every other axis.
+    g = make_grid(((0.0, 1.0), (0.0, 2.0), (1.0, 3.0)), (64, 32, 48),
+                  periodic=(False, True, False))
+    tracemalloc.start()
+    try:
+        pos = g.positions
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 64 * 32 * 48 / 16, peak
+    for ax, p in enumerate(pos):
+        assert p.shape == g.shape and not p.flags.writeable
+        assert np.shares_memory(p, g.coords[ax])
+        assert [st == 0 for st in p.strides] == [a != ax for a in range(3)]
+    assert g.positions is pos
+    # a face layer is a view too
+    assert face_layer(g, pos[2], (0, "high")).strides == (0, 8)

@@ -1,5 +1,7 @@
 """Tests for the time marching driver."""
 
+import hashlib
+import tracemalloc
 import weakref
 from dataclasses import replace
 from types import SimpleNamespace
@@ -613,6 +615,50 @@ def test_blow_up_guard_raises():
     with pytest.raises(RuntimeError, match="blow-up") as info:
         march(sc)
     assert "tripped at t=0.01:" in str(info.value)
+
+
+def test_the_guards_sup_norm_is_the_max_of_absolute_values_to_the_bit():
+    # max(x.max(), -x.min()) + 0.0 forms no |x| field; it must give the
+    # float np.max(np.abs(x)) gives, NaN, infinities and signed zeros included
+    rng = np.random.default_rng(12)
+    fields = [rng.normal(size=(3, 5, 4)), -np.abs(rng.normal(size=(2, 7))),
+              np.full((1, 6), -0.0), np.zeros((1, 6)), np.array([[0.0, -0.0, -0.0]]),
+              np.array([[-0.0, 0.0]]), np.array([[1.0, np.inf, -2.0]]),
+              np.array([[1.0, -np.inf, 2.0]]), np.array([[-0.0, np.nan, 3.0]]),
+              np.array([[-np.nan, -5.0]]), np.array([[np.inf, -np.inf]])]
+    for x in fields:
+        got, want = timeint._sup(x), float(np.max(np.abs(x)))
+        assert type(got) is float
+        if np.isnan(want):
+            assert np.isnan(got)
+        else:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), x
+
+
+def test_a_swe_march_holds_only_state_sized_fields():
+    # The operators, positions and Coriolis profile are O(n) per axis, and
+    # the march reads its initial state in place, so the traced peak of a
+    # 129^2 march, scenario included, is its state-sized fields: 30.1 of
+    # them at the time of writing, where dense operators, full-grid
+    # positions, two Coriolis slots and a copy of the initial state made 38.1.
+    n = 129
+    tracemalloc.start()
+    try:
+        m, g, ops = swe_setup(n=n, order=(4, 2))
+        x, y = np.meshgrid(*g.coords, indexing="ij")
+        u0 = swe_transform(1.0 + 0.05 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y),
+                           0.1 + 0.0 * x, 0.1 * np.sin(2 * np.pi * x))
+        del x, y
+        digest = hashlib.sha256(u0).hexdigest()
+        sc = Scenario(model=m, grid=g, ops=ops, mode="nonlinear", initial=u0,
+                      dt=0.1 / n, t_final=0.2 / n)
+        tracemalloc.reset_peak()
+        _, final = march(sc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 33 * u0[0].nbytes, peak / u0[0].nbytes
+    assert hashlib.sha256(u0).hexdigest() == digest and not np.shares_memory(final, u0)
 
 
 @pytest.mark.parametrize("mode", ["nonlinear", "frozen", "new_linearised_coupled"])
