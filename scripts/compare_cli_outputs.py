@@ -424,6 +424,9 @@ CASES = {
     # One full euler2d and swe2d group, and three full euler3d_cyl groups
     # before a partial one.
     "verify_all_full_groups": (["verify", "all", "--seed", "4", "--trials", "18"], {}),
+    # verify all at its default trial count, seeds 0-9: every suite's
+    # checks.csv and printed residuals over ten seeds.
+    **{f"verify_all_seed_{k}": (["verify", "all", "--seed", str(k)], {}) for k in range(10)},
     "convergence_burgers_periodic": (["convergence", "--config", "burgers_periodic",
                                       "--levels", "24,48,96"], {}),
     "convergence_swe_coriolis_periodic": (["convergence", "--config", "swe_coriolis_periodic",

@@ -84,7 +84,7 @@ def report_from_residual(model: ModelSpec, res: Residual, t: float) -> EnergyRep
     of which depends on forcing, so a residual evaluated with forcing gives
     the same report as one evaluated without.
     """
-    grid, ops, U = res.grid, res.ops, res.state
+    grid, ops, U = res.op.grid, res.op.ops, res.state
     rate = -2.0 * inner_product(grid, ops, U, res.spatial)
     sat_contribution = 0.0
     if res.sat is not None:

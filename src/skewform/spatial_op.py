@@ -7,9 +7,12 @@ The residual convention is
 so SAT penalties and forcing enter the tendency with a plus sign.  One
 shared assembler produces every skew-form operator from a (coefficient
 state, acted-on state) pair.  skew_evaluator(V) and standard_evaluator(V)
-build the tables of a fixed V once and return the residual evaluator of
-that state; eval_primal_residual(U, V) and eval_dual_residual(Phi, V) build
-one per call, V = None evaluating the coefficients at the acted-on state:
+build the tables of a fixed V once and return its Operator: its call gives
+the Residual on a state, and its face terms and face functional read the
+face layers of the same tables, cut once on first read.  The wrappers
+eval_primal_residual, eval_dual_residual, eval_new_linearised_pair and
+bilinear_face_functional build one Operator per call, V = None evaluating
+the coefficients at the acted-on state:
 
     nonlinear            (U, U)              V = None
     frozen               (V_fixed, U)        skew_evaluator(V_fixed)(U)
@@ -48,13 +51,14 @@ functionals give one value per element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from operator import itemgetter
+from typing import Callable
 
 import numpy as np
 
 from .boundary import build_sat
-from .models import ModelSpec, check_admissible, coeff_matrices, coeff_split, swe_inverse
+from .models import ModelSpec, coeff_matrices, coeff_split, swe_inverse
 from .sbp_core import (
     Grid,
     apply_derivative,
@@ -70,23 +74,89 @@ class Residual:
     """An evaluated residual with all that its energy report reads.
 
     R = spatial - sat - forcing (missing parts treated as zero), acting on
-    state.  flux_sign is -2 for a primal evaluation and +2 for the dual.
-    face_terms maps face labels to boundary_quadrature(state, A_ax state);
+    state, evaluated by the operator op.  flux_sign is -2 for a primal
+    evaluation and +2 for the dual.  face_terms maps face labels to
+    boundary_quadrature(state, A_ax state) on the operator's face tables;
     it is formed on first read, since only the energy reports read it.
     """
 
     R: np.ndarray
     spatial: np.ndarray
     sat: np.ndarray | None
-    grid: Grid
-    ops: tuple
-    A: tuple
+    op: Operator
     state: np.ndarray
     flux_sign: float
 
     @cached_property
     def face_terms(self) -> dict:
-        return _face_terms(self.grid, self.ops, self.A, self.state, self.state)
+        return self.op.face_terms(self.state, self.state)
+
+
+@dataclass(frozen=True, eq=False)
+class Operator:
+    """The operator of one fixed coefficient state V on a grid.
+
+    A holds the tables whose face layers give the face terms (the skew
+    form's A_ax, the standard form's M_ax / 2), and spatial(W) is the
+    spatial part acting on a state W of the grid.  face_tables are cut from
+    A once, on first read: the stage 2-4 residuals of a march never read
+    them.
+    """
+
+    model: ModelSpec
+    grid: Grid
+    ops: tuple
+    A: tuple
+    spatial: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, U, sat=None, forcing=None, dual=False) -> Residual:
+        """The residual R = spatial - SAT - forcing acting on U.  With dual
+        the spatial part is negated and the flux sign is +2: for the skew
+        form this is the dual residual -[ (A_i U)_{x_i} + A_i^T U_{x_i} + C U ]."""
+        U = np.asarray(U, dtype=np.float64)
+        spatial = self.spatial(U)
+        if dual:
+            spatial = -spatial
+        sat_field = build_sat(self.model, self.grid, self.ops, U, sat)
+        R = spatial
+        if sat_field is not None:
+            R = R - sat_field
+        if forcing is not None:
+            R = R - np.asarray(forcing, dtype=np.float64)
+        return Residual(R, spatial, sat_field, self, U, 2.0 if dual else -2.0)
+
+    @cached_property
+    def face_tables(self) -> dict:
+        """{face: the table of A_ax on that face's layer}; a 0-d constant
+        entry serves every layer as it is."""
+        return {face: {key: field if np.ndim(field) == 0
+                       else face_layer(self.grid, field, face)
+                       for key, field in self.A[face[0]].items()}
+                for face in faces(self.grid)}
+
+    def face_terms(self, X: np.ndarray, Y: np.ndarray) -> dict:
+        """bq(X, A_ax Y) per face label, with A_ax Y formed on the face
+        layer only."""
+        grid = self.grid
+        return {face_label(grid, face): boundary_quadrature(
+                    grid, self.ops, face_layer(grid, X, face),
+                    matfield_apply(Af, face_layer(grid, Y, face)), face)
+                for face, Af in self.face_tables.items()}
+
+    def face_functional(self, U: np.ndarray, Phi: np.ndarray):
+        """Boundary functional pairing primal and dual solutions (a float,
+        or one value per batch element): the sum over faces of
+        bq(Phi, A_ax U) + bq(A_ax Phi, U), which for the skew form equals
+        ip(Phi, R_primal(U)) - ip(U, R_dual_spatial(Phi)) up to roundoff and
+        collapses to twice the energy-identity flux at Phi = U.  bq is
+        symmetric bit for bit, so bq(A_ax Phi, U) = bq(U, A_ax Phi)."""
+        U, Phi = (np.asarray(X, dtype=np.float64) for X in (U, Phi))
+        total = 0.0
+        for a, b in zip(self.face_terms(Phi, U).values(),
+                        self.face_terms(U, Phi).values()):
+            total += a
+            total += b
+        return total
 
 
 def matfield_apply(M: dict, W: np.ndarray, transpose: bool = False,
@@ -141,23 +211,6 @@ def _assemble(grid: Grid, ops, A: tuple, C: dict, W: np.ndarray) -> np.ndarray:
     return matfield_apply(C, W, out=out)
 
 
-def _face_terms(grid: Grid, ops, A: tuple, X: np.ndarray, Y: np.ndarray) -> dict:
-    """bq(X, A_ax Y) per face label, with A_ax Y formed on the face layer
-    only; a 0-d constant entry serves every layer as it is."""
-    terms = {}
-    for face in faces(grid):
-        Af = {key: field if np.ndim(field) == 0 else face_layer(grid, field, face)
-              for key, field in A[face[0]].items()}
-        terms[face_label(grid, face)] = _face_term(grid, ops, Af, X, Y, face)
-    return terms
-
-
-def _face_term(grid: Grid, ops, Mf: dict, X: np.ndarray, Y: np.ndarray, face):
-    """bq(X, M Y) on one face, Mf the table on that face's layer."""
-    return boundary_quadrature(grid, ops, face_layer(grid, X, face),
-                               matfield_apply(Mf, face_layer(grid, Y, face)), face)
-
-
 def _coeff_state(U, V):
     """The coefficient state V of the acted-on state U (U when V is None)."""
     V = U if V is None else np.asarray(V, dtype=np.float64)
@@ -178,59 +231,29 @@ def _coeff_grid_state(model: ModelSpec, grid: Grid, V) -> np.ndarray:
     return V
 
 
-def _residual(model: ModelSpec, grid: Grid, ops, spatial: np.ndarray, A: tuple,
-              S: np.ndarray, sat=None, forcing=None, flux_sign=-2.0) -> Residual:
-    """Completes the spatial part acting on S: the SAT on S, the forcing,
-    and R = spatial - SAT - forcing; the face terms of A on S wait for
-    their first read."""
-    sat_field = build_sat(model, grid, ops, S, sat)
-    R = spatial
-    if sat_field is not None:
-        R = R - sat_field
-    if forcing is not None:
-        R = R - np.asarray(forcing, dtype=np.float64)
-    return Residual(R, spatial, sat_field, grid, ops, A, S, flux_sign)
-
-
-def skew_evaluator(model: ModelSpec, grid: Grid, ops, V: np.ndarray):
-    """The residual evaluator residual(U, sat=None, forcing=None, dual=False)
-    of the skew form with coefficients at the fixed state V, whose tables
-    are built here, once.  With dual it evaluates the dual residual
-    -[ (A_i U)_{x_i} + A_i^T U_{x_i} + C U ], whose flux sign is +2."""
+def skew_evaluator(model: ModelSpec, grid: Grid, ops, V: np.ndarray) -> Operator:
+    """The Operator of the skew form with coefficients at the fixed state V,
+    whose tables A and C are built here, once.  Its call with dual
+    evaluates the dual residual at V, whose flux sign is +2."""
     A, C = coeff_matrices(model, _coeff_grid_state(model, grid, V), grid.positions)
-
-    def residual(U, sat=None, forcing=None, dual=False) -> Residual:
-        U = np.asarray(U, dtype=np.float64)
-        spatial = _assemble(grid, ops, A, C, U)
-        return _residual(model, grid, ops, -spatial if dual else spatial, A, U, sat,
-                         forcing, 2.0 if dual else -2.0)
-
-    return residual
+    return Operator(model, grid, ops, A, partial(_assemble, grid, ops, A, C))
 
 
 def eval_primal_residual(model: ModelSpec, grid: Grid, ops, U: np.ndarray,
                          V: np.ndarray | None = None, sat=None, forcing=None) -> Residual:
-    """Evaluates the primal residual of the skew form acting on U with the
-    coefficients evaluated at V.
-
-    Args:
-        U: the acted-on state (the perturbation of a linearisation).
-        V: the coefficient state, of U's shape; None evaluates the
-           coefficients at U (the nonlinear residual).
-        sat: optional faces resolved by boundary.make_sat_config.
-        forcing: optional forcing field F.
-    """
+    """skew_evaluator(V)(U, sat, forcing): the primal residual of the skew
+    form acting on U (the perturbation of a linearisation) with coefficients
+    at V, of U's shape; V None evaluates them at U (the nonlinear residual).
+    sat holds faces resolved by boundary.make_sat_config."""
     return skew_evaluator(model, grid, ops, _coeff_state(U, V))(U, sat, forcing)
 
 
 def eval_dual_residual(model: ModelSpec, grid: Grid, ops, Phi: np.ndarray,
                        V: np.ndarray | None = None, sat=None, forcing=None) -> Residual:
-    """Evaluates the dual residual -[ (A_i Phi)_{x_i} + A_i^T Phi_{x_i} + C Phi ].
-
-    The coefficients are evaluated at V.  With V None they are evaluated at
-    Phi itself (the self-adjoint case), and the spatial part is exactly the
-    negated primal spatial part at the same state.
-    """
+    """skew_evaluator(V)(Phi, sat, forcing, dual=True): the dual residual
+    -[ (A_i Phi)_{x_i} + A_i^T Phi_{x_i} + C Phi ] with coefficients at V.
+    With V None they are evaluated at Phi itself (the self-adjoint case), and
+    the spatial part is exactly the negated primal one at the same state."""
     return skew_evaluator(model, grid, ops, _coeff_state(Phi, V))(Phi, sat, forcing, True)
 
 
@@ -280,31 +303,30 @@ def eval_remainder_H(
     return _assemble(grid, ops, A_prime, C_prime, U_prime)
 
 
-def standard_evaluator(model: ModelSpec, grid: Grid, ops, V: np.ndarray):
-    """The residual evaluator residual(U_prime, sat=None, forcing=None) of
-    the textbook advective linearisation about the fixed mean V, whose
-    tables M, N and M_ax / 2 are built here, once.
+def standard_evaluator(model: ModelSpec, grid: Grid, ops, V: np.ndarray) -> Operator:
+    """The Operator of the textbook advective linearisation about the fixed
+    mean V, whose tables M, N and M_ax / 2 are built here, once.
 
     Supported for burgers1d and swe2d only.  V is in state variables, as
     for every residual.  For swe2d the perturbation q' is primitive
     (phi, u, v) and the operator is M1 d_x q' + M2 d_y q' + N q' at the
     primitive mean swe_inverse(V), N collecting the mean-gradient and
-    Coriolis zero-order terms.  This operator is not in skew form; its
-    face_terms use the transport matrices M_ax / 2 and are bookkeeping only.
+    Coriolis zero-order terms.  This operator is not in skew form: its
+    face terms use the transport matrices M_ax / 2 and are bookkeeping
+    only, and its call is meant without dual, which belongs to the skew form.
     """
     M, N = _standard_matrices(model, grid, ops, _coeff_grid_state(model, grid, V))
     half = tuple({key: 0.5 * field for key, field in M_ax.items()} for M_ax in M)
+    return Operator(model, grid, ops, half, partial(_advect, grid, ops, M, N))
 
-    def residual(U_prime, sat=None, forcing=None) -> Residual:
-        U_prime = np.asarray(U_prime, dtype=np.float64)
-        lead = _lead(grid, U_prime)
-        spatial = np.zeros(U_prime.shape)
-        for ax in range(grid.dim):
-            matfield_apply(M[ax], apply_derivative(ops[ax], U_prime, lead + ax), out=spatial)
-        matfield_apply(N, U_prime, out=spatial)
-        return _residual(model, grid, ops, spatial, half, U_prime, sat, forcing)
 
-    return residual
+def _advect(grid: Grid, ops, M: tuple, N: dict, W: np.ndarray) -> np.ndarray:
+    """sum_ax M_ax D_ax W + N W, added in this order into a +0.0 field."""
+    lead = _lead(grid, W)
+    spatial = np.zeros(W.shape)
+    for ax in range(grid.dim):
+        matfield_apply(M[ax], apply_derivative(ops[ax], W, lead + ax), out=spatial)
+    return matfield_apply(N, W, out=spatial)
 
 
 def _standard_matrices(model: ModelSpec, grid: Grid, ops, V: np.ndarray):
@@ -334,33 +356,8 @@ def _standard_matrices(model: ModelSpec, grid: Grid, ops, V: np.ndarray):
     return M, N
 
 
-def bilinear_face_functional(
-    model: ModelSpec,
-    grid: Grid,
-    ops,
-    U: np.ndarray,
-    Phi: np.ndarray,
-    V: np.ndarray,
-):
-    """Boundary functional pairing primal and dual solutions (a float, or
-    one value per batch element).
-
-    Returns sum over axes and faces of
-    bq(Phi, A_ax U) + bq(A_ax Phi, U) with coefficients at V, which equals
-    ip(Phi, R_primal(U; V)) - ip(U, R_dual_spatial(Phi; V)) up to roundoff
-    and collapses to twice the energy-identity flux at Phi = U.  The
-    tables are evaluated on the face layers of V only, after V is checked
-    on every node.
-    """
-    U, Phi = (np.asarray(X, dtype=np.float64) for X in (U, Phi))
-    V = _coeff_state(U, V)
-    check_admissible(model, V)
-    total = 0.0
-    # One face's tables serve both terms; bq is symmetric bit for bit, so
-    # bq(A_ax Phi, U) = bq(U, A_ax Phi).
-    for face in faces(grid):
-        A, _ = coeff_matrices(model, face_layer(grid, V, face),
-                              tuple(face_layer(grid, p, face) for p in grid.positions))
-        total += _face_term(grid, ops, A[face[0]], Phi, U, face)
-        total += _face_term(grid, ops, A[face[0]], U, Phi, face)
-    return total
+def bilinear_face_functional(model: ModelSpec, grid: Grid, ops, U: np.ndarray,
+                             Phi: np.ndarray, V: np.ndarray):
+    """skew_evaluator(V).face_functional(U, Phi): the boundary functional
+    pairing primal and dual solutions with coefficients at V."""
+    return skew_evaluator(model, grid, ops, _coeff_state(U, V)).face_functional(U, Phi)

@@ -41,7 +41,6 @@ from .sbp_core import (
     make_grid,
 )
 from .spatial_op import (
-    bilinear_face_functional,
     eval_new_linearised_pair,
     eval_primal_residual,
     eval_remainder_H,
@@ -222,19 +221,18 @@ def check_duality(kinds=MODEL_KINDS, trials: int = 50,
 
         # Bilinear identity at frozen coefficients V (C terms cancel
         # pairwise; Coriolis included for swe2d): one operator at V gives the
-        # primal at U and the dual at Phi.  Only the spatial parts are kept,
-        # so the group's tables at V go with the operator.
+        # primal at U, the dual at Phi and both face functionals.  Only the
+        # spatial parts are kept, so the group's tables at V go with it.
         at_V = skew_evaluator(model, grid, ops, V)
         primal, dual = at_V(U).spatial, at_V(Phi, dual=True).spatial
+        rhs, rhs_e = at_V.face_functional(U, Phi), at_V.face_functional(U, U)
         del at_V
         lhs = inner_product(grid, ops, Phi, primal) - inner_product(grid, ops, U, dual)
-        rhs = bilinear_face_functional(model, grid, ops, U, Phi, V)
         scale = 1.0 + abs(lhs) + abs(rhs)
         out.append(_cases(abs(lhs - rhs) / scale, metas, case="bilinear_frozen"))
 
         # Specialisation Phi = U halves to the energy identity.
         lhs_e = 2.0 * inner_product(grid, ops, U, primal)
-        rhs_e = bilinear_face_functional(model, grid, ops, U, U, V)
         scale_e = 1.0 + abs(lhs_e) + abs(rhs_e)
         out.append(_cases(abs(lhs_e - rhs_e) / scale_e, metas, case="bilinear_diagonal"))
 

@@ -553,9 +553,10 @@ def test_a_stack_of_trials_gives_each_trials_bits(kind, order, periodic):
 @pytest.mark.parametrize("order", ORDERS, ids=["21", "42"])
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_face_functional_builds_its_tables_on_the_face_layers(kind, order, monkeypatch):
-    # One coeff_matrices call per face, handed that face's layer of V and of
-    # the positions; the value keeps the bits of full-grid tables whose
-    # products are read at the faces, for a single state and a stack of two.
+    # An operator makes one coeff_matrices call, on the full grid; its face
+    # terms and face functional read the face layers of those tables and
+    # build none.  Both keep the bits of full-grid tables whose products are
+    # read at the faces, for a single state and a stack of two.
     m = make_model(kind) if kind != "swe2d" else make_model(
         "swe2d", alpha=0.4, beta=0.7, f0=0.7, f1=0.3)
     extents, shape = _BATCH_GRIDS[kind]
@@ -573,25 +574,32 @@ def test_face_functional_builds_its_tables_on_the_face_layers(kind, order, monke
         U, V = (sample_state(m, batch + shape, rng) for _ in range(2))
         Phi = rng.normal(size=U.shape)
         A, _ = coeff_matrices(m, V, g.positions)
-        want = 0.0
+        want, want_terms = 0.0, {}
         for face in faces(g):
             A_ax = densify(A[face[0]], m.n_comp, batch + shape)
             for X, Y in ((Phi, U), (U, Phi)):
-                want += boundary_quadrature(g, ops, face_layer(g, X, face),
-                                            face_layer(g, dense_matfield(A_ax, Y), face), face)
+                term = boundary_quadrature(g, ops, face_layer(g, X, face),
+                                           face_layer(g, dense_matfield(A_ax, Y), face), face)
+                want += term
+            want_terms[face_label(g, face)] = term
         calls.clear()
+        operator = skew_evaluator(m, g, ops, V)
+        got = operator.face_functional(U, Phi)
+        terms = operator.face_terms(U, Phi)
+        assert calls == [(V.shape, [p.shape for p in g.positions])]
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert list(terms) == list(want_terms)
+        for label, term in terms.items():
+            assert np.asarray(term).tobytes() == np.asarray(want_terms[label]).tobytes()
         got = bilinear_face_functional(m, g, ops, U, Phi, V)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-        assert calls == [(face_layer(g, V, face).shape, [face_layer(g, p, face).shape
-                                                         for p in g.positions])
-                         for face in faces(g)]
 
-    # no faces, no tables; an inadmissible V is refused on any node
+    # no faces, no face terms; an inadmissible V is refused on any node
     gp = make_grid(extents, shape, periodic=(True,) * g.dim, axis_names=m.axis_names)
     U, V = (sample_state(m, shape, rng) for _ in range(2))
-    calls.clear()
+    operator = skew_evaluator(m, gp, build_operators(gp, order), V)
+    assert operator.face_functional(U, U) == 0.0 and operator.face_terms(U, U) == {}
     assert bilinear_face_functional(m, gp, build_operators(gp, order), U, U, V) == 0.0
-    assert calls == []
     V[(0,) + (2,) * g.dim] = 0.0 if kind == "swe2d" else np.nan
     for grid in (g, gp):
         with pytest.raises(ValueError, match="depth|non-finite"):

@@ -42,22 +42,15 @@ def test_duality_check_passes():
 
 
 def test_duality_check_evaluates_each_dual_residual_once(monkeypatch):
-    from skewform import energy
+    # every dual evaluation, by any path, goes through an operator's call
+    from skewform import spatial_op
     calls = []
 
-    def counted(*args, _fn=energy.eval_dual_residual, **kwargs):
-        calls.append(np.shape(args[3])[1])
-        return _fn(*args, **kwargs)
-    monkeypatch.setattr(energy, "eval_dual_residual", counted)
-
-    def counted_operator(model, grid, ops, V, _build=verify.skew_evaluator):
-        operator = _build(model, grid, ops, V)
-        def residual(U, *args, dual=False, **kwargs):
-            if dual:
-                calls.append(np.shape(U)[1])
-            return operator(U, *args, dual=dual, **kwargs)
-        return residual
-    monkeypatch.setattr(verify, "skew_evaluator", counted_operator)
+    def counted(op, U, *args, _call=spatial_op.Operator.__call__, dual=False, **kwargs):
+        if dual:
+            calls.append(np.shape(U)[1])
+        return _call(op, U, *args, dual=dual, **kwargs)
+    monkeypatch.setattr(spatial_op.Operator, "__call__", counted)
     # two burgers1d states of 33 nodes per group: 3 trials run as 2 groups
     monkeypatch.setattr(verify, "_GROUP_VALUES", 2 * 33)
     rep = check_duality(kinds=("burgers1d",), trials=3, seed=2, orders=((2, 1),))
@@ -68,9 +61,9 @@ def test_duality_check_evaluates_each_dual_residual_once(monkeypatch):
 
 
 def test_duality_check_builds_one_operator_per_coefficient_state(monkeypatch):
-    # per group one full-grid table build at V and one at Phi, where each
-    # of the four residuals used to build its own; 9 trials make one group
-    # per kind and order here (the face functional's face-layer tables aside)
+    # per group exactly two table builds, one at V and one at Phi: the
+    # operator at V also gives both face functionals.  9 trials make one
+    # group per kind and order here.
     from skewform import spatial_op
     shapes = []
     build = spatial_op.coeff_matrices
@@ -81,8 +74,7 @@ def test_duality_check_builds_one_operator_per_coefficient_state(monkeypatch):
     monkeypatch.setattr(spatial_op, "coeff_matrices", recorded)
     rep = check_duality(kinds=("burgers1d", "euler2d"), trials=9, seed=0)
     assert rep.passed
-    full = [s for s in shapes if s[-1] == 33 or s[-2:] == (17, 17)]
-    assert full == [(1, 9, 33)] * 2 * 2 + [(3, 9, 17, 17)] * 2 * 2
+    assert shapes == [(1, 9, 33)] * 2 * 2 + [(3, 9, 17, 17)] * 2 * 2
 
 
 def test_a_nan_residual_is_the_worst_and_fails_the_check():
