@@ -399,6 +399,29 @@ x_low = bogus g=1
 """
 
 
+def _cyl_identity(mode: str) -> str:
+    """An euler3d_cyl identity run of three trials in the given [identity]
+    mode, on an annulus periodic in z."""
+    return f"""\
+[model]
+kind = euler3d_cyl
+
+[grid]
+extents = 0.3,1.3 / 0,1 / 0,1
+shape = 9 / 9 / 9
+periodic = false / false / true
+
+[scheme]
+order = 4,2
+mode = identity
+
+[identity]
+trials = 3
+seed = 2
+mode = {mode}
+"""
+
+
 def _run(name: str, text: str) -> tuple:
     """The row of a case that runs the config text, written as name.cfg."""
     return ["run", "--config", f"{name}.cfg"], {f"{name}.cfg": text}
@@ -599,6 +622,11 @@ CASES = {
     "run_swe_frozen_dry": _run("swe_frozen_dry", SWE_FROZEN_DRY_CFG),
     # The one swe2d dual march with a fixed coefficient state.
     "run_swe_dual_mean": _run("swe_dual_mean", SWE_DUAL_MEAN_CFG),
+    # euler3d_cyl identity runs at a fixed coefficient state and as the dual,
+    # which no bundled scenario runs: the radius enters the coefficient tables
+    # and the norm weight through the grid's positions.
+    **{f"run_cyl_identity_{mode}": _run(f"cyl_identity_{mode}", _cyl_identity(mode))
+       for mode in ("frozen", "dual")},
 }
 
 

@@ -283,8 +283,7 @@ def build_field(cfg, section, model, grid):
                     )
                 fn = np.sin if name == "sin" else np.cos
                 # one value per coordinate of the axis, broadcast into wave
-                x = grid.coords[ax].reshape((-1,) + (1,) * (grid.dim - 1 - ax))
-                wave = wave * fn(2.0 * np.pi * _number(k, where, int) * x)
+                wave = wave * fn(2.0 * np.pi * _number(k, where, int) * grid.positions[ax])
             comps.append(offset + amp * wave)
         else:
             raise ConfigError(

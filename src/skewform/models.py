@@ -25,7 +25,8 @@ zero at every state, so no dense tensor is built; dense_matrix expands one
 point's table where a linear-algebra routine needs the whole matrix.  A
 table stores each distinct field once: keys that repeat a field share its
 view, a constant entry is a 0-d float64, and an entry that depends on the
-coordinates only is a compact profile; both broadcast to every node.
+coordinates only keeps the shape of its Grid.positions axis; both broadcast
+to every node.
 """
 
 from __future__ import annotations
@@ -140,8 +141,8 @@ def coeff_matrices(model: ModelSpec, V, pos=None):
         swe2d's (2,2), euler3d_cyl's r/2 at four keys).  A constant entry is
         a 0-d float64 (the euler +-0.5, swe2d's f0 when f1 = 0).  swe2d's
         Coriolis entries f = f0 + f1 y and -f with f1 nonzero depend on the
-        coordinates only: they are y-profiles at the compact shape of pos[1]
-        ((1, n_y) for a Grid.positions view), outside the block.  The block
+        coordinates only: they are y-profiles at the shape of pos[1]
+        ((1, n_y) for Grid.positions), outside the block.  The block
         holds 1, 2, 6 and 8 slots for burgers1d, euler2d, euler3d_cyl and
         swe2d, where the tables hold 1, 8, 19 and 12 entries.  The radius
         stays a slot: the face terms cut the A tables to face layers.
@@ -183,14 +184,6 @@ def _slots(V, n: int) -> list:
 def _const(value: float) -> np.ndarray:
     """A constant entry: one 0-d float64 for every node."""
     return np.asarray(value, dtype=np.float64)
-
-
-def _profile(p) -> np.ndarray:
-    """The coordinates p at their compact shape: the first index of every
-    axis along which p repeats itself with stride 0 (a Grid.positions
-    view), the axis kept, so the profile broadcasts back to p's values."""
-    p = np.asarray(p, dtype=np.float64)
-    return p[(*(slice(None) if st else slice(0, 1) for st in p.strides), ...)]
 
 
 def _write_burgers1d(model, V, pos):
@@ -241,10 +234,9 @@ def _write_swe2d(model, V, pos):
     if model.f1 == 0.0:
         f, minus_f = _const(model.f0), _const(-model.f0)
     else:
-        y = _profile(pos[1])
-        profiles = np.empty((2,) + y.shape)
+        profiles = np.empty((2,) + np.shape(pos[1]))
         f, minus_f = profiles[0, ...], profiles[1, ...]
-        np.multiply(model.f1, y, out=f)
+        np.multiply(model.f1, pos[1], out=f)
         np.add(model.f0, f, out=f)
         np.negative(f, out=minus_f)
     return (({(0, 0): a1, (0, 1): b1, (1, 0): c1, (1, 1): ux, (2, 2): ux},
@@ -276,7 +268,7 @@ def norm_weight(model: ModelSpec, grid: Grid) -> np.ndarray:
     if model.kind in ("euler2d", "euler3d_cyl"):
         W[-1] = 0.0
     if model.kind == "euler3d_cyl":
-        W[:3] *= grid.coords[0].reshape((grid.shape[0], 1, 1))
+        W[:3] *= grid.positions[0]
     return W
 
 

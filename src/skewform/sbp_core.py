@@ -182,6 +182,8 @@ def build_sbp_operator(
         raise ValueError(f"unsupported accuracy {order}; try (2, 1) or (4, 2)")
     if not h > 0.0:
         raise ValueError(f"spacing must be positive, got {h}")
+    if not math.isfinite(h):
+        raise ValueError(f"spacing must be finite, got {h}")
     half = _HALF_WIDTH[order]
     stencil = _INTERIOR[order]
     min_nodes = 2 * half + 1 if periodic else _MIN_NODES[order]
@@ -291,13 +293,10 @@ class Grid:
 
     @cached_property
     def positions(self) -> tuple[np.ndarray, ...]:
-        """Per-axis coordinate arrays of the full grid shape: read-only
-        views of the 1D coords, broadcast with stride 0 along every other
-        axis, so no full-grid array is allocated."""
-        return tuple(
-            np.broadcast_to(c.reshape([-1 if a == ax else 1 for a in range(self.dim)]),
-                            self.shape)
-            for ax, c in enumerate(self.coords))
+        """The sparse open mesh of the coords: per axis a view of its 1D
+        coords (read-only: make_grid freezes them), of length 1 on every
+        other axis, which broadcasts to the grid shape."""
+        return tuple(np.meshgrid(*self.coords, indexing="ij", sparse=True, copy=False))
 
 
 _DEFAULT_AXES = {1: ("x",), 2: ("x", "y"), 3: ("x", "y", "z")}
@@ -338,6 +337,9 @@ def make_grid(
     for ax in range(dim):
         lo, hi = extents[ax]
         n = shape[ax]
+        if not math.isfinite(hi - lo):
+            raise ArgumentError("extents", f"axis {axis_names[ax]}: extent [{lo}, {hi}]"
+                                " has no finite length")
         if not hi > lo:
             raise ArgumentError("extents", f"axis {axis_names[ax]}: extent [{lo}, {hi}]"
                                 " is empty")
@@ -349,6 +351,7 @@ def make_grid(
         else:
             h = (hi - lo) / (n - 1)
             x = np.linspace(lo, hi, n)
+        x.flags.writeable = False
         spacings.append(float(h))
         coords.append(x)
     return Grid(

@@ -264,7 +264,6 @@ def eval_new_linearised_pair(
     U_bar: np.ndarray,
     U_prime: np.ndarray,
     sat_mean=None,
-    sat_pert=None,
     forcing=None,
 ) -> tuple[Residual, Residual]:
     """Mean and perturbation residuals of the non-standard linearisation.
@@ -273,13 +272,14 @@ def eval_new_linearised_pair(
     and applies them to the mean; the perturbation equation evaluates them
     at the mean and applies them to the perturbation.  Together with the
     remainder H these reproduce the full nonlinear residual at the total
-    state up to roundoff.  forcing applies to the mean equation.
+    state up to roundoff.  sat_mean and forcing apply to the mean equation;
+    the perturbation equation is left open (no SAT).
     """
     U_bar = np.asarray(U_bar, dtype=np.float64)
     U_prime = np.asarray(U_prime, dtype=np.float64)
     res_mean = eval_primal_residual(model, grid, ops, U_bar, U_bar + U_prime, sat_mean,
                                     forcing)
-    res_pert = eval_primal_residual(model, grid, ops, U_prime, U_bar, sat_pert)
+    res_pert = eval_primal_residual(model, grid, ops, U_prime, U_bar)
     return res_mean, res_pert
 
 
@@ -349,7 +349,7 @@ def _standard_matrices(model: ModelSpec, grid: Grid, ops, V: np.ndarray):
 
     f = model.f0
     if model.f1 != 0.0:  # a y-profile, broadcast along x
-        f = model.f0 + model.f1 * grid.coords[1]
+        f = model.f0 + model.f1 * grid.positions[1]
     N = {(0, 0): dqx[1] + dqy[2], (0, 1): dqx[0], (0, 2): dqy[0],
          (1, 1): dqx[1], (1, 2): dqy[1] - f,
          (2, 1): dqx[2] + f, (2, 2): dqy[2]}

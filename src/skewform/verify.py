@@ -286,7 +286,7 @@ def check_swe_ansatz(levels=(16, 32, 64), seed: int = 0,
                     grid = make_grid(extents, (n, n), periodic=(True, True),
                                      axis_names=model.axis_names)
                     ops = build_operators(grid, order)
-                    x, y = np.meshgrid(*grid.coords, indexing="ij")
+                    x, y = grid.positions
                     phi = 1.0 + 0.3 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
                     u = np.cos(2 * np.pi * x)
                     v = np.sin(2 * np.pi * y)

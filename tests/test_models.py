@@ -103,7 +103,7 @@ def test_swe_pinned_coefficient_and_coriolis_skewness():
     # C + C^T = 0 exactly, with f = f0 + f1*y entering the (1,2) block
     CT = np.swapaxes(C, 0, 1)
     assert np.array_equal(C + CT, np.zeros_like(C))
-    assert np.array_equal(C[2, 1], 0.7 + 0.3 * pos[1])
+    assert np.array_equal(C[2, 1], np.broadcast_to(0.7 + 0.3 * pos[1], (2, 2)))
 
 
 def test_swe_with_linear_coriolis_needs_positions():
@@ -137,7 +137,7 @@ def test_cylindrical_norm_weight_carries_the_radius():
     g = make_grid(((0.3, 1.3), (0.0, 1.0), (0.0, 1.0)), (4, 4, 4),
                   periodic=(False, False, True), axis_names=m.axis_names)
     W = norm_weight(m, g)
-    R = g.positions[0]
+    R = np.broadcast_to(g.positions[0], g.shape)
     assert W.shape == (4, 4, 4, 4)
     for c in range(3):
         assert np.array_equal(W[c], R)
@@ -350,7 +350,7 @@ def test_pattern_covers_every_coefficient_entry(kind):
     # row-major and the same at every state.  Each distinct field of the
     # state is one slot of a packed block, held as one view by every key
     # that repeats it, a constant entry is a 0-d float64, and swe2d's
-    # Coriolis entries are y-profiles of the grid's broadcast positions.
+    # Coriolis entries are y-profiles of the grid's sparse positions.
     for name in (kind, "swe2d_f0") if kind == "swe2d" else (kind,):
         m = layout_model(name)
         slots, want_shared, want_constants, want_profiles = _LAYOUTS[name]
@@ -391,7 +391,8 @@ def test_point_state_tables_match_the_grid_at_that_node(kind):
     V = sample_state(m, shape, np.random.default_rng(42))
     node = (1,) * m.dim
     A, C = coeff_matrices(m, V, pos)
-    Ap, Cp = coeff_matrices(m, V[(slice(None),) + node], tuple(p[node] for p in pos))
+    Ap, Cp = coeff_matrices(m, V[(slice(None),) + node],
+                            tuple(np.broadcast_to(p, shape)[node] for p in pos))
     constants = table_layout(A, C)[2]
     entries = {}
     for t, (M, Mp) in enumerate([*zip(A, Ap), (C, Cp)]):
@@ -484,7 +485,7 @@ def test_tables_keep_the_reference_bits(kind, params):
     # 0-d point states, one of them at a signed zero of every velocity
     for node in ((0,) * m.dim, (1,) * m.dim, tuple(n - 1 for n in g.shape)):
         Vp = V[(slice(None),) + node]
-        pos_p = tuple(p[node] for p in pos)
+        pos_p = tuple(np.broadcast_to(p, g.shape)[node] for p in pos)
         Ap, Cp = coeff_matrices(m, Vp, pos_p)
         A_ref, C_ref = reference_coefficients(m, Vp, pos_p)
         assert table_bytes((*Ap, Cp), ()) == reference_bytes((*A_ref, C_ref), ())

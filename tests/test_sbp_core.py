@@ -9,6 +9,7 @@ import sympy
 
 from skewform import sbp_core
 from skewform.sbp_core import (
+    ArgumentError,
     apply_derivative,
     boundary_quadrature,
     build_operators,
@@ -160,6 +161,20 @@ def test_unsupported_order_is_rejected():
     for h in (0.0, -0.1):
         with pytest.raises(ValueError, match=f"^spacing must be positive, got {h}$"):
             build_sbp_operator((2, 1), 12, h)
+
+
+def test_non_finite_grid_input_is_refused():
+    # A non-finite end, or a span that overflows, has no finite length; a
+    # finite extent with hi <= lo keeps its own reason.
+    for lo, hi in ((0.0, np.inf), (np.nan, 1.0), (-np.inf, 0.0), (np.inf, np.inf),
+                   (-1e308, 1e308)):
+        with pytest.raises(ArgumentError, match="has no finite length$") as err:
+            make_grid(((0.0, 1.0), (lo, hi)), (5, 5))
+        assert err.value.arg == "extents" and str(err.value).startswith("axis y:")
+    with pytest.raises(ArgumentError, match=r"^axis x: extent \[1.0, 0.0\] is empty$"):
+        make_grid(((1.0, 0.0),), (5,))
+    with pytest.raises(ValueError, match="^spacing must be finite, got inf$"):
+        build_sbp_operator((2, 1), 5, np.inf)
 
 
 def test_grid_spacing_conventions():
@@ -549,16 +564,18 @@ def test_apply_derivative_rejects_a_bad_axis():
 def test_grid_positions():
     g = make_grid(((0.0, 1.0), (0.0, 2.0)), (5, 6))
     X, Y = g.positions
-    assert X.shape == (5, 6) and Y.shape == (5, 6)
+    assert X.shape == (5, 1) and Y.shape == (1, 6)
+    X, Y = (np.broadcast_to(p, g.shape) for p in g.positions)
     assert X[2, 0] == g.coords[0][2]
     assert Y[0, 3] == g.coords[1][3]
     want = np.meshgrid(*g.coords, indexing="ij")
-    assert all(p.tobytes() == w.tobytes() for p, w in zip(g.positions, want))
+    assert all(np.broadcast_to(p, g.shape).tobytes() == w.tobytes()
+               for p, w in zip(g.positions, want))
 
 
 def test_grid_positions_are_read_only_views_of_the_coordinates():
-    # No full-grid array: each axis's positions repeat its 1D coordinates
-    # with stride 0 along every other axis.
+    # No full-grid array: each axis's positions are its 1D coordinates,
+    # of length 1 along every other axis (the sparse open mesh).
     g = make_grid(((0.0, 1.0), (0.0, 2.0), (1.0, 3.0)), (64, 32, 48),
                   periodic=(False, True, False))
     tracemalloc.start()
@@ -567,11 +584,14 @@ def test_grid_positions_are_read_only_views_of_the_coordinates():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 64 * 32 * 48 / 16, peak
+    assert peak < 8 * 64 * 32 * 48 / 16 and peak < 16 * sum(g.shape), peak
     for ax, p in enumerate(pos):
-        assert p.shape == g.shape and not p.flags.writeable
+        assert p.shape == tuple(n if a == ax else 1 for a, n in enumerate(g.shape))
+        assert not p.flags.writeable and not g.coords[ax].flags.writeable
         assert np.shares_memory(p, g.coords[ax])
-        assert [st == 0 for st in p.strides] == [a != ax for a in range(3)]
+    with pytest.raises(ValueError, match="read-only"):
+        pos[0][0, 0, 0] = 1.0
     assert g.positions is pos
-    # a face layer is a view too
-    assert face_layer(g, pos[2], (0, "high")).strides == (0, 8)
+    # a face layer of the positions broadcast to the grid is a view too
+    layer = face_layer(g, np.broadcast_to(pos[2], g.shape), (0, "high"))
+    assert layer.strides == (0, 8) and np.shares_memory(layer, g.coords[2])

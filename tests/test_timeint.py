@@ -4,10 +4,12 @@ import hashlib
 import tracemalloc
 import weakref
 from dataclasses import replace
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import sympy
 
 import skewform as sk
 from skewform import energy, models, spatial_op, timeint
@@ -340,6 +342,75 @@ def test_default_characteristic_closure_converges_and_superconverges_its_functio
     l2_orders, J_orders = np.log2(l2[:-1] / l2[1:]), np.log2(J[:-1] / J[1:])
     assert J_orders[-1] >= 3.7, J_orders
     assert (l2_orders >= 2.8).all(), l2_orders
+
+
+def swe_mms(f0, f1):
+    """Callables (t, x, y) -> the three transformed components of a smooth
+    periodic manufactured swe2d solution (depth 1 +- 0.2) and of its
+    forcing F = U_t + calA(U) U_x + calB(U) U_y + C U.  F comes from the
+    primitive shallow water equations with the Coriolis term f = f0 + f1 y,
+    taken to (phi, sqrt(phi) u, sqrt(phi) v) by the Jacobian of that map,
+    so no coefficient table of the package enters it."""
+    t, x, y = sympy.symbols("t x y")
+    k, fifth = 2 * sympy.pi, sympy.Rational(1, 5)
+    phi = 1 + fifth * sympy.sin(k * x - t) * sympy.cos(k * y)
+    u = sympy.Rational(3, 10) + fifth * sympy.cos(k * y + t) * sympy.sin(k * x)
+    v = fifth * sympy.sin(k * (x + y) - t)
+    f, d = f0 + f1 * y, sympy.diff
+    mass = d(phi, t) + d(phi * u, x) + d(phi * v, y)
+    mom_u = d(u, t) + u * d(u, x) + v * d(u, y) + d(phi, x) - f * v
+    mom_v = d(v, t) + u * d(v, x) + v * d(v, y) + d(phi, y) + f * u
+    root = sympy.sqrt(phi)
+    exact = (phi, root * u, root * v)
+    F = (mass, u / (2 * root) * mass + root * mom_u, v / (2 * root) * mass + root * mom_v)
+    return (sympy.lambdify((t, x, y), exact, "numpy"),
+            sympy.lambdify((t, x, y), F, "numpy"))
+
+
+def test_periodic_swe_march_converges_to_a_manufactured_solution():
+    # Nonlinear swe2d on periodic 16^2 and 32^2 to T = 0.2 at dt = 0.1h,
+    # forced by swe_mms: L2 (P-norm) orders 2.01 for (2,1) and 3.95 for
+    # (4,2) on this pair (2.00 and 3.99 on 32 -> 64), asserted at 0.1 and
+    # 0.3 below the interior orders 2 and 4.
+    m = make_model("swe2d", alpha=0.4, beta=0.7, f0=0.7, f1=0.3)
+    exact, forcing = swe_mms(m.f0, m.f1)
+    t_final = 0.2
+
+    def at(fn, g, t):
+        return np.stack([np.broadcast_to(c, g.shape) for c in fn(t, *g.positions)])
+
+    for order, least in (((2, 1), 1.9), ((4, 2), 3.7)):
+        errors = []
+        for n in (16, 32):
+            g = make_grid(((0.0, 1.0), (0.0, 1.0)), (n, n), periodic=(True, True))
+            ops = build_operators(g, order)
+            sc = Scenario(model=m, grid=g, ops=ops, mode="nonlinear", initial=at(exact, g, 0.0),
+                          forcing=partial(at, forcing, g), dt=0.1 * g.spacings[0],
+                          t_final=t_final, stride=10 ** 9)
+            e = march(sc)[1] - at(exact, g, t_final)
+            errors.append(np.sqrt(inner_product(g, ops, e, e)))
+        assert np.log2(errors[0] / errors[1]) >= least, (order, errors)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the characteristic closure picks its faces from the acted-on"
+                          " state, not from V")
+def test_frozen_characteristic_closure_keeps_the_energy_bounded():
+    # Frozen (4,2) burgers at V = 1 with homogeneous characteristic data on
+    # both faces: the inflow face x_low is where V flows in, so a closure
+    # at V bounds E.  The penalty picks its faces from U = -exp(-50 x^2),
+    # which flows out at x_low, so sat_contribution is 0.0 at the last
+    # report while the x_low flux is +0.616, and E grows from 0.0886 to
+    # 0.1212; the volume residual stays at rounding, so no identity check
+    # sees it.
+    m, g, ops = burgers_setup(n=33, periodic=False)
+    sat = make_sat_config(m, g, {face: {"kind": "characteristic", "g": 0.0}
+                                 for face in ("x_low", "x_high")})
+    U0 = -np.exp(-50.0 * g.coords[0] ** 2)[None]
+    reports, _ = march(Scenario(model=m, grid=g, ops=ops, mode="frozen", initial=U0,
+                                mean=np.ones_like(U0), sat=sat, dt=1e-3, t_final=0.05))
+    assert all(r.energy <= reports[0].energy for r in reports), \
+        (reports[0].energy, reports[-1].energy)
 
 
 def test_dual_march_retraces_the_primal_trajectory():
