@@ -28,13 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelSpec, check_admissible, coeff_matrices, dense_matrix, with_params
+from .models import (ModelSpec, check_admissible, coeff_matrices, dense_matrix, make_model,
+                     with_params)
 from .sbp_core import Grid, face_label, face_layer
 
-# Non-glancing thresholds for the rewritten formulation and the
-# two-condition SAT.
+# Non-glancing threshold of the rewritten formulation and the two-condition SAT.
 DELTA_N = 1e-8
-DELTA_1 = 1e-8
+# The spec whose admissible set a bare swe2d face state is checked against.
+_SWE2D = make_model("swe2d")
 
 
 @dataclass(frozen=True)
@@ -225,15 +226,14 @@ def swe_rewritten_contraction(U, normal) -> float:
     ((U_n^2+U1^2)^2 + (U_n U_tau)^2 - U1^4) / (2 U_n sqrt(U1)).
 
     Equals the plain contraction u_n (U1^2 + (U2^2+U3^2)/2) identically;
-    raises on glancing states |U_n| < DELTA_N.
+    raises on inadmissible states and on glancing ones, |U_n| < DELTA_N.
     """
+    check_admissible(_SWE2D, U)
     U = np.asarray(U, dtype=np.float64)
     un, utau = swe_normal_tangential(U, normal)
     if abs(float(un)) < DELTA_N:
         raise ValueError(f"glancing face state: |U_n| = {abs(float(un))} < {DELTA_N}")
     root = np.sqrt(U[0])
-    if root < DELTA_1:
-        raise ValueError("degenerate depth at the face")
     a2 = un * un + U[0] * U[0]
     a3 = un * utau
     return float((a2 * a2 + a3 * a3 - U[0] ** 4) / (2.0 * un * root))

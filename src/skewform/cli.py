@@ -361,11 +361,11 @@ def build_scheme(cfg):
 
 def _march_fields(cfg, model, grid) -> dict:
     """The Scenario fields a marching config sets: dt, t_final, cfl,
-    stride and sat."""
-    return dict(stride=cfg.number("scheme", "stride", "1", int, 1),
+    stride and sat; an absent stride or cfl takes Scenario's default."""
+    return dict(stride=cfg.number("scheme", "stride", str(Scenario.stride), int, 1),
                 dt=cfg.number("scheme", "dt"),
                 t_final=cfg.number("scheme", "t_final"),
-                cfl=cfg.number("scheme", "cfl", "0.2"),
+                cfl=cfg.number("scheme", "cfl", repr(Scenario.cfl)),
                 sat=build_sat_from_config(cfg, model, grid))
 
 

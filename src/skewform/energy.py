@@ -74,17 +74,17 @@ def energy_report(
     face fluxes flip sign.  Forcing never enters the rate.
     """
     evaluate = eval_dual_residual if dual else eval_primal_residual
-    return report_from_residual(model, evaluate(model, grid, ops, U, V, sat=sat), t)
+    return report_from_residual(evaluate(model, grid, ops, U, V, sat=sat), t)
 
 
-def report_from_residual(model: ModelSpec, res: Residual, t: float) -> EnergyReport:
+def report_from_residual(res: Residual, t: float) -> EnergyReport:
     """The energy balance of an evaluated residual at the state it acted on.
 
-    Reads only res.spatial, res.sat, res.face_terms and res.flux_sign, none
-    of which depends on forcing, so a residual evaluated with forcing gives
-    the same report as one evaluated without.
+    Reads the model, grid and ops of res.op and res.spatial, res.sat,
+    res.face_terms and res.flux_sign, none of which depends on forcing, so a
+    residual evaluated with forcing gives the same report as one without.
     """
-    grid, ops, U = res.op.grid, res.op.ops, res.state
+    model, grid, ops, U = res.op.model, res.op.grid, res.op.ops, res.state
     rate = -2.0 * inner_product(grid, ops, U, res.spatial)
     sat_contribution = 0.0
     if res.sat is not None:

@@ -92,17 +92,16 @@ _Q_BLOCK = {
 class SbpOperator1D:
     """A 1D diagonal-norm SBP first-derivative operator.
 
-    It holds O(n) data: the weights, the boundary diagonal and the apply
-    plan.  The dense Q and D are formed on first read, from the closure
-    tables the plan comes from, and kept; apply_derivative never reads them.
+    It holds O(n) data: the weights and the apply plan.  Q + Q^T gives B
+    and the grid's spacings give h, so neither is stored.  The dense Q and
+    D are formed on first read, from the closure tables the plan comes
+    from, and kept; apply_derivative never reads them.
 
     Attributes:
         n: number of nodes along the axis.
-        h: node spacing (positive).
         order: accuracy pair (interior, boundary).
         periodic: True for the circulant closure on a half-open interval.
         P: quadrature weights, shape (n,), strictly positive.
-        B: diagonal of Q + Q^T, shape (n,); zero for periodic operators.
         interior: (lo, hi, terms), the rows lo..hi-1 that the closure
             leaves to the interior stencil (possibly none) and their
             nonzero entries as ((offset, coefficient), ...) in increasing
@@ -116,11 +115,9 @@ class SbpOperator1D:
     """
 
     n: int
-    h: float
     order: tuple[int, int]
     periodic: bool
     P: np.ndarray
-    B: np.ndarray
     interior: tuple
     edge: tuple
 
@@ -169,13 +166,13 @@ def build_sbp_operator(
         order: (2, 1) or (4, 2), interior and boundary accuracy.
         n: node count; at least 4 for (2, 1) and 8 for (4, 2) closures,
            at least the stencil width for periodic operators.
-        h: node spacing.
+        h: node spacing, kept only inside P and the plan.
         periodic: build the circulant closure (P = h I, B = 0) instead.
 
     Returns:
-        SbpOperator1D with Q + Q^T = B holding entry for entry.  The
-        build forms no n x n matrix: each edge row of the plan comes from
-        its own row of Q.
+        SbpOperator1D whose Q satisfies Q + Q^T = B entry for entry; B is
+        read off Q and not stored.  The build forms no n x n matrix: each
+        edge row of the plan comes from its own row of Q.
     """
     order = (int(order[0]), int(order[1]))
     if order not in ACCURACIES:
@@ -191,13 +188,10 @@ def build_sbp_operator(
         raise ValueError(f"order {order} needs at least {min_nodes} nodes, got {n}")
 
     P = np.full(n, h)
-    B = np.zeros(n)
     if not periodic:
         for i, w in enumerate(_P_BLOCK[order]):
             P[i] = w * h
             P[n - 1 - i] = w * h
-        B[0] = -1.0
-        B[-1] = 1.0
 
     lo = half if periodic else len(_Q_BLOCK[order])
     hi = n - lo
@@ -215,10 +209,8 @@ def build_sbp_operator(
     cols = np.array([[j for j, _ in r] + [r[-1][0]] * p for r, p in zip(nonzero, pad)])
     coefs = np.array([[q / P[i] for _, q in r] + [0.0] * p
                       for i, r, p in zip(rows, nonzero, pad)])
-    return SbpOperator1D(
-        n=n, h=float(h), order=order, periodic=periodic,
-        P=P, B=B, interior=(lo, hi, terms), edge=(rows, cols, coefs),
-    )
+    return SbpOperator1D(n=n, order=order, periodic=periodic, P=P,
+                         interior=(lo, hi, terms), edge=(rows, cols, coefs))
 
 
 def apply_derivative(op: SbpOperator1D, field: np.ndarray, axis: int = 0) -> np.ndarray:

@@ -245,7 +245,7 @@ def march(sc: Scenario) -> tuple[list[EnergyReport], np.ndarray]:
         # released first, so its fields do not live through the later stages.
         k1, res = evaluate(state, t)
         if (k - 1) % sc.stride == 0:
-            reports.append(report_from_residual(model, res, t))
+            reports.append(report_from_residual(res, t))
         del res
         state = rk4_step(rhs, state, t, sc.dt)
         t = k * sc.dt
@@ -255,5 +255,5 @@ def march(sc: Scenario) -> tuple[list[EnergyReport], np.ndarray]:
                 f"blow-up guard tripped at t={t:.6g}: sup norm {sup:.3g} vs"
                 f" reference {sup0:.3g}"
             )
-    reports.append(report_from_residual(model, evaluate(state, t)[1], t))
+    reports.append(report_from_residual(evaluate(state, t)[1], t))
     return reports, state

@@ -119,7 +119,7 @@ def test_criterion_3_linearisation_contradiction_resolved():
             mean = np.sin(2 * np.pi * x)[None]
             up = uprime(x)[None]
             res_std = standard_evaluator(m, g, ops, mean)(up)
-            rep_std = report_from_residual(m, res_std, 0.0)
+            rep_std = report_from_residual(res_std, 0.0)
             errs.append(abs(rep_std.volume_residual - ref))
             rep_new = energy_report(m, g, ops, up, mean)
             scale = 1.0 + abs(rep_new.rate) + abs(rep_new.boundary_flux)

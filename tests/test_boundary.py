@@ -158,6 +158,19 @@ def test_glancing_flow_is_rejected():
         analyze_boundary(m, np.array([1.0, -1.0, 0.0]), (1.0, 0.0), formulation="frozen")
 
 
+@pytest.mark.parametrize("state, message", [
+    ((-1.0, 0.5, 0.2), "^shallow water depth variable must exceed 1e-10, min is -1.0$"),
+    ((float("nan"), 0.5, 0.2), "^shallow water depth variable must exceed 1e-10, min is nan$"),
+    ((1e-12, 0.5, 0.2), "^shallow water depth variable must exceed 1e-10, min is 1e-12$"),
+    ((1.0, float("inf"), 0.2), "^state contains non-finite entries$"),
+], ids=["negative_depth", "nan_depth", "depth_below_floor", "infinite_momentum"])
+def test_rewritten_contraction_refuses_an_inadmissible_state(state, message):
+    # the public contraction refuses what analyze_boundary refuses, instead
+    # of returning nan (or a value at a depth below the admissible floor)
+    with pytest.raises(ValueError, match=message):
+        swe_rewritten_contraction(np.array(state), (1.0, 0.0))
+
+
 def test_euler_analysis_matches_a_direct_eigensolve():
     m = make_model("euler2d")
     state = np.array([1.0, 1.0, 1.0])

@@ -75,7 +75,6 @@ def test_q_plus_qt_is_the_boundary_matrix(order, n):
     B[0, 0] = -1.0
     B[-1, -1] = 1.0
     assert np.array_equal(op.Q + op.Q.T, B)
-    assert np.array_equal(op.B, np.diag(B))
 
 
 @pytest.mark.parametrize("order", ORDERS)

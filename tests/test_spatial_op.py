@@ -501,8 +501,8 @@ def test_a_stack_of_trials_gives_each_trials_bits(kind, order, periodic):
         res = eval_primal_residual(m, g, ops, U, coeff, closure)
         per = [eval_primal_residual(m, g, ops, u, v, closure) for u, v in zip(Us, per_V)]
         _same_residual(per, res)
-        rep = report_from_residual(m, res, 0.0)
-        reps = [report_from_residual(m, r, 0.0) for r in per]
+        rep = report_from_residual(res, 0.0)
+        reps = [report_from_residual(r, 0.0) for r in per]
         for field in ("energy", "rate", "boundary_flux", "sat_contribution",
                       "volume_residual"):
             _same_bits([getattr(r, field) for r in reps], np.broadcast_to(

@@ -77,6 +77,22 @@ def test_duality_check_builds_one_operator_per_coefficient_state(monkeypatch):
     assert shapes == [(1, 9, 33)] * 2 * 2 + [(3, 9, 17, 17)] * 2 * 2
 
 
+def test_decomposition_check_builds_one_operator_per_coefficient_state(monkeypatch):
+    # per group exactly two table builds, one at the total state and one at
+    # the mean: the mean equation's operator also gives the full residual.
+    from skewform import spatial_op
+    shapes = []
+    build = spatial_op.coeff_matrices
+
+    def recorded(model, V, pos=None):
+        shapes.append(np.shape(V))
+        return build(model, V, pos)
+    monkeypatch.setattr(spatial_op, "coeff_matrices", recorded)
+    rep = check_decomposition(kinds=("burgers1d", "euler2d"), trials=9, seed=0)
+    assert rep.passed
+    assert shapes == [(1, 9, 33)] * 2 * 2 + [(3, 9, 17, 17)] * 2 * 2
+
+
 def test_a_nan_residual_is_the_worst_and_fails_the_check():
     nan = float("nan")
     rep = verify._finish("x", 1, 0, 1e-12, [(nan, {"at": 0}), (nan, {"at": 1})])
