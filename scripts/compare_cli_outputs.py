@@ -489,7 +489,9 @@ CASES = {
     # No bundled scenario marches the characteristic closure.  By design: a
     # tree from before the characteristic default scale became 3 penalises
     # x_low, which sets no scale, at scale 1 (x_high sets 2.0), so its files
-    # and stdout differ.
+    # and stdout differ.  A tree from before the closure read its operator's
+    # face table forms sigma as (scale * u_n) / 3, not scale * (n * (u / 3)):
+    # the final state differs in the last bit, by 3.5e-18.
     "run_burgers_characteristic": _run("burgers_characteristic",
                                        BURGERS_CHARACTERISTIC_CFG),
     # A swe2d closure on burgers.  By design: a tree from before
@@ -514,7 +516,9 @@ CASES = {
     # The fewest nodes each closure takes: 8 bounded, where no row is left to
     # the interior stencil, and 5 periodic.  By design: a tree from before the
     # characteristic default scale became 3 penalises the bounded case's
-    # x_low at scale 1.
+    # x_low at scale 1.  A tree from before the closure read its operator's
+    # face table forms sigma as (scale * u_n) / 3: only the rate and
+    # volume_residual columns differ, at rounding (3.5e-18).
     "run_burgers_bounded_8": _run("burgers_bounded_8", BURGERS_BOUNDED_8_CFG),
     "run_burgers_periodic_5": _run("burgers_periodic_5", BURGERS_PERIODIC_5_CFG),
     # The one march of a multi-line field bounded along its last axis: the
@@ -525,15 +529,35 @@ CASES = {
     # [coefficient] and without one, coupled and standard; then convergence
     # on the coupled config.  By design: a tree from before the
     # characteristic default scale became 3 penalises x_low (no scale set) at
-    # scale 1, so every case here but the standard one differs; the standard
-    # penalty reads the perturbation's own sign and never switches on.
+    # scale 1, so every case here but the standard one differs.  A tree from
+    # before the closure read its operator's face table picks the penalised
+    # faces and sigma from the marched state, so every case here differs;
+    # each row says how.
+    # By design: the closure now reads V where the older tree read U; the
+    # final state differs by 5.3e-4 and E by up to 1.1e-3.
     "run_burgers_frozen": _run("burgers_frozen",
                                burgers_mode_cfg("frozen", "initial", "coefficient")),
+    # By design: the older tree penalised the primal's inflow face x_low,
+    # which is the dual's outflow face, whatever the dual; that defect is
+    # mended, so x_low's data g = 1.0 go unread and the dual's inflow face
+    # x_high stays open (none).  The final states differ by 2.1e-2 (dual)
+    # and 3.1e-2 (dual_self), E by up to 3.5e-2 and 6.8e-2.
     "run_burgers_dual": _run("burgers_dual", burgers_mode_cfg("dual", "initial", "coefficient")),
     "run_burgers_dual_self": _run("burgers_dual_self", burgers_mode_cfg("dual", "initial")),
+    # By design: the mean equation's closure reads V = mean + pert where the
+    # older tree read the mean; the final mean differs by 3.2e-5, the
+    # perturbation by 1.7e-7 and the reported E by up to 4.3e-9.
     "run_burgers_coupled": _run("burgers_coupled", BURGERS_COUPLED_CFG),
+    # By design: the older tree's penalty read the perturbation's own sign
+    # and never switched on; the standard operator's M/2 table at the mean
+    # (> 0) turns its x_low penalty on, which pulls the perturbation to
+    # g = 1.0: E at t = 0.1 is 0.112, where the older tree gave 5.85e-5,
+    # and the final state differs by 1.11.
     "run_burgers_standard": _run("burgers_standard", burgers_mode_cfg(
         "standard_linearised", "coefficient", "perturbation")),
+    # By design: as run_burgers_coupled; the errors move in the fourth digit
+    # (1.7921e-3 -> 1.7914e-3 and 8.3234e-4 -> 8.3253e-4) and the printed
+    # order 1.106 is unchanged.
     "convergence_burgers_coupled": (["convergence", "--config", "burgers_coupled.cfg",
                                      "--levels", "17,33,65"],
                                     {"burgers_coupled.cfg": BURGERS_COUPLED_CFG}),

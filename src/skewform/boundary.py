@@ -55,34 +55,36 @@ class FaceClosure:
             object.__setattr__(self, "scale", _CLOSURES[self.kind][3])
 
 
-def _characteristic_penalty(model, Uf, sign, ax, closure, weight):
-    """Burgers inflow penalty sigma (u - g) / weight with sigma = scale * u_n / 3.
-
-    Active only where the face is inflow (u_n < 0).  The default scale 3 is
-    the Jacobian's: linearised about u = g, the skew operator's boundary
-    matrix is n g / 2 (not the frozen n g / 3) and the penalty's Jacobian
-    is scale * n g / 3, which equals the dual-consistent twice n g / 2 at
-    scale 3.  The homogeneous inflow face then adds (4/3) u_n u^2 < 0 to the
-    energy rate (strictly dissipative), and (1, u)_P superconverges, at
-    order 4 and above where scale 1 gives 3.
+def _characteristic_penalty(op, face, Uf, sign, closure, weight):
+    """Burgers inflow penalty sigma (u - g) / weight, sigma = scale * S where
+    the face's boundary matrix S = sign * V / 3 (standard form: V / 2) in the
+    operator's face table flows in (S < 0), else 0.  The default scale 3 is
+    the Jacobian's at V = u: linearised about u = g, the skew operator's
+    boundary matrix is n g / 2 (not the frozen n g / 3) and the penalty's
+    Jacobian is scale * n g / 3, which equals the dual-consistent twice
+    n g / 2 at scale 3.  The homogeneous inflow face then adds
+    (4/3) u_n u^2 < 0 to the energy rate (strictly dissipative), and
+    (1, u)_P superconverges, at order 4 and above where scale 1 gives 3.
+    At a fixed V the penalty is linear in u, and scale 2 is dual-consistent.
     """
-    un = sign * Uf
-    sigma = np.where(un < 0.0, closure.scale * un / 3.0, 0.0)
+    S = sign * op.face_tables[face][(0, 0)]
+    sigma = np.where(S < 0.0, closure.scale * S, 0.0)
     return sigma * (Uf - closure.g) / weight
 
 
-def _two_condition_penalty(model, Uf, sign, ax, closure, weight):
+def _two_condition_penalty(op, face, Uf, sign, closure, weight):
     """Two-condition shallow water inflow penalty.
 
     Penalises the conditions a2 = U_n^2 + U1^2 = g2^2 and a3 = U_n U_tau =
     g3^2 through the state direction, with the scaling that makes the face
     energy rate telescope to the quadrature of
     (-U1^4 + g2^4 + g3^4) / (|U_n| sqrt(U1)), the sign structure of the
-    continuous two-condition bound.  Nodes that are not strictly inflow
-    (U_n >= -DELTA_N) are left alone.
+    continuous two-condition bound, at V = U.  Only strictly inflow nodes,
+    U_n < -DELTA_N, are penalised: the sign turns this test alone, since a2,
+    a3 and |U_n| do not depend on it.
     """
-    check_admissible(model, Uf)  # the penalty reads the face layer only
-    un, utau = swe_normal_tangential(Uf, (sign, 0.0) if ax == 0 else (0.0, sign))
+    check_admissible(op.model, Uf)  # the penalty reads the face layer only
+    un, utau = swe_normal_tangential(Uf, (sign, 0.0) if face[0] == 0 else (0.0, sign))
     root = np.sqrt(Uf[0])
     active = un < -DELTA_N
     safe_un = np.where(active, un, -1.0)
@@ -99,9 +101,9 @@ def _two_condition_penalty(model, Uf, sign, ax, closure, weight):
 
 
 # Each closure kind: the model it closes (None: any model), the options it
-# reads, its penalty (None: no penalty), which maps (model, face layer of the
-# acted-on state, outward sign, axis, FaceClosure, boundary weight P[idx]) to
-# the penalty layer, already divided by the weight, and its default scale.
+# reads, its penalty (None: no penalty), which maps (operator, face, its layer
+# of the acted-on state, the sign of its boundary matrix, FaceClosure, its
+# boundary weight) to the penalty layer, divided by the weight, and its scale.
 _CLOSURES = {
     "none": (None, (), None, 1.0),
     "periodic": (None, (), None, 1.0),
@@ -164,23 +166,21 @@ def make_sat_config(model: ModelSpec, grid: Grid, entries: dict, where=repr) -> 
             if _CLOSURES[entry["kind"]][2] is not None}
 
 
-def build_sat(model: ModelSpec, grid: Grid, ops, U: np.ndarray,
-              sat: dict | None) -> np.ndarray | None:
-    """Assembles the SAT penalty field of the faces make_sat_config
-    resolved; None when there is no config.  Periodic closures and 'none'
-    faces are not among them: the operator carries the former, the latter
-    are left open.
+def build_sat(op, U: np.ndarray, sat: dict | None, dual: bool) -> np.ndarray | None:
+    """The SAT penalty field on the state U of the operator op from the faces
+    make_sat_config resolved, each given the sign of its boundary matrix
+    (outward; inward for the dual); None when there is no config.  Periodic
+    and 'none' faces are not among them: the operator carries the former.
     """
     if sat is None:
         return None
-    U = np.asarray(U, dtype=np.float64)
     field = np.zeros(U.shape)
     for (ax, side), closure in sat.items():
-        idx = 0 if side == "low" else grid.shape[ax] - 1
+        sign = -1.0 if (side == "low") != dual else 1.0
         penalty = _CLOSURES[closure.kind][2]
-        face_layer(grid, field, (ax, side))[...] += penalty(
-            model, face_layer(grid, U, (ax, side)), -1.0 if side == "low" else 1.0,
-            ax, closure, ops[ax].P[idx])
+        face_layer(op.grid, field, (ax, side))[...] += penalty(
+            op, (ax, side), face_layer(op.grid, U, (ax, side)), sign, closure,
+            op.ops[ax].P[0 if side == "low" else -1])
     return field
 
 

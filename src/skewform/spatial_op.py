@@ -8,8 +8,8 @@ so SAT penalties and forcing enter the tendency with a plus sign.  One
 shared assembler produces every skew-form operator from a (coefficient
 state, acted-on state) pair.  skew_evaluator(V) and standard_evaluator(V)
 build the tables of a fixed V once and return its Operator: its call gives
-the Residual on a state, and its face terms and face functional read the
-face layers of the same tables, cut once on first read.  The wrappers
+the Residual on a state, and its closures, face terms and face functional
+read the face layers of the same tables, cut once on first read.  The wrappers
 eval_primal_residual, eval_dual_residual, eval_new_linearised_pair and
 bilinear_face_functional build one Operator per call, V = None evaluating
 the coefficients at the acted-on state:
@@ -96,11 +96,11 @@ class Residual:
 class Operator:
     """The operator of one fixed coefficient state V on a grid.
 
-    A holds the tables whose face layers give the face terms (the skew
-    form's A_ax, the standard form's M_ax / 2), and spatial(W) is the
-    spatial part acting on a state W of the grid.  face_tables are cut from
-    A once, on first read: the stage 2-4 residuals of a march never read
-    them.
+    A holds the tables whose face layers give the face terms and the
+    boundary matrices a closure penalises (the skew form's A_ax, the
+    standard form's M_ax / 2), and spatial(W) is the spatial part acting on
+    a state W of the grid.  face_tables are cut from A once, on first read:
+    a characteristic closure reads them at every stage.
     """
 
     model: ModelSpec
@@ -117,7 +117,7 @@ class Operator:
         spatial = self.spatial(U)
         if dual:
             spatial = -spatial
-        sat_field = build_sat(self.model, self.grid, self.ops, U, sat)
+        sat_field = build_sat(self, U, sat, dual)
         R = spatial
         if sat_field is not None:
             R = R - sat_field
@@ -312,8 +312,8 @@ def standard_evaluator(model: ModelSpec, grid: Grid, ops, V: np.ndarray) -> Oper
     (phi, u, v) and the operator is M1 d_x q' + M2 d_y q' + N q' at the
     primitive mean swe_inverse(V), N collecting the mean-gradient and
     Coriolis zero-order terms.  This operator is not in skew form: its
-    face terms use the transport matrices M_ax / 2 and are bookkeeping
-    only, and its call is meant without dual, which belongs to the skew form.
+    face terms and a characteristic closure read the transport matrices
+    M_ax / 2, and its call is meant without dual, which belongs to the skew form.
     """
     M, N = _standard_matrices(model, grid, ops, _coeff_grid_state(model, grid, V))
     half = tuple({key: 0.5 * field for key, field in M_ax.items()} for M_ax in M)

@@ -17,6 +17,7 @@ from skewform.boundary import (
 from skewform.energy import boundary_contraction, energy_report
 from skewform.models import make_model, swe_transform
 from skewform.sbp_core import build_operators, face_label, faces, make_grid
+from skewform.spatial_op import skew_evaluator
 
 
 def nonglancing_state(rng, sign):
@@ -297,20 +298,50 @@ def test_characteristic_penalty_is_active_only_at_inflow():
     sat = make_sat_config(m, g, {"x_low": {"kind": "characteristic", "g": 0.25,
                                            "scale": 1.0}})
     u = np.full((1, 17), 0.9)
-    field = build_sat(m, g, ops, u, sat)
+    forward, backward = skew_evaluator(m, g, ops, u), skew_evaluator(m, g, ops, -u)
+    field = build_sat(forward, u, sat, False)
     # u(0) = 0.9 > 0 means u_n = -0.9 < 0 at the left face: active
     sigma = -0.9 / 3.0
     want = sigma * (0.9 - 0.25) / ops[0].P[0]
     assert abs(field[0, 0] - want) <= 1e-15
     assert not field[0, 1:].any()
     # outflow at the left face: inactive
-    field2 = build_sat(m, g, ops, -u, sat)
-    assert field2 is None or not field2.any()
-    assert build_sat(m, g, ops, u, None) is None
+    assert not build_sat(backward, -u, sat, False).any()
+    assert build_sat(forward, u, None, False) is None
+    # the face is picked by the operator's V, not by the state it acts on
+    assert build_sat(forward, -u, sat, False)[0, 0] == sigma * (-0.9 - 0.25) / ops[0].P[0]
+    # the dual's boundary matrix is -n V / 3: the primal's outflow face is
+    # its inflow face, and the other way round
+    assert not build_sat(forward, u, sat, True).any()
+    dual = build_sat(backward, -u, sat, True)
+    assert dual[0, 0] == sigma * (-0.9 - 0.25) / ops[0].P[0] and not dual[0, 1:].any()
     # the default scale is 3, the Jacobian's (_characteristic_penalty)
     default = make_sat_config(m, g, {"x_low": {"kind": "characteristic", "g": 0.25}})
     assert default[(0, "low")].scale == FaceClosure("characteristic").scale == 3.0
-    assert abs(build_sat(m, g, ops, u, default)[0, 0] - 3.0 * want) <= 1e-15 * abs(3.0 * want)
+    assert abs(build_sat(forward, u, default, False)[0, 0] - 3.0 * want) <= 1e-15 * abs(3.0 * want)
+
+
+@pytest.mark.parametrize("order", [(2, 1), (4, 2)])
+def test_characteristic_closure_never_adds_energy_at_a_homogeneous_face(order):
+    # flux plus penalty of a face closed with g = 0, over primal and dual
+    # evaluations at V = U and at a frozen V != U, on states of both signs:
+    # the penalty reads the boundary matrix of the operator it closes, so
+    # the face rate is 2 u^2 S (scale - 1) at inflow (S < 0) and -2 u^2 S at
+    # outflow, never positive
+    m = make_model("burgers1d")
+    g = make_grid(((0.0, 1.0),), (9,))
+    ops = build_operators(g, order)
+    rng = np.random.default_rng(0)
+    U, V = rng.uniform(-1.0, 1.0, (2, 1, 200, 9))
+    for label in ("x_low", "x_high"):
+        for scale in (1.0, 2.0, 3.0):
+            sat = make_sat_config(m, g, {label: {"kind": "characteristic", "scale": scale}})
+            for coeff in (None, V):
+                for dual in (False, True):
+                    rep = energy_report(m, g, ops, U, coeff, dual, sat)
+                    face, penalty = rep.face_fluxes[label], rep.sat_contribution
+                    worst = np.max((face + penalty) / (np.abs(face) + np.abs(penalty)))
+                    assert worst <= 1e-12, (label, scale, coeff is None, dual, worst)
 
 
 def test_characteristic_closure_refuses_other_models():
@@ -326,7 +357,9 @@ def test_characteristic_closure_refuses_other_models():
 
 def test_two_condition_face_rate_telescopes():
     # flux plus penalty contribution collapses to the two-condition bound
-    # shape at every active node
+    # shape at every active node, primal and dual; the dual's boundary
+    # matrix is the primal's negated, so x_low is its inflow face when the
+    # flow is reversed
     m = make_model("swe2d", alpha=0.4, beta=0.7)
     g = make_grid(((0.0, 1.0), (0.0, 1.0)), (12, 10), periodic=(False, True))
     ops = build_operators(g, (4, 2))
@@ -334,21 +367,22 @@ def test_two_condition_face_rate_telescopes():
     phi = 1.0 + 0.05 * np.sin(2 * np.pi * Y)
     u = 0.6 + 0.1 * np.cos(2 * np.pi * Y)
     v = 0.2 * np.sin(2 * np.pi * Y) + 0.1
-    U = swe_transform(phi, u, v)
     g2, g3 = 1.3, 0.4
     sat = make_sat_config(m, g, {"x_low": {"kind": "swe_two_condition", "g2": g2, "g3": g3}})
-    rep = energy_report(m, g, ops, U, sat=sat)
-    face_rate = rep.face_fluxes["x_low"] + rep.sat_contribution
-    Uf = U[:, 0, :]
-    an, _ = swe_normal_tangential(Uf, (-1.0, 0.0))
-    assert np.all(an < 0.0)
-    manual = float(np.sum(ops[1].P * (-Uf[0] ** 4 + g2 ** 4 + g3 ** 4)
-                          / (np.abs(an) * np.sqrt(Uf[0]))))
-    assert abs(face_rate - manual) <= 1e-12 * (1 + abs(manual))
-    # homogeneous data makes the face strictly dissipative
     sat0 = make_sat_config(m, g, {"x_low": {"kind": "swe_two_condition"}})
-    rep0 = energy_report(m, g, ops, U, sat=sat0)
-    assert rep0.face_fluxes["x_low"] + rep0.sat_contribution < 0.0
+    for dual in (False, True):
+        U = swe_transform(phi, -u if dual else u, v)
+        rep = energy_report(m, g, ops, U, dual=dual, sat=sat)
+        face_rate = rep.face_fluxes["x_low"] + rep.sat_contribution
+        Uf = U[:, 0, :]
+        an, _ = swe_normal_tangential(Uf, (1.0 if dual else -1.0, 0.0))
+        assert np.all(an < 0.0)
+        manual = float(np.sum(ops[1].P * (-Uf[0] ** 4 + g2 ** 4 + g3 ** 4)
+                              / (np.abs(an) * np.sqrt(Uf[0]))))
+        assert abs(face_rate - manual) <= 1e-12 * (1 + abs(manual)), dual
+        # homogeneous data makes the face strictly dissipative
+        rep0 = energy_report(m, g, ops, U, dual=dual, sat=sat0)
+        assert rep0.face_fluxes["x_low"] + rep0.sat_contribution < 0.0, dual
 
 
 def test_two_condition_penalty_skips_outflow_nodes():
@@ -358,8 +392,7 @@ def test_two_condition_penalty_skips_outflow_nodes():
     # u < 0: the low-x face sees outflow (U_n = +|u| sqrt(phi) > 0)
     U = swe_transform(np.ones((8, 8)), -0.5 * np.ones((8, 8)), np.zeros((8, 8)))
     sat = make_sat_config(m, g, {"x_low": {"kind": "swe_two_condition", "g2": 1.0}})
-    field = build_sat(m, g, ops, U, sat)
-    assert field is None or not field.any()
+    assert not build_sat(skew_evaluator(m, g, ops, U), U, sat, False).any()
 
 
 def test_two_condition_penalty_checks_admissibility_on_its_face_only():

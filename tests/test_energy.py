@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import skewform as sk
-from skewform.boundary import build_sat, make_sat_config
+from skewform.boundary import make_sat_config
 from skewform.energy import boundary_contraction, energy_report, total_energy
 from skewform.models import make_model, norm_weight, sample_state, swe_transform
 from skewform.sbp_core import build_operators, inner_product, make_grid, quadrature_weights

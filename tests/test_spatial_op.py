@@ -624,3 +624,28 @@ def test_periodic_frozen_operator_is_h_skew_and_its_dual_is_its_h_adjoint(kind):
     assert np.max(np.abs(HL + HL.T)) <= 1e-14 * np.max(np.abs(HL))
     adjoint = L.T * h[None, :] / h[:, None]
     assert np.max(np.abs(L_dual - adjoint)) <= 1e-13 * np.max(np.abs(L))
+
+
+def test_bounded_frozen_characteristic_closure_is_dissipative_and_dual_consistent_at_scale_2():
+    # A closure at a fixed V is linear in the state, so the dense probe is
+    # exact.  The face rate is 2 u^2 S (scale - 1) where V flows in and
+    # -2 u^2 S where it flows out, so sym(HL) has no positive eigenvalue at
+    # any scale >= 1, primal or dual; at scale 2 the dual's closure is the
+    # H-adjoint of the primal's.  V (seed 3) flows out of both faces, so
+    # only the dual's penalty is active.
+    m = make_model("burgers1d")
+    g = make_grid(((0.0, 1.0),), (33,))
+    ops = build_operators(g, (4, 2))
+    operator = skew_evaluator(m, g, ops, sample_state(m, g.shape, np.random.default_rng(3)))
+    h = norm_weights(ops, m.n_comp)
+    for scale in (1.0, 2.0, 3.0):
+        sat = make_sat_config(m, g, {face: {"kind": "characteristic", "scale": scale}
+                                     for face in ("x_low", "x_high")})
+        L, L_dual = (dense_operator(lambda E, dual=dual: operator(E, sat, dual=dual),
+                                    m.n_comp, g) for dual in (False, True))
+        for M in (L, L_dual):
+            HM = h[:, None] * M
+            assert np.linalg.eigvalsh(0.5 * (HM + HM.T))[-1] <= 1e-15, scale
+        if scale == 2.0:
+            adjoint = L.T * h[None, :] / h[:, None]
+            assert np.max(np.abs(L_dual - adjoint)) <= 1e-12 * np.max(np.abs(L))

@@ -392,17 +392,12 @@ def test_periodic_swe_march_converges_to_a_manufactured_solution():
         assert np.log2(errors[0] / errors[1]) >= least, (order, errors)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the characteristic closure picks its faces from the acted-on"
-                          " state, not from V")
 def test_frozen_characteristic_closure_keeps_the_energy_bounded():
     # Frozen (4,2) burgers at V = 1 with homogeneous characteristic data on
-    # both faces: the inflow face x_low is where V flows in, so a closure
-    # at V bounds E.  The penalty picks its faces from U = -exp(-50 x^2),
-    # which flows out at x_low, so sat_contribution is 0.0 at the last
-    # report while the x_low flux is +0.616, and E grows from 0.0886 to
-    # 0.1212; the volume residual stays at rounding, so no identity check
-    # sees it.
+    # both faces: the inflow face x_low is where V flows in, and the closure
+    # reads V's boundary matrix there, though U = -exp(-50 x^2) flows out.
+    # E falls from 0.0886 to 0.0808; a closure that picked its faces from U
+    # would leave x_low open, and E would grow to 0.1212.
     m, g, ops = burgers_setup(n=33, periodic=False)
     sat = make_sat_config(m, g, {face: {"kind": "characteristic", "g": 0.0}
                                  for face in ("x_low", "x_high")})
@@ -411,6 +406,31 @@ def test_frozen_characteristic_closure_keeps_the_energy_bounded():
                                 mean=np.ones_like(U0), sat=sat, dt=1e-3, t_final=0.05))
     assert all(r.energy <= reports[0].energy for r in reports), \
         (reports[0].energy, reports[-1].energy)
+
+
+@pytest.mark.parametrize("order", [(4, 2), (2, 1)])
+def test_dual_characteristic_march_is_the_negated_primal_march_and_keeps_e_bounded(order):
+    # The burgers skew form is quadratic, so the self-adjoint dual tendency
+    # at Phi is the negated primal tendency at -Phi, and the dual's boundary
+    # matrix -n Phi / 3 is the primal's at -Phi: closed alike, the dual
+    # march of Phi0 is the negated primal march of -Phi0, bit for bit.  With
+    # homogeneous data on both faces E falls from 0.2950 to 0.2611 (4,2)
+    # and 0.2609 (2,1); a dual closure that penalised the primal's inflow
+    # faces would leave the dual's inflow open, and E would grow to 0.3059
+    # and 0.3011.
+    m, g, ops = burgers_setup(n=33, periodic=False, order=order)
+    sat = make_sat_config(m, g, {face: {"kind": "characteristic", "g": 0.0}
+                                 for face in ("x_low", "x_high")})
+    phi0 = (0.5 + 0.3 * np.sin(2 * np.pi * g.coords[0]))[None]
+
+    def run(mode, initial):
+        return march(Scenario(model=m, grid=g, ops=ops, mode=mode, initial=initial, sat=sat,
+                              dt=1e-3, t_final=0.2))
+
+    reports, final = run("dual", phi0)
+    assert np.array_equal(final, -run("nonlinear", -phi0)[1])
+    energies = [r.energy for r in reports]
+    assert all(b <= a for a, b in zip(energies, energies[1:])), (energies[0], energies[-1])
 
 
 def test_dual_march_retraces_the_primal_trajectory():
