@@ -541,9 +541,16 @@ CASES = {
     # which is the dual's outflow face, whatever the dual; that defect is
     # mended, so x_low's data g = 1.0 go unread and the dual's inflow face
     # x_high stays open (none).  The final states differ by 2.1e-2 (dual)
-    # and 3.1e-2 (dual_self), E by up to 3.5e-2 and 6.8e-2.
+    # and 3.1e-2 (dual_self), E by up to 3.5e-2 and 6.8e-2.  So the dual
+    # row pins an inert entry: E grows 1.0050 -> 1.0053 by t = 0.1.
     "run_burgers_dual": _run("burgers_dual", burgers_mode_cfg("dual", "initial", "coefficient")),
     "run_burgers_dual_self": _run("burgers_dual_self", burgers_mode_cfg("dual", "initial")),
+    # The dual with a closure that acts: x_high, its inflow face at V, is
+    # closed with g = 1.0 and x_low is open; E goes 1.0050 -> 1.0016.
+    "run_burgers_dual_inflow": _run("burgers_dual_inflow", burgers_mode_cfg(
+        "dual", "initial", "coefficient").replace(
+        "x_low = characteristic g=1.0\nx_high = none",
+        "x_low = none\nx_high = characteristic g=1.0")),
     # By design: the mean equation's closure reads V = mean + pert where the
     # older tree read the mean; the final mean differs by 3.2e-5, the
     # perturbation by 1.7e-7 and the reported E by up to 4.3e-9.
@@ -552,9 +559,16 @@ CASES = {
     # and never switched on; the standard operator's M/2 table at the mean
     # (> 0) turns its x_low penalty on, which pulls the perturbation to
     # g = 1.0: E at t = 0.1 is 0.112, where the older tree gave 5.85e-5,
-    # and the final state differs by 1.11.
+    # and the final state differs by 1.11.  So this row pins a forced
+    # transient: g = 1.0 is a total-state value given to a perturbation of
+    # amplitude 0.01.
     "run_burgers_standard": _run("burgers_standard", burgers_mode_cfg(
         "standard_linearised", "coefficient", "perturbation")),
+    # The standard linearisation with homogeneous inflow data, the closure
+    # of a linearised problem: E goes 5.00e-5 -> 4.49e-5.
+    "run_burgers_standard_homogeneous": _run("burgers_standard_homogeneous", burgers_mode_cfg(
+        "standard_linearised", "coefficient", "perturbation").replace(
+        "characteristic g=1.0", "characteristic g=0.0")),
     # By design: as run_burgers_coupled; the errors move in the fourth digit
     # (1.7921e-3 -> 1.7914e-3 and 8.3234e-4 -> 8.3253e-4) and the printed
     # order 1.106 is unchanged.

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import (ModelSpec, check_admissible, coeff_matrices, dense_matrix, make_model,
-                     with_params)
+                     unit_normal)
 from .sbp_core import Grid, face_label, face_layer
 
 # Non-glancing threshold of the rewritten formulation and the two-condition SAT.
@@ -226,11 +226,12 @@ def swe_rewritten_contraction(U, normal) -> float:
     ((U_n^2+U1^2)^2 + (U_n U_tau)^2 - U1^4) / (2 U_n sqrt(U1)).
 
     Equals the plain contraction u_n (U1^2 + (U2^2+U3^2)/2) identically;
-    raises on inadmissible states and on glancing ones, |U_n| < DELTA_N.
+    raises on inadmissible states, on a normal that is not a 2D unit vector
+    and on glancing states, |U_n| < DELTA_N.
     """
     check_admissible(_SWE2D, U)
     U = np.asarray(U, dtype=np.float64)
-    un, utau = swe_normal_tangential(U, normal)
+    un, utau = swe_normal_tangential(U, unit_normal(_SWE2D, normal))
     if abs(float(un)) < DELTA_N:
         raise ValueError(f"glancing face state: |U_n| = {abs(float(un))} < {DELTA_N}")
     root = np.sqrt(U[0])
@@ -243,8 +244,6 @@ def analyze_boundary(
     model: ModelSpec,
     state,
     normal,
-    alpha: float | None = None,
-    beta: float | None = None,
     formulation: str = "nonlinear",
     face: str | None = None,
     pos=None,
@@ -252,23 +251,17 @@ def analyze_boundary(
     """Eigen-counts the boundary conditions one face state demands.
 
     Args:
+        model: the model analysed, with its swe2d splitting alpha, beta
+            (with_params(make_model("swe2d"), alpha=0.3) for another one).
         state: the face state (the mean state for 'linearised').
         normal: outward unit normal, length model.dim.
-        alpha, beta: swe2d splitting overrides.
         formulation: 'nonlinear', 'linearised', or 'nonlinear_rewritten'.
         pos: per-axis coordinates of the face node (euler3d_cyl radius).
     """
     state = np.asarray(state, dtype=np.float64)
-    normal = tuple(float(c) for c in normal)
-    if len(normal) != model.dim:
-        raise ValueError(f"normal has {len(normal)} components, model is {model.dim}D")
-    length = float(np.linalg.norm(normal))
-    if not abs(length - 1.0) <= 1e-6:
-        raise ValueError(f"normal must have unit length, got length {length!r}")
+    normal = unit_normal(model, normal)
     check_admissible(model, state)
-    model = with_params(model, alpha=alpha, beta=beta)
-    a_out = model.alpha if model.kind == "swe2d" else None
-    b_out = model.beta if model.kind == "swe2d" else None
+    a_out, b_out = (model.alpha, model.beta) if model.kind == "swe2d" else (None, None)
 
     count = None
     if formulation == "nonlinear_rewritten":

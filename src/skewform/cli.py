@@ -40,7 +40,8 @@ from .boundary import (
     make_sat_config,
 )
 from .energy import energy_report
-from .models import MODEL_KINDS, make_model, sample_state, swe_inverse, swe_transform
+from .models import (MODEL_KINDS, MODEL_PARAMS, make_model, sample_state, swe_inverse,
+                     swe_transform, with_params)
 from .sbp_core import (ACCURACIES, ArgumentError, build_operators, face_label, faces,
                        make_grid)
 from .timeint import MEAN_MODES, Scenario, march, validate_scenario
@@ -69,7 +70,7 @@ RUN_MODES = tuple(_RUNS)
 _FIELD_KEYS = frozenset({"family", "variables"} | {f"comp{i}" for i in range(4)})
 
 _SCHEMA = {
-    "model": frozenset({"kind", "alpha", "beta", "f0", "f1"}),
+    "model": frozenset({"kind", *MODEL_PARAMS}),
     "grid": frozenset({"extents", "shape", "periodic"}),
     "scheme": frozenset({"order", "mode", "dt", "t_final", "stride", "cfl"}),
     "initial": _FIELD_KEYS,
@@ -192,7 +193,7 @@ def _parse_axes(value: str):
 def build_model(cfg):
     kind = cfg.value("model", "kind")
     params = {key: cfg.number("model", key)
-              for key in ("alpha", "beta", "f0", "f1") if key in cfg["model"]}
+              for key in MODEL_PARAMS if key in cfg["model"]}
     try:
         return make_model(kind, **params)
     except ValueError as exc:
@@ -574,7 +575,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze_boundary(args) -> int:
-    model = make_model(args.model)
+    model = with_params(make_model(args.model), alpha=args.alpha, beta=args.beta)
     state = np.array([_number(v, "--state", error=ValueError)
                       for v in args.state.split(",")])
     normal = tuple(_number(v, "--normal", error=ValueError)
@@ -588,16 +589,7 @@ def cmd_analyze_boundary(args) -> int:
     elif args.radius is not None:
         raise ValueError(f"--radius applies to euler3d_cyl face states only,"
                          f" not {args.model}")
-    analysis = analyze_boundary(
-        model,
-        state,
-        normal,
-        alpha=args.alpha,
-        beta=args.beta,
-        formulation=args.formulation,
-        face=args.face,
-        pos=pos,
-    )
+    analysis = analyze_boundary(model, state, normal, args.formulation, args.face, pos)
     lines = [analysis_table(analysis)]
     if args.out_dir is not None:
         target = write_csv(args.out_dir, "boundary.csv", ANALYSIS_CSV_HEADER,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import (ModelSpec, coeff_matrices, dense_matrix, has_invertible_norm,
-                     norm_weight, validate_grid, with_params)
+                     norm_weight, unit_normal, validate_grid)
 from .sbp_core import Grid, inner_product
 from .spatial_op import Residual, eval_dual_residual, eval_primal_residual
 
@@ -119,28 +119,17 @@ def axis_contractions(model: ModelSpec, state, mean=None, pos=None) -> tuple:
     return tuple(float(state @ dense_matrix(A_ax, model.n_comp) @ state) for A_ax in A)
 
 
-def boundary_contraction(
-    model: ModelSpec,
-    state,
-    normal,
-    mean=None,
-    alpha: float | None = None,
-    beta: float | None = None,
-    pos=None,
-) -> float:
+def boundary_contraction(model: ModelSpec, state, normal, mean=None, pos=None) -> float:
     """Pointwise face contraction u^T (n . A(V)) u through the actual
-    coefficient matrices: the normal-weighted sum of axis_contractions,
-    added from 0.0 in axis order.
+    coefficient matrices, n an outward unit normal: the normal-weighted sum
+    of axis_contractions, added from 0.0 in axis order.
 
     V is the state itself, or the mean when one is given (the linearised
-    contraction).  For swe2d the value is independent of alpha and beta at
-    V = state, and genuinely parameter-dependent about a mean.
+    contraction).  For swe2d the value is independent of the model's alpha
+    and beta at V = state, and genuinely parameter-dependent about a mean.
     """
-    normal = tuple(float(c) for c in normal)
-    if len(normal) != model.dim:
-        raise ValueError(f"normal has {len(normal)} components, model is {model.dim}D")
-    model = with_params(model, alpha=alpha, beta=beta)
     total = 0.0
-    for n_ax, q_ax in zip(normal, axis_contractions(model, state, mean, pos)):
+    for n_ax, q_ax in zip(unit_normal(model, normal),
+                          axis_contractions(model, state, mean, pos)):
         total += n_ax * q_ax
     return total

@@ -31,7 +31,7 @@ to every node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -61,35 +61,49 @@ class ModelSpec:
         return len(self.axis_names)
 
 
+# The fields of a ModelSpec after kind, components and axis_names: swe2d's
+# splitting alpha, beta and Coriolis profile f0 + f1 y.  Other kinds take none.
+MODEL_PARAMS = tuple(f.name for f in fields(ModelSpec))[3:]
+
+
 def make_model(kind: str, **params) -> ModelSpec:
-    """Builds a model spec.
+    """Builds a model spec: with_params of the kind's defaults.
 
     Args:
         kind: one of MODEL_KINDS.
-        params: swe2d accepts alpha, beta (splitting parameters) and
-            f0, f1 for the Coriolis profile f(y) = f0 + f1 y.  Other kinds
-            accept no parameters.
+        params: swe2d accepts MODEL_PARAMS, alpha, beta (splitting) and f0,
+            f1 (Coriolis f(y) = f0 + f1 y); None leaves the default.
     """
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model '{kind}'; try one of {MODEL_KINDS}")
-    allowed = {"alpha", "beta", "f0", "f1"} if kind == "swe2d" else set()
-    unknown = set(params) - allowed
-    if unknown:
-        raise ValueError(f"model '{kind}' does not accept parameters {sorted(unknown)}")
     components, axis_names, *_ = _KINDS[kind]
     return with_params(ModelSpec(kind, components, axis_names), **params)
 
 
 def with_params(model: ModelSpec, **params) -> ModelSpec:
     """A copy of model with the given parameters replaced; None values
-    leave the parameter as it is.  Parameters must be finite."""
+    leave the parameter as it is.  Only swe2d takes parameters, those of
+    MODEL_PARAMS, and they must be finite."""
     params = {k: float(v) for k, v in params.items() if v is not None}
-    if model.kind != "swe2d" and params:
-        raise ValueError(f"model '{model.kind}' does not accept parameters {sorted(params)}")
+    unknown = sorted(set(params) - set(MODEL_PARAMS if model.kind == "swe2d" else ()))
+    if unknown:
+        raise ValueError(f"model '{model.kind}' does not accept parameters {unknown}")
     bad = sorted(k for k, v in params.items() if not np.isfinite(v))
     if bad:
         raise ValueError(f"model parameters {bad} must be finite")
     return replace(model, **params)
+
+
+def unit_normal(model: ModelSpec, normal) -> tuple[float, ...]:
+    """normal as a tuple of floats, refused unless it has the model's
+    dimension and unit length to 1e-6."""
+    normal = tuple(float(c) for c in normal)
+    if len(normal) != model.dim:
+        raise ValueError(f"normal has {len(normal)} components, model is {model.dim}D")
+    length = float(np.linalg.norm(normal))
+    if not abs(length - 1.0) <= 1e-6:
+        raise ValueError(f"normal must have unit length, got length {length!r}")
+    return normal
 
 
 def validate_grid(model: ModelSpec, grid: Grid) -> None:

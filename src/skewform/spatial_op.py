@@ -113,7 +113,7 @@ class Operator:
         """The residual R = spatial - SAT - forcing acting on U.  With dual
         the spatial part is negated and the flux sign is +2: for the skew
         form this is the dual residual -[ (A_i U)_{x_i} + A_i^T U_{x_i} + C U ]."""
-        U = np.asarray(U, dtype=np.float64)
+        U = _grid_state(self.model, self.grid, U)
         spatial = self.spatial(U)
         if dual:
             spatial = -spatial
@@ -150,7 +150,7 @@ class Operator:
         ip(Phi, R_primal(U)) - ip(U, R_dual_spatial(Phi)) up to roundoff and
         collapses to twice the energy-identity flux at Phi = U.  bq is
         symmetric bit for bit, so bq(A_ax Phi, U) = bq(U, A_ax Phi)."""
-        U, Phi = (np.asarray(X, dtype=np.float64) for X in (U, Phi))
+        U, Phi = (_grid_state(self.model, self.grid, X) for X in (U, Phi))
         total = 0.0
         for a, b in zip(self.face_terms(Phi, U).values(),
                         self.face_terms(U, Phi).values()):
@@ -211,31 +211,32 @@ def _assemble(grid: Grid, ops, A: tuple, C: dict, W: np.ndarray) -> np.ndarray:
     return matfield_apply(C, W, out=out)
 
 
-def _coeff_state(U, V):
-    """The coefficient state V of the acted-on state U (U when V is None)."""
-    V = U if V is None else np.asarray(V, dtype=np.float64)
-    if np.shape(V) != np.shape(U):
-        raise ValueError(f"coefficient state has shape {np.shape(V)},"
-                         f" acted-on state {np.shape(U)}")
-    return V
-
-
-def _coeff_grid_state(model: ModelSpec, grid: Grid, V) -> np.ndarray:
-    """V as the coefficient state of an operator on the grid, refused unless
-    its shape is (n_comp, *batch, *grid.shape)."""
-    V = np.asarray(V, dtype=np.float64)
-    if V.shape[:1] != (model.n_comp,) or V.shape[max(1, V.ndim - grid.dim):] != grid.shape:
-        raise ValueError(f"coefficient state has shape {V.shape}; the grid takes"
+def _grid_state(model: ModelSpec, grid: Grid, X) -> np.ndarray:
+    """X as a state of the grid, a coefficient or an acted-on one, refused
+    unless its shape is (n_comp, *batch, *grid.shape)."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape[:1] != (model.n_comp,) or X.shape[max(1, X.ndim - grid.dim):] != grid.shape:
+        raise ValueError(f"state has shape {X.shape}; the grid takes"
                          f" {(model.n_comp,) + grid.shape}, with any batch axes after"
                          " the first")
-    return V
+    return X
+
+
+def _check_ops(grid: Grid, ops) -> None:
+    """Refuses SBP operators built for another grid: there must be one per
+    axis, with the axis's node count and periodicity."""
+    built = tuple((op.n, op.periodic) for op in ops)
+    if built != tuple(zip(grid.shape, grid.periodic)):
+        raise ValueError(f"ops are built for (nodes, periodic) {built} per axis;"
+                         f" the grid has {tuple(zip(grid.shape, grid.periodic))}")
 
 
 def skew_evaluator(model: ModelSpec, grid: Grid, ops, V: np.ndarray) -> Operator:
     """The Operator of the skew form with coefficients at the fixed state V,
     whose tables A and C are built here, once.  Its call with dual
     evaluates the dual residual at V, whose flux sign is +2."""
-    A, C = coeff_matrices(model, _coeff_grid_state(model, grid, V), grid.positions)
+    _check_ops(grid, ops)
+    A, C = coeff_matrices(model, _grid_state(model, grid, V), grid.positions)
     return Operator(model, grid, ops, A, partial(_assemble, grid, ops, A, C))
 
 
@@ -243,9 +244,10 @@ def eval_primal_residual(model: ModelSpec, grid: Grid, ops, U: np.ndarray,
                          V: np.ndarray | None = None, sat=None, forcing=None) -> Residual:
     """skew_evaluator(V)(U, sat, forcing): the primal residual of the skew
     form acting on U (the perturbation of a linearisation) with coefficients
-    at V, of U's shape; V None evaluates them at U (the nonlinear residual).
+    at V; V None evaluates them at U (the nonlinear residual).  U and V are
+    states of the grid, and a V without batch axes acts on a stack U.
     sat holds faces resolved by boundary.make_sat_config."""
-    return skew_evaluator(model, grid, ops, _coeff_state(U, V))(U, sat, forcing)
+    return skew_evaluator(model, grid, ops, U if V is None else V)(U, sat, forcing)
 
 
 def eval_dual_residual(model: ModelSpec, grid: Grid, ops, Phi: np.ndarray,
@@ -253,8 +255,9 @@ def eval_dual_residual(model: ModelSpec, grid: Grid, ops, Phi: np.ndarray,
     """skew_evaluator(V)(Phi, sat, forcing, dual=True): the dual residual
     -[ (A_i Phi)_{x_i} + A_i^T Phi_{x_i} + C Phi ] with coefficients at V.
     With V None they are evaluated at Phi itself (the self-adjoint case), and
-    the spatial part is exactly the negated primal one at the same state."""
-    return skew_evaluator(model, grid, ops, _coeff_state(Phi, V))(Phi, sat, forcing, True)
+    the spatial part is exactly the negated primal one at the same state;
+    Phi and V are shaped as U and V of eval_primal_residual."""
+    return skew_evaluator(model, grid, ops, Phi if V is None else V)(Phi, sat, forcing, True)
 
 
 def eval_new_linearised_pair(
@@ -315,7 +318,8 @@ def standard_evaluator(model: ModelSpec, grid: Grid, ops, V: np.ndarray) -> Oper
     face terms and a characteristic closure read the transport matrices
     M_ax / 2, and its call is meant without dual, which belongs to the skew form.
     """
-    M, N = _standard_matrices(model, grid, ops, _coeff_grid_state(model, grid, V))
+    _check_ops(grid, ops)
+    M, N = _standard_matrices(model, grid, ops, _grid_state(model, grid, V))
     half = tuple({key: 0.5 * field for key, field in M_ax.items()} for M_ax in M)
     return Operator(model, grid, ops, half, partial(_advect, grid, ops, M, N))
 
@@ -359,5 +363,6 @@ def _standard_matrices(model: ModelSpec, grid: Grid, ops, V: np.ndarray):
 def bilinear_face_functional(model: ModelSpec, grid: Grid, ops, U: np.ndarray,
                              Phi: np.ndarray, V: np.ndarray):
     """skew_evaluator(V).face_functional(U, Phi): the boundary functional
-    pairing primal and dual solutions with coefficients at V."""
-    return skew_evaluator(model, grid, ops, _coeff_state(U, V)).face_functional(U, Phi)
+    pairing primal and dual solutions with coefficients at V (at U when V is
+    None); a V without batch axes pairs stacks U and Phi."""
+    return skew_evaluator(model, grid, ops, U if V is None else V).face_functional(U, Phi)

@@ -32,6 +32,7 @@ from .models import (
     sample_state,
     swe_quasilinear,
     swe_transform,
+    unit_normal,
     with_params,
 )
 from .sbp_core import (
@@ -307,12 +308,12 @@ _PARAM_SWEEP = (-2.0, -1.0, 0.0, 1.0, 2.0)
 
 
 def split_sweep(model, state, normal) -> list:
-    """boundary_contraction(model, state, normal, alpha=a, beta=b) of a 2D
-    swe2d point state for a, b in _PARAM_SWEEP, alpha outer and beta inner,
-    bit for bit.  A_1 reads alpha only and A_2 beta only, so one coefficient
-    build per sweep value s, at alpha = beta = s, gives both axis terms: 5
-    builds for the 25 values."""
-    n0, n1 = (float(c) for c in normal)
+    """boundary_contraction(with_params(model, alpha=a, beta=b), state,
+    normal) of a 2D swe2d point state for a, b in _PARAM_SWEEP, alpha outer
+    and beta inner, bit for bit.  A_1 reads alpha only and A_2 beta only, so
+    one coefficient build per sweep value s, at alpha = beta = s, gives both
+    axis terms: 5 builds for the 25 values."""
+    n0, n1 = unit_normal(model, normal)
     q = [axis_contractions(with_params(model, alpha=s, beta=s), state)
          for s in _PARAM_SWEEP]
     return [(0.0 + n0 * qa[0]) + n1 * qb[1] for qa in q for qb in q]
@@ -341,8 +342,8 @@ def check_alpha_independence(trials: int = 100, seed: int = 0) -> CheckReport:
     # The contraction is (1-3a) + 2a = 1 - a, so alpha 0 and 1 differ by 1.
     mean = np.array([1.0, 0.0, 0.0])
     pert = np.array([1.0, 1.0, 0.0])
-    c0 = boundary_contraction(base, pert, (1.0, 0.0), mean=mean, alpha=0.0)
-    c1 = boundary_contraction(base, pert, (1.0, 0.0), mean=mean, alpha=1.0)
+    c0, c1 = (boundary_contraction(with_params(base, alpha=a), pert, (1.0, 0.0), mean=mean)
+              for a in (0.0, 1.0))
     wscale = 1.0 + abs(c0) + abs(c1)
     if abs(c0 - c1) < 1e-6 * wscale:
         samples.append((np.inf, {"case": "linearised_witness",

@@ -15,7 +15,7 @@ from skewform.boundary import (
     swe_rewritten_contraction,
 )
 from skewform.energy import boundary_contraction, energy_report
-from skewform.models import make_model, swe_transform
+from skewform.models import make_model, swe_transform, with_params
 from skewform.sbp_core import build_operators, face_label, faces, make_grid
 from skewform.spatial_op import skew_evaluator
 
@@ -35,8 +35,8 @@ def nonglancing_state(rng, sign):
 
 def test_linearised_inflow_pins_three_conditions():
     m = make_model("swe2d")
-    a = analyze_boundary(m, np.array([1.0, -1.0, 0.0]), (1.0, 0.0),
-                         alpha=1.0, beta=1.0, formulation="linearised")
+    a = analyze_boundary(with_params(m, alpha=1.0, beta=1.0), np.array([1.0, -1.0, 0.0]),
+                         (1.0, 0.0), formulation="linearised")
     assert np.max(np.abs(a.eigenvalues - np.array([-1.0, -0.5, -0.5]))) <= 1e-12
     assert a.bc_count == 3
     assert a.n_negative == 3 and a.n_zero == 0 and a.n_positive == 0
@@ -44,8 +44,8 @@ def test_linearised_inflow_pins_three_conditions():
 
 def test_linearised_outflow_needs_no_conditions():
     m = make_model("swe2d")
-    a = analyze_boundary(m, np.array([1.0, 1.0, 0.0]), (1.0, 0.0),
-                         alpha=1.0, beta=1.0, formulation="linearised")
+    a = analyze_boundary(with_params(m, alpha=1.0, beta=1.0), np.array([1.0, 1.0, 0.0]),
+                         (1.0, 0.0), formulation="linearised")
     assert a.bc_count == 0
     assert a.n_negative == 0
 
@@ -68,7 +68,7 @@ def linearised_axis_count(phi, un, ut, normal, s, other):
     velocity = un * np.array(normal) + ut * np.array((-normal[1], normal[0]))
     U = np.array([phi, *(np.sqrt(phi) * velocity)])
     alpha, beta = (s, other) if normal[0] else (other, s)
-    return analyze_boundary(make_model("swe2d"), U, normal, alpha=alpha, beta=beta,
+    return analyze_boundary(make_model("swe2d", alpha=alpha, beta=beta), U, normal,
                             formulation="linearised").bc_count
 
 
@@ -172,6 +172,39 @@ def test_rewritten_contraction_refuses_an_inadmissible_state(state, message):
         swe_rewritten_contraction(np.array(state), (1.0, 0.0))
 
 
+def test_every_face_contraction_refuses_a_normal_that_is_not_a_unit_vector():
+    # one check holds the normal for the analysis and both contractions: the
+    # rewritten one read (2, 0) as a longer normal (1.58 where (1, 0) gives
+    # 0.5725), dropped the third component of (1, 0, 5) and indexed past (0,)
+    swe = make_model("swe2d")
+    U = np.array([1.0, 0.5, 0.2])
+    assert abs(swe_rewritten_contraction(U, (1.0, 0.0)) - 0.5725) <= 1e-15
+    lengths = "^normal must have unit length, got length"
+    for contraction in (swe_rewritten_contraction,
+                        lambda U, n: boundary_contraction(swe, U, n),
+                        lambda U, n: analyze_boundary(swe, U, n).contraction):
+        with pytest.raises(ValueError, match=lengths + " 2.0$"):
+            contraction(U, (2.0, 0.0))
+        for normal in ((1.0, 0.0, 5.0), (0.0,)):
+            with pytest.raises(ValueError, match=f"^normal has {len(normal)} components,"
+                                                 " model is 2D$"):
+                contraction(U, normal)
+    with pytest.raises(ValueError, match=lengths):
+        boundary_contraction(make_model("burgers1d"), [0.5], (0.5,))
+
+
+def test_analysis_reads_the_splitting_of_the_model_it_is_given():
+    # the linearised count depends on alpha through the model alone
+    U = np.array([1.0, -0.5, 0.0])
+    for alpha in (0.0, 0.5, 1.0):
+        m = make_model("swe2d", alpha=alpha, beta=0.25)
+        a = analyze_boundary(m, U, (1.0, 0.0), formulation="linearised")
+        assert (a.alpha, a.beta) == (alpha, 0.25)
+        A, _ = sk.coeff_matrices(m, U)
+        S = sk.dense_matrix(A[0], 3)
+        assert np.array_equal(a.S, 0.5 * (S + S.T))
+
+
 def test_euler_analysis_matches_a_direct_eigensolve():
     m = make_model("euler2d")
     state = np.array([1.0, 1.0, 1.0])
@@ -190,7 +223,7 @@ def test_rewritten_contraction_equals_the_plain_quadratic_form():
         U, normal = nonglancing_state(rng, sign=-1.0 if trial % 2 else 1.0)
         rew = swe_rewritten_contraction(U, normal)
         for alpha, beta in ((0.0, 0.0), (0.37, 0.82), (1.0, 1.0)):
-            plain = boundary_contraction(m, U, normal, alpha=alpha, beta=beta)
+            plain = boundary_contraction(with_params(m, alpha=alpha, beta=beta), U, normal)
             assert abs(rew - plain) <= 1e-13 * (1 + abs(plain)), trial
 
 
@@ -205,9 +238,8 @@ def test_normal_tangential_split_is_orthogonal():
 
 def test_analysis_table_and_csv_row():
     m = make_model("swe2d")
-    a = analyze_boundary(m, np.array([1.0, -1.0, 0.0]), (1.0, 0.0),
-                         alpha=1.0, beta=1.0, formulation="linearised",
-                         face="x_low")
+    a = analyze_boundary(with_params(m, alpha=1.0, beta=1.0), np.array([1.0, -1.0, 0.0]),
+                         (1.0, 0.0), formulation="linearised", face="x_low")
     text = analysis_table(a)
     assert "linearised" in text and "x_low" in text and "3" in text
     row = analysis_csv_row(a)
@@ -421,12 +453,12 @@ def test_splitting_overrides_refuse_other_models():
     euler = make_model("euler2d")
     state = np.array([1.0, 0.5, 0.2])
     with pytest.raises(ValueError, match="does not accept parameters"):
-        boundary_contraction(burgers, [0.5], (1.0,), alpha=0.3)
+        boundary_contraction(with_params(burgers, alpha=0.3), [0.5], (1.0,))
     with pytest.raises(ValueError, match="does not accept parameters"):
-        boundary_contraction(euler, state, (1.0, 0.0), beta=0.3)
+        boundary_contraction(with_params(euler, beta=0.3), state, (1.0, 0.0))
     with pytest.raises(ValueError, match="does not accept parameters"):
-        analyze_boundary(euler, state, (1.0, 0.0), alpha=0.3)
+        analyze_boundary(with_params(euler, alpha=0.3), state, (1.0, 0.0))
     with pytest.raises(ValueError, match="does not accept parameters"):
-        analyze_boundary(burgers, [0.5], (1.0,), beta=0.3)
+        analyze_boundary(with_params(burgers, beta=0.3), [0.5], (1.0,))
     # no override at all is fine for every model
     assert analyze_boundary(euler, state, (1.0, 0.0)).alpha is None

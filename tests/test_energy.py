@@ -6,7 +6,7 @@ import pytest
 import skewform as sk
 from skewform.boundary import make_sat_config
 from skewform.energy import boundary_contraction, energy_report, total_energy
-from skewform.models import make_model, norm_weight, sample_state, swe_transform
+from skewform.models import make_model, norm_weight, sample_state, swe_transform, with_params
 from skewform.sbp_core import build_operators, inner_product, make_grid, quadrature_weights
 from skewform.verify import default_setup
 
@@ -175,7 +175,7 @@ def test_swe_boundary_contraction_pinned_and_alpha_free():
     m = make_model("swe2d")
     state = np.array([4.0, 2.0, 0.0])
     for alpha in np.linspace(0.0, 1.0, 7):
-        got = boundary_contraction(m, state, (1.0, 0.0), alpha=float(alpha), beta=0.0)
+        got = boundary_contraction(with_params(m, alpha=alpha, beta=0.0), state, (1.0, 0.0))
         assert abs(got - 18.0) <= 1e-12, alpha
 
 
@@ -192,8 +192,8 @@ def test_linearised_contraction_depends_on_alpha():
     mean = np.array([1.0, 0.0, 0.0])
     pert = np.array([1.0, 1.0, 0.0])
     for alpha in (0.0, 0.5, 1.0):
-        got = boundary_contraction(m, pert, (1.0, 0.0), mean=mean,
-                                   alpha=float(alpha), beta=0.0)
+        got = boundary_contraction(with_params(m, alpha=alpha, beta=0.0), pert, (1.0, 0.0),
+                                   mean=mean)
         assert abs(got - (1.0 - alpha)) <= 1e-14, alpha
 
 

@@ -6,18 +6,21 @@ import numpy as np
 import pytest
 
 import skewform as sk
+from skewform import cli
 from skewform.models import (
     check_admissible,
     coeff_matrices,
     coeff_split,
     dense_matrix,
     has_invertible_norm,
+    MODEL_PARAMS,
     make_model,
     norm_weight,
     sample_state,
     swe_inverse,
     swe_quasilinear,
     swe_transform,
+    unit_normal,
     validate_grid,
     wavespeeds,
     with_params,
@@ -73,6 +76,35 @@ def test_with_params_swaps_splitting_parameters():
             make_model("swe2d", f0=bad)
         with pytest.raises(ValueError, match=r"\['beta'\] must be finite"):
             with_params(m, alpha=0.5, beta=bad)
+
+
+def test_make_model_checks_its_parameters_through_with_params():
+    # one list of parameter names feeds the spec, with_params and the
+    # config schema; None leaves a default on every kind, as with_params does
+    assert MODEL_PARAMS == ("alpha", "beta", "f0", "f1")
+    assert cli._SCHEMA["model"] == {"kind", *MODEL_PARAMS}
+    for kind in ALL_KINDS:
+        assert make_model(kind, alpha=None, f1=None) == make_model(kind)
+    for kind, name in (("swe2d", "gamma"), ("euler2d", "f0")):
+        with pytest.raises(ValueError, match=f"^model '{kind}' does not accept parameters"
+                                             rf" \['{name}'\]$"):
+            make_model(kind, **{name: 0.0})
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_unit_normal_holds_the_dimension_and_the_length(kind):
+    m = make_model(kind)
+    normal = (0.6, 0.8, 0.0)[:m.dim] if m.dim > 1 else (-1,)
+    assert unit_normal(m, np.array(normal)) == tuple(float(c) for c in normal)
+    assert type(unit_normal(m, np.array(normal))[0]) is float
+    # within 1e-6 of unit length is accepted as it is
+    assert unit_normal(m, (1.0 + 9e-7,) + (0.0,) * (m.dim - 1))[0] == 1.0 + 9e-7
+    with pytest.raises(ValueError, match=f"^normal has {m.dim + 1} components, model is"
+                                         f" {m.dim}D$"):
+        unit_normal(m, (1.0,) + (0.0,) * m.dim)
+    for bad in (0.0, 2.0, 1.0 + 2e-6, np.nan):
+        with pytest.raises(ValueError, match="^normal must have unit length, got length"):
+            unit_normal(m, (bad,) + (0.0,) * (m.dim - 1))
 
 
 def test_burgers_coefficient_is_a_third_of_the_state():

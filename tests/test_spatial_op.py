@@ -234,6 +234,70 @@ def test_mode_objects_validate_their_inputs():
             assert build(m, g, ops, U)(stack).R.shape == stack.shape
 
 
+def test_an_operator_refuses_a_state_of_another_grid():
+    # the acted-on state is checked as the coefficient state is, by name,
+    # where numpy raised "non-broadcastable output operand" (or a face
+    # functional paired layers of the wrong grid)
+    m, g, ops, rng = small_setup("swe2d", (4, 2), 40)
+    V = sample_state(m, g.shape, rng)
+    for other in ((3, 8, 10), (3, 9, 8), (2, 8, 9), (3,)):
+        W = np.ones(other)
+        shapes = re.escape(str(other)) + r"; the grid takes \(3, 8, 9\)"
+        for build in (skew_evaluator, standard_evaluator):
+            with pytest.raises(ValueError, match="^state has shape " + shapes):
+                build(m, g, ops, V)(W)
+        with pytest.raises(ValueError, match=shapes):
+            skew_evaluator(m, g, ops, V).face_functional(V, W)
+        with pytest.raises(ValueError, match=shapes):
+            bilinear_face_functional(m, g, ops, W, V, V)
+
+
+def test_an_operator_refuses_sbp_operators_of_another_grid():
+    # ops built for other node counts or periodicity broke the energy
+    # balance silently: before this check, the report of V below with ops
+    # periodic in y read volume_residual -1.02, and the burgers march below
+    # reached |volume_residual| 4.1e-3
+    m = make_model("swe2d", alpha=0.4, beta=0.7, f0=0.7, f1=0.3)
+    g = make_grid(((0.0, 1.0), (0.0, 1.0)), (9, 13))
+    V = sample_state(m, g.shape, np.random.default_rng(41))
+    wrong = (build_operators(make_grid(((0.0, 1.0), (0.0, 1.0)), (9, 13),
+                                       periodic=(False, True)), (4, 2)),
+             build_operators(make_grid(((0.0, 1.0), (0.0, 1.0)), (13, 9)), (4, 2)),
+             build_operators(make_grid(((0.0, 1.0),), (9,)), (4, 2)))
+    for ops in wrong:
+        built = tuple((op.n, op.periodic) for op in ops)
+        message = "^" + re.escape(f"ops are built for (nodes, periodic) {built} per axis;"
+                                  " the grid has ((9, False), (13, False))") + "$"
+        for build in (skew_evaluator, standard_evaluator):
+            with pytest.raises(ValueError, match=message):
+                build(m, g, ops, V)
+        with pytest.raises(ValueError, match=message):
+            sk.energy_report(m, g, ops, V)
+    burgers = make_model("burgers1d")
+    g = make_grid(((0.0, 1.0),), (33,))
+    periodic_ops = build_operators(make_grid(((0.0, 1.0),), (33,), periodic=(True,)), (4, 2))
+    U = 0.5 + 0.3 * np.sin(2.0 * np.pi * g.positions[0])[None]
+    sc = sk.Scenario(burgers, g, periodic_ops, "nonlinear", U, 0.004, 0.04)
+    with pytest.raises(ValueError, match="^ops are built for"):
+        sk.march(sc)
+
+
+def test_the_wrappers_act_with_an_unbatched_coefficient_state_on_a_stack():
+    # the wrappers pass V to the builders, whose V without batch axes acts
+    # on each state of a stack with the bits of its own evaluation
+    m, g, ops, rng = small_setup("swe2d", (4, 2), 42)
+    V, U, Phi = (sample_state(m, g.shape, rng) for _ in range(3))
+    stack, duals = np.stack([U, 0.5 * U], axis=1), np.stack([Phi, -Phi], axis=1)
+    for evaluate in (eval_primal_residual, eval_dual_residual):
+        got = evaluate(m, g, ops, stack, V).R
+        for k in range(2):
+            assert got[:, k].tobytes() == evaluate(m, g, ops, stack[:, k], V).R.tobytes()
+    got = bilinear_face_functional(m, g, ops, stack, duals, V)
+    assert [float(v) for v in got] == [bilinear_face_functional(m, g, ops, stack[:, k],
+                                                                duals[:, k], V)
+                                       for k in range(2)]
+
+
 def test_shape_mismatch_is_rejected():
     m, g, ops, rng = small_setup("swe2d", (2, 1), 39)
     with pytest.raises(ValueError):

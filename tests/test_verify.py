@@ -204,7 +204,7 @@ def test_the_split_sweep_gives_every_pairings_contraction_bitwise():
         normal = ((1.0, 0.0), (-0.0, -1.0), (float(np.cos(theta)), float(np.sin(theta))))[
             trial % 3]
         got = verify.split_sweep(base, U, normal)
-        want = [boundary_contraction(base, U, normal, alpha=a, beta=b)
+        want = [boundary_contraction(with_params(base, alpha=a, beta=b), U, normal)
                 for a in sweep for b in sweep]
         assert np.array(got).tobytes() == np.array(want).tobytes(), trial
 
