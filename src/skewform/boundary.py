@@ -248,7 +248,10 @@ def analyze_boundary(
     face: str | None = None,
     pos=None,
 ) -> BoundaryAnalysis:
-    """Eigen-counts the boundary conditions one face state demands.
+    """Eigen-counts the boundary conditions one face state demands: each
+    formulation builds its boundary matrix S, and one step reads from S the
+    eigenvalues, the signature, the count (the rewritten formulation sets its
+    own) and the nonlinear contraction state . S state.
 
     Args:
         model: the model analysed, with its swe2d splitting alpha, beta
@@ -258,12 +261,11 @@ def analyze_boundary(
         formulation: 'nonlinear', 'linearised', or 'nonlinear_rewritten'.
         pos: per-axis coordinates of the face node (euler3d_cyl radius).
     """
-    state = np.asarray(state, dtype=np.float64)
     normal = unit_normal(model, normal)
-    check_admissible(model, state)
+    state = check_admissible(model, state)
     a_out, b_out = (model.alpha, model.beta) if model.kind == "swe2d" else (None, None)
 
-    count = None
+    count = contraction = None
     if formulation == "nonlinear_rewritten":
         if model.kind != "swe2d":
             raise ValueError("the rewritten formulation applies to swe2d only")
@@ -271,33 +273,25 @@ def analyze_boundary(
         un = float(swe_normal_tangential(state, normal)[0])
         c = 1.0 / (2.0 * un * float(np.sqrt(state[0])))
         S = np.diag([-c, c, c])
-        eigs = np.sort(np.array([-c, c, c]))
-        # Two genuine conditions at inflow; at outflow the negative
-        # direction is dominated by (U_n^2 + U1^2)^2 >= U1^4 and no data
-        # is required.
+        # Two genuine conditions at inflow; none at outflow, where the
+        # negative direction is dominated by (U_n^2 + U1^2)^2 >= U1^4.
         count = 2 if un < 0.0 else 0
     elif formulation == "nonlinear" and model.kind == "swe2d":
-        un, _ = swe_normal_tangential(state, normal)
-        root = np.sqrt(state[0])
-        vn = float(un / root)
+        vn = float(swe_normal_tangential(state, normal)[0] / np.sqrt(state[0]))
         S = np.diag([vn, vn / 2.0, vn / 2.0])
-        eigs = np.linalg.eigvalsh(S)
-        contraction = float(
-            vn * (state[0] ** 2 + 0.5 * (state[1] ** 2 + state[2] ** 2))
-        )
     elif formulation in ("nonlinear", "linearised"):
         A, _ = coeff_matrices(model, state, pos)
         M = np.zeros((model.n_comp, model.n_comp))
         for ax in range(model.dim):
             M += normal[ax] * dense_matrix(A[ax], model.n_comp)
         S = 0.5 * (M + M.T)
-        eigs = np.linalg.eigvalsh(S)
-        contraction = float(state @ M @ state) if formulation == "nonlinear" else None
     else:
         raise ValueError(
             "formulation must be 'nonlinear', 'linearised', or 'nonlinear_rewritten'"
         )
-
+    if formulation == "nonlinear":
+        contraction = float(state @ S @ state)
+    eigs = np.linalg.eigvalsh(S)
     neg, zero, pos_n = _signature_counts(eigs)
     return BoundaryAnalysis(
         formulation=formulation, face=face, normal=normal,

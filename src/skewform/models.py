@@ -125,8 +125,9 @@ def _as_state(model: ModelSpec, V) -> np.ndarray:
     return V
 
 
-def check_admissible(model: ModelSpec, V) -> None:
-    """Raises if V leaves the model's admissible set (swe2d depth floor)."""
+def check_admissible(model: ModelSpec, V) -> np.ndarray:
+    """V as a float64 state, refused unless it has the model's components and
+    lies in its admissible set (swe2d depth floor, finite entries)."""
     V = _as_state(model, V)
     if model.kind == "swe2d":
         dmin = float(V[0].min())
@@ -136,6 +137,7 @@ def check_admissible(model: ModelSpec, V) -> None:
             )
     if not np.isfinite(V).all():
         raise ValueError("state contains non-finite entries")
+    return V
 
 
 def coeff_matrices(model: ModelSpec, V, pos=None):
@@ -172,8 +174,7 @@ def coeff_matrices(model: ModelSpec, V, pos=None):
     mmap threshold to still lifts the threshold above the field size when
     freed, so the residual's per-field temporaries reuse the heap.
     """
-    V = _as_state(model, V)
-    check_admissible(model, V)
+    V = check_admissible(model, V)
     *_, writer = _KINDS[model.kind]
     return writer(model, V, pos)
 
@@ -361,8 +362,7 @@ def wavespeeds(model: ModelSpec, V) -> tuple[float, ...]:
     """Per-axis largest characteristic speed over all nodes (CFL estimate):
     |u| for burgers1d, |u_i| + sqrt(phi) for swe2d (the eigenvalue radius of
     swe_quasilinear, free of alpha, beta).  Only these two models march."""
-    V = _as_state(model, V)
-    check_admissible(model, V)
+    V = check_admissible(model, V)
     if model.kind == "burgers1d":
         return (float(np.max(np.abs(V[0]))),)
     if model.kind != "swe2d":

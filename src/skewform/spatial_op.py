@@ -58,7 +58,7 @@ from typing import Callable
 import numpy as np
 
 from .boundary import build_sat
-from .models import ModelSpec, coeff_matrices, coeff_split, swe_inverse
+from .models import ModelSpec, coeff_matrices, coeff_split, swe_inverse, validate_grid
 from .sbp_core import (
     Grid,
     apply_derivative,
@@ -222,9 +222,10 @@ def _grid_state(model: ModelSpec, grid: Grid, X) -> np.ndarray:
     return X
 
 
-def _check_ops(grid: Grid, ops) -> None:
-    """Refuses SBP operators built for another grid: there must be one per
-    axis, with the axis's node count and periodicity."""
+def _check_ops(model: ModelSpec, grid: Grid, ops) -> None:
+    """Refuses a grid that does not suit the model (models.validate_grid) and
+    SBP operators that are not one per axis, of its node count and periodicity."""
+    validate_grid(model, grid)
     built = tuple((op.n, op.periodic) for op in ops)
     if built != tuple(zip(grid.shape, grid.periodic)):
         raise ValueError(f"ops are built for (nodes, periodic) {built} per axis;"
@@ -235,7 +236,7 @@ def skew_evaluator(model: ModelSpec, grid: Grid, ops, V: np.ndarray) -> Operator
     """The Operator of the skew form with coefficients at the fixed state V,
     whose tables A and C are built here, once.  Its call with dual
     evaluates the dual residual at V, whose flux sign is +2."""
-    _check_ops(grid, ops)
+    _check_ops(model, grid, ops)
     A, C = coeff_matrices(model, _grid_state(model, grid, V), grid.positions)
     return Operator(model, grid, ops, A, partial(_assemble, grid, ops, A, C))
 
@@ -298,10 +299,10 @@ def eval_remainder_H(
     H = sum_ax [ D_ax(A'_ax U') + A'_ax^T D_ax U' ] + C' U' with
     A' = A(mean + pert) - A(mean).  full = mean-eq + pert-eq + H up to
     roundoff, and H is quadratic in the perturbation whenever the
-    coefficients are linear in the state.
-    """
-    U_bar = np.asarray(U_bar, dtype=np.float64)
-    U_prime = np.asarray(U_prime, dtype=np.float64)
+    coefficients are linear in the state.  The grid, ops and both states are
+    checked as for skew_evaluator."""
+    _check_ops(model, grid, ops)
+    U_bar, U_prime = (_grid_state(model, grid, X) for X in (U_bar, U_prime))
     A_prime, C_prime = coeff_split(model, U_bar, U_prime, grid.positions)
     return _assemble(grid, ops, A_prime, C_prime, U_prime)
 
@@ -318,7 +319,7 @@ def standard_evaluator(model: ModelSpec, grid: Grid, ops, V: np.ndarray) -> Oper
     face terms and a characteristic closure read the transport matrices
     M_ax / 2, and its call is meant without dual, which belongs to the skew form.
     """
-    _check_ops(grid, ops)
+    _check_ops(model, grid, ops)
     M, N = _standard_matrices(model, grid, ops, _grid_state(model, grid, V))
     half = tuple({key: 0.5 * field for key, field in M_ax.items()} for M_ax in M)
     return Operator(model, grid, ops, half, partial(_advect, grid, ops, M, N))

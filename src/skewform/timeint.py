@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from .energy import EnergyReport, report_from_residual
-from .models import ModelSpec, has_invertible_norm, wavespeeds
+from .models import ModelSpec, has_invertible_norm, validate_grid, wavespeeds
 from .sbp_core import ArgumentError, Grid, face_label
 from .spatial_op import (
     eval_dual_residual,
@@ -103,10 +103,10 @@ class Scenario:
 
 
 def validate_scenario(sc: Scenario) -> None:
-    """Raises ValueError when the scenario is malformed or unsupported (a
-    missing or unread mean, a SAT closure on a swe2d standard run), and an
-    ArgumentError naming the field for a refused mode, dt, t_final, stride
-    or cfl."""
+    """Raises ValueError when the scenario is malformed or unsupported (a grid
+    that does not suit the model, a missing or unread mean, a SAT closure on
+    a swe2d standard run), and an ArgumentError naming the field for a
+    refused mode, dt, t_final, stride or cfl."""
     if sc.mode not in MODES:
         raise ValueError(f"unknown mode '{sc.mode}'; expected one of {MODES}")
     if not has_invertible_norm(sc.model):
@@ -128,6 +128,7 @@ def validate_scenario(sc: Scenario) -> None:
         raise ArgumentError("stride", "report stride must be at least 1")
     if not 0.0 < sc.cfl:
         raise ArgumentError("cfl", "cfl must be positive")
+    validate_grid(sc.model, sc.grid)
     if np.asarray(sc.initial).shape != (sc.model.n_comp,) + sc.grid.shape:
         raise ValueError("initial data does not match the model/grid shape")
     if sc.mode in MEAN_MODES and sc.mean is None:

@@ -15,7 +15,8 @@ from skewform.boundary import (
     swe_rewritten_contraction,
 )
 from skewform.energy import boundary_contraction, energy_report
-from skewform.models import make_model, swe_transform, with_params
+from skewform.models import (coeff_matrices, dense_matrix, make_model, sample_state,
+                             swe_transform, with_params)
 from skewform.sbp_core import build_operators, face_label, faces, make_grid
 from skewform.spatial_op import skew_evaluator
 
@@ -31,6 +32,20 @@ def nonglancing_state(rng, sign):
     U2 = un * normal[0] - ut * normal[1]
     U3 = un * normal[1] + ut * normal[0]
     return np.array([phi, U2, U3]), normal
+
+
+def sampled_face_points(rng, trials):
+    """(model, state, unit normal, pos) over sampled states and normals of
+    every model kind, swe2d inflow and outflow at several alpha, beta."""
+    for trial in range(trials):
+        for kind in ("burgers1d", "euler2d", "euler3d_cyl"):
+            m = make_model(kind)
+            normal = rng.normal(size=m.dim)
+            pos = (rng.uniform(0.3, 1.3), 0.0, 0.0) if kind == "euler3d_cyl" else None
+            yield m, sample_state(m, (), rng), normal / np.linalg.norm(normal), pos
+        U, normal = nonglancing_state(rng, sign=-1.0 if trial % 2 else 1.0)
+        for alpha, beta in ((0.0, 0.0), (0.37, 0.82), (1.0, 1.0), (-0.5, 2.0)):
+            yield with_params(make_model("swe2d"), alpha=alpha, beta=beta), U, normal, None
 
 
 def test_linearised_inflow_pins_three_conditions():
@@ -212,6 +227,27 @@ def test_euler_analysis_matches_a_direct_eigensolve():
     want = np.linalg.eigvalsh(a.S)
     assert np.max(np.abs(a.eigenvalues - want)) <= 1e-12
     assert a.bc_count == a.n_negative == 1
+    # every model and formulation reads its eigenvalues and count from its S;
+    # only the rewritten formulation sets its own count, 0 at outflow
+    for m, state, normal, pos in sampled_face_points(np.random.default_rng(57), 20):
+        rewritten = ("nonlinear_rewritten",) if m.kind == "swe2d" else ()
+        for formulation in ("nonlinear", "linearised") + rewritten:
+            a = analyze_boundary(m, state, normal, formulation, pos=pos)
+            assert a.eigenvalues.tobytes() == np.linalg.eigvalsh(a.S).tobytes()
+            outflow = formulation in rewritten and swe_normal_tangential(state, normal)[0] > 0
+            assert a.bc_count == (0 if outflow else a.n_negative)
+
+
+def test_nonlinear_analysis_contraction_equals_the_boundary_contraction():
+    # state . S state against u^T (n . A(u)) u through the coefficient
+    # matrices, relative to the size of the summed terms: sampled
+    # contractions near zero are cancellations (3.5e-12 relative to the value)
+    for m, state, normal, pos in sampled_face_points(np.random.default_rng(58), 50):
+        got = analyze_boundary(m, state, normal, pos=pos).contraction
+        A, _ = coeff_matrices(m, state, pos)
+        size = sum(abs(n_ax) * (np.abs(state) @ np.abs(dense_matrix(A_ax, m.n_comp))
+                                @ np.abs(state)) for n_ax, A_ax in zip(normal, A))
+        assert abs(got - boundary_contraction(m, state, normal, pos=pos)) <= 1e-13 * size
 
 
 def test_rewritten_contraction_equals_the_plain_quadratic_form():

@@ -237,7 +237,9 @@ def test_mode_objects_validate_their_inputs():
 def test_an_operator_refuses_a_state_of_another_grid():
     # the acted-on state is checked as the coefficient state is, by name,
     # where numpy raised "non-broadcastable output operand" (or a face
-    # functional paired layers of the wrong grid)
+    # functional paired layers of the wrong grid, and the remainder raised
+    # numpy's "operands could not be broadcast" or apply_derivative's node
+    # count message)
     m, g, ops, rng = small_setup("swe2d", (4, 2), 40)
     V = sample_state(m, g.shape, rng)
     for other in ((3, 8, 10), (3, 9, 8), (2, 8, 9), (3,)):
@@ -250,6 +252,9 @@ def test_an_operator_refuses_a_state_of_another_grid():
             skew_evaluator(m, g, ops, V).face_functional(V, W)
         with pytest.raises(ValueError, match=shapes):
             bilinear_face_functional(m, g, ops, W, V, V)
+        for states in ((W, V), (V, W)):
+            with pytest.raises(ValueError, match="^state has shape " + shapes):
+                eval_remainder_H(m, g, ops, *states)
 
 
 def test_an_operator_refuses_sbp_operators_of_another_grid():
@@ -280,6 +285,51 @@ def test_an_operator_refuses_sbp_operators_of_another_grid():
     sc = sk.Scenario(burgers, g, periodic_ops, "nonlinear", U, 0.004, 0.04)
     with pytest.raises(ValueError, match="^ops are built for"):
         sk.march(sc)
+
+
+def _mismatched_discretisation(case):
+    """(model, grid, ops, state, message) of a discretisation whose parts do
+    not belong together, and the message that refuses it."""
+    if case == "periodic_ops":
+        m, g = make_model("burgers1d"), make_grid(((0.0, 1.0),), (33,))
+        ops = build_operators(make_grid(((0.0, 1.0),), (33,), periodic=(True,)), (4, 2))
+        message = ("ops are built for (nodes, periodic) ((33, True),) per axis;"
+                   " the grid has ((33, False),)")
+    elif case == "cylinder_through_the_axis":
+        m = make_model("euler3d_cyl")
+        g = make_grid(((-0.5, 0.5), (0.0, 1.0), (0.0, 1.0)), (8, 8, 8),
+                      periodic=(False, False, True), axis_names=m.axis_names)
+        ops, message = build_operators(g, (2, 1)), "cylindrical grids need r_min > 0"
+    else:
+        kind, extents, shape = {"1d_model_on_2d_grid": ("burgers1d", ((0.0, 1.0),) * 2, (9, 9)),
+                                "2d_model_on_1d_grid": ("swe2d", ((0.0, 1.0),), (16,))}[case]
+        m, g = make_model(kind), make_grid(extents, shape)
+        ops = build_operators(g, (2, 1))
+        message = f"model '{kind}' is {m.dim}D but the grid is {g.dim}D"
+    U = sample_state(m, g.shape, np.random.default_rng(43))
+    return m, g, ops, U, "^" + re.escape(message) + "$"
+
+
+@pytest.mark.parametrize("evaluate", [
+    skew_evaluator, standard_evaluator, eval_primal_residual, eval_dual_residual,
+    lambda m, g, ops, U: eval_new_linearised_pair(m, g, ops, U, 0.5 * U),
+    lambda m, g, ops, U: bilinear_face_functional(m, g, ops, U, U, U),
+    lambda m, g, ops, U: eval_remainder_H(m, g, ops, U, 0.5 * U),
+    sk.energy_report,
+], ids=["skew_evaluator", "standard_evaluator", "eval_primal_residual", "eval_dual_residual",
+        "eval_new_linearised_pair", "bilinear_face_functional", "eval_remainder_H",
+        "energy_report"])
+@pytest.mark.parametrize("case", ["periodic_ops", "1d_model_on_2d_grid", "2d_model_on_1d_grid",
+                                  "cylinder_through_the_axis"])
+def test_every_evaluator_refuses_a_discretisation_whose_parts_do_not_belong_together(
+        evaluate, case):
+    # each passes the one model-grid-ops check before any work: without it
+    # eval_remainder_H took periodic ops on a bounded grid, swe2d evaluated
+    # on a 1D grid, burgers on a 2D grid raised IndexError and a cylinder
+    # through its axis evaluated
+    m, g, ops, U, message = _mismatched_discretisation(case)
+    with pytest.raises(ValueError, match=message):
+        evaluate(m, g, ops, U)
 
 
 def test_the_wrappers_act_with_an_unbatched_coefficient_state_on_a_stack():

@@ -835,6 +835,22 @@ def test_validate_scenario_rejects_bad_setups():
     assert "nonlinear" in MODES and "dual" in MODES
 
 
+def test_validate_scenario_refuses_a_grid_of_another_dimension_than_the_model():
+    # without the check the burgers march raised IndexError in its CFL guard
+    # and the swe2d march ran stage 1 before its first report refused it
+    for kind, extents, shape in (("burgers1d", ((0.0, 1.0), (0.0, 1.0)), (9, 9)),
+                                 ("swe2d", ((0.0, 1.0),), (16,))):
+        m = make_model(kind)
+        g = make_grid(extents, shape, periodic=(True,) * len(shape))
+        U = sample_state(m, g.shape, np.random.default_rng(60))
+        sc = Scenario(m, g, build_operators(g, (2, 1)), "nonlinear", U, 1e-3, 1e-2)
+        message = f"^model '{kind}' is {m.dim}D but the grid is {g.dim}D$"
+        with pytest.raises(ValueError, match=message):
+            validate_scenario(sc)
+        with pytest.raises(ValueError, match=message):
+            march(sc)
+
+
 def test_nonlinear_scenario_refuses_a_mean_it_would_not_read():
     m, g, ops = burgers_setup()
     u0 = (0.2 * np.sin(2 * np.pi * g.coords[0]))[None]
