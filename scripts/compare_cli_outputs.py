@@ -355,6 +355,36 @@ SWE_DUAL_MEAN_CFG = SWE_FROZEN_DRY_CFG.replace("mode = frozen", "mode = dual").r
 # base of the march-setting refusals.
 BURGERS_NONLINEAR_CFG = STRIDE_TYPO_CFG.replace("stride = ten", "stride = 5")
 
+# The burgers standard_vs_new comparison on 2600 periodic nodes, two blocks
+# of the final-state writer and a partial one, for four steps.
+BURGERS_STANDARD_VS_NEW_2600_CFG = """\
+[model]
+kind = burgers1d
+
+[grid]
+extents = 0,1
+shape = 2600
+periodic = true
+
+[scheme]
+order = 4,2
+mode = standard_vs_new
+dt = 0.00005
+t_final = 0.0002
+stride = 2
+
+[coefficient]
+family = trig
+comp0 = 0.0 1.0 sin:1
+
+[perturbation]
+family = trig
+comp0 = 0.0 0.01 cos:1
+
+[output]
+prefix = burgers_standard_vs_new_2600
+"""
+
 # A march of the incompressible euler model, whose norm matrix is singular.
 EULER2D_MARCH_CFG = """\
 [model]
@@ -652,6 +682,12 @@ CASES = {
     # pieces, whose boundaries fall inside a line (the benchmark's 257 x 257
     # march is periodic).
     "run_swe_bounded_129": _run("swe_bounded_129", SWE_BOUNDED_129_CFG),
+    # The final-state writer's 1D index prefixes and its block edges end to
+    # end: the standard run's final state and the coupled run's `_mean` and
+    # `_pert` states each span two whole blocks and a partial one; the
+    # other multi-block case, run_swe_bounded_129, is 2D.
+    "run_burgers_standard_vs_new_2600": _run("burgers_standard_vs_new_2600",
+                                             BURGERS_STANDARD_VS_NEW_2600_CFG),
     # A marched state of negative depth about an admissible coefficient
     # state.  By design: a tree from before a frozen march checked
     # admissibility only at its coefficient state refuses it after the first

@@ -45,7 +45,9 @@ never holds -0.0.
 A state may stack several states along batch axes between its component and
 grid axes, (n_comp, *batch, *grid).  Every evaluator, its SAT and its face
 terms then give each element the bits of its own evaluation, and the face
-functionals give one value per element.
+functionals give one value per element.  A coefficient state may be
+stacked too, but the state an operator acts on must take its batch axes:
+an unstacked V acts on a stack, and a stacked V on one state is refused.
 """
 
 from __future__ import annotations
@@ -100,12 +102,14 @@ class Operator:
     boundary matrices a closure penalises (the skew form's A_ax, the
     standard form's M_ax / 2), and spatial(W) is the spatial part acting on
     a state W of the grid.  face_tables are cut from A once, on first read:
-    a characteristic closure reads them at every stage.
+    a characteristic closure reads them at every stage.  batch is V's batch
+    shape, which every state the operator acts on must take (_acted_state).
     """
 
     model: ModelSpec
     grid: Grid
     ops: tuple
+    batch: tuple
     A: tuple
     spatial: Callable[[np.ndarray], np.ndarray]
 
@@ -113,7 +117,7 @@ class Operator:
         """The residual R = spatial - SAT - forcing acting on U.  With dual
         the spatial part is negated and the flux sign is +2: for the skew
         form this is the dual residual -[ (A_i U)_{x_i} + A_i^T U_{x_i} + C U ]."""
-        U = _grid_state(self.model, self.grid, U)
+        U = _acted_state(self.model, self.grid, self.batch, U)
         spatial = self.spatial(U)
         if dual:
             spatial = -spatial
@@ -150,7 +154,7 @@ class Operator:
         ip(Phi, R_primal(U)) - ip(U, R_dual_spatial(Phi)) up to roundoff and
         collapses to twice the energy-identity flux at Phi = U.  bq is
         symmetric bit for bit, so bq(A_ax Phi, U) = bq(U, A_ax Phi)."""
-        U, Phi = (_grid_state(self.model, self.grid, X) for X in (U, Phi))
+        U, Phi = (_acted_state(self.model, self.grid, self.batch, X) for X in (U, Phi))
         total = 0.0
         for a, b in zip(self.face_terms(Phi, U).values(),
                         self.face_terms(U, Phi).values()):
@@ -193,16 +197,16 @@ def matfield_apply(M: dict, W: np.ndarray, transpose: bool = False,
     return out
 
 
-def _lead(grid: Grid, W: np.ndarray) -> int:
-    """The number of batch axes of a state W on the grid."""
-    return W.ndim - 1 - grid.dim
+def _batch(grid: Grid, W: np.ndarray) -> tuple:
+    """The batch shape of a state W on the grid."""
+    return W.shape[1:W.ndim - grid.dim]
 
 
 def _assemble(grid: Grid, ops, A: tuple, C: dict, W: np.ndarray) -> np.ndarray:
     """sum_ax [ D_ax(A_ax W) + A_ax^T D_ax W ] + C W over the tables' entries,
     added in this order into the first flux D_0(A_0 W) (module docstring).
     No name holds a flux while D_ax W is formed: it would keep a field alive."""
-    lead = _lead(grid, W)
+    lead = len(_batch(grid, W))
     out = apply_derivative(ops[0], matfield_apply(A[0], W), lead)
     for ax in range(grid.dim):
         if ax:
@@ -222,6 +226,19 @@ def _grid_state(model: ModelSpec, grid: Grid, X) -> np.ndarray:
     return X
 
 
+def _acted_state(model: ModelSpec, grid: Grid, batch: tuple, X) -> np.ndarray:
+    """X as a state of the grid (_grid_state) for coefficients of batch shape
+    batch to act on, refused unless its batch axes take batch: broadcast
+    against them, batch must leave them as they are, since an evaluation
+    writes into fields of X's shape."""
+    X = _grid_state(model, grid, X)
+    own = _batch(grid, X)
+    if len(batch) > len(own) or any(b not in (1, o) for b, o in zip(batch[::-1], own[::-1])):
+        raise ValueError(f"state has shape {X.shape}, whose batch axes {own} do not take"
+                         f" the coefficient state's batch axes {batch}")
+    return X
+
+
 def _check_ops(model: ModelSpec, grid: Grid, ops) -> None:
     """Refuses a grid that does not suit the model (models.validate_grid) and
     SBP operators that are not one per axis, of its node count and periodicity."""
@@ -237,8 +254,10 @@ def skew_evaluator(model: ModelSpec, grid: Grid, ops, V: np.ndarray) -> Operator
     whose tables A and C are built here, once.  Its call with dual
     evaluates the dual residual at V, whose flux sign is +2."""
     _check_ops(model, grid, ops)
-    A, C = coeff_matrices(model, _grid_state(model, grid, V), grid.positions)
-    return Operator(model, grid, ops, A, partial(_assemble, grid, ops, A, C))
+    V = _grid_state(model, grid, V)
+    A, C = coeff_matrices(model, V, grid.positions)
+    return Operator(model, grid, ops, _batch(grid, V), A,
+                    partial(_assemble, grid, ops, A, C))
 
 
 def eval_primal_residual(model: ModelSpec, grid: Grid, ops, U: np.ndarray,
@@ -300,9 +319,10 @@ def eval_remainder_H(
     A' = A(mean + pert) - A(mean).  full = mean-eq + pert-eq + H up to
     roundoff, and H is quadratic in the perturbation whenever the
     coefficients are linear in the state.  The grid, ops and both states are
-    checked as for skew_evaluator."""
+    checked as skew_evaluator(U_bar) checks them acting on U_prime."""
     _check_ops(model, grid, ops)
-    U_bar, U_prime = (_grid_state(model, grid, X) for X in (U_bar, U_prime))
+    U_bar = _grid_state(model, grid, U_bar)
+    U_prime = _acted_state(model, grid, _batch(grid, U_bar), U_prime)
     A_prime, C_prime = coeff_split(model, U_bar, U_prime, grid.positions)
     return _assemble(grid, ops, A_prime, C_prime, U_prime)
 
@@ -320,14 +340,16 @@ def standard_evaluator(model: ModelSpec, grid: Grid, ops, V: np.ndarray) -> Oper
     M_ax / 2, and its call is meant without dual, which belongs to the skew form.
     """
     _check_ops(model, grid, ops)
-    M, N = _standard_matrices(model, grid, ops, _grid_state(model, grid, V))
+    V = _grid_state(model, grid, V)
+    M, N = _standard_matrices(model, grid, ops, V)
     half = tuple({key: 0.5 * field for key, field in M_ax.items()} for M_ax in M)
-    return Operator(model, grid, ops, half, partial(_advect, grid, ops, M, N))
+    return Operator(model, grid, ops, _batch(grid, V), half,
+                    partial(_advect, grid, ops, M, N))
 
 
 def _advect(grid: Grid, ops, M: tuple, N: dict, W: np.ndarray) -> np.ndarray:
     """sum_ax M_ax D_ax W + N W, added in this order into a +0.0 field."""
-    lead = _lead(grid, W)
+    lead = len(_batch(grid, W))
     spatial = np.zeros(W.shape)
     for ax in range(grid.dim):
         matfield_apply(M[ax], apply_derivative(ops[ax], W, lead + ax), out=spatial)
@@ -342,7 +364,7 @@ def _standard_matrices(model: ModelSpec, grid: Grid, ops, V: np.ndarray):
         raise ValueError(
             f"standard linearisation covers burgers1d and swe2d, not '{model.kind}'"
         )
-    lead = _lead(grid, V)
+    lead = len(_batch(grid, V))
     if model.kind == "burgers1d":
         return ({(0, 0): V[0]},), {(0, 0): apply_derivative(ops[0], V, lead)[0]}
     qbar = np.stack(swe_inverse(V))

@@ -6,8 +6,10 @@ import itertools
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
 
@@ -216,18 +218,27 @@ AWKWARD = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
                     1.2345678901234567e300, -9.87654321e-300, 1e-310, 0.1, 1.0 / 3.0])
 
 
-@pytest.mark.parametrize("kind, shape", [
+# Grids of several blocks, one of them a whole number of blocks.
+SEVERAL_BLOCKS = [
     ("burgers1d", (3 * cli._STATE_BLOCK + 7,)),
     ("swe2d", (97, 131)),
     ("euler2d", (3 * cli._STATE_BLOCK // 64, 64)),
     ("euler3d_cyl", (17, 23, 29)),
+]
+
+
+@pytest.mark.parametrize("kind, shape", SEVERAL_BLOCKS + [
+    ("euler3d_cyl", (5, 7, 9)),  # fewer nodes than one block
+    ("swe2d", (cli._STATE_BLOCK // 32, 32)),  # exactly one block
 ])
 def test_final_state_writer_keeps_the_bytes_of_one_join_per_node(tmp_path, kind, shape):
     model = make_model(kind)
     dim = len(shape)
     grid = make_grid(((0.0, 1.0),) * dim, shape, periodic=(True,) + (False,) * (dim - 1))
-    # every grid spans several blocks, one of them a whole number of blocks
-    assert math.prod(shape) > 2 * cli._STATE_BLOCK
+    if (kind, shape) in SEVERAL_BLOCKS:
+        assert math.prod(shape) > 2 * cli._STATE_BLOCK
+    else:
+        assert math.prod(shape) <= cli._STATE_BLOCK
     rng = np.random.default_rng(7)
     state = rng.standard_normal((model.n_comp,) + shape) * 10.0 ** rng.integers(
         -300, 301, (model.n_comp,) + shape)
@@ -240,6 +251,38 @@ def test_final_state_writer_keeps_the_bytes_of_one_join_per_node(tmp_path, kind,
     got = (tmp_path / "got.txt").read_bytes()
     assert got == (tmp_path / "want.txt").read_bytes()
     assert got.count(b"\n") == 3 + dim + math.prod(shape)
+
+
+def test_final_state_writer_holds_a_block_not_the_grid(tmp_path):
+    # the writer's traced peak on a 257 x 257 swe2d state: 0.65 MiB with one
+    # % format per node in blocks of 4096, 0.32 MiB column-wise in blocks of
+    # 1024; the state's text alone is about 3.6 MiB, so a writer that joins
+    # the whole grid at once fails
+    model = make_model("swe2d")
+    grid = make_grid(((0.0, 1.0),) * 2, (257, 257), periodic=(True, True))
+    state = 1.0 + 0.1 * np.random.default_rng(11).standard_normal((3, 257, 257))
+    tracemalloc.start()
+    try:
+        cli.write_final_state(tmp_path / "state.txt", model, grid, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, peak / (1 << 20)
+
+
+@pytest.mark.parametrize("shape", [(3, 10), (3, 9, 14), (3, 13, 9), (2, 9, 13), (3, 1, 9, 13)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_final_state_writer_refuses_a_state_of_another_shape(tmp_path, shape):
+    # each of these wrote without an error: (3, 10) ten data lines, (3, 9, 14)
+    # 117 lines that dropped nine nodes' values, and (3, 13, 9) a 13 x 9
+    # array under the 9 x 13 grid's indices
+    model = make_model("swe2d")
+    grid = make_grid(((0.0, 1.0),) * 2, (9, 13))
+    target = tmp_path / "state.txt"
+    with pytest.raises(ValueError, match=re.escape(
+            f"final state has shape {shape}; the grid takes (3, 9, 13)")):
+        cli.write_final_state(target, model, grid, np.ones(shape))
+    assert not target.exists()
 
 
 INFLOW_65_CFG = """

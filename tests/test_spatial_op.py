@@ -348,6 +348,37 @@ def test_the_wrappers_act_with_an_unbatched_coefficient_state_on_a_stack():
                                        for k in range(2)]
 
 
+def test_the_wrappers_refuse_a_stacked_coefficient_state_on_one_state():
+    # an operator knows its coefficient state's batch shape, and refuses a
+    # state whose batch axes do not take it before any kernel runs; numpy
+    # met each of these with "non-broadcastable output operand with shape
+    # (16,) doesn't match the broadcast shape (2,16)"
+    m = make_model("burgers1d")
+    g = make_grid(((0.0, 1.0),), (16,))
+    ops = build_operators(g, (2, 1))
+    U = np.linspace(0.1, 1.0, 16)[None]
+    V = np.stack([U, 2 * U], axis=1)
+    message = "^" + re.escape("state has shape (1, 16), whose batch axes () do not take"
+                              " the coefficient state's batch axes (2,)") + "$"
+    calls = (lambda: eval_primal_residual(m, g, ops, U, V),
+             lambda: eval_dual_residual(m, g, ops, U, V),
+             lambda: eval_new_linearised_pair(m, g, ops, U, V - U),
+             lambda: bilinear_face_functional(m, g, ops, U, U, V),
+             lambda: bilinear_face_functional(m, g, ops, V, U, V),
+             lambda: eval_remainder_H(m, g, ops, V, U))
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+    # a stack of V's batch shape, or of more axes that take it, is evaluated
+    W = np.stack([np.stack([U, 3 * U], axis=1)] * 2, axis=1)
+    got = eval_primal_residual(m, g, ops, W, V).R
+    for k in range(2):
+        assert got[:, 1, k].tobytes() == eval_primal_residual(m, g, ops, U * (1 + 2 * k),
+                                                              V[:, k]).R.tobytes()
+    with pytest.raises(ValueError, match=re.escape("batch axes (1,) do not take")):
+        eval_primal_residual(m, g, ops, U[:, None], V)
+
+
 def test_shape_mismatch_is_rejected():
     m, g, ops, rng = small_setup("swe2d", (2, 1), 39)
     with pytest.raises(ValueError):
