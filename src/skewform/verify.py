@@ -17,7 +17,6 @@ residual (required - observed), with tolerance zero.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -100,6 +99,8 @@ class CheckReport:
 
 
 def _state_hash(U: np.ndarray) -> str:
+    """Imports hashlib here, so a march never loads OpenSSL (3.6 MB resident)."""
+    import hashlib
     return hashlib.sha256(np.ascontiguousarray(U).tobytes()).hexdigest()[:16]
 
 
